@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
-from typing import Iterable, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 from srv6sfc import errors
 
@@ -108,6 +108,41 @@ def longest_prefix_match(entries: Iterable[tuple[IPv6Network, T]], address: IPv6
             best = value
             best_len = network.prefixlen
     return best
+
+
+_ALL_ONES = (1 << 128) - 1
+_MISSING = object()
+
+
+class PrefixTable(Generic[T]):
+    """Longest-prefix match compiled once from (prefix, value) pairs.
+
+    One dict per prefix length, keyed by the integer network address and
+    probed longest length first, so a lookup costs one masked dict probe
+    per distinct length instead of a scan of every entry. The earliest
+    entry wins a tie, as in ``longest_prefix_match``, which stays the
+    reference. Later changes to the source entries are not seen.
+    """
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self, entries: Iterable[tuple[IPv6Network, T]]):
+        by_length: dict[int, dict[int, T]] = {}
+        for network, value in entries:
+            bucket = by_length.setdefault(network.prefixlen, {})
+            bucket.setdefault(int(network.network_address), value)
+        self._buckets = tuple(
+            (_ALL_ONES ^ (_ALL_ONES >> length), by_length[length])
+            for length in sorted(by_length, reverse=True)
+        )
+
+    def lookup(self, address: IPv6Address) -> T | None:
+        key = int(address)
+        for mask, bucket in self._buckets:
+            value = bucket.get(key & mask, _MISSING)
+            if value is not _MISSING:
+                return value
+        return None
 
 
 def classify(rules: Iterable[ClassifierRule], dst: IPv6Address) -> str | None:

@@ -58,6 +58,28 @@ def _error(kind: str, detail) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
+def _ipv6(text: str) -> IPv6Address:
+    try:
+        return IPv6Address(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an IPv6 address: {text!r}") from None
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _default_ingress(config: ScenarioConfig) -> str:
     if config.bench.flow_ingress is not None:
         return config.bench.flow_ingress
@@ -111,8 +133,6 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     network = config.build_network()
     ingress = args.ingress or _default_ingress(config)
-    src = IPv6Address(args.src)
-    dst = IPv6Address(args.dst)
     terminal_only = args.trace == "terminal"
 
     delivered = 0
@@ -120,8 +140,8 @@ def cmd_run(args) -> int:
     drop_reasons: dict[str, int] = {}
     for i in range(args.count):
         inner = udp_packet(
-            src,
-            dst,
+            args.src,
+            args.dst,
             flow_payload(i, args.payload_bytes),
             src_port=args.sport,
             dst_port=args.dport,
@@ -217,8 +237,8 @@ def cmd_trace(args) -> int:
     config = load_config(args.config)
     ingress = args.ingress or _default_ingress(config)
     inner = udp_packet(
-        IPv6Address(args.src),
-        IPv6Address(args.dst),
+        args.src,
+        args.dst,
         flow_payload(0, args.payload_bytes),
         src_port=args.sport,
         dst_port=args.dport,
@@ -258,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="inject packets and print trace + ledger summary")
     p.add_argument("config")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
+    p.add_argument("--src", type=_ipv6, required=True)
+    p.add_argument("--dst", type=_ipv6, required=True)
     p.add_argument("--ingress")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--payload-bytes", type=int, default=1024)
+    p.add_argument("--count", type=_int_at_least(1), default=1)
+    p.add_argument("--payload-bytes", type=_int_at_least(0), default=1024)
     p.add_argument("--sport", type=int, default=40000)
     p.add_argument("--dport", type=int, default=5201)
     p.add_argument("--trace", choices=("full", "terminal"), default="full")
@@ -282,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="hex-dump the packet as encapsulated at ingress")
     p.add_argument("config")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
+    p.add_argument("--src", type=_ipv6, required=True)
+    p.add_argument("--dst", type=_ipv6, required=True)
     p.add_argument("--ingress")
-    p.add_argument("--payload-bytes", type=int, default=8)
+    p.add_argument("--payload-bytes", type=_int_at_least(0), default=8)
     p.add_argument("--sport", type=int, default=40000)
     p.add_argument("--dport", type=int, default=5201)
     p.set_defaults(func=cmd_trace)

@@ -30,14 +30,14 @@ from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain, next_after
 from srv6sfc.trace import EventKind
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 
-EmitFn = Callable[[EventKind, "str | None"], None]
+EmitFn = Callable[[EventKind, object], None]
 
 # VNF invocations per connector pass before declaring a steering loop
 # (a chain-editing VNF re-inserting itself would otherwise spin forever).
 MAX_PIPELINE_STEPS = 1024
 
 
-def _no_emit(kind: EventKind, detail: str | None = None) -> None:
+def _no_emit(kind: EventKind, detail: object = None) -> None:
     return None
 
 
@@ -475,15 +475,15 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                 # Mixed chain: restore the encapsulation before an aware VNF.
                 current = reencap_unaware(state.registry, plain, plain_from)
                 ledger.add(uid, e=1)
-                emit(EventKind.RE_ENCAPSULATED, str(current.header.dst))
+                emit(EventKind.RE_ENCAPSULATED, current.header.dst)
                 plain = None
                 plain_from = None
             current = advance_segment(current)
-            emit(EventKind.SEGMENT_ADVANCED, str(current.header.dst))
+            emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
             ledger.add(uid, f=1)
-            emit(EventKind.VNF_DELIVERED, str(sid.address))
+            emit(EventKind.VNF_DELIVERED, sid.address)
             action = vnf.behavior(current)
-            emit(EventKind.VNF_RETURNED, str(sid.address))
+            emit(EventKind.VNF_RETURNED, sid.address)
             if action.kind is ActionKind.DROP:
                 emit(EventKind.DROPPED, f"vnf {sid.address}")
                 return ConnectorResult(dropped=True, drop_reason=f"vnf {sid.address}")
@@ -498,18 +498,18 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                 raise errors.UnknownSid(f"{sid.address} is an egress endpoint, not a VNF")
             if plain is None:
                 current = advance_segment(current)
-                emit(EventKind.SEGMENT_ADVANCED, str(current.header.dst))
+                emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
                 plain = decapsulate(current)
                 ledger.add(uid, d=1)
                 emit(EventKind.DECAPSULATED, None)
             ledger.add(uid, f=1)
-            emit(EventKind.VNF_DELIVERED, str(sid.address))
+            emit(EventKind.VNF_DELIVERED, sid.address)
             action = vnf.behavior(plain)
             if action.kind is ActionKind.EDIT_CHAIN:
                 raise errors.InvalidEdit(
                     f"SR-unaware VNF {sid.address} sees no SRH and cannot edit it"
                 )
-            emit(EventKind.VNF_RETURNED, str(sid.address))
+            emit(EventKind.VNF_RETURNED, sid.address)
             if action.kind is ActionKind.DROP:
                 emit(EventKind.DROPPED, f"vnf {sid.address}")
                 return ConnectorResult(dropped=True, drop_reason=f"vnf {sid.address}")
@@ -530,7 +530,7 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                 continue
             current = reencap_unaware(state.registry, plain, plain_from)
             ledger.add(uid, e=1)
-            emit(EventKind.RE_ENCAPSULATED, str(current.header.dst))
+            emit(EventKind.RE_ENCAPSULATED, current.header.dst)
             plain = None
             plain_from = None
             next_vnf = state.vnfs.get(current.header.dst)

@@ -15,7 +15,7 @@ from functools import partial
 from ipaddress import IPv6Address, IPv6Network
 
 from srv6sfc import errors
-from srv6sfc.chain import ChainRegistry, ClassifierRule, classify, longest_prefix_match
+from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable
 from srv6sfc.dataplane import (
     CostLedger,
     NfvNodeState,
@@ -62,7 +62,12 @@ class Node:
 
 class Network:
     """Validated topology plus per-node ledgers. Immutable during a run
-    apart from the ledgers and the packet uid counter."""
+    apart from the ledgers and the packet uid counter.
+
+    Each node's routes and classifier rules are compiled into prefix
+    tables (``fib``, ``classifiers``) at construction, so a Node's
+    ``routing_table`` and ``rules`` must not change afterwards.
+    """
 
     def __init__(
         self,
@@ -79,6 +84,10 @@ class Network:
         self._local: dict[str, frozenset[IPv6Address]] = {}
         self._states: dict[str, NfvNodeState] = {}
         self._next_uid = 0
+        self.fib = {n.node_id: PrefixTable(n.routing_table) for n in nodes.values()}
+        self.classifiers = {
+            n.node_id: PrefixTable((r.network, r.chain_id) for r in n.rules) for n in nodes.values()
+        }
         for node in nodes.values():
             ledger = self.ledgers[node.node_id] = CostLedger(units)
             self._local[node.node_id] = frozenset(node.addresses) | frozenset(
@@ -90,7 +99,7 @@ class Network:
                     vnfs={vnf.sid.address: vnf for vnf in node.hosted_vnfs},
                     registry=registry,
                     ledger=ledger,
-                    route=partial(_route_lookup, node),
+                    route=self.fib[node.node_id].lookup,
                 )
 
     def node(self, node_id: str) -> Node:
@@ -124,10 +133,6 @@ class Network:
         return tuple(
             node_id for node_id, node in self.nodes.items() if node.role is NodeRole.NFV_NODE
         )
-
-
-def _route_lookup(node: Node, dst: IPv6Address) -> str | None:
-    return longest_prefix_match(node.routing_table, dst)
 
 
 def build_network(
@@ -233,11 +238,11 @@ def inject(
     packet = replace(inner, uid=uid)
     trace = Trace(uid, terminal_only=terminal_only)
 
-    chain_id = classify(node.rules, packet.header.dst)
+    chain_id = network.classifiers[ingress].lookup(packet.header.dst)
     if chain_id is not None:
         trace.add(node.node_id, EventKind.CLASSIFIED, chain_id)
         packet = encapsulate(packet, network.registry.chain(chain_id))
-        trace.add(node.node_id, EventKind.ENCAPSULATED, str(packet.header.dst))
+        trace.add(node.node_id, EventKind.ENCAPSULATED, packet.header.dst)
 
     visits = 0
     while True:
@@ -251,36 +256,25 @@ def inject(
             result = connector_process(state, packet, emit=partial(trace.add, node.node_id))
             if result.dropped:
                 return InjectResult(Dropped(node.node_id, result.drop_reason or "dropped"), trace)
-            (packet, port), = result.outputs
-            if port is None:
-                if packet.header.dst in network.local_addresses(node.node_id):
-                    continue
-                reason = f"no route to {packet.header.dst}"
-                trace.add(node.node_id, EventKind.DROPPED, reason)
-                return InjectResult(Dropped(node.node_id, reason), trace)
-            nxt = _decrement_hop(packet)
-            if nxt is None:
-                trace.add(node.node_id, EventKind.DROPPED, "hop limit exceeded")
-                return InjectResult(Dropped(node.node_id, "hop limit exceeded"), trace)
-            packet = nxt
-            trace.add(node.node_id, EventKind.FORWARDED, port)
-            node = network.node(port)
-            continue
-
-        if packet.header.dst in network.local_addresses(node.node_id):
+            (packet, next_hop), = result.outputs
+            if next_hop is None and packet.header.dst in network.local_addresses(node.node_id):
+                continue
+        elif packet.header.dst in network.local_addresses(node.node_id):
             if packet.is_encapsulated:
                 packet = egress_process(packet)
                 trace.add(node.node_id, EventKind.DECAPSULATED, None)
                 continue
-            trace.add(node.node_id, EventKind.DELIVERED, str(packet.header.dst))
+            trace.add(node.node_id, EventKind.DELIVERED, packet.header.dst)
             return InjectResult(Delivered(packet, node.node_id), trace)
+        else:
+            next_hop = network.fib[node.node_id].lookup(packet.header.dst)
+            if next_hop is not None:
+                network.ledgers[node.node_id].add(uid, f=1)  # plain router cost
 
-        next_hop = longest_prefix_match(node.routing_table, packet.header.dst)
         if next_hop is None:
             reason = f"no route to {packet.header.dst}"
             trace.add(node.node_id, EventKind.DROPPED, reason)
             return InjectResult(Dropped(node.node_id, reason), trace)
-        network.ledgers[node.node_id].add(uid, f=1)  # plain router cost
         nxt = _decrement_hop(packet)
         if nxt is None:
             trace.add(node.node_id, EventKind.DROPPED, "hop limit exceeded")

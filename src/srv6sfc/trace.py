@@ -46,14 +46,16 @@ class Trace:
         self.events: list[TraceEvent] = []
         self._closed = False
 
-    def add(self, node: str, kind: EventKind, detail: str | None = None) -> None:
+    def add(self, node: str, kind: EventKind, detail: object = None) -> None:
+        """Record one event. ``detail`` (e.g. an address) is stringified
+        only when the event is kept."""
         if self._closed:
             raise errors.InvariantViolation(f"trace for uid={self.uid} already terminated")
         if kind in TERMINAL_KINDS:
             self._closed = True
-            self.events.append(TraceEvent(node, kind, detail))
-        elif not self.terminal_only:
-            self.events.append(TraceEvent(node, kind, detail))
+        elif self.terminal_only:
+            return
+        self.events.append(TraceEvent(node, kind, None if detail is None else str(detail)))
 
     @property
     def terminated(self) -> bool:

@@ -13,11 +13,13 @@ from srv6sfc.chain import (
     ChainDirection,
     ChainRegistry,
     ClassifierRule,
+    PrefixTable,
     Sid,
     SidKind,
     VnfChain,
     VnfInterface,
     classify,
+    longest_prefix_match,
     next_after,
 )
 
@@ -249,6 +251,58 @@ def test_classify_removing_nonmatching_rule_is_noop(dst, data):
         if dst not in rule.network:
             remaining = rules[:index] + rules[index + 1 :]
             assert classify(remaining, dst) == result
+
+
+# PrefixTable -----------------------------------------------------------------------
+
+ANCHORS = [IPv6Address("2001:db8::"), IPv6Address("2001:db8:0:1::5"), IPv6Address("fe80::1")]
+addresses = st.one_of(
+    st.sampled_from(ANCHORS), st.integers(0, (1 << 128) - 1).map(IPv6Address)
+)
+prefixes = st.builds(
+    lambda address, length: IPv6Network((address, length), strict=False),
+    addresses,
+    st.one_of(st.sampled_from([0, 128]), st.integers(0, 128)),
+)
+
+
+@st.composite
+def prefix_tables(draw):
+    """Random (prefix, value) tables, possibly empty, with /0, /128 and
+    anchor-derived nested prefixes; some prefixes repeat with a new value."""
+    entries = draw(st.lists(st.tuples(prefixes, st.integers(0, 9)), max_size=12))
+    if entries:
+        for network, value in draw(st.lists(st.sampled_from(entries), max_size=3)):
+            entries.append((network, value + 10))
+    return entries
+
+
+@given(prefix_tables(), st.data())
+def test_prefix_table_matches_reference(entries, data):
+    table = PrefixTable(entries)
+    probes = data.draw(st.lists(addresses, max_size=4))
+    for network, _ in entries:  # each prefix's first, last and one inner address
+        host_bits = data.draw(st.integers(0, (1 << 128) - 1)) & int(network.hostmask)
+        probes += [
+            network.network_address,
+            network.broadcast_address,
+            IPv6Address(int(network.network_address) | host_bits),
+        ]
+    for address in probes:
+        assert table.lookup(address) == longest_prefix_match(entries, address)
+
+
+def test_prefix_table_fixed_cases():
+    default, host = IPv6Network("::/0"), IPv6Network("2001:db8::5/128")
+    net = IPv6Network("2001:db8::/32")
+    assert PrefixTable([]).lookup(IPv6Address("::1")) is None
+    table = PrefixTable([(net, "first"), (host, "host"), (net, "second")])
+    assert table.lookup(IPv6Address("2001:db8::5")) == "host"
+    assert table.lookup(IPv6Address("2001:db8::6")) == "first"
+    assert table.lookup(IPv6Address("fe80::1")) is None
+    with_default = PrefixTable([(net, "net"), (default, "default")])
+    assert with_default.lookup(IPv6Address("fe80::1")) == "default"
+    assert with_default.lookup(IPv6Address("2001:db8::6")) == "net"
 
 
 # next_after ------------------------------------------------------------------------

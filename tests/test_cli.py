@@ -201,3 +201,24 @@ def test_usage_error_exits_two(testbed_config_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["run", testbed_config_path])  # --src/--dst missing
     assert info.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, argv, message",
+    [
+        ("run", ["--src", "EEEE::2", "--dst", "nonsense"], "argument --dst: not an IPv6 address"),
+        ("trace", ["--src", "zz", "--dst", "DDDD::2"], "argument --src: not an IPv6 address"),
+        ("run", [*RUN_ARGS, "--count", "-3"], "argument --count: must be >= 1"),
+        ("run", [*RUN_ARGS, "--count", "0"], "argument --count: must be >= 1"),
+        ("run", [*RUN_ARGS, "--payload-bytes", "-5"], "argument --payload-bytes: must be >= 0"),
+        ("trace", [*RUN_ARGS, "--payload-bytes", "-1"], "argument --payload-bytes: must be >= 0"),
+    ],
+    ids=["run-dst", "trace-src", "run-count-negative", "run-count-zero", "run-payload", "trace-payload"],
+)
+def test_bad_argument_values_exit_two(testbed_config_path, capsys, command, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, testbed_config_path, *argv])
+    captured = capsys.readouterr()
+    assert info.value.code == cli.EXIT_USAGE
+    assert message in captured.err
+    assert captured.out == ""

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import ER1, ER2, SINK, SRC, chain_testbed
 from srv6sfc import errors
-from srv6sfc.chain import ChainRegistry, Sid, SidKind
+from srv6sfc.chain import ChainRegistry, Sid, SidKind, classify, longest_prefix_match
+from srv6sfc.config import load_config
 from srv6sfc.dataplane import PassThroughRouter, PayloadStamper, PrefixFilter
 from srv6sfc.sim import (
     Delivered,
@@ -82,6 +83,21 @@ def test_build_rejects_misplaced_vnf():
     nodes = [Node("elsewhere", NodeRole.NFV_NODE, (IPv6Address("::1"),), hosted_vnfs=(vnf,))]
     with pytest.raises(errors.InvalidTopology):
         build_network(nodes, [], network.registry)
+
+
+def test_built_tables_agree_with_reference_lookups(testbed_config_path):
+    network = load_config(testbed_config_path).build_network()
+    for node_id, node in network.nodes.items():
+        prefixes = [n for n, _ in node.routing_table] + [r.network for r in node.rules]
+        probes = [IPv6Address("::"), IPv6Address("FFFF::1")]
+        for prefix in prefixes:  # first, last and just past each prefix
+            probes += [prefix.network_address, prefix.broadcast_address,
+                       prefix.broadcast_address + 1]
+        for address in probes:
+            assert network.fib[node_id].lookup(address) == longest_prefix_match(
+                node.routing_table, address
+            )
+            assert network.classifiers[node_id].lookup(address) == classify(node.rules, address)
 
 
 # Walks --------------------------------------------------------------------------
