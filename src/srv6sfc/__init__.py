@@ -3,8 +3,8 @@
 Subpackages and modules:
 
 wire
-    Bit-exact IPv6 + segment-routing-header codec (compiled fast path
-    with a pure-Python fallback) and a minimal UDP carrier.
+    Bit-exact IPv6 + segment-routing-header codec in pure Python and a
+    minimal UDP carrier.
 chain
     Service chains, the SID registry, the univocal-mapping constraint
     and longest-prefix classification.

@@ -36,7 +36,7 @@ from srv6sfc.chain import ClassifierRule, SidKind, classify
 from srv6sfc.config import ScenarioConfig, load_config, render_config, route_add
 from srv6sfc.dataplane import encapsulate
 from srv6sfc.sim import NodeRole, flow_payload, inject
-from srv6sfc.wire import hexdump, serialize_packet, udp_packet
+from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN, hexdump, serialize_packet, udp_packet
 from ipaddress import IPv6Address
 
 EXIT_OK = 0
@@ -65,8 +65,8 @@ def _ipv6(text: str) -> IPv6Address:
         raise argparse.ArgumentTypeError(f"not an IPv6 address: {text!r}") from None
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _int_in_range(minimum: int, maximum: int | None = None):
+    """argparse type: an integer in ``minimum..maximum``, unbounded above if None."""
 
     def parse(text: str) -> int:
         try:
@@ -75,9 +75,16 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
+
+
+_port = _int_in_range(0, 0xFFFF)
+# Largest UDP payload whose datagram length still fits in 16 bits.
+_payload_bytes = _int_in_range(0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN)
 
 
 def _default_ingress(config: ScenarioConfig) -> str:
@@ -281,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", type=_ipv6, required=True)
     p.add_argument("--dst", type=_ipv6, required=True)
     p.add_argument("--ingress")
-    p.add_argument("--count", type=_int_at_least(1), default=1)
-    p.add_argument("--payload-bytes", type=_int_at_least(0), default=1024)
-    p.add_argument("--sport", type=int, default=40000)
-    p.add_argument("--dport", type=int, default=5201)
+    p.add_argument("--count", type=_int_in_range(1), default=1)
+    p.add_argument("--payload-bytes", type=_payload_bytes, default=1024)
+    p.add_argument("--sport", type=_port, default=40000)
+    p.add_argument("--dport", type=_port, default=5201)
     p.add_argument("--trace", choices=("full", "terminal"), default="full")
     p.set_defaults(func=cmd_run)
 
@@ -305,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", type=_ipv6, required=True)
     p.add_argument("--dst", type=_ipv6, required=True)
     p.add_argument("--ingress")
-    p.add_argument("--payload-bytes", type=_int_at_least(0), default=8)
-    p.add_argument("--sport", type=int, default=40000)
-    p.add_argument("--dport", type=int, default=5201)
+    p.add_argument("--payload-bytes", type=_payload_bytes, default=8)
+    p.add_argument("--sport", type=_port, default=40000)
+    p.add_argument("--dport", type=_port, default=5201)
     p.set_defaults(func=cmd_trace)
 
     return parser

@@ -282,16 +282,23 @@ def predicted_cost(n: int, kind: SidKind, units: UnitCosts = UnitCosts()) -> flo
 
 def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
     """Wrap ``inner`` for the chain: outer src is the chain's ingress
-    source, dst its first segment, the SRH carries the whole path."""
+    source, dst its first segment, the SRH carries the whole path.
+    Raises :class:`errors.OversizedPacket` when the result would not fit
+    the 16-bit payload length."""
     if not chain.segments:
         raise errors.EmptyChain(f"chain {chain.chain_id!r} has no segments")
     inner_bytes = wire.serialize_packet(inner)
     srh = SegmentRoutingHeader.from_path(chain.segments)
+    payload_length = srh.byte_length + len(inner_bytes)
+    if payload_length > wire.MAX_PAYLOAD_LEN:
+        raise errors.OversizedPacket(
+            f"encapsulated payload of {payload_length} B exceeds {wire.MAX_PAYLOAD_LEN} B"
+        )
     header = Ipv6Header(
         version=6,
         traffic_class=0,
         flow_label=0,
-        payload_length=srh.byte_length + len(inner_bytes),
+        payload_length=payload_length,
         next_header=wire.NEXT_HEADER_ROUTING,
         hop_limit=wire.DEFAULT_HOP_LIMIT,
         src=chain.ingress_source,

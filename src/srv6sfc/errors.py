@@ -91,6 +91,10 @@ class EmptyChain(DataplaneError):
     """Encapsulation requires at least one segment."""
 
 
+class OversizedPacket(DataplaneError):
+    """Encapsulated packet too long for the 16-bit IPv6 payload length."""
+
+
 class NotEncapsulated(DataplaneError):
     """Packet does not carry an inner IPv6 packet."""
 

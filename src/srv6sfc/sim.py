@@ -241,7 +241,11 @@ def inject(
     chain_id = network.classifiers[ingress].lookup(packet.header.dst)
     if chain_id is not None:
         trace.add(node.node_id, EventKind.CLASSIFIED, chain_id)
-        packet = encapsulate(packet, network.registry.chain(chain_id))
+        try:
+            packet = encapsulate(packet, network.registry.chain(chain_id))
+        except errors.OversizedPacket as exc:
+            trace.add(node.node_id, EventKind.DROPPED, str(exc))
+            return InjectResult(Dropped(node.node_id, str(exc)), trace)
         trace.add(node.node_id, EventKind.ENCAPSULATED, packet.header.dst)
 
     visits = 0

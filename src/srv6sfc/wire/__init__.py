@@ -1,23 +1,12 @@
-"""Packet wire codec with a compiled fast path.
+"""Packet wire model and codec.
 
-``parse_packet`` / ``serialize_packet`` come from the active backend:
-the Cython extension when it is built, otherwise the pure-Python
-reference codec. Setting ``SRV6SFC_PURE_PY`` in the environment forces
-the fallback. :func:`set_backend` swaps backends at runtime; modules
-that want to honour a swap should call through this module
-(``wire.parse_packet(...)``) rather than binding the function once.
-
-``srv6sfc.wire._codec_cy`` can be imported only when the extension is
-built. Otherwise the name stays unbound and importing it raises
-``ImportError``, as for any missing module; the package never exposes
-a placeholder, and "cython" is absent from :func:`available_backends`.
+The codec is ``_codec_py``. Callers go through ``wire.parse_packet``
+and ``wire.serialize_packet``, so a tracer that rebinds them sees every call.
 """
 
 from __future__ import annotations
 
-import os
-
-from srv6sfc.wire import _codec_py
+from srv6sfc.wire._codec_py import parse_packet, serialize_packet
 from srv6sfc.wire.model import (
     DEFAULT_HOP_LIMIT,
     IPV6_HEADER_LEN,
@@ -59,53 +48,19 @@ __all__ = [
     "UdpHeader",
     "active_backend",
     "active_segment",
-    "available_backends",
     "decode_udp",
     "encode_udp",
     "hexdump",
     "parse_packet",
     "serialize_packet",
-    "set_backend",
     "udp_packet",
     "validate_packet",
 ]
 
-_BACKENDS = {"python": _codec_py}
-
-try:
-    from srv6sfc.wire import _codec_cy
-
-    _BACKENDS["cython"] = _codec_cy
-except ImportError:
-    pass
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
 
 def active_backend() -> str:
-    return _active_name
-
-
-def set_backend(name: str) -> None:
-    """Rebind parse/serialize to the named backend ("python" or "cython")."""
-    global parse_packet, serialize_packet, _active_name
-    try:
-        codec = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}") from None
-    parse_packet = codec.parse_packet
-    serialize_packet = codec.serialize_packet
-    _active_name = name
-
-
-if os.environ.get("SRV6SFC_PURE_PY"):
-    set_backend("python")
-elif "cython" in _BACKENDS:
-    set_backend("cython")
-else:
-    set_backend("python")
+    """Name of the codec, for run metadata; there is only one."""
+    return "python"
 
 
 def hexdump(data: bytes) -> str:

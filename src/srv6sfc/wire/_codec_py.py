@@ -1,4 +1,4 @@
-"""Pure-Python packet codec. Reference backend; always importable.
+"""The packet codec: parse and serialize IPv6 packets with an optional SRH.
 
 Every length is checked before the corresponding bytes are touched, so
 arbitrary input can never cause an out-of-range read: malformed bytes
@@ -21,8 +21,6 @@ from srv6sfc.wire.model import (
     SegmentRoutingHeader,
     validate_packet,
 )
-
-BACKEND_NAME = "python"
 
 
 def parse_packet(data: bytes | bytearray | memoryview) -> Packet:

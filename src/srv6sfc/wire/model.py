@@ -119,11 +119,6 @@ class SegmentRoutingHeader:
         )
 
     @property
-    def path_segments(self) -> tuple[IPv6Address, ...]:
-        """Segment list in forward path order."""
-        return tuple(reversed(self.segment_list))
-
-    @property
     def byte_length(self) -> int:
         return SRH_FIXED_LEN + SEGMENT_LEN * len(self.segment_list)
 

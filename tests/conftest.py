@@ -1,4 +1,4 @@
-"""Shared fixtures: codec backends, packet generators, testbed builders."""
+"""Shared fixtures: the codec, packet generators, testbed builders."""
 
 from __future__ import annotations
 
@@ -13,19 +13,11 @@ from srv6sfc.sim import Network, Node, NodeRole, build_network
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 from srv6sfc.wire import _codec_py
 
-try:
-    from srv6sfc.wire import _codec_cy
-except ImportError:
-    _codec_cy = None
 
-CODEC_BACKENDS = [pytest.param(_codec_py, id="python")]
-if _codec_cy is not None:
-    CODEC_BACKENDS.append(pytest.param(_codec_cy, id="cython"))
-
-
-@pytest.fixture(params=CODEC_BACKENDS)
+@pytest.fixture(params=[pytest.param(_codec_py, id="python")])
 def codec(request):
-    """Runs the test once per available codec backend."""
+    """The codec module under test. The single ``python`` param keeps the
+    wire tests' ids (``test_...[python]``) stable."""
     return request.param
 
 

@@ -53,14 +53,7 @@ from srv6sfc.dataplane import (
 )
 from srv6sfc.sim import Delivered, FlowSpec, flow_payload, inject, run_flow
 from srv6sfc.trace import EventKind
-from srv6sfc.wire import _codec_py, serialize_packet, udp_packet
-
-try:
-    from srv6sfc.wire import _codec_cy
-
-    BACKENDS = {"python": _codec_py, "cython": _codec_cy}
-except ImportError:
-    BACKENDS = {"python": _codec_py}
+from srv6sfc.wire import parse_packet, serialize_packet, udp_packet
 
 
 def report(criterion: int, text: str) -> None:
@@ -186,26 +179,25 @@ def test_criterion_4_region_structure():
 def test_criterion_5_wire_golden_and_fuzz():
     inner = udp_packet(SRC, SINK, b"payload!", src_port=40000, dst_port=5201)
     chain = VnfChain("c1", (IPv6Address("BBBB::2"), IPv6Address("CCCC::2")), ER1)
-    for name, codec in BACKENDS.items():
-        outer = encapsulate(inner, chain)
-        assert codec.serialize_packet(outer) == TESTBED_GOLDEN, name
-        assert codec.parse_packet(TESTBED_GOLDEN) == outer, name
+    outer = encapsulate(inner, chain)
+    assert serialize_packet(outer) == TESTBED_GOLDEN
+    assert parse_packet(TESTBED_GOLDEN) == outer
 
-        rng = random.Random(31337)
-        for _ in range(10_000):
-            packet = random_valid_packet(rng)
-            data = codec.serialize_packet(packet)
-            assert codec.parse_packet(data) == packet
-            assert codec.serialize_packet(codec.parse_packet(data)) == data
+    rng = random.Random(31337)
+    for _ in range(10_000):
+        packet = random_valid_packet(rng)
+        data = serialize_packet(packet)
+        assert parse_packet(data) == packet
+        assert serialize_packet(parse_packet(data)) == data
 
-        rng = random.Random(424242)
-        for _ in range(100_000):
-            blob = random_junk(rng, _codec_py.serialize_packet)
-            try:
-                codec.parse_packet(blob)
-            except errors.WireError:
-                pass
-    report(5, f"golden layout exact; 10k round-trips and 100k junk parses clean on {sorted(BACKENDS)}")
+    rng = random.Random(424242)
+    for _ in range(100_000):
+        blob = random_junk(rng, serialize_packet)
+        try:
+            parse_packet(blob)
+        except errors.WireError:
+            pass
+    report(5, "golden layout exact; 10k round-trips and 100k junk parses clean")
 
 
 def test_criterion_6_property_suite_fixed_cases(testbed_config_path, tmp_path, capsys):

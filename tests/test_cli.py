@@ -64,6 +64,26 @@ def test_run_drop_exits_nonzero(testbed_config_path, tmp_path, capsys):
     assert "vnf bbbb::2" in summary["drop_reasons"]
 
 
+def test_run_drops_packet_too_big_for_the_wire(testbed_config_path, capsys):
+    # 65447 B of UDP payload make an outer payload of exactly 65535 B.
+    code, out, _ = run_cli(
+        ["run", testbed_config_path, *RUN_ARGS, "--payload-bytes", "65447", "--trace", "terminal"],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out.splitlines()[0])["event"] == "Delivered"
+
+    code, out, _ = run_cli(
+        ["run", testbed_config_path, *RUN_ARGS, "--payload-bytes", "65448", "--trace", "terminal"],
+        capsys,
+    )
+    assert code == cli.EXIT_DROPPED
+    event, summary = (json.loads(line) for line in out.splitlines())
+    reason = "encapsulated payload of 65536 B exceeds 65535 B"
+    assert (event["node"], event["event"], event["detail"]) == ("er1", "Dropped", reason)
+    assert summary["summary"]["drop_reasons"] == {reason: 1}
+
+
 def test_missing_config_is_parse_error(tmp_path, capsys):
     code, _, err = run_cli(["run", str(tmp_path / "nope.cfg"), *RUN_ARGS], capsys)
     assert code == cli.EXIT_PARSE
@@ -212,8 +232,18 @@ def test_usage_error_exits_two(testbed_config_path, capsys):
         ("run", [*RUN_ARGS, "--count", "0"], "argument --count: must be >= 1"),
         ("run", [*RUN_ARGS, "--payload-bytes", "-5"], "argument --payload-bytes: must be >= 0"),
         ("trace", [*RUN_ARGS, "--payload-bytes", "-1"], "argument --payload-bytes: must be >= 0"),
+        ("run", [*RUN_ARGS, "--sport", "99999"], "argument --sport: must be <= 65535"),
+        ("run", [*RUN_ARGS, "--dport", "-1"], "argument --dport: must be >= 0"),
+        ("trace", [*RUN_ARGS, "--sport", "65536"], "argument --sport: must be <= 65535"),
+        ("trace", [*RUN_ARGS, "--dport", "70000"], "argument --dport: must be <= 65535"),
+        ("run", [*RUN_ARGS, "--payload-bytes", "70000"], "argument --payload-bytes: must be <= 65527"),
+        ("trace", [*RUN_ARGS, "--payload-bytes", "65528"], "argument --payload-bytes: must be <= 65527"),
     ],
-    ids=["run-dst", "trace-src", "run-count-negative", "run-count-zero", "run-payload", "trace-payload"],
+    ids=[
+        "run-dst", "trace-src", "run-count-negative", "run-count-zero", "run-payload", "trace-payload",
+        "run-sport-high", "run-dport-negative", "trace-sport-high", "trace-dport-high",
+        "run-payload-high", "trace-payload-high",
+    ],
 )
 def test_bad_argument_values_exit_two(testbed_config_path, capsys, command, argv, message):
     with pytest.raises(SystemExit) as info:

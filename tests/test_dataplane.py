@@ -68,6 +68,15 @@ def test_encapsulate_single_segment_chain():
     assert outer.srh.segments_left == 0
 
 
+def test_encapsulate_refuses_outer_payload_past_16_bits():
+    # Outer payload = 40 B SRH (two segments) + 40 B inner header + 8 B UDP + data.
+    outer = encapsulate(inner_packet(b"x" * 65447), steering_chain())
+    assert outer.header.payload_length == wire.MAX_PAYLOAD_LEN
+    assert len(wire.serialize_packet(outer)) == 40 + wire.MAX_PAYLOAD_LEN
+    with pytest.raises(errors.OversizedPacket, match="65536 B exceeds 65535 B"):
+        encapsulate(inner_packet(b"x" * 65448), steering_chain())
+
+
 def test_decapsulate_restores_inner():
     inner = inner_packet()
     assert decapsulate(encapsulate(inner, steering_chain())) == inner

@@ -129,6 +129,24 @@ def test_filter_drop_terminates_walk():
     assert result.trace.events[-1].kind is EventKind.DROPPED
 
 
+def test_oversized_packet_dropped_at_ingress():
+    network, _ = chain_testbed()
+    # 40 B SRH + 40 B inner header + 8 B UDP + 65447 B fill the 16-bit payload length.
+    fits = inner_packet(b"x" * 65447)
+    result = inject(network, "er1", fits)
+    assert isinstance(result.outcome, Delivered)
+    assert serialize_packet(result.outcome.packet) == serialize_packet(fits)
+
+    before = {node_id: ledger.counts() for node_id, ledger in network.ledgers.items()}
+    result = inject(network, "er1", inner_packet(b"x" * 65448))
+    assert result.outcome == Dropped("er1", "encapsulated payload of 65536 B exceeds 65535 B")
+    assert [(e.node, e.kind, e.detail) for e in result.trace] == [
+        ("er1", EventKind.CLASSIFIED, "c1"),
+        ("er1", EventKind.DROPPED, result.outcome.reason),
+    ]
+    assert {node_id: ledger.counts() for node_id, ledger in network.ledgers.items()} == before
+
+
 def test_no_route_drops_with_reason():
     registry = ChainRegistry()
     nodes = [

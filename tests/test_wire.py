@@ -1,8 +1,7 @@
-"""Wire codec: golden layout, round trips, fuzz safety, backend parity."""
+"""Wire codec: golden layout, round trips, fuzz safety."""
 
 from __future__ import annotations
 
-import importlib.util
 import random
 from ipaddress import IPv6Address
 
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    CODEC_BACKENDS,
     TESTBED_GOLDEN,
     random_junk,
     random_valid_packet,
@@ -310,57 +308,6 @@ def test_parse_junk_structured_errors_only(codec):
             codec.parse_packet(data)
         except errors.WireError:
             pass
-
-
-# Backend parity -------------------------------------------------------------
-
-@pytest.mark.skipif(len(CODEC_BACKENDS) < 2, reason="compiled codec not built")
-def test_backend_differential_fuzz():
-    from srv6sfc.wire import _codec_cy
-
-    rng = random.Random(2024)
-    for _ in range(2000):
-        packet = random_valid_packet(rng)
-        data_py = _codec_py.serialize_packet(packet)
-        data_cy = _codec_cy.serialize_packet(packet)
-        assert data_py == data_cy
-        assert _codec_py.parse_packet(data_py) == _codec_cy.parse_packet(data_cy) == packet
-    for _ in range(5000):
-        data = random_junk(rng, _codec_py.serialize_packet)
-        outcome_py = _result_or_error(_codec_py.parse_packet, data)
-        outcome_cy = _result_or_error(_codec_cy.parse_packet, data)
-        assert outcome_py == outcome_cy
-
-
-def _result_or_error(parse, data):
-    try:
-        return parse(data)
-    except errors.WireError as exc:
-        return type(exc).__name__
-
-
-def test_cython_backend_listed_exactly_when_extension_built():
-    built = importlib.util.find_spec("srv6sfc.wire._codec_cy") is not None
-    assert ("cython" in wire.available_backends()) == built
-    # A None placeholder for a missing extension would let
-    # `from srv6sfc.wire import _codec_cy` succeed unbuilt.
-    assert getattr(wire, "_codec_cy", "unbound") is not None
-    if not built:
-        with pytest.raises(ImportError):
-            from srv6sfc.wire import _codec_cy  # noqa: F401
-
-
-def test_set_backend_roundtrip():
-    original = wire.active_backend()
-    try:
-        for name in wire.available_backends():
-            wire.set_backend(name)
-            assert wire.active_backend() == name
-            assert wire.parse_packet(TESTBED_GOLDEN).srh is not None
-        with pytest.raises(ValueError):
-            wire.set_backend("fortran")
-    finally:
-        wire.set_backend(original)
 
 
 # UDP carrier ------------------------------------------------------------------
