@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
-from typing import Generic, Iterable, TypeVar
+from typing import Generic, Iterable, NamedTuple, TypeVar
 
 from srv6sfc import errors
+from srv6sfc.wire import SegmentRoutingHeader
 
 T = TypeVar("T")
 
@@ -66,12 +67,15 @@ class VnfChain:
     """Ordered SID addresses a packet must traverse; last one is the egress.
 
     ``ingress_source`` becomes the outer source address at encapsulation.
+    ``srh`` is the encapsulation SRH (whole path, first segment active),
+    built once here and shared by every packet the chain encapsulates.
     """
 
     chain_id: str
     segments: tuple[IPv6Address, ...]
     ingress_source: IPv6Address
     direction: ChainDirection = ChainDirection.UNIDIRECTIONAL
+    srh: SegmentRoutingHeader = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -84,6 +88,7 @@ class VnfChain:
                     f"chain {self.chain_id!r} lists {address} twice"
                 )
             seen.add(address)
+        object.__setattr__(self, "srh", SegmentRoutingHeader.from_path(self.segments))
 
     @property
     def egress(self) -> IPv6Address:
@@ -161,17 +166,34 @@ def next_after(chain: VnfChain, sid: IPv6Address) -> IPv6Address:
     return chain.segments[index + 1]
 
 
+class UnawareReturn(NamedTuple):
+    """Where traffic leaving an SR-unaware interface goes next: its
+    mapped chain, the successor segment, and the SRH that steers there
+    (``segments_left`` = n-2-index for the SID at ``index``)."""
+
+    chain: VnfChain
+    successor: IPv6Address
+    srh: SegmentRoutingHeader
+
+
 class ChainRegistry:
     """SIDs, chains, and the (address, interface) -> chain bookkeeping.
 
     Built at startup, read-only during a simulation run. Registration is
     atomic: a chain that fails validation leaves the registry untouched.
+
+    Registration also compiles the static facts of the SR-unaware return
+    path (the End.AS proxy's rebuild): ``returns`` maps each mapped
+    (address, interface) to its :class:`UnawareReturn`, so the connector
+    re-encapsulates with one dict probe. ``returns`` has exactly the keys
+    of ``mapping``.
     """
 
     def __init__(self):
         self.chains: dict[str, VnfChain] = {}
         self.sid_table: dict[IPv6Address, Sid] = {}
         self.mapping: dict[tuple[IPv6Address, VnfInterface], str] = {}
+        self.returns: dict[tuple[IPv6Address, VnfInterface], UnawareReturn] = {}
 
     def add_sid(self, sid: Sid) -> None:
         existing = self.sid_table.get(sid.address)
@@ -193,6 +215,15 @@ class ChainRegistry:
 
     def mapped_chain(self, address: IPv6Address, interface: VnfInterface) -> str | None:
         return self.mapping.get((address, interface))
+
+    def unaware_return(self, sid: Sid) -> UnawareReturn:
+        """The compiled return path of an SR-unaware SID's interface."""
+        entry = self.returns.get((sid.address, sid.interface))
+        if entry is None:
+            raise errors.UnivocalMappingMissing(
+                f"no chain mapped for SR-unaware interface ({sid.address}, {sid.interface.value})"
+            )
+        return entry
 
     def _validate_chain(self, chain: VnfChain) -> list[tuple[IPv6Address, VnfInterface]]:
         """All univocal-mapping keys the chain would claim; raises on any
@@ -246,8 +277,15 @@ class ChainRegistry:
 
     def _commit(self, chain: VnfChain, keys: list[tuple[IPv6Address, VnfInterface]]) -> None:
         self.chains[chain.chain_id] = chain
+        n = len(chain.segments)
         for key in keys:
             self.mapping[key] = chain.chain_id
+            index = chain.segments.index(key[0])
+            self.returns[key] = UnawareReturn(
+                chain,
+                chain.segments[index + 1],
+                SegmentRoutingHeader.from_path(chain.segments, segments_left=n - 2 - index),
+            )
 
     def unregister_chain(self, chain_id: str) -> None:
         chain = self.chain(chain_id)
@@ -255,6 +293,7 @@ class ChainRegistry:
         for key, owner in list(self.mapping.items()):
             if owner == chain.chain_id:
                 del self.mapping[key]
+                del self.returns[key]
 
     def register_bidirectional(self, east: VnfChain, west: VnfChain) -> None:
         """Register an eastbound/westbound pair atomically.
@@ -270,12 +309,13 @@ class ChainRegistry:
             raise errors.InterfaceMismatch(
                 f"chain {west.chain_id!r} is {west.direction.value}, expected westbound"
             )
-        east_keys = self._validate_chain(east)
-        # Validate west against the state east will produce.
-        self._commit(east, east_keys)
+        # register_chain releases a re-registered chain's old mappings; west
+        # is validated against the state east produces. A failure restores
+        # the registry as it was, including any earlier version of east.
+        saved = (dict(self.chains), dict(self.mapping), dict(self.returns))
         try:
-            west_keys = self._validate_chain(west)
+            self.register_chain(east)
+            self.register_chain(west)
         except errors.ChainError:
-            self.unregister_chain(east.chain_id)
+            self.chains, self.mapping, self.returns = saved
             raise
-        self._commit(west, west_keys)

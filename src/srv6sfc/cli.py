@@ -3,7 +3,8 @@
 Exit codes, one per error path:
 
     0  success
-    1  run finished but packets were dropped
+    1  run finished but packets were dropped (trace: the packet is
+       too big to encapsulate)
     2  command-line usage error (argparse)
     3  config parse error (missing/unreadable/unstructured file)
     4  config or route validation error
@@ -36,6 +37,7 @@ from srv6sfc.chain import ClassifierRule, SidKind, classify
 from srv6sfc.config import ScenarioConfig, load_config, render_config, route_add
 from srv6sfc.dataplane import encapsulate
 from srv6sfc.sim import NodeRole, flow_payload, inject
+from srv6sfc.trace import EventKind, Trace
 from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN, hexdump, serialize_packet, udp_packet
 from ipaddress import IPv6Address
 
@@ -257,7 +259,14 @@ def cmd_trace(args) -> int:
     chain_id = classify(rules, inner.header.dst)
     packet = inner
     if chain_id is not None:
-        packet = encapsulate(inner, registry.chain(chain_id))
+        try:
+            packet = encapsulate(inner, registry.chain(chain_id))
+        except errors.OversizedPacket as exc:
+            # Report the drop as `run` does: the Dropped event at the ingress.
+            trace = Trace(0)
+            trace.add(ingress, EventKind.DROPPED, str(exc))
+            print(trace.to_jsonl())
+            return EXIT_DROPPED
     print(hexdump(serialize_packet(packet)))
     return EXIT_OK
 

@@ -11,6 +11,16 @@ and runs the per-SID pipeline:
   connector legs per VNF), then rebuild the encapsulation statelessly
   from the univocal mapping and forward.
 
+What depends only on (chain, SID position) is compiled when a chain is
+registered, not per packet: each ``VnfChain`` carries its encapsulation
+SRH, and ``ChainRegistry.returns`` holds, per mapped SR-unaware
+interface, the chain, the successor segment and the SRH to re-encapsulate
+with. The per-packet rewrites (advance, decapsulate, edit, re-encapsulate)
+build the slotted ``Packet``/``Ipv6Header``/``SegmentRoutingHeader``
+directly and carry ``uid`` along. Any rewrite whose outer payload would
+pass 65,535 B raises :class:`errors.OversizedPacket`; the connector turns
+that into a drop at the node.
+
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
 per decapsulation and ``e`` per re-encapsulation. For one node hosting a
 whole chain of n pass-through VNFs this yields exactly (n+2)f for the
@@ -26,7 +36,7 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import Callable
 
 from srv6sfc import errors, wire
-from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain, next_after
+from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain
 from srv6sfc.trace import EventKind
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 
@@ -280,31 +290,38 @@ def predicted_cost(n: int, kind: SidKind, units: UnitCosts = UnitCosts()) -> flo
 
 # Encapsulation ----------------------------------------------------------
 
-def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
-    """Wrap ``inner`` for the chain: outer src is the chain's ingress
-    source, dst its first segment, the SRH carries the whole path.
-    Raises :class:`errors.OversizedPacket` when the result would not fit
-    the 16-bit payload length."""
-    if not chain.segments:
-        raise errors.EmptyChain(f"chain {chain.chain_id!r} has no segments")
-    inner_bytes = wire.serialize_packet(inner)
-    srh = SegmentRoutingHeader.from_path(chain.segments)
-    payload_length = srh.byte_length + len(inner_bytes)
+def _payload_length(srh: SegmentRoutingHeader, payload: bytes, what: str) -> int:
+    """Outer payload length; :class:`errors.OversizedPacket` past 16 bits."""
+    payload_length = srh.byte_length + len(payload)
     if payload_length > wire.MAX_PAYLOAD_LEN:
         raise errors.OversizedPacket(
-            f"encapsulated payload of {payload_length} B exceeds {wire.MAX_PAYLOAD_LEN} B"
+            f"{what} payload of {payload_length} B exceeds {wire.MAX_PAYLOAD_LEN} B"
         )
+    return payload_length
+
+
+def _outer_packet(
+    srh: SegmentRoutingHeader, payload: bytes, src: IPv6Address, dst: IPv6Address,
+    uid: int | None, what: str,
+) -> Packet:
+    """A fresh SR-encapsulated packet: default hop limit, zero traffic
+    class and flow label."""
     header = Ipv6Header(
-        version=6,
-        traffic_class=0,
-        flow_label=0,
-        payload_length=payload_length,
-        next_header=wire.NEXT_HEADER_ROUTING,
-        hop_limit=wire.DEFAULT_HOP_LIMIT,
-        src=chain.ingress_source,
-        dst=chain.segments[0],
+        6, 0, 0, _payload_length(srh, payload, what), wire.NEXT_HEADER_ROUTING,
+        wire.DEFAULT_HOP_LIMIT, src, dst,
     )
-    return Packet(header=header, srh=srh, payload=inner_bytes, uid=inner.uid)
+    return Packet(header, srh, payload, uid)
+
+
+def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
+    """Wrap ``inner`` for the chain: outer src is the chain's ingress
+    source, dst its first segment, the SRH (``chain.srh``) carries the
+    whole path. Raises :class:`errors.OversizedPacket` when the result
+    would not fit the 16-bit payload length."""
+    return _outer_packet(
+        chain.srh, wire.serialize_packet(inner), chain.ingress_source, chain.segments[0],
+        inner.uid, "encapsulated",
+    )
 
 
 def decapsulate(outer: Packet) -> Packet:
@@ -314,7 +331,7 @@ def decapsulate(outer: Packet) -> Packet:
             f"payload protocol is {outer.effective_next_header}, not IPv6-in-IPv6"
         )
     inner = wire.parse_packet(outer.payload)
-    return replace(inner, uid=outer.uid)
+    return Packet(inner.header, inner.srh, inner.payload, outer.uid)
 
 
 def advance_segment(packet: Packet) -> Packet:
@@ -325,9 +342,16 @@ def advance_segment(packet: Packet) -> Packet:
     if srh.segments_left == 0:
         raise errors.AlreadyAtLastSegment("segments_left is already 0")
     segments_left = srh.segments_left - 1
-    new_srh = replace(srh, segments_left=segments_left)
-    new_header = replace(packet.header, dst=srh.segment_list[segments_left])
-    return replace(packet, header=new_header, srh=new_srh)
+    h = packet.header
+    header = Ipv6Header(
+        h.version, h.traffic_class, h.flow_label, h.payload_length, h.next_header,
+        h.hop_limit, h.src, srh.segment_list[segments_left],
+    )
+    srh = SegmentRoutingHeader(
+        srh.next_header, srh.hdr_ext_len, srh.routing_type, segments_left,
+        srh.last_entry, srh.flags, srh.tag, srh.segment_list,
+    )
+    return Packet(header, srh, packet.payload, packet.uid)
 
 
 def apply_edit(
@@ -340,7 +364,9 @@ def apply_edit(
 
     Only the remaining (untraversed) part of the list may change; the
     already-walked suffix is preserved, and segments_left, last_entry,
-    lengths and the destination address are all recomputed.
+    lengths and the destination address are all recomputed. Raises
+    :class:`errors.OversizedPacket` when the longer SRH would push the
+    outer payload past 65,535 B.
     """
     srh = packet.srh
     if srh is None:
@@ -372,20 +398,17 @@ def apply_edit(
 
     walked = srh.segment_list[srh.segments_left + 1 :]
     segment_list = tuple(reversed(new_remaining)) + walked
-    segments_left = len(new_remaining) - 1
-    new_srh = replace(
-        srh,
-        segment_list=segment_list,
-        segments_left=segments_left,
-        last_entry=len(segment_list) - 1,
-        hdr_ext_len=2 * len(segment_list),
+    n = len(segment_list)
+    srh = SegmentRoutingHeader(
+        srh.next_header, 2 * n, srh.routing_type, len(new_remaining) - 1, n - 1,
+        srh.flags, srh.tag, segment_list,
     )
-    new_header = replace(
-        packet.header,
-        dst=new_remaining[0],
-        payload_length=new_srh.byte_length + len(packet.payload),
+    h = packet.header
+    header = Ipv6Header(
+        h.version, h.traffic_class, h.flow_label, _payload_length(srh, packet.payload, "edited"),
+        h.next_header, h.hop_limit, h.src, new_remaining[0],
     )
-    return replace(packet, header=new_header, srh=new_srh)
+    return Packet(header, srh, packet.payload, packet.uid)
 
 
 def reencap_unaware(registry: ChainRegistry, returned: Packet, from_sid: Sid) -> Packet:
@@ -393,31 +416,14 @@ def reencap_unaware(registry: ChainRegistry, returned: Packet, from_sid: Sid) ->
     SR-unaware VNF interface, statelessly from the univocal mapping.
 
     Works regardless of how the VNF modified the inner packet: nothing
-    from the original encapsulation needs to be remembered.
+    from the original encapsulation needs to be remembered. The chain,
+    successor and SRH come precompiled from ``registry.returns``.
     """
-    chain_id = registry.mapped_chain(from_sid.address, from_sid.interface)
-    if chain_id is None:
-        raise errors.UnivocalMappingMissing(
-            f"no chain mapped for SR-unaware interface "
-            f"({from_sid.address}, {from_sid.interface.value})"
-        )
-    chain = registry.chain(chain_id)
-    successor = next_after(chain, from_sid.address)
-    inner_bytes = wire.serialize_packet(returned)
-    n = len(chain.segments)
-    index = chain.segments.index(from_sid.address)
-    srh = SegmentRoutingHeader.from_path(chain.segments, segments_left=n - 2 - index)
-    header = Ipv6Header(
-        version=6,
-        traffic_class=0,
-        flow_label=0,
-        payload_length=srh.byte_length + len(inner_bytes),
-        next_header=wire.NEXT_HEADER_ROUTING,
-        hop_limit=wire.DEFAULT_HOP_LIMIT,
-        src=chain.ingress_source,
-        dst=successor,
+    chain, successor, srh = registry.unaware_return(from_sid)
+    return _outer_packet(
+        srh, wire.serialize_packet(returned), chain.ingress_source, successor,
+        returned.uid, "re-encapsulated",
     )
-    return Packet(header=header, srh=srh, payload=inner_bytes, uid=returned.uid)
 
 
 def egress_process(packet: Packet) -> Packet:
@@ -467,7 +473,6 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
     uid = packet.uid
     current = packet           # encapsulated form
     plain: Packet | None = None  # decapsulated inner while among unaware VNFs
-    plain_from: Sid | None = None
     steps = 0
 
     while True:
@@ -478,13 +483,7 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
             )
         sid = vnf.sid
         if sid.kind is SidKind.SR_AWARE:
-            if plain is not None:
-                # Mixed chain: restore the encapsulation before an aware VNF.
-                current = reencap_unaware(state.registry, plain, plain_from)
-                ledger.add(uid, e=1)
-                emit(EventKind.RE_ENCAPSULATED, current.header.dst)
-                plain = None
-                plain_from = None
+            # Only an unaware VNF is handed the plain packet, so here it is None.
             current = advance_segment(current)
             emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
             ledger.add(uid, f=1)
@@ -492,14 +491,21 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
             action = vnf.behavior(current)
             emit(EventKind.VNF_RETURNED, sid.address)
             if action.kind is ActionKind.DROP:
-                emit(EventKind.DROPPED, f"vnf {sid.address}")
-                return ConnectorResult(dropped=True, drop_reason=f"vnf {sid.address}")
+                return _dropped(emit, f"vnf {sid.address}")
             if action.kind is ActionKind.EDIT_CHAIN:
-                current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
+                try:
+                    current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
+                except errors.OversizedPacket as exc:
+                    return _dropped(emit, str(exc))
             else:
                 current = action.packet
             if current.srh is None:
                 raise errors.NoSrh(f"SR-aware VNF {sid.address} must preserve the SRH")
+            next_vnf = state.vnfs.get(current.header.dst)
+            if next_vnf is not None:
+                vnf = next_vnf  # direct resend toward the next local VNF
+                continue
+            ledger.add(uid, f=2)  # back to the connector, then to next hop
         else:
             if sid.kind is not SidKind.SR_UNAWARE:
                 raise errors.UnknownSid(f"{sid.address} is an egress endpoint, not a VNF")
@@ -518,49 +524,30 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                 )
             emit(EventKind.VNF_RETURNED, sid.address)
             if action.kind is ActionKind.DROP:
-                emit(EventKind.DROPPED, f"vnf {sid.address}")
-                return ConnectorResult(dropped=True, drop_reason=f"vnf {sid.address}")
+                return _dropped(emit, f"vnf {sid.address}")
             plain = action.packet
             ledger.add(uid, f=1)  # return leg to the connector
-            plain_from = sid
-
-        if plain is not None:
-            successor = next_after(
-                state.registry.chain(
-                    _mapped_chain_or_raise(state.registry, plain_from)
-                ),
-                plain_from.address,
-            )
+            successor = state.registry.unaware_return(sid).successor
             next_vnf = state.vnfs.get(successor)
             if next_vnf is not None and next_vnf.sid.kind is SidKind.SR_UNAWARE:
                 vnf = next_vnf  # plain hand-off, no strip/rebuild in between
                 continue
-            current = reencap_unaware(state.registry, plain, plain_from)
+            try:
+                current = reencap_unaware(state.registry, plain, sid)
+            except errors.OversizedPacket as exc:
+                return _dropped(emit, str(exc))
             ledger.add(uid, e=1)
             emit(EventKind.RE_ENCAPSULATED, current.header.dst)
             plain = None
-            plain_from = None
             next_vnf = state.vnfs.get(current.header.dst)
             if next_vnf is not None:
                 vnf = next_vnf  # mixed chain: aware VNF next door
                 continue
             ledger.add(uid, f=1)  # forward to next hop
-            port = state.route(current.header.dst) if state.route else None
-            return ConnectorResult(outputs=[(current, port)])
-        else:
-            next_vnf = state.vnfs.get(current.header.dst)
-            if next_vnf is not None:
-                vnf = next_vnf  # direct resend toward the next local VNF
-                continue
-            ledger.add(uid, f=2)  # back to the connector, then to next hop
-            port = state.route(current.header.dst) if state.route else None
-            return ConnectorResult(outputs=[(current, port)])
+        port = state.route(current.header.dst) if state.route else None
+        return ConnectorResult(outputs=[(current, port)])
 
 
-def _mapped_chain_or_raise(registry: ChainRegistry, sid: Sid) -> str:
-    chain_id = registry.mapped_chain(sid.address, sid.interface)
-    if chain_id is None:
-        raise errors.UnivocalMappingMissing(
-            f"no chain mapped for SR-unaware interface ({sid.address}, {sid.interface.value})"
-        )
-    return chain_id
+def _dropped(emit: EmitFn, reason: str) -> ConnectorResult:
+    emit(EventKind.DROPPED, reason)
+    return ConnectorResult(dropped=True, drop_reason=reason)

@@ -87,10 +87,6 @@ class DataplaneError(SfcError):
     """Packet pipeline contract violation."""
 
 
-class EmptyChain(DataplaneError):
-    """Encapsulation requires at least one segment."""
-
-
 class OversizedPacket(DataplaneError):
     """Encapsulated packet too long for the 16-bit IPv6 payload length."""
 

@@ -9,7 +9,7 @@ benchmark's analytic model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from ipaddress import IPv6Address, IPv6Network
@@ -26,7 +26,7 @@ from srv6sfc.dataplane import (
     encapsulate,
 )
 from srv6sfc.trace import EventKind, Trace
-from srv6sfc.wire import Packet, udp_packet
+from srv6sfc.wire import Ipv6Header, Packet, udp_packet
 
 # Visits to individual nodes before a walk is declared stuck; the outer
 # hop limit normally fires first, this is a guard for local loops.
@@ -214,10 +214,14 @@ class InjectResult:
 
 def _decrement_hop(packet: Packet) -> Packet | None:
     """One inter-node hop: None when the hop limit is exhausted."""
-    hop_limit = packet.header.hop_limit
-    if hop_limit <= 1:
+    h = packet.header
+    if h.hop_limit <= 1:
         return None
-    return replace(packet, header=replace(packet.header, hop_limit=hop_limit - 1))
+    header = Ipv6Header(
+        h.version, h.traffic_class, h.flow_label, h.payload_length, h.next_header,
+        h.hop_limit - 1, h.src, h.dst,
+    )
+    return Packet(header, packet.srh, packet.payload, packet.uid)
 
 
 def inject(
@@ -235,7 +239,7 @@ def inject(
     """
     node = network.node(ingress)
     uid = network.next_uid()
-    packet = replace(inner, uid=uid)
+    packet = Packet(inner.header, inner.srh, inner.payload, uid)
     trace = Trace(uid, terminal_only=terminal_only)
 
     chain_id = network.classifiers[ingress].lookup(packet.header.dst)

@@ -22,9 +22,6 @@ class EventKind(Enum):
     DELIVERED = "Delivered"
 
 
-TERMINAL_KINDS = frozenset({EventKind.DROPPED, EventKind.DELIVERED})
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     node: str
@@ -51,7 +48,8 @@ class Trace:
         only when the event is kept."""
         if self._closed:
             raise errors.InvariantViolation(f"trace for uid={self.uid} already terminated")
-        if kind in TERMINAL_KINDS:
+        # Identity tests: hashing the Enum for a set probe costs more.
+        if kind is EventKind.DROPPED or kind is EventKind.DELIVERED:
             self._closed = True
         elif self.terminal_only:
             return

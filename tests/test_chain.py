@@ -22,6 +22,7 @@ from srv6sfc.chain import (
     longest_prefix_match,
     next_after,
 )
+from srv6sfc.wire import SegmentRoutingHeader
 
 ER = IPv6Address("CCCC::2")
 SRC = IPv6Address("AAAA::2")
@@ -190,6 +191,23 @@ def test_bidirectional_requires_matching_directions():
     assert not registry.chains
 
 
+def test_bidirectional_reregistration_rolls_back_whole():
+    registry, sids = bidi_registry()
+    v3e = addr(0x3E)
+    registry.add_sid(Sid(v3e, SidKind.SR_UNAWARE, "nfv", VnfInterface.EAST))
+    east = VnfChain("east", (sids["v1e"], sids["v2e"], ER), SRC, ChainDirection.EASTBOUND)
+    west = VnfChain("west", (sids["v2w"], ER_WEST), ER, ChainDirection.WESTBOUND)
+    registry.register_bidirectional(east, west)
+    registry.register_chain(VnfChain("other", (sids["v1w"], ER_WEST), ER, ChainDirection.WESTBOUND))
+    before = (dict(registry.chains), dict(registry.mapping), dict(registry.returns))
+    with pytest.raises(errors.UnivocalMappingViolation):
+        registry.register_bidirectional(
+            VnfChain("east", (v3e, ER), SRC, ChainDirection.EASTBOUND),
+            VnfChain("west", (sids["v1w"], ER_WEST), ER, ChainDirection.WESTBOUND),
+        )
+    assert (registry.chains, registry.mapping, registry.returns) == before
+
+
 def test_bidirectional_rollback_on_west_conflict():
     registry, sids = bidi_registry()
     registry.register_chain(
@@ -200,6 +218,85 @@ def test_bidirectional_rollback_on_west_conflict():
     with pytest.raises(errors.UnivocalMappingViolation):
         registry.register_bidirectional(east, west)
     assert set(registry.chains) == {"prior"}
+
+
+# Compiled return paths --------------------------------------------------------------
+
+def assert_returns_match_reference(registry: ChainRegistry) -> None:
+    """Each compiled entry equals mapped_chain -> next_after -> from_path,
+    and no key outlives its mapping."""
+    assert registry.returns.keys() == registry.mapping.keys()
+    for (address, interface), entry in registry.returns.items():
+        mapped = registry.chain(registry.mapped_chain(address, interface))
+        n = len(mapped.segments)
+        index = mapped.segments.index(address)
+        srh = SegmentRoutingHeader.from_path(mapped.segments, segments_left=n - 2 - index)
+        assert entry == (mapped, next_after(mapped, address), srh)
+        assert entry.chain is mapped
+
+
+def test_compiled_returns_follow_every_registry_change():
+    registry, sids = bidi_registry()
+    v1, v2, v3, aware, v3e = addr(1), addr(2), addr(3), addr(4), addr(0x3E)
+    for address in (v1, v2, v3):
+        registry.add_sid(Sid(address, SidKind.SR_UNAWARE, "nfv"))
+    registry.add_sid(Sid(aware, SidKind.SR_AWARE, "nfv"))
+    registry.add_sid(Sid(v3e, SidKind.SR_UNAWARE, "nfv", VnfInterface.EAST))
+    east = VnfChain("east", (sids["v1e"], sids["v2e"], ER), SRC, ChainDirection.EASTBOUND)
+    west = VnfChain("west", (sids["v2w"], sids["v1w"], ER_WEST), ER, ChainDirection.WESTBOUND)
+    steps = [
+        (lambda: registry.register_chain(chain("c1", v1, aware, v2)), None),
+        (lambda: registry.register_chain(chain("c2", v3)), None),
+        # Changed re-registration: same keys, new positions.
+        (lambda: registry.register_chain(chain("c1", aware, v2, v1)), None),
+        # Conflicts with c2 on v3: c1 rolls back to its previous form.
+        (lambda: registry.register_chain(chain("c1", v3, v1)), errors.UnivocalMappingViolation),
+        (lambda: registry.register_bidirectional(east, west), None),
+        # west2 conflicts with "west" on v2w: east2 is rolled back too.
+        (
+            lambda: registry.register_bidirectional(
+                VnfChain("east2", (v3e, ER), SRC, ChainDirection.EASTBOUND),
+                VnfChain("west2", (sids["v2w"], ER_WEST), ER, ChainDirection.WESTBOUND),
+            ),
+            errors.UnivocalMappingViolation,
+        ),
+        (lambda: registry.unregister_chain("c2"), None),
+        # Re-registering the pair with changed chains releases their old keys.
+        (
+            lambda: registry.register_bidirectional(
+                VnfChain("east", (v3e, ER), SRC, ChainDirection.EASTBOUND),
+                VnfChain("west", (sids["v2w"], sids["v1w"], ER_WEST), ER, ChainDirection.WESTBOUND),
+            ),
+            None,
+        ),
+        (lambda: registry.unregister_chain("east"), None),
+    ]
+    for step, raises in steps:
+        if raises is None:
+            step()
+        else:
+            with pytest.raises(raises):
+                step()
+        assert_returns_match_reference(registry)
+    assert registry.chains["c1"] == chain("c1", aware, v2, v1)
+    assert set(registry.returns) == {
+        (v2, VnfInterface.SINGLE),
+        (v1, VnfInterface.SINGLE),
+        (sids["v2w"], VnfInterface.WEST),
+        (sids["v1w"], VnfInterface.WEST),
+    }
+
+
+def test_unaware_return_of_unmapped_interface_rejected():
+    registry = make_registry(unaware=(addr(1),))
+    with pytest.raises(errors.UnivocalMappingMissing, match=r"\(bbbb::1, single\)"):
+        registry.unaware_return(registry.sid(addr(1)))
+
+
+def test_chain_carries_its_encapsulation_srh():
+    c = chain("c", addr(1), addr(2))
+    assert c.srh == SegmentRoutingHeader.from_path(c.segments)
+    assert c == VnfChain("c", c.segments, SRC) and "srh" not in repr(c)
 
 
 # Classification -----------------------------------------------------------------
@@ -359,3 +456,4 @@ def test_univocal_mapping_matches_brute_force(data):
     except errors.UnivocalMappingViolation:
         conflicted = True
     assert conflicted == expect_conflict
+    assert_returns_match_reference(registry)

@@ -217,6 +217,22 @@ def test_trace_dumps_encapsulated_packet(testbed_config_path, capsys):
     assert first.startswith("00000000  60 00 00 00 00 60 2b 40")
 
 
+def test_trace_reports_packet_too_big_for_the_wire(testbed_config_path, capsys):
+    code, out, err = run_cli(
+        ["trace", testbed_config_path, *RUN_ARGS, "--payload-bytes", "65448"], capsys
+    )
+    assert (code, err) == (cli.EXIT_DROPPED, "")
+    event = json.loads(out)
+    reason = "encapsulated payload of 65536 B exceeds 65535 B"
+    assert (event["node"], event["event"], event["detail"]) == ("er1", "Dropped", reason)
+
+    code, out, _ = run_cli(
+        ["trace", testbed_config_path, *RUN_ARGS, "--payload-bytes", "65447"], capsys
+    )
+    assert code == cli.EXIT_OK
+    assert out.startswith("00000000  60 00 00 00 ff ff 2b 40")
+
+
 def test_usage_error_exits_two(testbed_config_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["run", testbed_config_path])  # --src/--dst missing

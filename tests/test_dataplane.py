@@ -8,7 +8,7 @@ from dataclasses import replace
 from ipaddress import IPv6Address, IPv6Network
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ER1, ER2, SINK, SRC, chain_testbed
@@ -16,6 +16,7 @@ from srv6sfc import errors, wire
 from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain, VnfInterface
 from srv6sfc.dataplane import (
     ActionKind,
+    ChainEditor,
     CostLedger,
     NfvNodeState,
     PassThroughRouter,
@@ -35,7 +36,8 @@ from srv6sfc.dataplane import (
     predicted_cost,
     reencap_unaware,
 )
-from srv6sfc.wire import udp_packet
+from srv6sfc.sim import Dropped, _decrement_hop, inject
+from srv6sfc.wire import Ipv6Header, SegmentRoutingHeader, udp_packet
 
 BBBB2 = IPv6Address("BBBB::2")
 CCCC2 = IPv6Address("CCCC::2")
@@ -121,6 +123,67 @@ def test_advance_at_last_segment_rejected():
 def test_advance_requires_srh():
     with pytest.raises(errors.NoSrh):
         advance_segment(inner_packet())
+
+
+# Direct construction keeps every field and the uid ------------------------------
+
+def test_rewrites_carry_uid():
+    # uid is compare=False, so equality alone cannot see it lost.
+    registry, vnf_sid = make_registry_with_chain()
+    outer = replace(encapsulate(inner_packet(), steering_chain()), uid=7)
+    stepped = advance_segment(outer)
+    assert stepped.uid == 7
+    assert decapsulate(stepped).uid == 7
+    assert egress_process(stepped).uid == 7
+    edited = apply_edit(
+        stepped, SegmentListEdit.insert_after_current((V_X,)), VnfPermission.INSERT_NEXT_ONLY
+    )
+    assert edited.uid == 7
+    assert reencap_unaware(registry, replace(inner_packet(), uid=7), vnf_sid).uid == 7
+    assert _decrement_hop(stepped).uid == 7
+
+
+ADDRESSES = st.integers(0, 2**128 - 1).map(IPv6Address)
+
+
+@st.composite
+def srh_packets(draw):
+    """Encapsulated packets with random header fields and a random SRH
+    that can still advance."""
+    segment_list = tuple(draw(st.lists(ADDRESSES, min_size=2, max_size=6)))
+    n = len(segment_list)
+    srh = SegmentRoutingHeader(
+        draw(st.integers(0, 255)), 2 * n, 4, draw(st.integers(1, n - 1)), n - 1,
+        draw(st.integers(0, 255)), draw(st.integers(0, 0xFFFF)), segment_list,
+    )
+    payload = draw(st.binary(max_size=32))
+    header = Ipv6Header(
+        6, draw(st.integers(0, 255)), draw(st.integers(0, 0xFFFFF)),
+        srh.byte_length + len(payload), 43, draw(st.integers(0, 255)),
+        draw(ADDRESSES), draw(ADDRESSES),
+    )
+    return wire.Packet(header, srh, payload, draw(st.none() | st.integers(0, 2**40)))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(srh_packets())
+def test_direct_rewrites_match_replace_reference(packet):
+    srh = packet.srh
+    left = srh.segments_left - 1
+    reference = replace(
+        packet,
+        header=replace(packet.header, dst=srh.segment_list[left]),
+        srh=replace(srh, segments_left=left),
+    )
+    stepped = advance_segment(packet)
+    assert stepped == reference and stepped.uid == packet.uid
+
+    hopped = _decrement_hop(packet)
+    if packet.header.hop_limit <= 1:
+        assert hopped is None
+    else:
+        reference = replace(packet, header=replace(packet.header, hop_limit=packet.header.hop_limit - 1))
+        assert hopped == reference and hopped.uid == packet.uid
 
 
 # Connector cost accounting ------------------------------------------------------
@@ -250,6 +313,15 @@ def test_reencap_unmapped_interface_rejected():
         reencap_unaware(registry, inner_packet(), stranger)
 
 
+def test_reencap_refuses_outer_payload_past_16_bits():
+    # Outer payload = 40 B SRH + 40 B inner header + 8 B UDP + data.
+    registry, vnf_sid = make_registry_with_chain()
+    outer = reencap_unaware(registry, inner_packet(b"x" * 65447), vnf_sid)
+    assert outer.header.payload_length == wire.MAX_PAYLOAD_LEN
+    with pytest.raises(errors.OversizedPacket, match="re-encapsulated payload of 65536 B exceeds"):
+        reencap_unaware(registry, inner_packet(b"x" * 65448), vnf_sid)
+
+
 def test_reencap_carries_modified_inner():
     registry, vnf_sid = make_registry_with_chain()
     stamped = PayloadStamper(0xAB)(inner_packet()).packet
@@ -276,10 +348,10 @@ V_X = IPv6Address("BBBB::10")
 V_Z = IPv6Address("BBBB::11")
 
 
-def editable_packet() -> wire.Packet:
+def editable_packet(payload=b"payload!") -> wire.Packet:
     # Remaining after advance: <V_X, ER2>; current VNF already walked.
     chain = VnfChain("edit", (BBBB2, V_X, CCCC2), ER1)
-    return advance_segment(encapsulate(inner_packet(), chain))
+    return advance_segment(encapsulate(inner_packet(payload), chain))
 
 
 def remaining_path(packet) -> tuple[IPv6Address, ...]:
@@ -297,6 +369,18 @@ def test_insert_after_current():
     assert edited.header.dst == V_Z
     wire.validate_packet(edited)
     assert wire.parse_packet(wire.serialize_packet(edited)) == edited
+
+
+def test_edit_refuses_outer_payload_past_16_bits():
+    # editable_packet's outer payload is 56 B of SRH + 48 B of inner packet
+    # + data; one more segment adds 16 B.
+    insert = SegmentListEdit.insert_after_current((V_Z,))
+    fits = apply_edit(editable_packet(b"x" * 65415), insert, VnfPermission.INSERT_NEXT_ONLY)
+    assert fits.header.payload_length == wire.MAX_PAYLOAD_LEN
+    too_big = editable_packet(b"x" * 65416)
+    assert too_big.header.payload_length == 65520
+    with pytest.raises(errors.OversizedPacket, match="edited payload of 65536 B exceeds 65535 B"):
+        apply_edit(too_big, insert, VnfPermission.INSERT_NEXT_ONLY)
 
 
 def test_insert_at_denied_at_lowest_permission():
@@ -417,9 +501,37 @@ def test_accepted_edits_preserve_srh_invariants(edit):
     assert wire.parse_packet(wire.serialize_packet(edited)) == edited
 
 
-def test_self_inserting_editor_trips_loop_budget():
-    from srv6sfc.dataplane import ChainEditor
+class Grower:
+    """Returns the plain packet one payload byte longer."""
 
+    def __call__(self, packet):
+        return VnfAction.modified(udp_packet(SRC, SINK, packet.payload[8:] + b"!"))
+
+
+@pytest.mark.parametrize(
+    "kind, behavior, reason, ledger",
+    [
+        (SidKind.SR_UNAWARE, Grower(), "re-encapsulated payload of 65536 B exceeds 65535 B", (2, 1, 0)),
+        (
+            SidKind.SR_AWARE,
+            ChainEditor(SegmentListEdit.insert_after_current((ER2,))),
+            "edited payload of 65551 B exceeds 65535 B",
+            (1, 0, 0),
+        ),
+    ],
+    ids=["reencap", "edit"],
+)
+def test_growth_past_16_bits_drops_at_node(kind, behavior, reason, ledger):
+    # 65447 B of data fill the ingress encapsulation exactly (40 B SRH).
+    network, _ = chain_testbed(1, kind, behaviors=[behavior])
+    result = inject(network, "er1", inner_packet(b"x" * 65447))
+    assert result.outcome == Dropped("nfv", reason)
+    last = result.trace.events[-1]
+    assert (last.node, last.kind.value, last.detail) == ("nfv", "Dropped", reason)
+    assert network.ledgers["nfv"].counts() == ledger
+
+
+def test_self_inserting_editor_trips_loop_budget():
     network, chain = chain_testbed(
         1,
         SidKind.SR_AWARE,
@@ -432,8 +544,6 @@ def test_self_inserting_editor_trips_loop_budget():
 
 def test_chain_editor_inserts_detour_end_to_end():
     # An SR-aware editor inserts another local aware VNF as next segment.
-    from srv6sfc.dataplane import ChainEditor
-
     detour = IPv6Address("BBBB::3")
     network, chain = chain_testbed(
         2,

@@ -110,6 +110,14 @@ def test_testbed_trace_order():
     assert [(e.node, e.kind) for e in result.trace] == EXPECTED_TESTBED_TRACE
 
 
+def test_inject_stamps_uid_on_both_paths():
+    network, _ = chain_testbed()
+    chained = inject(network, "er1", udp_packet(SRC, SINK, b"x", uid=99))
+    plain = inject(network, "er1", udp_packet(SRC, IPv6Address("CCCC::1"), b"x", uid=99))
+    assert (chained.outcome.packet.uid, chained.trace.uid) == (0, 0)
+    assert (plain.outcome.packet.uid, plain.trace.uid) == (1, 1)
+
+
 def test_unmatched_packet_forwarded_plain():
     network, _ = chain_testbed()
     stray = udp_packet(SRC, IPv6Address("CCCC::1"), b"x")  # no rule for CCCC::/64
