@@ -245,6 +245,8 @@ def cmd_bench(args) -> int:
 def cmd_trace(args) -> int:
     config = load_config(args.config)
     ingress = args.ingress or _default_ingress(config)
+    if ingress not in {node.node_id for node in config.nodes}:
+        raise errors.UnknownNodeRef(f"no node {ingress!r}")
     inner = udp_packet(
         args.src,
         args.dst,

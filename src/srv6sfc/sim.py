@@ -67,6 +67,8 @@ class Network:
     Each node's routes and classifier rules are compiled into prefix
     tables (``fib``, ``classifiers``) at construction, so a Node's
     ``routing_table`` and ``rules`` must not change afterwards.
+    ``address_text`` is the traces' address-text memo (see
+    ``srv6sfc.trace``); it fills as events are kept, not at construction.
     """
 
     def __init__(
@@ -84,6 +86,7 @@ class Network:
         self._local: dict[str, frozenset[IPv6Address]] = {}
         self._states: dict[str, NfvNodeState] = {}
         self._next_uid = 0
+        self.address_text: dict[object, str] = {}
         self.fib = {n.node_id: PrefixTable(n.routing_table) for n in nodes.values()}
         self.classifiers = {
             n.node_id: PrefixTable((r.network, r.chain_id) for r in n.rules) for n in nodes.values()
@@ -240,7 +243,7 @@ def inject(
     node = network.node(ingress)
     uid = network.next_uid()
     packet = Packet(inner.header, inner.srh, inner.payload, uid)
-    trace = Trace(uid, terminal_only=terminal_only)
+    trace = Trace(uid, terminal_only, network.address_text)
 
     chain_id = network.classifiers[ingress].lookup(packet.header.dst)
     if chain_id is not None:

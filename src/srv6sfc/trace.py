@@ -1,10 +1,30 @@
-"""Per-packet event traces and their JSON-lines export."""
+"""Per-packet event traces and their JSON-lines export.
+
+Rendering an address is the costly part of a trace: ``str(IPv6Address)``
+runs a pure-Python hextet compression. A trace therefore renders each
+non-string detail through an address-text memo, a dict from the detail
+to its text. Every ``Network`` owns one, empty until the first kept
+event fills it, and ``sim.inject`` hands it to each trace it creates; a
+standalone ``Trace()`` gets a private one. The memo is bounded by the
+config, not by traffic: for packets that enter without an SRH of their
+own, every address the simulator puts in an event is either a registered
+SID (the active segment, a VNF, a re-encapsulation target) or an address
+of the node that delivers the packet, because ``Delivered`` fires only
+when the destination is one of that node's local addresses. Drop reasons
+and other details that are already strings are kept as they are.
+
+Each exported line is one JSON object with the keys ``uid``, ``node``,
+``event`` and ``detail`` in that order, compact separators and
+ASCII-only escaping; ``null`` stands for an absent uid or detail. This
+is exactly what ``json.dumps(..., separators=(",", ":"))`` prints for
+that dict; ``to_jsonl`` builds the line directly with the same C escaper.
+"""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import NamedTuple
 
 from srv6sfc import errors
 
@@ -22,8 +42,7 @@ class EventKind(Enum):
     DELIVERED = "Delivered"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     node: str
     kind: EventKind
     detail: str | None = None
@@ -35,16 +54,24 @@ class Trace:
     Delivered and Dropped are terminal: recording anything after one of
     them is a simulator bug and raises. With ``terminal_only`` set, only
     the terminal event is kept (cheap mode for large runs).
+    ``address_text`` is the memo that renders non-string details; traces
+    of one network share it.
     """
 
-    def __init__(self, uid: int | None = None, terminal_only: bool = False):
+    def __init__(
+        self,
+        uid: int | None = None,
+        terminal_only: bool = False,
+        address_text: dict[object, str] | None = None,
+    ):
         self.uid = uid
         self.terminal_only = terminal_only
         self.events: list[TraceEvent] = []
         self._closed = False
+        self._address_text = {} if address_text is None else address_text
 
     def add(self, node: str, kind: EventKind, detail: object = None) -> None:
-        """Record one event. ``detail`` (e.g. an address) is stringified
+        """Record one event. ``detail`` (e.g. an address) is rendered
         only when the event is kept."""
         if self._closed:
             raise errors.InvariantViolation(f"trace for uid={self.uid} already terminated")
@@ -53,7 +80,12 @@ class Trace:
             self._closed = True
         elif self.terminal_only:
             return
-        self.events.append(TraceEvent(node, kind, None if detail is None else str(detail)))
+        if detail is not None and not isinstance(detail, str):
+            text = self._address_text.get(detail)
+            if text is None:
+                text = self._address_text[detail] = str(detail)
+            detail = text
+        self.events.append(TraceEvent(node, kind, detail))
 
     @property
     def terminated(self) -> bool:
@@ -61,20 +93,14 @@ class Trace:
 
     def to_jsonl(self) -> str:
         """One JSON object per event: uid, node, event, detail."""
-        lines = []
-        for event in self.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "uid": self.uid,
-                        "node": event.node,
-                        "event": event.kind.value,
-                        "detail": event.detail,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines)
+        head = '{"uid":' + ("null" if self.uid is None else str(self.uid)) + ',"node":'
+        # Event names are plain ASCII words and need no escaping; ``_value_``
+        # is a plain attribute, where ``.value`` goes through a descriptor.
+        return "\n".join(
+            f'{head}{_json_string(node)},"event":"{kind._value_}",'
+            f'"detail":{"null" if detail is None else _json_string(detail)}}}'
+            for node, kind, detail in self.events
+        )
 
     def __iter__(self):
         return iter(self.events)

@@ -233,6 +233,15 @@ def test_trace_reports_packet_too_big_for_the_wire(testbed_config_path, capsys):
     assert out.startswith("00000000  60 00 00 00 ff ff 2b 40")
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_unknown_ingress_is_a_contract_error(testbed_config_path, capsys, command):
+    code, out, err = run_cli(
+        [command, testbed_config_path, *RUN_ARGS, "--ingress", "nosuch"], capsys
+    )
+    assert (code, out) == (cli.EXIT_CONTRACT, "")
+    assert json.loads(err) == {"error": "UnknownNodeRef", "detail": "no node 'nosuch'"}
+
+
 def test_usage_error_exits_two(testbed_config_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["run", testbed_config_path])  # --src/--dst missing

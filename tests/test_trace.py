@@ -1,0 +1,228 @@
+"""Trace export: the hand-built JSON lines against ``json.dumps``, golden
+``srv6sfc run`` output, and the bound on the address-text memo."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from ipaddress import IPv6Address
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from srv6sfc import cli
+from srv6sfc.config import parse_config_text
+from srv6sfc.sim import inject
+from srv6sfc.trace import EventKind, Trace
+from srv6sfc.wire import udp_packet
+
+TERMINAL = (EventKind.DROPPED, EventKind.DELIVERED)
+NON_TERMINAL = tuple(kind for kind in EventKind if kind not in TERMINAL)
+
+
+def reference_jsonl(uid, terminal_only: bool, calls) -> str:
+    """The export as one ``json.dumps`` per kept event, for the
+    ``Trace.add`` calls ``calls``: the oracle for ``Trace.to_jsonl``."""
+    lines = []
+    for node, kind, detail in calls:
+        if terminal_only and kind not in TERMINAL:
+            continue
+        lines.append(
+            json.dumps(
+                {
+                    "uid": uid,
+                    "node": node,
+                    "event": kind.value,
+                    "detail": None if detail is None else str(detail),
+                },
+                separators=(",", ":"),
+            )
+        )
+    return "\n".join(lines)
+
+
+# Characters the escaper treats specially, mixed with any code point,
+# lone surrogates included.
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\x80\xe9\u2028\ufeff\U0001f600\ud800\udfff'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=10,
+)
+# A small pool as well, so that traces sharing a memo hit it.
+_ADDRESSES = st.one_of(
+    st.sampled_from([IPv6Address("BBBB::2"), IPv6Address("::"), IPv6Address("2001:db8::1:0:0:1")]),
+    st.integers(0, 2**128 - 1).map(IPv6Address),
+)
+_DETAILS = st.one_of(st.none(), _TEXT, _ADDRESSES)
+_UIDS = st.one_of(st.none(), st.just(0), st.integers(0, 2**64), st.integers(10**30, 10**40))
+_CALLS = st.tuples(
+    st.lists(st.tuples(_TEXT, st.sampled_from(NON_TERMINAL), _DETAILS), max_size=6),
+    st.one_of(st.none(), st.tuples(_TEXT, st.sampled_from(TERMINAL), _DETAILS)),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(_UIDS, st.booleans(), _CALLS), min_size=1, max_size=4))
+def test_to_jsonl_matches_json_dumps(walks):
+    address_text: dict[object, str] = {}
+    for uid, terminal_only, (calls, terminal) in walks:
+        calls = calls + [terminal] if terminal is not None else calls
+        trace = Trace(uid, terminal_only, address_text)
+        for node, kind, detail in calls:
+            trace.add(node, kind, detail)
+        assert trace.to_jsonl() == reference_jsonl(uid, terminal_only, calls)
+    assert all(isinstance(key, IPv6Address) for key in address_text)
+
+
+def test_standalone_trace_renders_addresses():
+    trace = Trace()
+    trace.add("er1", EventKind.ENCAPSULATED, IPv6Address("BBBB:0:0::2"))
+    trace.add("er2", EventKind.DELIVERED, IPv6Address("DDDD::2"))
+    assert trace.to_jsonl() == (
+        '{"uid":null,"node":"er1","event":"Encapsulated","detail":"bbbb::2"}\n'
+        '{"uid":null,"node":"er2","event":"Delivered","detail":"dddd::2"}'
+    )
+    assert [event.detail for event in trace] == ["bbbb::2", "dddd::2"]
+
+
+# Golden `run` output ---------------------------------------------------------
+
+def chain8_config() -> str:
+    """The testbed with eight SR-aware pass-through VNFs on the NFV node."""
+    sids = [f"BBBB::{i + 2:x}" for i in range(8)]
+    return "\n".join(
+        [
+            "[nodes]",
+            "er1 ingress-edge addrs=AAAA::2,EEEE::2",
+            "nfv nfv-node addrs=AAAA::1,BBBB::1,CCCC::1",
+            "er2 egress-edge addrs=CCCC::2,DDDD::2",
+            "[links]",
+            "er1 nfv",
+            "nfv er2",
+            "[sids]",
+            *(f"{sid} kind=sr-aware node=nfv" for sid in sids),
+            "CCCC::2 kind=egress node=er2",
+            "[vnfs]",
+            *(f"{sid} behavior=passthrough permission=insert-next-only" for sid in sids),
+            "[chains]",
+            f"c8 segs={','.join(sids)},CCCC::2 src=AAAA::2 direction=uni",
+            "[rules]",
+            "er1 DDDD::/64 chain=c8",
+            "[routes]",
+            "er1 BBBB::/64 via nfv",
+            "er1 CCCC::/64 via nfv",
+            "er1 DDDD::/64 via nfv",
+            "nfv AAAA::/64 via er1",
+            "nfv EEEE::/64 via er1",
+            "nfv CCCC::/64 via er2",
+            "nfv DDDD::/64 via er2",
+            "er2 AAAA::/64 via nfv",
+            "er2 EEEE::/64 via nfv",
+        ]
+    ) + "\n"
+
+
+# SHA-256 of the stdout of `srv6sfc run CONFIG --src EEEE::2 --dst DDDD::2
+# --trace full --count 2`, captured while each line was still built by one
+# `json.dumps` call per event, as `reference_jsonl` does.
+GOLDEN_RUN_SHA256 = {
+    "testbed": "82acf09403c7b6f4d569c9078cfe06d864e7459544516a4d166cc2ce73bdb5bb",
+    "chain8": "f576667b58da0c69a34e4d263cd76371b70d3aa81561e9d3f4a9a0790020703e",
+}
+
+
+def golden_run_stdout(name: str, directory, capsys) -> tuple[int, str]:
+    if name == "testbed":
+        from importlib.resources import files
+
+        path = str(files("srv6sfc") / "configs" / "testbed.cfg")
+    else:
+        path = str(directory / "chain8.cfg")
+        (directory / "chain8.cfg").write_text(chain8_config())
+    code = cli.main(
+        ["run", path, "--src", "EEEE::2", "--dst", "DDDD::2", "--trace", "full", "--count", "2"]
+    )
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUN_SHA256))
+def test_run_full_trace_is_golden(name, tmp_path, capsys):
+    code, out = golden_run_stdout(name, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RUN_SHA256[name]
+
+
+# Memo bound ----------------------------------------------------------------
+
+# Aware and unaware VNFs, an editor inserting a SID, a filter that drops
+# and destinations with no route, on the testbed's three nodes.
+MIXED_CONFIG = """\
+[nodes]
+er1 ingress-edge addrs=AAAA::2,EEEE::2
+nfv nfv-node addrs=AAAA::1,BBBB::1,CCCC::1
+er2 egress-edge addrs=CCCC::2,DDDD::2
+[links]
+er1 nfv
+nfv er2
+[sids]
+BBBB::2 kind=sr-aware node=nfv
+BBBB::3 kind=sr-unaware node=nfv
+BBBB::4 kind=sr-unaware node=nfv
+BBBB::5 kind=sr-aware node=nfv
+BBBB::6 kind=sr-aware node=nfv
+CCCC::2 kind=egress node=er2
+[vnfs]
+BBBB::2 behavior=chain-editor:insert-after:BBBB::6 permission=insert-next-only
+BBBB::3 behavior=passthrough permission=insert-next-only
+BBBB::4 behavior=prefix-filter:DDDD::8/125 permission=insert-next-only
+BBBB::5 behavior=passthrough permission=insert-next-only
+BBBB::6 behavior=passthrough permission=insert-next-only
+[chains]
+c1 segs=BBBB::2,BBBB::3,BBBB::4,CCCC::2 src=AAAA::2 direction=uni
+c2 segs=BBBB::5,CCCC::2 src=AAAA::2 direction=uni
+[rules]
+er1 DDDD::/64 chain=c1
+er1 FFFF::/64 chain=c2
+[routes]
+er1 BBBB::/64 via nfv
+er1 CCCC::/64 via nfv
+er1 DDDD::/64 via nfv
+er1 FFFF::/64 via nfv
+nfv AAAA::/64 via er1
+nfv EEEE::/64 via er1
+nfv CCCC::/64 via er2
+nfv DDDD::/64 via er2
+nfv FFFF::/64 via er2
+er2 AAAA::/64 via nfv
+er2 EEEE::/64 via nfv
+"""
+
+
+def test_address_memo_is_bounded_by_the_config():
+    network = parse_config_text(MIXED_CONFIG).build_network()
+    known = set(network.registry.sid_table)
+    for node in network.nodes.values():
+        known.update(node.addresses)
+    destinations = [
+        IPv6Address(f"{prefix}::{host:x}")
+        for prefix in ("DDDD", "FFFF", "CCCC", "BBBB", "AAAA", "EEEE", "9999")
+        for host in range(1, 40)
+    ]
+    delivered, reasons = 0, set()
+    for terminal_only in (False, True):
+        for ingress in network.nodes:
+            for dst in destinations:
+                packet = udp_packet(IPv6Address("EEEE::2"), dst, b"memo")
+                result = inject(network, ingress, packet, terminal_only=terminal_only)
+                if result.delivered:
+                    delivered += 1
+                else:
+                    reasons.add(result.outcome.reason)
+                assert set(network.address_text) <= known
+                assert len(network.address_text) <= len(known)
+    assert delivered
+    assert any(reason.startswith("no route to ") for reason in reasons)
+    assert any(reason.startswith("vnf ") for reason in reasons)
