@@ -195,6 +195,17 @@ class ChainRegistry:
         self.mapping: dict[tuple[IPv6Address, VnfInterface], str] = {}
         self.returns: dict[tuple[IPv6Address, VnfInterface], UnawareReturn] = {}
 
+    def copy(self) -> ChainRegistry:
+        """An independent registry with the same contents. The entries
+        (SIDs, chains, return paths) are immutable, so copying the
+        tables is enough."""
+        clone = ChainRegistry()
+        clone.chains = dict(self.chains)
+        clone.sid_table = dict(self.sid_table)
+        clone.mapping = dict(self.mapping)
+        clone.returns = dict(self.returns)
+        return clone
+
     def add_sid(self, sid: Sid) -> None:
         existing = self.sid_table.get(sid.address)
         if existing is not None and existing != sid:

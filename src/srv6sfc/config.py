@@ -17,13 +17,29 @@ reports all problems at once, not just the first.
 Behavior specs: ``passthrough``, ``prefix-filter:<prefix>``,
 ``payload-stamp:<byte>``, ``chain-editor:insert-after:<sid+sid>``,
 ``chain-editor:insert-at:<pos>:<sid+sid>``, ``chain-editor:replace:<sid+sid>``.
+
+Loading is one pass. Each distinct address text in a file becomes one
+``IPv6Address`` object, shared by every section that spells it, and each
+distinct ``[rules]``/``[routes]`` prefix text one ``IPv6Network``. Equal
+addresses are then mostly identical objects, so the simulator's dict
+probes (VNF tables, the trace's address-text memo) match by identity
+instead of calling the pure-Python ``IPv6Address.__eq__``. A new text is
+parsed by the C ``socket.inet_pton`` rather than by ``ipaddress``;
+anything ``inet_pton`` refuses goes through ``IPv6Address(text)``, so
+scoped addresses (``fe80::1%eth0``) keep their scope id and every
+malformed token keeps the message ``ipaddress`` gives it. The registry
+that validation builds is kept on the config: ``build_network()`` and
+``build_registry()`` without a ``kind_override`` start from a copy of
+it instead of registering every SID and chain again.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
 from ipaddress import AddressValueError, IPv6Address, IPv6Network, NetmaskValueError
 from pathlib import Path
+from socket import AF_INET6, inet_pton
 
 from srv6sfc import errors
 from srv6sfc.bench import CapacityModel
@@ -108,19 +124,24 @@ class ScenarioConfig:
     routes: tuple[RouteDecl, ...]
     bench: BenchSection = BenchSection()
     path: str = field(default="<memory>", compare=False)
-
-    def sid_for(self, address: IPv6Address, kind_override: SidKind | None = None) -> Sid:
-        for sid in self.sids:
-            if sid.address == address:
-                if kind_override is not None and sid.kind is not SidKind.EGRESS_ENDPOINT:
-                    return dc_replace(sid, kind=kind_override)
-                return sid
-        raise errors.UnknownSid(f"no SID declared at {address}")
+    # The registry validation built, set by ``_semantic_problems``. It is
+    # never handed out itself, only copied, so no two networks share one;
+    # ``dataclasses.replace`` resets it to None, so an edited config never
+    # carries the registry of the config it came from.
+    _registry: ChainRegistry | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def build_registry(self, kind_override: SidKind | None = None) -> ChainRegistry:
+        """A fresh registry of the config's SIDs and chains; with
+        ``kind_override``, every non-egress SID takes that kind."""
+        if kind_override is None and self._registry is not None:
+            return self._registry.copy()
         registry = ChainRegistry()
         for sid in self.sids:
-            registry.add_sid(self.sid_for(sid.address, kind_override))
+            if kind_override is not None and sid.kind is not SidKind.EGRESS_ENDPOINT:
+                sid = dc_replace(sid, kind=kind_override)
+            registry.add_sid(sid)
         for chain in self.chains:
             registry.register_chain(chain)
         return registry
@@ -128,40 +149,36 @@ class ScenarioConfig:
     def build_network(self, kind_override: SidKind | None = None) -> Network:
         registry = self.build_registry(kind_override)
         vnf_decls = {decl.address: decl for decl in self.vnfs}
-        nodes = []
-        for decl in self.nodes:
-            hosted = []
-            for sid in self.sids:
-                if sid.host_node != decl.node_id or sid.kind is SidKind.EGRESS_ENDPOINT:
-                    continue
-                vnf_decl = vnf_decls.get(sid.address)
-                if vnf_decl is None:
-                    continue
-                hosted.append(
-                    Vnf(
-                        sid=registry.sid(sid.address),
-                        behavior=behavior_from_spec(vnf_decl.behavior_spec),
-                        permission=vnf_decl.permission,
-                    )
-                )
-            nodes.append(
-                Node(
-                    node_id=decl.node_id,
-                    role=decl.role,
-                    addresses=decl.addresses,
-                    hosted_vnfs=tuple(hosted),
-                    rules=tuple(
-                        ClassifierRule(rule.network, rule.chain_id)
-                        for rule in self.rules
-                        if rule.node_id == decl.node_id
-                    ),
-                    routing_table=tuple(
-                        (route.network, route.via)
-                        for route in self.routes
-                        if route.node_id == decl.node_id
-                    ),
+        # Per-node groups in declaration order, each filled in one pass.
+        hosted: defaultdict[str, list[Vnf]] = defaultdict(list)
+        for sid in self.sids:
+            vnf_decl = vnf_decls.get(sid.address)
+            if vnf_decl is None or sid.kind is SidKind.EGRESS_ENDPOINT:
+                continue
+            hosted[sid.host_node].append(
+                Vnf(
+                    sid=registry.sid(sid.address),
+                    behavior=behavior_from_spec(vnf_decl.behavior_spec),
+                    permission=vnf_decl.permission,
                 )
             )
+        rules: defaultdict[str, list[ClassifierRule]] = defaultdict(list)
+        for rule in self.rules:
+            rules[rule.node_id].append(ClassifierRule(rule.network, rule.chain_id))
+        routes: defaultdict[str, list[tuple[IPv6Network, str]]] = defaultdict(list)
+        for route in self.routes:
+            routes[route.node_id].append((route.network, route.via))
+        nodes = [
+            Node(
+                node_id=decl.node_id,
+                role=decl.role,
+                addresses=decl.addresses,
+                hosted_vnfs=hosted[decl.node_id],
+                rules=rules[decl.node_id],
+                routing_table=routes[decl.node_id],
+            )
+            for decl in self.nodes
+        ]
         return build_network(nodes, list(self.links), registry, self.bench.units)
 
     def flow(self, count: int = 1, payload_size: int | None = None) -> FlowSpec:
@@ -234,9 +251,32 @@ class _Collector:
         self.routes: list[RouteDecl] = []
         self.bench_kwargs: dict = {}
         self.bench_models: list[tuple[str, CapacityModel]] = []
+        self._addresses: dict[str, IPv6Address] = {}
+        self._networks: dict[str, IPv6Network] = {}
 
     def problem(self, line_no: int, message: str) -> None:
         self.problems.append(f"line {line_no}: {message}")
+
+    def address(self, text: str) -> IPv6Address:
+        """The one ``IPv6Address`` for ``text`` in this file."""
+        address = self._addresses.get(text)
+        if address is None:
+            try:
+                packed = inet_pton(AF_INET6, text)
+            except (OSError, ValueError):
+                # Scoped addresses, and the exact error for a bad token.
+                address = IPv6Address(text)
+            else:
+                address = IPv6Address(int.from_bytes(packed, "big"))
+            self._addresses[text] = address
+        return address
+
+    def network(self, text: str) -> IPv6Network:
+        """The one ``IPv6Network`` for the prefix ``text`` in this file."""
+        network = self._networks.get(text)
+        if network is None:
+            network = self._networks[text] = IPv6Network(text, strict=False)
+        return network
 
 
 def _parse_line(collector: _Collector, section: str, line_no: int, line: str) -> None:
@@ -248,7 +288,7 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
                 NodeDecl(
                     node_id=tokens[0],
                     role=NodeRole(tokens[1]),
-                    addresses=tuple(IPv6Address(a) for a in kv["addrs"].split(",") if a),
+                    addresses=tuple(collector.address(a) for a in kv["addrs"].split(",") if a),
                 )
             )
         elif section == "links":
@@ -259,7 +299,7 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             kv = _split_kv(tokens[1:])
             collector.sids.append(
                 Sid(
-                    address=IPv6Address(tokens[0]),
+                    address=collector.address(tokens[0]),
                     kind=SidKind(kv["kind"]),
                     host_node=kv["node"],
                     interface=VnfInterface(kv.get("iface", "single")),
@@ -269,7 +309,7 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             kv = _split_kv(tokens[1:])
             collector.vnfs.append(
                 VnfDecl(
-                    address=IPv6Address(tokens[0]),
+                    address=collector.address(tokens[0]),
                     behavior_spec=kv["behavior"],
                     permission=VnfPermission(kv.get("permission", "insert-next-only")),
                 )
@@ -279,8 +319,8 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             collector.chains.append(
                 VnfChain(
                     chain_id=tokens[0],
-                    segments=tuple(IPv6Address(a) for a in kv["segs"].split(",") if a),
-                    ingress_source=IPv6Address(kv["src"]),
+                    segments=tuple(collector.address(a) for a in kv["segs"].split(",") if a),
+                    ingress_source=collector.address(kv["src"]),
                     direction=ChainDirection(kv.get("direction", "uni")),
                 )
             )
@@ -289,7 +329,7 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             collector.rules.append(
                 RuleDecl(
                     node_id=tokens[0],
-                    network=IPv6Network(tokens[1], strict=False),
+                    network=collector.network(tokens[1]),
                     chain_id=kv["chain"],
                 )
             )
@@ -299,7 +339,7 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             collector.routes.append(
                 RouteDecl(
                     node_id=tokens[0],
-                    network=IPv6Network(tokens[1], strict=False),
+                    network=collector.network(tokens[1]),
                     via=tokens[3],
                 )
             )
@@ -318,8 +358,8 @@ def _parse_bench_line(collector: _Collector, tokens: list[str]) -> None:
     keyword = tokens[0]
     if keyword == "flow":
         kv = _split_kv(tokens[1:])
-        collector.bench_kwargs["flow_src"] = IPv6Address(kv["src"])
-        collector.bench_kwargs["flow_dst"] = IPv6Address(kv["dst"])
+        collector.bench_kwargs["flow_src"] = collector.address(kv["src"])
+        collector.bench_kwargs["flow_dst"] = collector.address(kv["dst"])
         collector.bench_kwargs["flow_ingress"] = kv["ingress"]
     elif keyword == "model":
         scenario = tokens[1]
@@ -450,9 +490,11 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
         # Registry-level rules (egress-last, interface match, univocal
         # mapping) only make sense once the references resolve.
         try:
-            config.build_registry()
+            registry = config.build_registry()
         except errors.SfcError as exc:
             problems.append(f"{type(exc).__name__}: {exc}")
+        else:
+            object.__setattr__(config, "_registry", registry)
     return problems
 
 

@@ -68,7 +68,9 @@ class Network:
     tables (``fib``, ``classifiers``) at construction, so a Node's
     ``routing_table`` and ``rules`` must not change afterwards.
     ``address_text`` is the traces' address-text memo (see
-    ``srv6sfc.trace``); it fills as events are kept, not at construction.
+    ``srv6sfc.trace``); it fills as events are kept, not at construction,
+    and holds at most ``address_limit`` entries: the number of addresses
+    the network declares (registered SIDs plus node addresses).
     """
 
     def __init__(
@@ -87,6 +89,9 @@ class Network:
         self._states: dict[str, NfvNodeState] = {}
         self._next_uid = 0
         self.address_text: dict[object, str] = {}
+        self.address_limit = len(registry.sid_table) + sum(
+            len(node.addresses) for node in nodes.values()
+        )
         self.fib = {n.node_id: PrefixTable(n.routing_table) for n in nodes.values()}
         self.classifiers = {
             n.node_id: PrefixTable((r.network, r.chain_id) for r in n.rules) for n in nodes.values()
@@ -243,7 +248,7 @@ def inject(
     node = network.node(ingress)
     uid = network.next_uid()
     packet = Packet(inner.header, inner.srh, inner.payload, uid)
-    trace = Trace(uid, terminal_only, network.address_text)
+    trace = Trace(uid, terminal_only, network.address_text, network.address_limit)
 
     chain_id = network.classifiers[ingress].lookup(packet.header.dst)
     if chain_id is not None:

@@ -6,12 +6,16 @@ non-string detail through an address-text memo, a dict from the detail
 to its text. Every ``Network`` owns one, empty until the first kept
 event fills it, and ``sim.inject`` hands it to each trace it creates; a
 standalone ``Trace()`` gets a private one. The memo is bounded by the
-config, not by traffic: for packets that enter without an SRH of their
+config, not by traffic. For packets that enter without an SRH of their
 own, every address the simulator puts in an event is either a registered
 SID (the active segment, a VNF, a re-encapsulation target) or an address
 of the node that delivers the packet, because ``Delivered`` fires only
-when the destination is one of that node's local addresses. Drop reasons
-and other details that are already strings are kept as they are.
+when the destination is one of that node's local addresses. A packet
+that brings its own SRH can name any address as its next segment, so a
+trace stores a new text only while the memo holds fewer entries than
+the network declares addresses; past that it renders without storing.
+Drop reasons and other details that are already strings are kept as
+they are.
 
 Each exported line is one JSON object with the keys ``uid``, ``node``,
 ``event`` and ``detail`` in that order, compact separators and
@@ -22,6 +26,7 @@ that dict; ``to_jsonl`` builds the line directly with the same C escaper.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
@@ -55,7 +60,8 @@ class Trace:
     them is a simulator bug and raises. With ``terminal_only`` set, only
     the terminal event is kept (cheap mode for large runs).
     ``address_text`` is the memo that renders non-string details; traces
-    of one network share it.
+    of one network share it. A text is stored in it only while it holds
+    fewer than ``address_limit`` entries.
     """
 
     def __init__(
@@ -63,12 +69,14 @@ class Trace:
         uid: int | None = None,
         terminal_only: bool = False,
         address_text: dict[object, str] | None = None,
+        address_limit: int = sys.maxsize,
     ):
         self.uid = uid
         self.terminal_only = terminal_only
         self.events: list[TraceEvent] = []
         self._closed = False
         self._address_text = {} if address_text is None else address_text
+        self._address_limit = address_limit
 
     def add(self, node: str, kind: EventKind, detail: object = None) -> None:
         """Record one event. ``detail`` (e.g. an address) is rendered
@@ -81,9 +89,12 @@ class Trace:
         elif self.terminal_only:
             return
         if detail is not None and not isinstance(detail, str):
-            text = self._address_text.get(detail)
+            memo = self._address_text
+            text = memo.get(detail)
             if text is None:
-                text = self._address_text[detail] = str(detail)
+                text = str(detail)
+                if len(memo) < self._address_limit:
+                    memo[detail] = text
             detail = text
         self.events.append(TraceEvent(node, kind, detail))
 

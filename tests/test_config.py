@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from ipaddress import IPv6Address
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srv6sfc import errors
+from srv6sfc.chain import VnfChain
 from srv6sfc.config import (
+    _Collector,
     behavior_from_spec,
     load_config,
     parse_config_text,
@@ -107,6 +112,127 @@ def test_kind_override_flips_vnf_kind(testbed_config_path):
     assert sid.kind is SidKind.SR_AWARE
     # Egress endpoints are never overridden.
     assert aware.registry.sid(IPv6Address("CCCC::2")).kind is SidKind.EGRESS_ENDPOINT
+
+
+# One object per text, one registry per network -------------------------------
+
+def test_each_address_and_prefix_text_is_one_object(testbed_config_path):
+    config = load_config(testbed_config_path)
+    by_section = {
+        "nodes": [a for decl in config.nodes for a in decl.addresses],
+        "sids": [sid.address for sid in config.sids],
+        "vnfs": [vnf.address for vnf in config.vnfs],
+        "chains": [a for c in config.chains for a in (*c.segments, c.ingress_source)],
+        "bench": [config.bench.flow_src, config.bench.flow_dst],
+    }
+    # The testbed spells each address one way, so equal means same text.
+    objects: dict[IPv6Address, set[int]] = {}
+    sections: dict[IPv6Address, set[str]] = {}
+    for section, addresses in by_section.items():
+        for address in addresses:
+            objects.setdefault(address, set()).add(id(address))
+            sections.setdefault(address, set()).add(section)
+    assert all(len(ids) == 1 for ids in objects.values())
+    # Each section shares an address with another one.
+    shared = set().union(*(names for names in sections.values() if len(names) > 1))
+    assert shared == set(by_section)
+
+    networks = [decl.network for decl in (*config.rules, *config.routes)]
+    prefixes: dict[object, set[int]] = {}
+    for network in networks:
+        prefixes.setdefault(network, set()).add(id(network))
+    assert all(len(ids) == 1 for ids in prefixes.values())
+    # DDDD::/64 is declared by the rule and by two routes.
+    assert len(networks) > len(prefixes)
+
+
+def test_networks_of_one_config_do_not_share_a_registry(testbed_config_path):
+    config = load_config(testbed_config_path)
+    first, second = config.build_network(), config.build_network()
+    first.registry.register_chain(
+        VnfChain("extra", (IPv6Address("CCCC::2"),), IPv6Address("AAAA::2"))
+    )
+    assert "extra" in first.registry.chains
+    assert "extra" not in second.registry.chains
+    assert "extra" not in config.build_network().registry.chains
+    assert "extra" not in config.build_registry().chains
+
+
+def test_edited_config_builds_its_own_registry(testbed_config_path):
+    config = load_config(testbed_config_path)
+    updated = route_add(config, "FFFF::/64", "AAAA::1", ["CCCC::2"])
+    assert "rt-ffff::-64" in updated.build_network().registry.chains
+    assert "rt-ffff::-64" not in config.build_network().registry.chains
+    # Without revalidation too: ``replace`` does not carry the registry over.
+    chain = VnfChain("direct", (IPv6Address("CCCC::2"),), IPv6Address("AAAA::2"))
+    edited = replace(config, chains=config.chains + (chain,))
+    assert "direct" in edited.build_network().registry.chains
+
+
+# Address parsing: ``_Collector.address`` against ``IPv6Address(text)`` ------------
+
+def address_outcome(parse, text: str):
+    """What parsing ``text`` gives: the value, text and scope id, or the
+    exception's type and message."""
+    try:
+        address = parse(text)
+    except Exception as exc:  # compared with the reference, whatever it is
+        return type(exc), str(exc)
+    return type(address), int(address), str(address), address.scope_id
+
+
+_HEXTET = st.text("0123456789abcdefABCDEF", max_size=5)
+# Octets with leading zeros and out of range as well as valid ones.
+_OCTET = st.one_of(
+    st.integers(0, 255).map(str),
+    st.integers(0, 99).map(lambda n: f"0{n}"),
+    st.integers(256, 999).map(str),
+)
+_IPV4 = st.lists(_OCTET, min_size=3, max_size=5).map(".".join)
+_ODD = st.sampled_from(
+    ["%eth0", "%1", "%", "\x00", "\xe9", "\uff11", "\u0661", " ", ":", ".", "/64", "g", "-"]
+)
+_PART = st.one_of(_HEXTET, _HEXTET, st.just(""), _IPV4, _ODD)
+_VALID = st.integers(0, 2**128 - 1).map(IPv6Address)
+
+
+@st.composite
+def address_texts(draw) -> str:
+    shape = draw(st.integers(0, 3))
+    if shape == 0:  # well-formed, in either spelling, maybe scoped
+        address = draw(_VALID)
+        text = draw(st.sampled_from([str(address), address.exploded, address.exploded.upper()]))
+        return text + draw(st.sampled_from(["", "", "%eth0", "%"]))
+    if shape == 1:  # an IPv4 tail after a compressed or a full prefix
+        head = draw(st.sampled_from(["::", "::ffff:", "1:2:3:4:5:6:", "1::2:", "1:2:3:4:5:6:7:"]))
+        return head + draw(_IPV4)
+    text = ":".join(draw(st.lists(_PART, min_size=1, max_size=10)))
+    if shape == 3:  # an odd character at any place
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_ODD) + text[at:]
+    return text
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(address_texts())
+@example("fe80::1%eth0")
+@example("::1.2.3.4")
+@example("::1.02.3.4")
+@example("::1.2.3.256")
+@example("1:2:3:4:5:6:7:8::")
+@example("::1:2:3:4:5:6:7:8")
+@example("1:2:3:4::5:6:7:8")
+@example("12345::")
+@example("::")
+@example("")
+@example("::\x00")
+@example("\u0661::")
+def test_address_parse_matches_ipaddress(text):
+    collector = _Collector("<test>")
+    outcome = address_outcome(collector.address, text)
+    assert outcome == address_outcome(IPv6Address, text)
+    if outcome[0] is IPv6Address:
+        assert collector.address(text) is collector.address(text)
 
 
 # Behavior specs -----------------------------------------------------------------

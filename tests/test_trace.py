@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import sys
+from importlib.resources import files
 from ipaddress import IPv6Address
 
 import pytest
@@ -12,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srv6sfc import cli
-from srv6sfc.config import parse_config_text
+from srv6sfc.chain import VnfChain
+from srv6sfc.config import load_config, parse_config_text
+from srv6sfc.dataplane import encapsulate
 from srv6sfc.sim import inject
 from srv6sfc.trace import EventKind, Trace
 from srv6sfc.wire import udp_packet
@@ -136,8 +141,6 @@ GOLDEN_RUN_SHA256 = {
 
 def golden_run_stdout(name: str, directory, capsys) -> tuple[int, str]:
     if name == "testbed":
-        from importlib.resources import files
-
         path = str(files("srv6sfc") / "configs" / "testbed.cfg")
     else:
         path = str(directory / "chain8.cfg")
@@ -226,3 +229,24 @@ def test_address_memo_is_bounded_by_the_config():
     assert delivered
     assert any(reason.startswith("no route to ") for reason in reasons)
     assert any(reason.startswith("vnf ") for reason in reasons)
+
+
+def test_address_memo_is_bounded_when_packets_bring_their_own_srh():
+    # A packet that arrives encapsulated names any address as its next
+    # segment, and SegmentAdvanced renders it.
+    config = load_config(str(files("srv6sfc") / "configs" / "testbed.cfg"))
+    network, unbounded = config.build_network(), config.build_network()
+    unbounded.address_limit = sys.maxsize  # the memo without its bound
+    assert network.address_limit == 2 + 7  # SIDs plus node addresses
+    rng = random.Random(13)
+    for _ in range(500):
+        segment = IPv6Address(rng.getrandbits(128))
+        own = VnfChain("own", (IPv6Address("BBBB::2"), segment), IPv6Address("AAAA::2"))
+        inner = udp_packet(IPv6Address("EEEE::2"), IPv6Address("DDDD::2"), b"memo")
+        packet = encapsulate(inner, own)
+        result = inject(network, "nfv", packet)
+        assert result.delivered
+        assert ("nfv", EventKind.SEGMENT_ADVANCED, str(segment)) in result.trace.events
+        assert result.trace.to_jsonl() == inject(unbounded, "nfv", packet).trace.to_jsonl()
+        assert len(network.address_text) <= network.address_limit
+    assert len(unbounded.address_text) > 500
