@@ -9,7 +9,7 @@ load D = per_packet_cost * rate gives
     success     S(R) = min(1, capacity * (100 - k0) / 100 / D)
 
 The per-packet cost is not assumed: it is measured by driving probe
-packets through the simulated node and reading its cost ledger. Sweeps
+packets through the simulated node and reading the costs they return. Sweeps
 report success ratio and utilization per rate, label the no-loss,
 transition and saturation regions, and fit U(R) = m * R + k over the
 no-loss points by ordinary least squares (m in percent per kpps).
@@ -22,10 +22,10 @@ import io
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from srv6sfc import errors
-from srv6sfc.sim import FlowSpec, Network, run_flow
+from srv6sfc.sim import FlowSpec, Network, flow_packet, inject
 
 SCENARIO_AWARE = "SR kernel"
 SCENARIO_UNAWARE = "SR kernel + hook"
@@ -219,29 +219,31 @@ def fit_linear(points: list[RatePoint]) -> RegressionResult:
 
 
 def measure_per_packet_cost(network: Network, flow: FlowSpec, probes: int = 4) -> float:
-    """Exact per-packet cost in cost units, read from the NFV-node
-    ledgers after driving probe packets through the chain."""
-    network.reset_ledgers()
-    summary = run_flow(network, replace(flow, count=probes))
-    if summary.dropped:
+    """Exact per-packet cost in cost units, read from the NFV-node costs
+    that probe packets driven through the chain return."""
+    nfv_nodes = network.nfv_node_ids()
+    dropped = 0
+    drop_reasons: dict[str, int] = {}
+    distinct: set[tuple[int, int, int]] = set()
+    for i in range(probes):
+        result = inject(network, flow.ingress, flow_packet(flow, i), terminal_only=True)
+        if not result.delivered:
+            dropped += 1
+            reason = result.outcome.reason
+            drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
+            continue
+        crossed = [result.costs[node_id] for node_id in nfv_nodes if node_id in result.costs]
+        if crossed:
+            distinct.add(tuple(map(sum, zip(*crossed))))
+    if dropped:
         raise errors.BenchError(
-            f"cost probe dropped {summary.dropped}/{probes} packets: {summary.drop_reasons}"
+            f"cost probe dropped {dropped}/{probes} packets: {drop_reasons}"
         )
-    per_uid: dict[int | None, list[int]] = {}
-    for node_id in network.nfv_node_ids():
-        for uid, record in network.ledgers[node_id].per_packet.items():
-            acc = per_uid.setdefault(uid, [0, 0, 0])
-            acc[0] += record.f
-            acc[1] += record.d
-            acc[2] += record.e
-    if not per_uid:
+    if not distinct:
         raise errors.BenchError("probe flow never crossed an NFV node")
-    distinct = {tuple(v) for v in per_uid.values()}
     if len(distinct) != 1:
         raise errors.BenchError(f"per-packet cost is not uniform: {sorted(distinct)}")
-    f, d, e = distinct.pop()
-    units = network.units
-    return f * units.f + d * units.d + e * units.e
+    return network.units.cost(distinct.pop())
 
 
 def run_sweep(

@@ -158,7 +158,7 @@ class ScenarioConfig:
             hosted[sid.host_node].append(
                 Vnf(
                     sid=registry.sid(sid.address),
-                    behavior=behavior_from_spec(vnf_decl.behavior_spec),
+                    behavior=behavior_from_spec(vnf_decl.behavior_spec, registry.sid_table),
                     permission=vnf_decl.permission,
                 )
             )
@@ -198,12 +198,16 @@ class ScenarioConfig:
 
 # Behavior factory ---------------------------------------------------------
 
-def _parse_sid_list(text: str) -> tuple[IPv6Address, ...]:
-    return tuple(IPv6Address(part) for part in text.split("+") if part)
+def _parse_sid_list(text: str, sid_table: dict[IPv6Address, Sid]) -> tuple[IPv6Address, ...]:
+    addresses = (IPv6Address(part) for part in text.split("+") if part)
+    return tuple(sid_table[a].address if a in sid_table else a for a in addresses)
 
 
-def behavior_from_spec(spec: str):
-    """Instantiate a VNF behavior from its config spelling."""
+def behavior_from_spec(spec: str, sid_table: dict[IPv6Address, Sid] | None = None):
+    """Instantiate a VNF behavior from its config spelling. A chain
+    editor's SIDs found in ``sid_table`` are the table's own address
+    objects, so the walk matches them by identity."""
+    sid_table = {} if sid_table is None else sid_table
     kind, _, rest = spec.partition(":")
     if kind == "passthrough":
         return PassThroughRouter()
@@ -214,12 +218,12 @@ def behavior_from_spec(spec: str):
     if kind == "chain-editor":
         edit_kind, _, args = rest.partition(":")
         if edit_kind == "insert-after":
-            return ChainEditor(SegmentListEdit.insert_after_current(_parse_sid_list(args)))
+            return ChainEditor(SegmentListEdit.insert_after_current(_parse_sid_list(args, sid_table)))
         if edit_kind == "insert-at":
             position, _, sids = args.partition(":")
-            return ChainEditor(SegmentListEdit.insert_at(int(position), _parse_sid_list(sids)))
+            return ChainEditor(SegmentListEdit.insert_at(int(position), _parse_sid_list(sids, sid_table)))
         if edit_kind == "replace":
-            return ChainEditor(SegmentListEdit.replace(_parse_sid_list(args)))
+            return ChainEditor(SegmentListEdit.replace(_parse_sid_list(args, sid_table)))
         raise errors.ValidationError([f"unknown chain-editor edit {edit_kind!r}"])
     raise errors.ValidationError([f"unknown behavior {spec!r}"])
 

@@ -22,10 +22,14 @@ pass 65,535 B raises :class:`errors.OversizedPacket`; the connector turns
 that into a drop at the node.
 
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
-per decapsulation and ``e`` per re-encapsulation. For one node hosting a
-whole chain of n pass-through VNFs this yields exactly (n+2)f for the
-aware kind and d+(2n+1)f+e for the unaware kind; a node that only
-forwards costs f.
+per decapsulation and ``e`` per re-encapsulation (``node_cost``). In one
+connector pass an SR-aware VNF costs f; each maximal run of SR-unaware
+VNFs costs d and e plus 2f per VNF; leaving the node costs 2f after an
+aware VNF and f after an unaware run; a VNF that drops the packet ends
+the count after its delivery leg. So n pass-through VNFs of one kind
+cost (n+2)f (aware) or d+(2n+1)f+e (unaware), and a node that only
+forwards costs f. Each pass returns its counts on ``ConnectorResult``;
+``CostLedger`` keeps per-node aggregates only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
-from typing import Callable
+from typing import Callable, Sequence
 
 from srv6sfc import errors, wire
 from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain
@@ -206,70 +210,62 @@ class UnitCosts:
     d: float = 0.5
     e: float = 0.5
 
-
-@dataclass
-class PacketCost:
-    f: int = 0
-    d: int = 0
-    e: int = 0
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.f, self.d, self.e)
+    def cost(self, counts: tuple[int, int, int]) -> float:
+        """Cost units of (f, d, e) operation counts."""
+        f, d, e = counts
+        return f * self.f + d * self.d + e * self.e
 
 
 class CostLedger:
-    """Counts f/d/e operations, per packet and in aggregate."""
+    """A node's aggregate f/d/e counts. Per-packet counts are not kept:
+    each connector pass and each walk returns its own."""
 
     def __init__(self, units: UnitCosts = UnitCosts()):
         self.units = units
         self.f_count = 0
         self.d_count = 0
         self.e_count = 0
-        self.per_packet: dict[int | None, PacketCost] = {}
 
-    def add(self, uid: int | None, f: int = 0, d: int = 0, e: int = 0) -> None:
+    def add(self, f: int = 0, d: int = 0, e: int = 0) -> None:
         if f < 0 or d < 0 or e < 0:
             raise errors.InvariantViolation("cost counters are non-negative")
-        record = self.per_packet.get(uid)
-        if record is None:
-            record = self.per_packet[uid] = PacketCost()
-        record.f += f
-        record.d += d
-        record.e += e
         self.f_count += f
         self.d_count += d
         self.e_count += e
 
-    def packet_counts(self, uid: int | None) -> tuple[int, int, int]:
-        record = self.per_packet.get(uid)
-        return record.as_tuple() if record else (0, 0, 0)
-
-    def packet_cost(self, uid: int | None) -> float:
-        f, d, e = self.packet_counts(uid)
-        return f * self.units.f + d * self.units.d + e * self.units.e
-
     def total_cost(self) -> float:
-        return (
-            self.f_count * self.units.f
-            + self.d_count * self.units.d
-            + self.e_count * self.units.e
-        )
+        return self.units.cost(self.counts())
 
     def counts(self) -> tuple[int, int, int]:
         return (self.f_count, self.d_count, self.e_count)
 
-    def merge(self, other: "CostLedger") -> None:
-        """Fold another ledger in; aggregates stay the per-packet sums."""
-        for uid, record in other.per_packet.items():
-            self.add(uid, record.f, record.d, record.e)
 
-    def aggregates_consistent(self) -> bool:
-        sums = [0, 0, 0]
-        for record in self.per_packet.values():
-            sums[0] += record.f
-            sums[1] += record.d
-            sums[2] += record.e
-        return tuple(sums) == self.counts()
+def node_cost(kinds: Sequence[SidKind], drop_at: int | None = None) -> tuple[int, int, int]:
+    """(f, d, e) of one connector pass over the local VNFs a packet visits,
+    in order, by the law in the module docstring; ``drop_at`` is the index
+    of the VNF that drops it. No VNFs is a plain forward, (1, 0, 0)."""
+    if not kinds:
+        return (1, 0, 0)
+    f = d = e = 0
+    plain = False
+    for index, kind in enumerate(kinds):
+        if kind is SidKind.SR_AWARE:
+            if plain:
+                e += 1
+                plain = False
+            f += 1
+        elif kind is SidKind.SR_UNAWARE:
+            if not plain:
+                d += 1
+                plain = True
+            f += 1
+            if index != drop_at:
+                f += 1  # return leg
+        else:
+            raise errors.InvariantViolation(f"no cost model for kind {kind}")
+        if index == drop_at:
+            return (f, d, e)
+    return (f + 1, d, e + 1) if plain else (f + 2, d, e)
 
 
 def predicted_cost(n: int, kind: SidKind, units: UnitCosts = UnitCosts()) -> float:
@@ -279,13 +275,7 @@ def predicted_cost(n: int, kind: SidKind, units: UnitCosts = UnitCosts()) -> flo
     """
     if n < 0:
         raise errors.InvariantViolation(f"VNF count must be >= 0, got {n}")
-    if n == 0:
-        return units.f
-    if kind is SidKind.SR_AWARE:
-        return (n + 2) * units.f
-    if kind is SidKind.SR_UNAWARE:
-        return units.d + (2 * n + 1) * units.f + units.e
-    raise errors.InvariantViolation(f"no cost model for kind {kind}")
+    return units.cost(node_cost((kind,) * n))
 
 
 # Encapsulation ----------------------------------------------------------
@@ -453,101 +443,109 @@ class NfvNodeState:
 @dataclass
 class ConnectorResult:
     """Connector outcome: packets to emit with their egress ports, or a
-    drop. Intra-node VNF-to-VNF hand-offs never show up here."""
+    drop, and the pass's (f, d, e). Intra-node VNF-to-VNF hand-offs never
+    show up here."""
 
     outputs: list[tuple[Packet, str | None]] = field(default_factory=list)
     dropped: bool = False
     drop_reason: str | None = None
+    cost: tuple[int, int, int] = (0, 0, 0)
 
 
 def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_emit) -> ConnectorResult:
     """Run the per-SID pipeline for a packet addressed to a local VNF SID,
-    looping while the next active segment is also hosted here."""
+    looping while the next active segment is also hosted here.
+
+    The pass counts its f/d/e operations, returns them on the result and
+    charges ``state.ledger`` once on the way out, also when a step raises.
+    """
     if packet.srh is None:
         raise errors.NoSrh("connector requires an SR-encapsulated packet")
     vnf = state.vnfs.get(packet.header.dst)
     if vnf is None:
         raise errors.UnknownSid(f"{packet.header.dst} is not hosted on {state.node_id!r}")
 
-    ledger = state.ledger
-    uid = packet.uid
     current = packet           # encapsulated form
     plain: Packet | None = None  # decapsulated inner while among unaware VNFs
     steps = 0
+    f = d = e = 0
 
-    while True:
-        steps += 1
-        if steps > MAX_PIPELINE_STEPS:
-            raise errors.PipelineLoop(
-                f"{steps - 1} VNF invocations on {state.node_id!r} without leaving the node"
-            )
-        sid = vnf.sid
-        if sid.kind is SidKind.SR_AWARE:
-            # Only an unaware VNF is handed the plain packet, so here it is None.
-            current = advance_segment(current)
-            emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
-            ledger.add(uid, f=1)
-            emit(EventKind.VNF_DELIVERED, sid.address)
-            action = vnf.behavior(current)
-            emit(EventKind.VNF_RETURNED, sid.address)
-            if action.kind is ActionKind.DROP:
-                return _dropped(emit, f"vnf {sid.address}")
-            if action.kind is ActionKind.EDIT_CHAIN:
-                try:
-                    current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
-                except errors.OversizedPacket as exc:
-                    return _dropped(emit, str(exc))
-            else:
-                current = action.packet
-            if current.srh is None:
-                raise errors.NoSrh(f"SR-aware VNF {sid.address} must preserve the SRH")
-            next_vnf = state.vnfs.get(current.header.dst)
-            if next_vnf is not None:
-                vnf = next_vnf  # direct resend toward the next local VNF
-                continue
-            ledger.add(uid, f=2)  # back to the connector, then to next hop
-        else:
-            if sid.kind is not SidKind.SR_UNAWARE:
-                raise errors.UnknownSid(f"{sid.address} is an egress endpoint, not a VNF")
-            if plain is None:
+    try:
+        while True:
+            steps += 1
+            if steps > MAX_PIPELINE_STEPS:
+                raise errors.PipelineLoop(
+                    f"{steps - 1} VNF invocations on {state.node_id!r} without leaving the node"
+                )
+            sid = vnf.sid
+            if sid.kind is SidKind.SR_AWARE:
+                # Only an unaware VNF is handed the plain packet, so here it is None.
                 current = advance_segment(current)
                 emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
-                plain = decapsulate(current)
-                ledger.add(uid, d=1)
-                emit(EventKind.DECAPSULATED, None)
-            ledger.add(uid, f=1)
-            emit(EventKind.VNF_DELIVERED, sid.address)
-            action = vnf.behavior(plain)
-            if action.kind is ActionKind.EDIT_CHAIN:
-                raise errors.InvalidEdit(
-                    f"SR-unaware VNF {sid.address} sees no SRH and cannot edit it"
-                )
-            emit(EventKind.VNF_RETURNED, sid.address)
-            if action.kind is ActionKind.DROP:
-                return _dropped(emit, f"vnf {sid.address}")
-            plain = action.packet
-            ledger.add(uid, f=1)  # return leg to the connector
-            successor = state.registry.unaware_return(sid).successor
-            next_vnf = state.vnfs.get(successor)
-            if next_vnf is not None and next_vnf.sid.kind is SidKind.SR_UNAWARE:
-                vnf = next_vnf  # plain hand-off, no strip/rebuild in between
-                continue
-            try:
-                current = reencap_unaware(state.registry, plain, sid)
-            except errors.OversizedPacket as exc:
-                return _dropped(emit, str(exc))
-            ledger.add(uid, e=1)
-            emit(EventKind.RE_ENCAPSULATED, current.header.dst)
-            plain = None
-            next_vnf = state.vnfs.get(current.header.dst)
-            if next_vnf is not None:
-                vnf = next_vnf  # mixed chain: aware VNF next door
-                continue
-            ledger.add(uid, f=1)  # forward to next hop
-        port = state.route(current.header.dst) if state.route else None
-        return ConnectorResult(outputs=[(current, port)])
+                f += 1
+                emit(EventKind.VNF_DELIVERED, sid.address)
+                action = vnf.behavior(current)
+                emit(EventKind.VNF_RETURNED, sid.address)
+                if action.kind is ActionKind.DROP:
+                    return _dropped(emit, f"vnf {sid.address}", (f, d, e))
+                if action.kind is ActionKind.EDIT_CHAIN:
+                    try:
+                        current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
+                    except errors.OversizedPacket as exc:
+                        return _dropped(emit, str(exc), (f, d, e))
+                else:
+                    current = action.packet
+                if current.srh is None:
+                    raise errors.NoSrh(f"SR-aware VNF {sid.address} must preserve the SRH")
+                next_vnf = state.vnfs.get(current.header.dst)
+                if next_vnf is not None:
+                    vnf = next_vnf  # direct resend toward the next local VNF
+                    continue
+                f += 2  # back to the connector, then to next hop
+            else:
+                if sid.kind is not SidKind.SR_UNAWARE:
+                    raise errors.UnknownSid(f"{sid.address} is an egress endpoint, not a VNF")
+                if plain is None:
+                    current = advance_segment(current)
+                    emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
+                    plain = decapsulate(current)
+                    d += 1
+                    emit(EventKind.DECAPSULATED, None)
+                f += 1
+                emit(EventKind.VNF_DELIVERED, sid.address)
+                action = vnf.behavior(plain)
+                if action.kind is ActionKind.EDIT_CHAIN:
+                    raise errors.InvalidEdit(
+                        f"SR-unaware VNF {sid.address} sees no SRH and cannot edit it"
+                    )
+                emit(EventKind.VNF_RETURNED, sid.address)
+                if action.kind is ActionKind.DROP:
+                    return _dropped(emit, f"vnf {sid.address}", (f, d, e))
+                plain = action.packet
+                f += 1  # return leg to the connector
+                successor = state.registry.unaware_return(sid).successor
+                next_vnf = state.vnfs.get(successor)
+                if next_vnf is not None and next_vnf.sid.kind is SidKind.SR_UNAWARE:
+                    vnf = next_vnf  # plain hand-off, no strip/rebuild in between
+                    continue
+                try:
+                    current = reencap_unaware(state.registry, plain, sid)
+                except errors.OversizedPacket as exc:
+                    return _dropped(emit, str(exc), (f, d, e))
+                e += 1
+                emit(EventKind.RE_ENCAPSULATED, current.header.dst)
+                plain = None
+                next_vnf = state.vnfs.get(current.header.dst)
+                if next_vnf is not None:
+                    vnf = next_vnf  # mixed chain: aware VNF next door
+                    continue
+                f += 1  # forward to next hop
+            port = state.route(current.header.dst) if state.route else None
+            return ConnectorResult([(current, port)], cost=(f, d, e))
+    finally:
+        state.ledger.add(f, d, e)
 
 
-def _dropped(emit: EmitFn, reason: str) -> ConnectorResult:
+def _dropped(emit: EmitFn, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:
     emit(EventKind.DROPPED, reason)
-    return ConnectorResult(dropped=True, drop_reason=reason)
+    return ConnectorResult(dropped=True, drop_reason=reason, cost=cost)

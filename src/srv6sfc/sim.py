@@ -5,6 +5,10 @@ and one shared chain registry. Packets are walked one at a time; there
 is no event-time interleaving, so identical inputs always produce
 identical traces and ledgers. Rates and capacity enter only via the
 benchmark's analytic model.
+
+Each walk returns the (f, d, e) it cost every node that charged it
+(``InjectResult.costs``); the per-node ledgers keep aggregates only, so
+memory does not grow with the number of packets walked.
 """
 
 from __future__ import annotations
@@ -130,13 +134,6 @@ class Network:
         self._next_uid = uid + 1
         return uid
 
-    def reset_ledgers(self) -> None:
-        for node_id in self.ledgers:
-            self.ledgers[node_id] = CostLedger(self.units)
-            state = self._states.get(node_id)
-            if state is not None:
-                state.ledger = self.ledgers[node_id]
-
     def nfv_node_ids(self) -> tuple[str, ...]:
         return tuple(
             node_id for node_id, node in self.nodes.items() if node.role is NodeRole.NFV_NODE
@@ -212,8 +209,12 @@ class Dropped:
 
 @dataclass(frozen=True)
 class InjectResult:
+    """A walk's outcome, its trace, and the (f, d, e) it cost each node
+    that charged it."""
+
     outcome: Delivered | Dropped
     trace: Trace
+    costs: dict[str, tuple[int, int, int]]
 
     @property
     def delivered(self) -> bool:
@@ -243,21 +244,50 @@ def inject(
 
     Classification and encapsulation happen at the ingress when a rule
     matches; otherwise the packet travels as plain IPv6. Every injected
-    packet ends in exactly one Delivered or Dropped.
+    packet ends in exactly one Delivered or Dropped. Connector passes
+    charge their node's ledger themselves; each plain-forwarding node is
+    charged once per packet, on the way out, also when the walk raises.
     """
     node = network.node(ingress)
     uid = network.next_uid()
     packet = Packet(inner.header, inner.srh, inner.payload, uid)
     trace = Trace(uid, terminal_only, network.address_text, network.address_limit)
+    costs: dict[str, tuple[int, int, int]] = {}
+    forwarded: dict[str, int] = {}
+    try:
+        outcome = _walk(network, node, packet, trace, costs, forwarded)
+    finally:
+        for node_id, f in forwarded.items():
+            network.ledgers[node_id].add(f)
+            _add_cost(costs, node_id, (f, 0, 0))
+    return InjectResult(outcome, trace, costs)
 
-    chain_id = network.classifiers[ingress].lookup(packet.header.dst)
+
+def _add_cost(costs: dict[str, tuple[int, int, int]], node_id: str, cost: tuple[int, int, int]) -> None:
+    prior = costs.get(node_id)
+    costs[node_id] = cost if prior is None else (
+        prior[0] + cost[0], prior[1] + cost[1], prior[2] + cost[2]
+    )
+
+
+def _walk(
+    network: Network,
+    node: Node,
+    packet: Packet,
+    trace: Trace,
+    costs: dict[str, tuple[int, int, int]],
+    forwarded: dict[str, int],
+) -> Delivered | Dropped:
+    """``inject``'s walk: fills ``costs`` with connector passes and
+    ``forwarded`` with plain forwards, per node."""
+    chain_id = network.classifiers[node.node_id].lookup(packet.header.dst)
     if chain_id is not None:
         trace.add(node.node_id, EventKind.CLASSIFIED, chain_id)
         try:
             packet = encapsulate(packet, network.registry.chain(chain_id))
         except errors.OversizedPacket as exc:
             trace.add(node.node_id, EventKind.DROPPED, str(exc))
-            return InjectResult(Dropped(node.node_id, str(exc)), trace)
+            return Dropped(node.node_id, str(exc))
         trace.add(node.node_id, EventKind.ENCAPSULATED, packet.header.dst)
 
     visits = 0
@@ -265,38 +295,40 @@ def inject(
         visits += 1
         if visits > MAX_NODE_VISITS:
             trace.add(node.node_id, EventKind.DROPPED, "node visit budget exceeded")
-            return InjectResult(Dropped(node.node_id, "node visit budget exceeded"), trace)
+            return Dropped(node.node_id, "node visit budget exceeded")
 
-        state = network.connector_state(node.node_id)
+        node_id = node.node_id
+        state = network.connector_state(node_id)
         if packet.srh is not None and state is not None and packet.header.dst in state.vnfs:
-            result = connector_process(state, packet, emit=partial(trace.add, node.node_id))
+            result = connector_process(state, packet, emit=partial(trace.add, node_id))
+            _add_cost(costs, node_id, result.cost)
             if result.dropped:
-                return InjectResult(Dropped(node.node_id, result.drop_reason or "dropped"), trace)
+                return Dropped(node_id, result.drop_reason or "dropped")
             (packet, next_hop), = result.outputs
-            if next_hop is None and packet.header.dst in network.local_addresses(node.node_id):
+            if next_hop is None and packet.header.dst in network.local_addresses(node_id):
                 continue
-        elif packet.header.dst in network.local_addresses(node.node_id):
+        elif packet.header.dst in network.local_addresses(node_id):
             if packet.is_encapsulated:
                 packet = egress_process(packet)
-                trace.add(node.node_id, EventKind.DECAPSULATED, None)
+                trace.add(node_id, EventKind.DECAPSULATED, None)
                 continue
-            trace.add(node.node_id, EventKind.DELIVERED, packet.header.dst)
-            return InjectResult(Delivered(packet, node.node_id), trace)
+            trace.add(node_id, EventKind.DELIVERED, packet.header.dst)
+            return Delivered(packet, node_id)
         else:
-            next_hop = network.fib[node.node_id].lookup(packet.header.dst)
+            next_hop = network.fib[node_id].lookup(packet.header.dst)
             if next_hop is not None:
-                network.ledgers[node.node_id].add(uid, f=1)  # plain router cost
+                forwarded[node_id] = forwarded.get(node_id, 0) + 1  # plain router cost
 
         if next_hop is None:
             reason = f"no route to {packet.header.dst}"
-            trace.add(node.node_id, EventKind.DROPPED, reason)
-            return InjectResult(Dropped(node.node_id, reason), trace)
+            trace.add(node_id, EventKind.DROPPED, reason)
+            return Dropped(node_id, reason)
         nxt = _decrement_hop(packet)
         if nxt is None:
-            trace.add(node.node_id, EventKind.DROPPED, "hop limit exceeded")
-            return InjectResult(Dropped(node.node_id, "hop limit exceeded"), trace)
+            trace.add(node_id, EventKind.DROPPED, "hop limit exceeded")
+            return Dropped(node_id, "hop limit exceeded")
         packet = nxt
-        trace.add(node.node_id, EventKind.FORWARDED, next_hop)
+        trace.add(node_id, EventKind.FORWARDED, next_hop)
         node = network.node(next_hop)
 
 
@@ -335,6 +367,17 @@ def flow_payload(uid: int, size: int) -> bytes:
     return (word * ((size + 7) // 8))[:size]
 
 
+def flow_packet(flow: FlowSpec, index: int) -> Packet:
+    """Packet ``index`` of the flow."""
+    return udp_packet(
+        flow.src,
+        flow.dst,
+        flow_payload(index, flow.payload_size),
+        src_port=flow.src_port,
+        dst_port=flow.dst_port,
+    )
+
+
 def run_flow(network: Network, flow: FlowSpec, *, keep_delivered: bool = False) -> FlowSummary:
     """Inject ``flow.count`` packets and summarize outcomes and costs."""
     if flow.count < 1:
@@ -342,14 +385,7 @@ def run_flow(network: Network, flow: FlowSpec, *, keep_delivered: bool = False) 
     before = {node_id: ledger.counts() for node_id, ledger in network.ledgers.items()}
     summary = FlowSummary()
     for i in range(flow.count):
-        inner = udp_packet(
-            flow.src,
-            flow.dst,
-            flow_payload(i, flow.payload_size),
-            src_port=flow.src_port,
-            dst_port=flow.dst_port,
-        )
-        result = inject(network, flow.ingress, inner, terminal_only=True)
+        result = inject(network, flow.ingress, flow_packet(flow, i), terminal_only=True)
         if result.delivered:
             summary.delivered += 1
             if keep_delivered:

@@ -102,18 +102,20 @@ SINK = IPv6Address("DDDD::2")
 
 def chain_testbed(
     n_vnfs: int = 1,
-    kind: SidKind = SidKind.SR_UNAWARE,
+    kind: SidKind | tuple[SidKind, ...] = SidKind.SR_UNAWARE,
     behaviors=None,
     permission: VnfPermission = VnfPermission.INSERT_NEXT_ONLY,
     units: UnitCosts = UnitCosts(),
     extra_sids: tuple[Sid, ...] = (),
 ) -> tuple[Network, VnfChain]:
-    """er1 -- nfv -- er2 with ``n_vnfs`` VNFs of one kind on the middle
-    node and a chain through all of them; mirrors the bundled config."""
+    """er1 -- nfv -- er2 with ``n_vnfs`` VNFs on the middle node and a
+    chain through all of them; mirrors the bundled config. ``kind`` is
+    one kind for every VNF or one kind per VNF, in chain order."""
     vnf_addresses = [IPv6Address(f"BBBB::{i + 2:x}") for i in range(n_vnfs)]
+    kinds = (kind,) * n_vnfs if isinstance(kind, SidKind) else kind
     registry = ChainRegistry()
-    for address in vnf_addresses:
-        registry.add_sid(Sid(address=address, kind=kind, host_node="nfv"))
+    for address, vnf_kind in zip(vnf_addresses, kinds, strict=True):
+        registry.add_sid(Sid(address=address, kind=vnf_kind, host_node="nfv"))
     registry.add_sid(Sid(address=ER2, kind=SidKind.EGRESS_ENDPOINT, host_node="er2"))
     for sid in extra_sids:
         registry.add_sid(sid)

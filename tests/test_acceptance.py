@@ -51,7 +51,7 @@ from srv6sfc.dataplane import (
     encapsulate,
     predicted_cost,
 )
-from srv6sfc.sim import Delivered, FlowSpec, flow_payload, inject, run_flow
+from srv6sfc.sim import Delivered, FlowSpec, flow_packet, flow_payload, inject, run_flow
 from srv6sfc.trace import EventKind
 from srv6sfc.wire import parse_packet, serialize_packet, udp_packet
 
@@ -104,21 +104,24 @@ def test_criterion_2_cost_model_equalities(n, kind):
     units = UnitCosts(f=1.0, d=0.5, e=0.5)
     network, _ = chain_testbed(n, kind, units=units)
     packets = 3
-    summary = run_flow(network, FlowSpec("er1", SRC, SINK, count=packets, payload_size=64))
-    assert summary.delivered == packets
+    flow = FlowSpec("er1", SRC, SINK, count=packets, payload_size=64)
+    results = [
+        inject(network, "er1", flow_packet(flow, i), terminal_only=True) for i in range(packets)
+    ]
+    assert sum(result.delivered for result in results) == packets
 
     ledger = network.ledgers["nfv"]
     expected = (n + 2, 0, 0) if kind is SidKind.SR_AWARE else (2 * n + 1, 1, 1)
-    for uid, record in ledger.per_packet.items():
-        assert record.as_tuple() == expected, f"uid {uid}"
-        assert ledger.packet_cost(uid) == predicted_cost(n, kind, units)
+    for result in results:
+        assert result.costs["nfv"] == expected, f"uid {result.trace.uid}"
+        assert units.cost(result.costs["nfv"]) == predicted_cost(n, kind, units)
     assert ledger.counts() == tuple(packets * v for v in expected)
     if n == 1:
         f = units.f
         aware_cost = 3 * f
         unaware_cost = units.d + 3 * f + units.e
         expected_cost = aware_cost if kind is SidKind.SR_AWARE else unaware_cost
-        assert ledger.packet_cost(next(iter(ledger.per_packet))) == expected_cost
+        assert units.cost(results[0].costs["nfv"]) == expected_cost
     report(2, f"n={n} {kind.value}: counters == {'(n+2)f' if kind is SidKind.SR_AWARE else 'd+(2n+1)f+e'}")
 
 

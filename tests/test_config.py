@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from ipaddress import IPv6Address
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +168,33 @@ def test_edited_config_builds_its_own_registry(testbed_config_path):
     chain = VnfChain("direct", (IPv6Address("CCCC::2"),), IPv6Address("AAAA::2"))
     edited = replace(config, chains=config.chains + (chain,))
     assert "direct" in edited.build_network().registry.chains
+
+
+def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
+    text = Path(testbed_config_path).read_text(encoding="utf-8")
+    text = text.replace(
+        "CCCC::2 kind=egress node=er2\n",
+        "CCCC::2 kind=egress node=er2\n"
+        "BBBB::3 kind=sr-aware node=nfv\n"
+        "BBBB::4 kind=sr-aware node=nfv\n"
+        "BBBB::5 kind=sr-aware node=nfv\n",
+    ).replace(
+        "[chains]\n",
+        "BBBB::3 behavior=chain-editor:insert-after:bbbb::4+BBBB:0::5 permission=full-rewrite\n"
+        "BBBB::4 behavior=chain-editor:insert-at:1:cccc::2\n"
+        "BBBB::5 behavior=chain-editor:replace:bbbb:0:0::2+FFFF::1+CCCC::2\n"
+        "\n[chains]\n",
+    )
+    network = parse_config_text(text).build_network()
+    keys = {address: address for address in network.registry.sid_table}
+    edits = [vnf.behavior.edit for vnf in network.connector_state("nfv").vnfs.values()
+             if isinstance(vnf.behavior, ChainEditor)]
+    assert len(edits) == 3
+    registered = [sid for edit in edits for sid in edit.sids if sid in keys]
+    assert len(registered) == 5
+    assert all(sid is keys[sid] for sid in registered)
+    # An unregistered SID is kept as parsed; the walk refuses it later.
+    assert IPv6Address("FFFF::1") in edits[2].sids
 
 
 # Address parsing: ``_Collector.address`` against ``IPv6Address(text)`` ------------

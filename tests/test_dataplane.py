@@ -33,6 +33,7 @@ from srv6sfc.dataplane import (
     decapsulate,
     egress_process,
     encapsulate,
+    node_cost,
     predicted_cost,
     reencap_unaware,
 )
@@ -208,7 +209,8 @@ def test_single_vnf_costs(kind, expected):
     [(out_packet, port)] = result.outputs
     assert out_packet.header.dst == CCCC2
     assert port == "er2"
-    assert state.ledger.packet_counts(7) == expected
+    assert result.cost == expected
+    assert state.ledger.counts() == expected
 
 
 @pytest.mark.parametrize("kind", [SidKind.SR_AWARE, SidKind.SR_UNAWARE])
@@ -218,13 +220,15 @@ def test_counters_match_cost_formula(kind, n):
     outer = replace(encapsulate(inner_packet(), chain), uid=1)
     state, result = run_connector(network, outer)
     assert not result.dropped
-    f, d, e = state.ledger.packet_counts(1)
+    f, d, e = result.cost
     if kind is SidKind.SR_AWARE:
         assert (f, d, e) == (n + 2, 0, 0)
     else:
         assert (f, d, e) == (2 * n + 1, 1, 1)
+    assert result.cost == node_cost([kind] * n)
+    assert state.ledger.counts() == result.cost
     units = UnitCosts()
-    assert state.ledger.packet_cost(1) == predicted_cost(n, kind, units)
+    assert units.cost(result.cost) == predicted_cost(n, kind, units)
 
 
 def test_aware_passthrough_is_noninterfering():
@@ -246,6 +250,7 @@ def test_drop_short_circuits_reencapsulation():
     assert result.dropped
     assert result.outputs == []
     assert state.ledger.e_count == 0
+    assert result.cost == state.ledger.counts() == (1, 1, 0)
 
 
 def test_unaware_vnf_cannot_edit_chain():
@@ -258,6 +263,12 @@ def test_unaware_vnf_cannot_edit_chain():
     outer = encapsulate(inner_packet(), chain)
     with pytest.raises(errors.InvalidEdit):
         run_connector(network, outer)
+    # The work done before the raise is charged: decapsulation and delivery.
+    assert network.ledgers["nfv"].counts() == (1, 1, 0)
+    with pytest.raises(errors.InvalidEdit):
+        inject(network, "er1", inner_packet())
+    assert network.ledgers["er1"].counts() == (1, 0, 0)
+    assert network.ledgers["nfv"].counts() == (2, 2, 0)
 
 
 def test_connector_requires_local_sid():
@@ -275,14 +286,20 @@ def test_connector_requires_srh():
         connector_process(state, inner_packet())
 
 
-def test_ledger_merge_and_aggregate_consistency():
-    left = CostLedger()
-    left.add(1, f=3, d=1, e=1)
-    right = CostLedger()
-    right.add(2, f=3)
-    left.merge(right)
-    assert left.counts() == (6, 1, 1)
-    assert left.aggregates_consistent()
+def test_ledger_aggregates_are_the_summed_packet_costs():
+    ledger = CostLedger()
+    ledger.add(f=3, d=1, e=1)
+    ledger.add(f=3)
+    assert ledger.counts() == (6, 1, 1)
+    with pytest.raises(errors.InvariantViolation):
+        ledger.add(f=-1)
+
+    network, _ = chain_testbed(2, SidKind.SR_UNAWARE)
+    results = [inject(network, "er1", inner_packet()) for _ in range(3)]
+    for node_id, node_ledger in network.ledgers.items():
+        per_packet = [result.costs.get(node_id, (0, 0, 0)) for result in results]
+        assert node_ledger.counts() == tuple(map(sum, zip(*per_packet)))
+    assert [result.costs for result in results] == [{"er1": (1, 0, 0), "nfv": (5, 1, 1)}] * 3
 
 
 # Stateless re-encapsulation -------------------------------------------------------
@@ -563,7 +580,7 @@ def test_chain_editor_inserts_detour_end_to_end():
     [(out_packet, _)] = result.outputs
     # The detour VNF ran: delivered once by editor insert, so two aware
     # deliveries happened on this node.
-    assert state.ledger.packet_counts(5) == (4, 0, 0)  # (n=2)+2
+    assert result.cost == state.ledger.counts() == (4, 0, 0)  # (n=2)+2
     assert out_packet.header.dst == CCCC2
     assert BBBB2 in out_packet.srh.segment_list and detour in out_packet.srh.segment_list
 

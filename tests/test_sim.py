@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 from ipaddress import IPv6Address, IPv6Network
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ER1, ER2, SINK, SRC, chain_testbed
 from srv6sfc import errors
 from srv6sfc.chain import ChainRegistry, Sid, SidKind, classify, longest_prefix_match
 from srv6sfc.config import load_config
-from srv6sfc.dataplane import PassThroughRouter, PayloadStamper, PrefixFilter
+from srv6sfc.dataplane import PassThroughRouter, PayloadStamper, PrefixFilter, node_cost
 from srv6sfc.sim import (
     Delivered,
     Dropped,
@@ -19,6 +23,7 @@ from srv6sfc.sim import (
     Node,
     NodeRole,
     build_network,
+    flow_packet,
     flow_payload,
     inject,
     run_flow,
@@ -305,3 +310,69 @@ def test_misrouted_egress_raises_not_last_segment():
     misrouted = dc_replace(outer, header=dc_replace(outer.header, dst=ER2))
     with pytest.raises(errors.NotLastSegment):
         inject(network, "er2", misrouted)
+
+
+# Walk costs: the cost law on random mixed chains, bounded memory ---------------
+
+TERMINAL = (EventKind.DELIVERED, EventKind.DROPPED)
+
+
+@st.composite
+def mixed_chains(draw):
+    """1-8 VNF kinds in chain order, and where a prefix filter sits (if
+    anywhere) and whether it drops what it sees."""
+    kinds = draw(
+        st.lists(st.sampled_from((SidKind.SR_AWARE, SidKind.SR_UNAWARE)), min_size=1, max_size=8)
+    )
+    filter_at = draw(st.none() | st.integers(0, len(kinds) - 1))
+    drops = filter_at is not None and draw(st.booleans())
+    return tuple(kinds), filter_at, drops
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(mixed_chains(), st.lists(st.integers(0, 300), min_size=1, max_size=3))
+def test_walk_costs_follow_the_cost_law(chain, payload_sizes):
+    kinds, filter_at, drops = chain
+    behaviors = [PassThroughRouter() for _ in kinds]
+    if filter_at is not None:
+        behaviors[filter_at] = PrefixFilter(IPv6Network("::/0" if drops else "FFFF::/16"))
+    network, _ = chain_testbed(len(kinds), kinds, behaviors=behaviors)
+    drop_at = filter_at if drops else None
+    steered = {"er1": (1, 0, 0), "nfv": node_cost(kinds, drop_at)}
+    plain = {"er1": (1, 0, 0)}  # routed to the NFV node's own address
+    results = []
+    for size in payload_sizes:
+        for dst, expected in ((SINK, steered), (IPv6Address("CCCC::1"), plain)):
+            result = inject(network, "er1", udp_packet(SRC, dst, bytes(size)))
+            terminals = [event for event in result.trace if event.kind in TERMINAL]
+            assert len(terminals) == 1 and result.trace.events[-1] is terminals[0]
+            assert result.delivered is (dst != SINK or drop_at is None)
+            assert result.costs == expected
+            results.append(result)
+    for node_id, ledger in network.ledgers.items():
+        per_packet = [result.costs.get(node_id, (0, 0, 0)) for result in results]
+        assert ledger.counts() == tuple(map(sum, zip(*per_packet)))
+
+
+def test_long_runs_retain_no_memory_per_packet(testbed_config_path):
+    network = load_config(testbed_config_path).build_network()
+    flow = FlowSpec("er1", SRC, SINK, payload_size=64)
+
+    def walk(count: int) -> int:
+        """Bytes still allocated after walking ``count`` more packets."""
+        for index in range(count):
+            inject(network, "er1", flow_packet(flow, index), terminal_only=True)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    walk(100)  # first-use allocations: memos, interned small objects
+    tracemalloc.start()
+    try:
+        start = walk(0)
+        after_1k = walk(1_000) - start
+        after_11k = walk(10_000) - start
+    finally:
+        tracemalloc.stop()
+    # Flat: ten times the packets leave no more behind. Per-packet records
+    # would keep hundreds of bytes each, megabytes over these 10k packets.
+    assert after_11k - after_1k < 16 * 1024, (after_1k, after_11k)
