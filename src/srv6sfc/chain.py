@@ -185,14 +185,13 @@ class ChainRegistry:
     Registration also compiles the static facts of the SR-unaware return
     path (the End.AS proxy's rebuild): ``returns`` maps each mapped
     (address, interface) to its :class:`UnawareReturn`, so the connector
-    re-encapsulates with one dict probe. ``returns`` has exactly the keys
-    of ``mapping``.
+    re-encapsulates with one dict probe. It is the one table of the
+    univocal mapping: an entry's chain is the chain its key feeds.
     """
 
     def __init__(self):
         self.chains: dict[str, VnfChain] = {}
         self.sid_table: dict[IPv6Address, Sid] = {}
-        self.mapping: dict[tuple[IPv6Address, VnfInterface], str] = {}
         self.returns: dict[tuple[IPv6Address, VnfInterface], UnawareReturn] = {}
 
     def copy(self) -> ChainRegistry:
@@ -202,7 +201,6 @@ class ChainRegistry:
         clone = ChainRegistry()
         clone.chains = dict(self.chains)
         clone.sid_table = dict(self.sid_table)
-        clone.mapping = dict(self.mapping)
         clone.returns = dict(self.returns)
         return clone
 
@@ -225,7 +223,8 @@ class ChainRegistry:
             raise errors.UnknownChain(f"no chain {chain_id!r}") from None
 
     def mapped_chain(self, address: IPv6Address, interface: VnfInterface) -> str | None:
-        return self.mapping.get((address, interface))
+        entry = self.returns.get((address, interface))
+        return None if entry is None else entry.chain.chain_id
 
     def unaware_return(self, sid: Sid) -> UnawareReturn:
         """The compiled return path of an SR-unaware SID's interface."""
@@ -260,11 +259,11 @@ class ChainRegistry:
                 f"got {last.kind.value} at {last.address}"
             )
         for key in keys:
-            owner = self.mapping.get(key)
-            if owner is not None and owner != chain.chain_id:
+            entry = self.returns.get(key)
+            if entry is not None and entry.chain.chain_id != chain.chain_id:
                 raise errors.UnivocalMappingViolation(
                     f"SR-unaware interface ({key[0]}, {key[1].value}) already "
-                    f"feeds chain {owner!r}; cannot also feed {chain.chain_id!r}"
+                    f"feeds chain {entry.chain.chain_id!r}; cannot also feed {chain.chain_id!r}"
                 )
         return keys
 
@@ -290,7 +289,6 @@ class ChainRegistry:
         self.chains[chain.chain_id] = chain
         n = len(chain.segments)
         for key in keys:
-            self.mapping[key] = chain.chain_id
             index = chain.segments.index(key[0])
             self.returns[key] = UnawareReturn(
                 chain,
@@ -299,11 +297,10 @@ class ChainRegistry:
             )
 
     def unregister_chain(self, chain_id: str) -> None:
-        chain = self.chain(chain_id)
+        self.chain(chain_id)  # UnknownChain when absent
         del self.chains[chain_id]
-        for key, owner in list(self.mapping.items()):
-            if owner == chain.chain_id:
-                del self.mapping[key]
+        for key, entry in list(self.returns.items()):
+            if entry.chain.chain_id == chain_id:
                 del self.returns[key]
 
     def register_bidirectional(self, east: VnfChain, west: VnfChain) -> None:
@@ -323,10 +320,10 @@ class ChainRegistry:
         # register_chain releases a re-registered chain's old mappings; west
         # is validated against the state east produces. A failure restores
         # the registry as it was, including any earlier version of east.
-        saved = (dict(self.chains), dict(self.mapping), dict(self.returns))
+        saved = (dict(self.chains), dict(self.returns))
         try:
             self.register_chain(east)
             self.register_chain(west)
         except errors.ChainError:
-            self.chains, self.mapping, self.returns = saved
+            self.chains, self.returns = saved
             raise

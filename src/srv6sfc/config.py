@@ -3,7 +3,11 @@
 Sections hold one declaration per line; ``key=value`` tokens carry the
 details. The format is diff-friendly on purpose so scenario files can
 serve as golden fixtures. Loading validates everything up front and
-reports all problems at once, not just the first.
+reports all problems at once, not just the first. This module checks the
+declarations: references between sections, duplicates, behavior specs
+and the bench flow. ``sim.topology_problems`` checks the topology the
+nodes form, the same check ``sim.build_network`` makes, and the
+``ChainRegistry`` checks the chains; so a config that loads always builds.
 
     [nodes]    <id> <role> addrs=<addr,...>
     [links]    <id> <id>
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from ipaddress import AddressValueError, IPv6Address, IPv6Network, NetmaskValueError
 from pathlib import Path
 from socket import AF_INET6, inet_pton
+from typing import Callable
 
 from srv6sfc import errors
 from srv6sfc.bench import CapacityModel
@@ -62,7 +67,7 @@ from srv6sfc.dataplane import (
     Vnf,
     VnfPermission,
 )
-from srv6sfc.sim import FlowSpec, Network, Node, NodeRole, build_network
+from srv6sfc.sim import FlowSpec, Network, Node, NodeRole, build_network, topology_problems
 
 SECTION_ORDER = ("nodes", "links", "sids", "vnfs", "chains", "rules", "routes", "bench")
 
@@ -148,38 +153,36 @@ class ScenarioConfig:
 
     def build_network(self, kind_override: SidKind | None = None) -> Network:
         registry = self.build_registry(kind_override)
+        table = registry.sid_table
+        nodes = self._nodes(table, lambda decl: behavior_from_spec(decl.behavior_spec, table))
+        return build_network(nodes, list(self.links), registry, self.bench.units)
+
+    def _nodes(self, sid_table: dict[IPv6Address, Sid], behavior: Callable) -> list[Node]:
+        """The declared nodes with their hosted VNFs, rules and routes. A
+        VNF takes its ``Sid`` from ``sid_table`` and its behavior from
+        ``behavior(decl)``, and is left out where that is None.
+        Declarations on undeclared nodes are dropped."""
         vnf_decls = {decl.address: decl for decl in self.vnfs}
         # Per-node groups in declaration order, each filled in one pass.
         hosted: defaultdict[str, list[Vnf]] = defaultdict(list)
         for sid in self.sids:
-            vnf_decl = vnf_decls.get(sid.address)
-            if vnf_decl is None or sid.kind is SidKind.EGRESS_ENDPOINT:
+            decl = vnf_decls.get(sid.address)
+            if decl is None or sid.kind is SidKind.EGRESS_ENDPOINT:
                 continue
-            hosted[sid.host_node].append(
-                Vnf(
-                    sid=registry.sid(sid.address),
-                    behavior=behavior_from_spec(vnf_decl.behavior_spec, registry.sid_table),
-                    permission=vnf_decl.permission,
-                )
-            )
+            vnf_behavior = behavior(decl)
+            if vnf_behavior is not None:
+                hosted[sid.host_node].append(Vnf(sid_table[sid.address], vnf_behavior, decl.permission))
         rules: defaultdict[str, list[ClassifierRule]] = defaultdict(list)
         for rule in self.rules:
             rules[rule.node_id].append(ClassifierRule(rule.network, rule.chain_id))
         routes: defaultdict[str, list[tuple[IPv6Network, str]]] = defaultdict(list)
         for route in self.routes:
             routes[route.node_id].append((route.network, route.via))
-        nodes = [
-            Node(
-                node_id=decl.node_id,
-                role=decl.role,
-                addresses=decl.addresses,
-                hosted_vnfs=hosted[decl.node_id],
-                rules=rules[decl.node_id],
-                routing_table=routes[decl.node_id],
-            )
+        return [
+            Node(decl.node_id, decl.role, decl.addresses,
+                 hosted[decl.node_id], rules[decl.node_id], routes[decl.node_id])
             for decl in self.nodes
         ]
-        return build_network(nodes, list(self.links), registry, self.bench.units)
 
     def flow(self, count: int = 1, payload_size: int | None = None) -> FlowSpec:
         bench = self.bench
@@ -430,46 +433,40 @@ def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
 
 def _semantic_problems(config: ScenarioConfig) -> list[str]:
     problems: list[str] = []
-    node_ids = set()
-    for decl in config.nodes:
-        if decl.node_id in node_ids:
-            problems.append(f"duplicate node id {decl.node_id!r}")
-        node_ids.add(decl.node_id)
-    if not config.nodes:
-        problems.append("no nodes declared")
+    node_ids = {decl.node_id for decl in config.nodes}
 
-    links = {frozenset(pair) for pair in config.links}
-    for a, b in config.links:
-        for end in (a, b):
-            if end not in node_ids:
-                problems.append(f"link ({a}, {b}) references unknown node {end!r}")
-
-    sid_addresses = set()
+    sid_table: dict[IPv6Address, Sid] = {}
     for sid in config.sids:
-        if sid.address in sid_addresses:
+        if sid.address in sid_table:
             problems.append(f"duplicate SID declaration for {sid.address}")
-        sid_addresses.add(sid.address)
+        sid_table[sid.address] = sid
         if sid.host_node not in node_ids:
             problems.append(f"SID {sid.address} hosted on unknown node {sid.host_node!r}")
 
+    behaviors: dict[VnfDecl, Callable] = {}
     vnf_addresses = set()
     for vnf in config.vnfs:
-        if vnf.address not in sid_addresses:
+        sid = sid_table.get(vnf.address)
+        if vnf.address in vnf_addresses:
+            problems.append(f"duplicate VNF declaration for {vnf.address}")
+        elif sid is None:
             problems.append(f"VNF declared for unknown SID {vnf.address}")
+        elif sid.kind is SidKind.EGRESS_ENDPOINT:
+            problems.append(f"VNF declared for egress SID {vnf.address}")
         vnf_addresses.add(vnf.address)
         try:
-            behavior_from_spec(vnf.behavior_spec)
+            behaviors[vnf] = behavior_from_spec(vnf.behavior_spec)
         except (errors.SfcError, ValueError) as exc:
             problems.append(f"VNF {vnf.address}: bad behavior spec {vnf.behavior_spec!r} ({exc})")
 
     chain_ids = set()
     for chain in config.chains:
+        if chain.chain_id in chain_ids:
+            problems.append(f"duplicate chain id {chain.chain_id!r}")
         chain_ids.add(chain.chain_id)
         for address in chain.segments:
-            if address not in sid_addresses:
-                problems.append(
-                    f"chain {chain.chain_id!r} references undeclared SID {address}"
-                )
+            if address not in sid_table:
+                problems.append(f"chain {chain.chain_id!r} references undeclared SID {address}")
 
     for rule in config.rules:
         if rule.node_id not in node_ids:
@@ -480,15 +477,12 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
     for route in config.routes:
         if route.node_id not in node_ids:
             problems.append(f"route on unknown node {route.node_id!r}")
-        elif route.via not in node_ids:
-            problems.append(f"route on {route.node_id!r} via unknown node {route.via!r}")
-        elif frozenset((route.node_id, route.via)) not in links:
-            problems.append(
-                f"route on {route.node_id!r} via {route.via!r}: not a linked neighbor"
-            )
 
     if config.bench.flow_ingress is not None and config.bench.flow_ingress not in node_ids:
         problems.append(f"bench flow ingress {config.bench.flow_ingress!r} is not a node")
+
+    nodes = config._nodes(sid_table, behaviors.get)
+    problems.extend(str(p) for p in topology_problems(nodes, list(config.links), sid_table))
 
     if not problems:
         # Registry-level rules (egress-last, interface match, univocal

@@ -19,7 +19,7 @@ from functools import partial
 from ipaddress import IPv6Address, IPv6Network
 
 from srv6sfc import errors
-from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable
+from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable, Sid
 from srv6sfc.dataplane import (
     CostLedger,
     NfvNodeState,
@@ -140,57 +140,69 @@ class Network:
         )
 
 
+def topology_problems(
+    nodes: list[Node], links: list[tuple[str, str]], sid_table: dict[IPv6Address, Sid]
+) -> list[errors.SfcError]:
+    """Every topology fault, in check order, each as the error
+    ``build_network`` raises for it. Reads only node ids, roles, links,
+    routes, rules and each hosted VNF's SID."""
+    problems: list[errors.SfcError] = []
+    add = problems.append
+    if not nodes:
+        add(errors.InvalidTopology("a network needs at least one node"))
+    by_id: dict[str, Node] = {}
+    for node in nodes:
+        if node.node_id in by_id:
+            add(errors.InvalidTopology(f"duplicate node id {node.node_id!r}"))
+        by_id.setdefault(node.node_id, node)
+
+    link_set: set[frozenset[str]] = set()
+    for a, b in links:
+        for end in (a, b):
+            if end not in by_id:
+                add(errors.UnknownNodeRef(f"link ({a}, {b}) references unknown node {end!r}"))
+        if a == b:
+            add(errors.InvalidTopology(f"self-link on {a!r}"))
+        link_set.add(frozenset((a, b)))
+
+    for node_id, node in by_id.items():
+        for prefix, via in node.routing_table:
+            if via not in by_id:
+                add(errors.UnknownNodeRef(f"{node_id!r} routes {prefix} via unknown node {via!r}"))
+            elif frozenset((node_id, via)) not in link_set:
+                add(errors.UnreachableNextHop(
+                    f"{node_id!r} routes {prefix} via {via!r}, which is not a linked neighbor"
+                ))
+        for vnf in node.hosted_vnfs:
+            sid = vnf.sid
+            if sid.host_node != node_id:
+                add(errors.InvalidTopology(
+                    f"VNF {sid.address} declares host {sid.host_node!r} but lives on {node_id!r}"
+                ))
+            if sid.address not in sid_table:
+                add(errors.UnknownSid(f"hosted VNF SID {sid.address} not in the registry"))
+        if node.hosted_vnfs and node.role is not NodeRole.NFV_NODE:
+            add(errors.InvalidTopology(f"{node_id!r} hosts VNFs but is {node.role.value}"))
+        if node.rules and node.role not in (NodeRole.INGRESS_EDGE, NodeRole.EGRESS_EDGE):
+            add(errors.InvalidTopology(
+                f"{node_id!r} carries classifier rules but is {node.role.value}"
+            ))
+    return problems
+
+
 def build_network(
     nodes: list[Node],
     links: list[tuple[str, str]],
     registry: ChainRegistry,
     units: UnitCosts = UnitCosts(),
 ) -> Network:
-    """Assemble and validate a network; any dangling reference raises."""
-    if not nodes:
-        raise errors.InvalidTopology("a network needs at least one node")
-    by_id: dict[str, Node] = {}
-    for node in nodes:
-        if node.node_id in by_id:
-            raise errors.InvalidTopology(f"duplicate node id {node.node_id!r}")
-        by_id[node.node_id] = node
-
-    link_set: set[frozenset[str]] = set()
-    for a, b in links:
-        for end in (a, b):
-            if end not in by_id:
-                raise errors.UnknownNodeRef(f"link ({a}, {b}) references unknown node {end!r}")
-        if a == b:
-            raise errors.InvalidTopology(f"self-link on {a!r}")
-        link_set.add(frozenset((a, b)))
-
-    for node in by_id.values():
-        for network_prefix, next_hop in node.routing_table:
-            if next_hop not in by_id:
-                raise errors.UnknownNodeRef(
-                    f"{node.node_id!r} routes {network_prefix} via unknown node {next_hop!r}"
-                )
-            if frozenset((node.node_id, next_hop)) not in link_set:
-                raise errors.UnreachableNextHop(
-                    f"{node.node_id!r} routes {network_prefix} via {next_hop!r}, "
-                    f"which is not a linked neighbor"
-                )
-        for vnf in node.hosted_vnfs:
-            if vnf.sid.host_node != node.node_id:
-                raise errors.InvalidTopology(
-                    f"VNF {vnf.sid.address} declares host {vnf.sid.host_node!r} "
-                    f"but lives on {node.node_id!r}"
-                )
-            if vnf.sid.address not in registry.sid_table:
-                raise errors.UnknownSid(f"hosted VNF SID {vnf.sid.address} not in the registry")
-        if node.hosted_vnfs and node.role is not NodeRole.NFV_NODE:
-            raise errors.InvalidTopology(f"{node.node_id!r} hosts VNFs but is {node.role.value}")
-        if node.rules and node.role not in (NodeRole.INGRESS_EDGE, NodeRole.EGRESS_EDGE):
-            raise errors.InvalidTopology(
-                f"{node.node_id!r} carries classifier rules but is {node.role.value}"
-            )
-
-    return Network(by_id, link_set, registry, units)
+    """Assemble and validate a network; the first of its
+    ``topology_problems`` raises."""
+    problems = topology_problems(nodes, links, registry.sid_table)
+    if problems:
+        raise problems[0]
+    by_id = {node.node_id: node for node in nodes}
+    return Network(by_id, {frozenset(pair) for pair in links}, registry, units)
 
 
 # Walk outcomes ----------------------------------------------------------

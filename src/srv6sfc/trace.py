@@ -98,10 +98,6 @@ class Trace:
             detail = text
         self.events.append(TraceEvent(node, kind, detail))
 
-    @property
-    def terminated(self) -> bool:
-        return self._closed
-
     def to_jsonl(self) -> str:
         """One JSON object per event: uid, node, event, detail."""
         head = '{"uid":' + ("null" if self.uid is None else str(self.uid)) + ',"node":'

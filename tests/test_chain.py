@@ -103,10 +103,10 @@ def test_unregister_restores_prior_mapping():
     v1, v2 = addr(1), addr(2)
     registry = make_registry(unaware=(v1, v2))
     registry.register_chain(chain("keep", v1))
-    before = dict(registry.mapping)
+    before = dict(registry.returns)
     registry.register_chain(chain("gone", v2))
     registry.unregister_chain("gone")
-    assert registry.mapping == before
+    assert registry.returns == before
 
 
 def test_register_unknown_sid():
@@ -199,13 +199,13 @@ def test_bidirectional_reregistration_rolls_back_whole():
     west = VnfChain("west", (sids["v2w"], ER_WEST), ER, ChainDirection.WESTBOUND)
     registry.register_bidirectional(east, west)
     registry.register_chain(VnfChain("other", (sids["v1w"], ER_WEST), ER, ChainDirection.WESTBOUND))
-    before = (dict(registry.chains), dict(registry.mapping), dict(registry.returns))
+    before = (dict(registry.chains), dict(registry.returns))
     with pytest.raises(errors.UnivocalMappingViolation):
         registry.register_bidirectional(
             VnfChain("east", (v3e, ER), SRC, ChainDirection.EASTBOUND),
             VnfChain("west", (sids["v1w"], ER_WEST), ER, ChainDirection.WESTBOUND),
         )
-    assert (registry.chains, registry.mapping, registry.returns) == before
+    assert (registry.chains, registry.returns) == before
 
 
 def test_bidirectional_rollback_on_west_conflict():
@@ -224,10 +224,18 @@ def test_bidirectional_rollback_on_west_conflict():
 
 def assert_returns_match_reference(registry: ChainRegistry) -> None:
     """Each compiled entry equals mapped_chain -> next_after -> from_path,
-    and no key outlives its mapping."""
-    assert registry.returns.keys() == registry.mapping.keys()
+    and ``returns`` holds exactly the SR-unaware interfaces the registered
+    chains traverse."""
+    expected = {
+        (address, registry.sid_table[address].interface): c.chain_id
+        for c in registry.chains.values()
+        for address in c.segments
+        if registry.sid_table[address].kind is SidKind.SR_UNAWARE
+    }
+    assert registry.returns.keys() == expected.keys()
     for (address, interface), entry in registry.returns.items():
-        mapped = registry.chain(registry.mapped_chain(address, interface))
+        assert registry.mapped_chain(address, interface) == expected[address, interface]
+        mapped = registry.chain(expected[address, interface])
         n = len(mapped.segments)
         index = mapped.segments.index(address)
         srh = SegmentRoutingHeader.from_path(mapped.segments, segments_left=n - 2 - index)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from ipaddress import IPv6Address
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srv6sfc import errors
+from srv6sfc import cli, errors
 from srv6sfc.chain import VnfChain
 from srv6sfc.config import (
     _Collector,
@@ -88,6 +89,53 @@ BBBB::2 kind=sr-unaware node=nowhere
     assert any("duplicate node id" in p for p in problems)
     assert any("ghost" in p for p in problems)
     assert any("nowhere" in p for p in problems)
+
+
+# One faulty line each: ``validate`` refuses what ``run`` cannot build ----------
+
+_VNF_LINE = "BBBB::2 behavior=passthrough permission=insert-next-only\n"
+_CHAIN_LINE = "c1 segs=BBBB::2,CCCC::2 src=AAAA::2 direction=uni\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        pytest.param("nfv nfv-node addrs=", "nfv router addrs=",
+                     "'nfv' hosts VNFs but is router", id="nfv-as-router"),
+        pytest.param("BBBB::2 kind=sr-unaware node=nfv", "BBBB::2 kind=sr-unaware node=er2",
+                     "'er2' hosts VNFs but is egress-edge", id="vnf-on-egress-edge"),
+        pytest.param("[links]\n", "[links]\ner1 er1\n", "self-link on 'er1'", id="self-link"),
+        pytest.param("er1 DDDD::/64 chain=c1", "nfv DDDD::/64 chain=c1",
+                     "'nfv' carries classifier rules but is nfv-node", id="rule-on-nfv"),
+        pytest.param(_CHAIN_LINE, _CHAIN_LINE + "c1 segs=CCCC::2 src=AAAA::2\n",
+                     "duplicate chain id 'c1'", id="duplicate-chain"),
+        pytest.param(_VNF_LINE, _VNF_LINE + "BBBB::2 behavior=prefix-filter:DDDD::/64\n",
+                     "duplicate VNF declaration for bbbb::2", id="duplicate-vnf"),
+        pytest.param(_VNF_LINE, _VNF_LINE + "CCCC::2 behavior=passthrough\n",
+                     "VNF declared for egress SID cccc::2", id="vnf-on-egress-sid"),
+    ],
+)
+def test_faulty_testbed_edit_fails_every_command(
+    testbed_config_path, tmp_path, capsys, old, new, problem
+):
+    text = Path(testbed_config_path).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cfg = tmp_path / "faulty.cfg"
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(errors.ValidationError) as info:
+        load_config(cfg)
+    assert info.value.problems == [problem]
+
+    stderr = json.dumps({"error": "ValidationError", "detail": [problem]}) + "\n"
+    flow = ["--src", "EEEE::2", "--dst", "DDDD::2"]
+    for argv in (
+        ["validate", str(cfg)],
+        ["run", str(cfg), *flow],
+        ["bench", str(cfg), "--out", str(tmp_path / "bench-out")],
+        ["trace", str(cfg), *flow],
+    ):
+        assert cli.main(argv) == cli.EXIT_VALIDATION, argv
+        assert capsys.readouterr() == ("", stderr), argv
 
 
 def test_line_numbers_in_syntax_problems():

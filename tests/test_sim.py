@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import ER1, ER2, SINK, SRC, chain_testbed
 from srv6sfc import errors
-from srv6sfc.chain import ChainRegistry, Sid, SidKind, classify, longest_prefix_match
+from srv6sfc.chain import (
+    ChainRegistry,
+    ClassifierRule,
+    Sid,
+    SidKind,
+    classify,
+    longest_prefix_match,
+)
 from srv6sfc.config import load_config
 from srv6sfc.dataplane import PassThroughRouter, PayloadStamper, PrefixFilter, node_cost
 from srv6sfc.sim import (
@@ -27,6 +34,7 @@ from srv6sfc.sim import (
     flow_payload,
     inject,
     run_flow,
+    topology_problems,
 )
 from srv6sfc.trace import EventKind
 from srv6sfc.wire import serialize_packet, udp_packet
@@ -88,6 +96,37 @@ def test_build_rejects_misplaced_vnf():
     nodes = [Node("elsewhere", NodeRole.NFV_NODE, (IPv6Address("::1"),), hosted_vnfs=(vnf,))]
     with pytest.raises(errors.InvalidTopology):
         build_network(nodes, [], network.registry)
+
+
+def test_topology_problems_reports_every_fault():
+    network, _ = chain_testbed()
+    vnf = network.nodes["nfv"].hosted_vnfs[0]
+    nodes = [
+        Node("a", NodeRole.PLAIN_ROUTER, (IPv6Address("::1"),), hosted_vnfs=(vnf,),
+             routing_table=((IPv6Network("::/0"), "b"),)),
+        Node("a", NodeRole.PLAIN_ROUTER, (IPv6Address("::2"),)),
+        Node("b", NodeRole.NFV_NODE, (IPv6Address("::3"),),
+             rules=(ClassifierRule(IPv6Network("::/0"), "c1"),)),
+    ]
+    links = [("a", "a"), ("b", "ghost")]
+    problems = topology_problems(nodes, links, {})
+    assert [(type(p), str(p)) for p in problems] == [
+        (errors.InvalidTopology, "duplicate node id 'a'"),
+        (errors.InvalidTopology, "self-link on 'a'"),
+        (errors.UnknownNodeRef, "link (b, ghost) references unknown node 'ghost'"),
+        (errors.UnreachableNextHop, "'a' routes ::/0 via 'b', which is not a linked neighbor"),
+        (errors.InvalidTopology, "VNF bbbb::2 declares host 'nfv' but lives on 'a'"),
+        (errors.UnknownSid, "hosted VNF SID bbbb::2 not in the registry"),
+        (errors.InvalidTopology, "'a' hosts VNFs but is router"),
+        (errors.InvalidTopology, "'b' carries classifier rules but is nfv-node"),
+    ]
+    with pytest.raises(errors.InvalidTopology, match="^duplicate node id 'a'$"):
+        build_network(nodes, links, ChainRegistry())
+    assert [str(p) for p in topology_problems([], [("x", "y")], {})] == [
+        "a network needs at least one node",
+        "link (x, y) references unknown node 'x'",
+        "link (x, y) references unknown node 'y'",
+    ]
 
 
 def test_built_tables_agree_with_reference_lookups(testbed_config_path):
