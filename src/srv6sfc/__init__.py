@@ -13,11 +13,19 @@ dataplane
     the SR/VNF connector for both VNF kinds, and cost accounting.
 sim
     Deterministic topology and packet-walking engine.
+trace
+    Per-packet trace events and their JSON Lines export.
 bench
     Rate sweeps over a synthetic capacity model: success ratio,
     utilization, region labels and linear regression.
+config
+    The scenario file format: loading, validation, rendering, ``route
+    add``, and building a network from a validated config.
 cli
-    Config loader and the ``srv6sfc`` command surface.
+    The ``srv6sfc`` command surface.
+errors
+    The exception hierarchy; everything raised on purpose derives from
+    ``SfcError``.
 """
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from srv6sfc.bench import (
     regression_csv,
     run_sweep,
 )
-from srv6sfc.chain import ClassifierRule, SidKind, classify
+from srv6sfc.chain import SidKind
 from srv6sfc.config import ScenarioConfig, load_config, render_config, route_add
 from srv6sfc.dataplane import encapsulate
 from srv6sfc.sim import NodeRole, flow_payload, inject
@@ -244,9 +244,8 @@ def cmd_bench(args) -> int:
 
 def cmd_trace(args) -> int:
     config = load_config(args.config)
-    ingress = args.ingress or _default_ingress(config)
-    if ingress not in {node.node_id for node in config.nodes}:
-        raise errors.UnknownNodeRef(f"no node {ingress!r}")
+    network = config.build_network()
+    ingress = network.node(args.ingress or _default_ingress(config)).node_id
     inner = udp_packet(
         args.src,
         args.dst,
@@ -254,15 +253,11 @@ def cmd_trace(args) -> int:
         src_port=args.sport,
         dst_port=args.dport,
     )
-    registry = config.build_registry()
-    rules = [
-        ClassifierRule(r.network, r.chain_id) for r in config.rules if r.node_id == ingress
-    ]
-    chain_id = classify(rules, inner.header.dst)
+    chain_id = network.classifiers[ingress].lookup(inner.header.dst)
     packet = inner
     if chain_id is not None:
         try:
-            packet = encapsulate(inner, registry.chain(chain_id))
+            packet = encapsulate(inner, network.registry.chain(chain_id))
         except errors.OversizedPacket as exc:
             # Report the drop as `run` does: the Dropped event at the ingress.
             trace = Trace(0)

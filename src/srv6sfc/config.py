@@ -4,10 +4,11 @@ Sections hold one declaration per line; ``key=value`` tokens carry the
 details. The format is diff-friendly on purpose so scenario files can
 serve as golden fixtures. Loading validates everything up front and
 reports all problems at once, not just the first. This module checks the
-declarations: references between sections, duplicates, behavior specs
-and the bench flow. ``sim.topology_problems`` checks the topology the
-nodes form, the same check ``sim.build_network`` makes, and the
-``ChainRegistry`` checks the chains; so a config that loads always builds.
+declarations: references between sections, duplicates, ambiguous rules
+and routes, behavior specs and the bench flow. ``sim.topology_problems``
+checks the topology the nodes form, the same check ``sim.build_network``
+makes, and the ``ChainRegistry`` checks the chains; so a config that
+loads always builds.
 
     [nodes]    <id> <role> addrs=<addr,...>
     [links]    <id> <id>
@@ -31,10 +32,12 @@ instead of calling the pure-Python ``IPv6Address.__eq__``. A new text is
 parsed by the C ``socket.inet_pton`` rather than by ``ipaddress``;
 anything ``inet_pton`` refuses goes through ``IPv6Address(text)``, so
 scoped addresses (``fe80::1%eth0``) keep their scope id and every
-malformed token keeps the message ``ipaddress`` gives it. The registry
-that validation builds is kept on the config: ``build_network()`` and
-``build_registry()`` without a ``kind_override`` start from a copy of
-it instead of registering every SID and chain again.
+malformed token keeps the message ``ipaddress`` gives it.
+
+Validation is the one place a config becomes nodes: it parses each VNF
+behavior once and keeps the registry and the checked nodes on the
+config. A build copies the registry (or rebuilds it under
+``kind_override``) and binds new ``Vnf`` objects to its SIDs.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from dataclasses import dataclass, field, replace as dc_replace
 from ipaddress import AddressValueError, IPv6Address, IPv6Network, NetmaskValueError
 from pathlib import Path
 from socket import AF_INET6, inet_pton
-from typing import Callable
 
 from srv6sfc import errors
 from srv6sfc.bench import CapacityModel
@@ -67,7 +69,7 @@ from srv6sfc.dataplane import (
     Vnf,
     VnfPermission,
 )
-from srv6sfc.sim import FlowSpec, Network, Node, NodeRole, build_network, topology_problems
+from srv6sfc.sim import FlowSpec, Network, Node, NodeRole, topology_problems
 
 SECTION_ORDER = ("nodes", "links", "sids", "vnfs", "chains", "rules", "routes", "bench")
 
@@ -129,19 +131,35 @@ class ScenarioConfig:
     routes: tuple[RouteDecl, ...]
     bench: BenchSection = BenchSection()
     path: str = field(default="<memory>", compare=False)
-    # The registry validation built, set by ``_semantic_problems``. It is
-    # never handed out itself, only copied, so no two networks share one;
-    # ``dataclasses.replace`` resets it to None, so an edited config never
-    # carries the registry of the config it came from.
+    # What validation built, set by ``_semantic_problems``. Neither is handed
+    # out: builds copy them, and ``dataclasses.replace`` resets both.
     _registry: ChainRegistry | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    _checked_nodes: tuple[Node, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def build_registry(self, kind_override: SidKind | None = None) -> ChainRegistry:
-        """A fresh registry of the config's SIDs and chains; with
-        ``kind_override``, every non-egress SID takes that kind."""
-        if kind_override is None and self._registry is not None:
+        """A fresh registry of the config's SIDs and chains, validated first
+        if need be; with ``kind_override``, non-egress SIDs take that kind."""
+        if self._registry is None:
+            problems = _semantic_problems(self)
+            if problems:
+                raise errors.ValidationError(problems)
+        if kind_override is None:
             return self._registry.copy()
+        return self._new_registry(kind_override)
+
+    def build_network(self, kind_override: SidKind | None = None) -> Network:
+        """The checked nodes, with their own registry and ``Vnf`` objects."""
+        registry = self.build_registry(kind_override)
+        nodes = {}
+        for node in self._checked_nodes:
+            vnfs = [Vnf(registry.sid(v.sid.address), v.behavior, v.permission) for v in node.hosted_vnfs]
+            nodes[node.node_id] = dc_replace(node, hosted_vnfs=vnfs)
+        return Network(nodes, {frozenset(pair) for pair in self.links}, registry, self.bench.units)
+
+    def _new_registry(self, kind_override: SidKind | None = None) -> ChainRegistry:
+        """A registry of the config's SIDs and chains, built from scratch."""
         registry = ChainRegistry()
         for sid in self.sids:
             if kind_override is not None and sid.kind is not SidKind.EGRESS_ENDPOINT:
@@ -151,40 +169,7 @@ class ScenarioConfig:
             registry.register_chain(chain)
         return registry
 
-    def build_network(self, kind_override: SidKind | None = None) -> Network:
-        registry = self.build_registry(kind_override)
-        table = registry.sid_table
-        nodes = self._nodes(table, lambda decl: behavior_from_spec(decl.behavior_spec, table))
-        return build_network(nodes, list(self.links), registry, self.bench.units)
-
-    def _nodes(self, sid_table: dict[IPv6Address, Sid], behavior: Callable) -> list[Node]:
-        """The declared nodes with their hosted VNFs, rules and routes. A
-        VNF takes its ``Sid`` from ``sid_table`` and its behavior from
-        ``behavior(decl)``, and is left out where that is None.
-        Declarations on undeclared nodes are dropped."""
-        vnf_decls = {decl.address: decl for decl in self.vnfs}
-        # Per-node groups in declaration order, each filled in one pass.
-        hosted: defaultdict[str, list[Vnf]] = defaultdict(list)
-        for sid in self.sids:
-            decl = vnf_decls.get(sid.address)
-            if decl is None or sid.kind is SidKind.EGRESS_ENDPOINT:
-                continue
-            vnf_behavior = behavior(decl)
-            if vnf_behavior is not None:
-                hosted[sid.host_node].append(Vnf(sid_table[sid.address], vnf_behavior, decl.permission))
-        rules: defaultdict[str, list[ClassifierRule]] = defaultdict(list)
-        for rule in self.rules:
-            rules[rule.node_id].append(ClassifierRule(rule.network, rule.chain_id))
-        routes: defaultdict[str, list[tuple[IPv6Network, str]]] = defaultdict(list)
-        for route in self.routes:
-            routes[route.node_id].append((route.network, route.via))
-        return [
-            Node(decl.node_id, decl.role, decl.addresses,
-                 hosted[decl.node_id], rules[decl.node_id], routes[decl.node_id])
-            for decl in self.nodes
-        ]
-
-    def flow(self, count: int = 1, payload_size: int | None = None) -> FlowSpec:
+    def flow(self) -> FlowSpec:
         bench = self.bench
         if bench.flow_src is None or bench.flow_dst is None or bench.flow_ingress is None:
             raise errors.ValidationError(
@@ -194,8 +179,7 @@ class ScenarioConfig:
             ingress=bench.flow_ingress,
             src=bench.flow_src,
             dst=bench.flow_dst,
-            count=count,
-            payload_size=bench.payload if payload_size is None else payload_size,
+            payload_size=bench.payload,
         )
 
 
@@ -352,8 +336,6 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             )
         elif section == "bench":
             _parse_bench_line(collector, tokens)
-        else:
-            raise ValueError(f"unknown section [{section}]")
     except (KeyError, ValueError, AddressValueError, NetmaskValueError, errors.SfcError) as exc:
         detail = str(exc) or type(exc).__name__
         if isinstance(exc, KeyError):
@@ -443,7 +425,8 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
         if sid.host_node not in node_ids:
             problems.append(f"SID {sid.address} hosted on unknown node {sid.host_node!r}")
 
-    behaviors: dict[VnfDecl, Callable] = {}
+    # Each node's VNFs, rules and routes; those on undeclared nodes are left out.
+    hosted: defaultdict[str, list[Vnf]] = defaultdict(list)
     vnf_addresses = set()
     for vnf in config.vnfs:
         sid = sid_table.get(vnf.address)
@@ -455,9 +438,12 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
             problems.append(f"VNF declared for egress SID {vnf.address}")
         vnf_addresses.add(vnf.address)
         try:
-            behaviors[vnf] = behavior_from_spec(vnf.behavior_spec)
+            behavior = behavior_from_spec(vnf.behavior_spec, sid_table)
         except (errors.SfcError, ValueError) as exc:
             problems.append(f"VNF {vnf.address}: bad behavior spec {vnf.behavior_spec!r} ({exc})")
+            continue
+        if sid is not None and sid.kind is not SidKind.EGRESS_ENDPOINT:
+            hosted[sid.host_node].append(Vnf(sid, behavior, vnf.permission))
 
     chain_ids = set()
     for chain in config.chains:
@@ -468,31 +454,44 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
             if address not in sid_table:
                 problems.append(f"chain {chain.chain_id!r} references undeclared SID {address}")
 
+    # On a node, a prefix has one chain and one next hop; exact repeats are fine.
+    rules: defaultdict[str, dict[IPv6Network, str]] = defaultdict(dict)
     for rule in config.rules:
         if rule.node_id not in node_ids:
             problems.append(f"rule on unknown node {rule.node_id!r}")
         if rule.chain_id not in chain_ids:
             problems.append(f"rule for unknown chain {rule.chain_id!r}")
+        if rules[rule.node_id].setdefault(rule.network, rule.chain_id) != rule.chain_id:
+            problems.append(f"duplicate rule declaration for {rule.network} on {rule.node_id!r}")
 
+    routes: defaultdict[str, dict[IPv6Network, str]] = defaultdict(dict)
     for route in config.routes:
         if route.node_id not in node_ids:
             problems.append(f"route on unknown node {route.node_id!r}")
+        if routes[route.node_id].setdefault(route.network, route.via) != route.via:
+            problems.append(f"duplicate route declaration for {route.network} on {route.node_id!r}")
 
     if config.bench.flow_ingress is not None and config.bench.flow_ingress not in node_ids:
         problems.append(f"bench flow ingress {config.bench.flow_ingress!r} is not a node")
 
-    nodes = config._nodes(sid_table, behaviors.get)
+    nodes = [
+        Node(decl.node_id, decl.role, decl.addresses, hosted[decl.node_id],
+             [ClassifierRule(*rule) for rule in rules[decl.node_id].items()],
+             routes[decl.node_id].items())
+        for decl in config.nodes
+    ]
     problems.extend(str(p) for p in topology_problems(nodes, list(config.links), sid_table))
 
     if not problems:
         # Registry-level rules (egress-last, interface match, univocal
         # mapping) only make sense once the references resolve.
         try:
-            registry = config.build_registry()
+            registry = config._new_registry()
         except errors.SfcError as exc:
             problems.append(f"{type(exc).__name__}: {exc}")
         else:
             object.__setattr__(config, "_registry", registry)
+            object.__setattr__(config, "_checked_nodes", tuple(nodes))
     return problems
 
 

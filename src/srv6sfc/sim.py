@@ -120,9 +120,6 @@ class Network:
         except KeyError:
             raise errors.UnknownNodeRef(f"no node {node_id!r}") from None
 
-    def linked(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.links
-
     def local_addresses(self, node_id: str) -> frozenset[IPv6Address]:
         return self._local[node_id]
 

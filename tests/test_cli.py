@@ -195,6 +195,25 @@ def test_route_add_bad_prefix(testbed_config_path, capsys):
     assert json.loads(err)["error"] == "BadPrefix"
 
 
+def test_route_add_for_a_steered_prefix_is_refused(testbed_config_path, tmp_path, capsys):
+    # As in Linux ("File exists"): DDDD::/64 is already steered through c1,
+    # so a second rule for it on er1 would be ambiguous.
+    cfg = tmp_path / "testbed.cfg"
+    text = Path(testbed_config_path).read_text(encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(
+        ["route", "add", "DDDD::2/64", "via", "AAAA::1", "encap", "seg", "CCCC::2",
+         "--config", str(cfg), "--in-place"],
+        capsys,
+    )
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "detail": ["duplicate rule declaration for dddd::/64 on 'er1'"],
+    }
+    assert cfg.read_text(encoding="utf-8") == text
+
+
 def test_route_add_malformed_tokens(testbed_config_path, capsys):
     code, _, err = run_cli(
         ["route", "add", "FFFF::/64", "through", "AAAA::1", "encap", "seg", "CCCC::2",

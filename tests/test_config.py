@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from ipaddress import IPv6Address
+from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srv6sfc import cli, errors
-from srv6sfc.chain import VnfChain
+from srv6sfc import cli, errors, sim
+from srv6sfc import config as config_module
+from srv6sfc.chain import SidKind, VnfChain
 from srv6sfc.config import (
+    RuleDecl,
     _Collector,
     behavior_from_spec,
     load_config,
@@ -95,6 +97,8 @@ BBBB::2 kind=sr-unaware node=nowhere
 
 _VNF_LINE = "BBBB::2 behavior=passthrough permission=insert-next-only\n"
 _CHAIN_LINE = "c1 segs=BBBB::2,CCCC::2 src=AAAA::2 direction=uni\n"
+_RULES = _CHAIN_LINE + "\n[rules]\ner1 DDDD::/64 chain=c1\n"
+_ROUTE_LINE = "nfv DDDD::/64 via er2\n"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +117,11 @@ _CHAIN_LINE = "c1 segs=BBBB::2,CCCC::2 src=AAAA::2 direction=uni\n"
                      "duplicate VNF declaration for bbbb::2", id="duplicate-vnf"),
         pytest.param(_VNF_LINE, _VNF_LINE + "CCCC::2 behavior=passthrough\n",
                      "VNF declared for egress SID cccc::2", id="vnf-on-egress-sid"),
+        pytest.param(_RULES, _RULES.replace("\n\n", "\nc2 segs=CCCC::2 src=AAAA::2\n\n")
+                     + "er1 DDDD::/64 chain=c2\n",
+                     "duplicate rule declaration for dddd::/64 on 'er1'", id="ambiguous-rule"),
+        pytest.param(_ROUTE_LINE, _ROUTE_LINE + "nfv DDDD::/64 via er1\n",
+                     "duplicate route declaration for dddd::/64 on 'nfv'", id="ambiguous-route"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -133,9 +142,22 @@ def test_faulty_testbed_edit_fails_every_command(
         ["run", str(cfg), *flow],
         ["bench", str(cfg), "--out", str(tmp_path / "bench-out")],
         ["trace", str(cfg), *flow],
+        ["route", "add", "FFFF::/64", "via", "AAAA::1", "encap", "seg", "CCCC::2",
+         "--config", str(cfg)],
     ):
         assert cli.main(argv) == cli.EXIT_VALIDATION, argv
         assert capsys.readouterr() == ("", stderr), argv
+
+
+def test_exact_repeated_rule_and_route_lines_are_accepted(testbed_config_path):
+    text = Path(testbed_config_path).read_text(encoding="utf-8")
+    text = text.replace("er1 DDDD::/64 chain=c1\n", "er1 DDDD::/64 chain=c1\n" * 2)
+    # The prefix is compared, not its text.
+    config = parse_config_text(text.replace(_ROUTE_LINE, _ROUTE_LINE + "nfv dddd::1/64 via er2\n"))
+    assert len(config.rules) == 2 and len(config.routes) == 10
+    network = config.build_network()
+    assert len(network.node("er1").rules) == 1
+    assert len(network.node("nfv").routing_table) == 4
 
 
 def test_line_numbers_in_syntax_problems():
@@ -218,9 +240,23 @@ def test_edited_config_builds_its_own_registry(testbed_config_path):
     assert "direct" in edited.build_network().registry.chains
 
 
-def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
-    text = Path(testbed_config_path).read_text(encoding="utf-8")
-    text = text.replace(
+def test_edited_config_is_validated_on_its_first_build(testbed_config_path):
+    config = load_config(testbed_config_path)
+    rule = RuleDecl("ghost", IPv6Network("FFFF::/64"), "nochain")
+    for build in ("build_registry", "build_network"):
+        for kind in (None, SidKind.SR_AWARE):
+            edited = replace(config, rules=config.rules + (rule,))
+            with pytest.raises(errors.ValidationError) as info:
+                getattr(edited, build)(kind_override=kind)
+            assert info.value.problems == [
+                "rule on unknown node 'ghost'", "rule for unknown chain 'nochain'"
+            ]
+
+
+def _editor_testbed(path) -> str:
+    """The testbed with three SR-aware chain editors on the NFV node."""
+    text = Path(path).read_text(encoding="utf-8")
+    return text.replace(
         "CCCC::2 kind=egress node=er2\n",
         "CCCC::2 kind=egress node=er2\n"
         "BBBB::3 kind=sr-aware node=nfv\n"
@@ -233,7 +269,10 @@ def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
         "BBBB::5 behavior=chain-editor:replace:bbbb:0:0::2+FFFF::1+CCCC::2\n"
         "\n[chains]\n",
     )
-    network = parse_config_text(text).build_network()
+
+
+def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
+    network = parse_config_text(_editor_testbed(testbed_config_path)).build_network()
     keys = {address: address for address in network.registry.sid_table}
     edits = [vnf.behavior.edit for vnf in network.connector_state("nfv").vnfs.values()
              if isinstance(vnf.behavior, ChainEditor)]
@@ -243,6 +282,42 @@ def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
     assert all(sid is keys[sid] for sid in registered)
     # An unregistered SID is kept as parsed; the walk refuses it later.
     assert IPv6Address("FFFF::1") in edits[2].sids
+
+
+def test_config_is_checked_once_and_each_build_is_fresh(tmp_path, testbed_config_path, monkeypatch):
+    calls = {"behavior_from_spec": 0, "topology_problems": 0}
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls[function.__name__] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config_module, "behavior_from_spec", counted(behavior_from_spec))
+    topology = counted(sim.topology_problems)
+    monkeypatch.setattr(config_module, "topology_problems", topology)
+    monkeypatch.setattr(sim, "topology_problems", topology)
+    cfg = tmp_path / "editors.cfg"
+    cfg.write_text(_editor_testbed(testbed_config_path), encoding="utf-8")
+    config = load_config(cfg)
+    checked = {"behavior_from_spec": 4, "topology_problems": 1}
+    assert len(config.vnfs) == 4 and calls == checked
+    networks = [
+        config.build_network(),
+        config.build_network(),
+        config.build_network(kind_override=SidKind.SR_AWARE),
+    ]
+    assert calls == checked
+    assert len({id(network.registry) for network in networks}) == 3
+    vnfs = [
+        (network, vnf)
+        for network in networks
+        for vnf in network.connector_state("nfv").vnfs.values()
+    ]
+    assert len({id(vnf) for _, vnf in vnfs}) == len(vnfs) == 12
+    # Each network's VNFs carry that network's own SIDs.
+    assert all(vnf.sid is network.registry.sid(vnf.sid.address) for network, vnf in vnfs)
+    assert networks[2].connector_state("nfv").vnfs[IPv6Address("BBBB::2")].sid.kind is SidKind.SR_AWARE
 
 
 # Address parsing: ``_Collector.address`` against ``IPv6Address(text)`` ------------
