@@ -390,11 +390,11 @@ def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
             section = line[1:-1].strip()
             if section not in SECTION_ORDER:
                 collector.problem(line_no, f"unknown section [{section}]")
-                section = None
             continue
         if section is None:
             raise errors.ParseError(f"declaration before any section: {line!r}", line_no)
-        _parse_line(collector, section, line_no, line)
+        if section in SECTION_ORDER:  # an unknown section's lines are skipped
+            _parse_line(collector, section, line_no, line)
 
     config = ScenarioConfig(
         nodes=tuple(collector.nodes),

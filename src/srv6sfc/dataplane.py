@@ -16,10 +16,10 @@ registered, not per packet: each ``VnfChain`` carries its encapsulation
 SRH, and ``ChainRegistry.returns`` holds, per mapped SR-unaware
 interface, the chain, the successor segment and the SRH to re-encapsulate
 with. The per-packet rewrites (advance, decapsulate, edit, re-encapsulate)
-build the slotted ``Packet``/``Ipv6Header``/``SegmentRoutingHeader``
-directly and carry ``uid`` along. Any rewrite whose outer payload would
-pass 65,535 B raises :class:`errors.OversizedPacket`; the connector turns
-that into a drop at the node.
+build the ``Packet`` and the header tuples directly (``tuple.__new__``,
+every field in order) and carry ``uid`` along. Any rewrite whose outer
+payload would pass 65,535 B raises :class:`errors.OversizedPacket`; the
+connector turns that into a drop at the node.
 
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
 per decapsulation and ``e`` per re-encapsulation (``node_cost``). In one
@@ -296,10 +296,10 @@ def _outer_packet(
 ) -> Packet:
     """A fresh SR-encapsulated packet: default hop limit, zero traffic
     class and flow label."""
-    header = Ipv6Header(
+    header = tuple.__new__(Ipv6Header, (
         6, 0, 0, _payload_length(srh, payload, what), wire.NEXT_HEADER_ROUTING,
         wire.DEFAULT_HOP_LIMIT, src, dst,
-    )
+    ))
     return Packet(header, srh, payload, uid)
 
 
@@ -333,14 +333,14 @@ def advance_segment(packet: Packet) -> Packet:
         raise errors.AlreadyAtLastSegment("segments_left is already 0")
     segments_left = srh.segments_left - 1
     h = packet.header
-    header = Ipv6Header(
+    header = tuple.__new__(Ipv6Header, (
         h.version, h.traffic_class, h.flow_label, h.payload_length, h.next_header,
         h.hop_limit, h.src, srh.segment_list[segments_left],
-    )
-    srh = SegmentRoutingHeader(
+    ))
+    srh = tuple.__new__(SegmentRoutingHeader, (
         srh.next_header, srh.hdr_ext_len, srh.routing_type, segments_left,
         srh.last_entry, srh.flags, srh.tag, srh.segment_list,
-    )
+    ))
     return Packet(header, srh, packet.payload, packet.uid)
 
 
@@ -389,15 +389,15 @@ def apply_edit(
     walked = srh.segment_list[srh.segments_left + 1 :]
     segment_list = tuple(reversed(new_remaining)) + walked
     n = len(segment_list)
-    srh = SegmentRoutingHeader(
+    srh = tuple.__new__(SegmentRoutingHeader, (
         srh.next_header, 2 * n, srh.routing_type, len(new_remaining) - 1, n - 1,
         srh.flags, srh.tag, segment_list,
-    )
+    ))
     h = packet.header
-    header = Ipv6Header(
+    header = tuple.__new__(Ipv6Header, (
         h.version, h.traffic_class, h.flow_label, _payload_length(srh, packet.payload, "edited"),
         h.next_header, h.hop_limit, h.src, new_remaining[0],
-    )
+    ))
     return Packet(header, srh, packet.payload, packet.uid)
 
 
@@ -429,12 +429,12 @@ def egress_process(packet: Packet) -> Packet:
 
 @dataclass
 class NfvNodeState:
-    """Everything the connector needs about its node: hosted VNFs by SID
-    address, the shared registry, the node's ledger, and an optional
-    next-hop resolver used to name egress ports."""
+    """Everything the connector needs about its node: hosted VNFs by
+    ``int`` of their SID address, the shared registry, the node's ledger,
+    and an optional next-hop resolver used to name egress ports."""
 
     node_id: str
-    vnfs: dict[IPv6Address, Vnf]
+    vnfs: dict[int, Vnf]
     registry: ChainRegistry
     ledger: CostLedger
     route: Callable[[IPv6Address], str | None] | None = None
@@ -461,7 +461,7 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
     """
     if packet.srh is None:
         raise errors.NoSrh("connector requires an SR-encapsulated packet")
-    vnf = state.vnfs.get(packet.header.dst)
+    vnf = state.vnfs.get(int(packet.header.dst))
     if vnf is None:
         raise errors.UnknownSid(f"{packet.header.dst} is not hosted on {state.node_id!r}")
 
@@ -497,7 +497,7 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                     current = action.packet
                 if current.srh is None:
                     raise errors.NoSrh(f"SR-aware VNF {sid.address} must preserve the SRH")
-                next_vnf = state.vnfs.get(current.header.dst)
+                next_vnf = state.vnfs.get(int(current.header.dst))
                 if next_vnf is not None:
                     vnf = next_vnf  # direct resend toward the next local VNF
                     continue
@@ -524,7 +524,7 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                 plain = action.packet
                 f += 1  # return leg to the connector
                 successor = state.registry.unaware_return(sid).successor
-                next_vnf = state.vnfs.get(successor)
+                next_vnf = state.vnfs.get(int(successor))
                 if next_vnf is not None and next_vnf.sid.kind is SidKind.SR_UNAWARE:
                     vnf = next_vnf  # plain hand-off, no strip/rebuild in between
                     continue
@@ -535,7 +535,7 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                 e += 1
                 emit(EventKind.RE_ENCAPSULATED, current.header.dst)
                 plain = None
-                next_vnf = state.vnfs.get(current.header.dst)
+                next_vnf = state.vnfs.get(int(current.header.dst))
                 if next_vnf is not None:
                     vnf = next_vnf  # mixed chain: aware VNF next door
                     continue

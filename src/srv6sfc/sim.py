@@ -70,7 +70,8 @@ class Network:
 
     Each node's routes and classifier rules are compiled into prefix
     tables (``fib``, ``classifiers``) at construction, so a Node's
-    ``routing_table`` and ``rules`` must not change afterwards.
+    ``routing_table`` and ``rules`` must not change afterwards. Local
+    addresses and hosted VNFs are keyed by ``int(address)``, like them.
     ``address_text`` is the traces' address-text memo (see
     ``srv6sfc.trace``); it fills as events are kept, not at construction,
     and holds at most ``address_limit`` entries: the number of addresses
@@ -89,7 +90,7 @@ class Network:
         self.registry = registry
         self.units = units
         self.ledgers: dict[str, CostLedger] = {}
-        self._local: dict[str, frozenset[IPv6Address]] = {}
+        self._local: dict[str, frozenset[int]] = {}
         self._states: dict[str, NfvNodeState] = {}
         self._next_uid = 0
         self.address_text: dict[object, str] = {}
@@ -102,16 +103,11 @@ class Network:
         }
         for node in nodes.values():
             ledger = self.ledgers[node.node_id] = CostLedger(units)
-            self._local[node.node_id] = frozenset(node.addresses) | frozenset(
-                vnf.sid.address for vnf in node.hosted_vnfs
-            )
-            if node.hosted_vnfs:
+            vnfs = {int(vnf.sid.address): vnf for vnf in node.hosted_vnfs}
+            self._local[node.node_id] = frozenset(map(int, node.addresses)).union(vnfs)
+            if vnfs:
                 self._states[node.node_id] = NfvNodeState(
-                    node_id=node.node_id,
-                    vnfs={vnf.sid.address: vnf for vnf in node.hosted_vnfs},
-                    registry=registry,
-                    ledger=ledger,
-                    route=self.fib[node.node_id].lookup,
+                    node.node_id, vnfs, registry, ledger, route=self.fib[node.node_id].lookup
                 )
 
     def node(self, node_id: str) -> Node:
@@ -119,9 +115,6 @@ class Network:
             return self.nodes[node_id]
         except KeyError:
             raise errors.UnknownNodeRef(f"no node {node_id!r}") from None
-
-    def local_addresses(self, node_id: str) -> frozenset[IPv6Address]:
-        return self._local[node_id]
 
     def connector_state(self, node_id: str) -> NfvNodeState | None:
         return self._states.get(node_id)
@@ -230,15 +223,12 @@ class InjectResult:
         return isinstance(self.outcome, Delivered)
 
 
-def _decrement_hop(packet: Packet) -> Packet | None:
-    """One inter-node hop: None when the hop limit is exhausted."""
+def _with_hop_limit(packet: Packet, hop_limit: int) -> Packet:
+    """``packet`` carrying ``hop_limit``; the same object if it already does."""
     h = packet.header
-    if h.hop_limit <= 1:
-        return None
-    header = Ipv6Header(
-        h.version, h.traffic_class, h.flow_label, h.payload_length, h.next_header,
-        h.hop_limit - 1, h.src, h.dst,
-    )
+    if h.hop_limit == hop_limit:
+        return packet
+    header = tuple.__new__(Ipv6Header, (*h[:5], hop_limit, *h[6:]))
     return Packet(header, packet.srh, packet.payload, packet.uid)
 
 
@@ -288,7 +278,9 @@ def _walk(
     forwarded: dict[str, int],
 ) -> Delivered | Dropped:
     """``inject``'s walk: fills ``costs`` with connector passes and
-    ``forwarded`` with plain forwards, per node."""
+    ``forwarded`` with plain forwards, per node. A plain hop decrements
+    ``hop`` only; the packet gets it back before the connector, egress or
+    delivery, and ``hop`` restarts from each packet they hand back."""
     chain_id = network.classifiers[node.node_id].lookup(packet.header.dst)
     if chain_id is not None:
         trace.add(node.node_id, EventKind.CLASSIFIED, chain_id)
@@ -299,6 +291,7 @@ def _walk(
             return Dropped(node.node_id, str(exc))
         trace.add(node.node_id, EventKind.ENCAPSULATED, packet.header.dst)
 
+    hop = packet.header.hop_limit
     visits = 0
     while True:
         visits += 1
@@ -307,24 +300,30 @@ def _walk(
             return Dropped(node.node_id, "node visit budget exceeded")
 
         node_id = node.node_id
+        dst = packet.header.dst
+        key = int(dst)
         state = network.connector_state(node_id)
-        if packet.srh is not None and state is not None and packet.header.dst in state.vnfs:
+        if packet.srh is not None and state is not None and key in state.vnfs:
+            packet = _with_hop_limit(packet, hop)
             result = connector_process(state, packet, emit=partial(trace.add, node_id))
             _add_cost(costs, node_id, result.cost)
             if result.dropped:
                 return Dropped(node_id, result.drop_reason or "dropped")
             (packet, next_hop), = result.outputs
-            if next_hop is None and packet.header.dst in network.local_addresses(node_id):
+            hop = packet.header.hop_limit
+            if next_hop is None and int(packet.header.dst) in network._local[node_id]:
                 continue
-        elif packet.header.dst in network.local_addresses(node_id):
+        elif key in network._local[node_id]:
+            packet = _with_hop_limit(packet, hop)
             if packet.is_encapsulated:
                 packet = egress_process(packet)
+                hop = packet.header.hop_limit
                 trace.add(node_id, EventKind.DECAPSULATED, None)
                 continue
-            trace.add(node_id, EventKind.DELIVERED, packet.header.dst)
+            trace.add(node_id, EventKind.DELIVERED, dst)
             return Delivered(packet, node_id)
         else:
-            next_hop = network.fib[node_id].lookup(packet.header.dst)
+            next_hop = network.fib[node_id].lookup(dst)
             if next_hop is not None:
                 forwarded[node_id] = forwarded.get(node_id, 0) + 1  # plain router cost
 
@@ -332,11 +331,10 @@ def _walk(
             reason = f"no route to {packet.header.dst}"
             trace.add(node_id, EventKind.DROPPED, reason)
             return Dropped(node_id, reason)
-        nxt = _decrement_hop(packet)
-        if nxt is None:
+        if hop <= 1:
             trace.add(node_id, EventKind.DROPPED, "hop limit exceeded")
             return Dropped(node_id, "hop limit exceeded")
-        packet = nxt
+        hop -= 1
         trace.add(node_id, EventKind.FORWARDED, next_hop)
         node = network.node(next_hop)
 

@@ -47,16 +47,10 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
     if n > total:
         raise errors.TrailingBytes(f"{n - total} bytes beyond the declared packet")
 
-    header = Ipv6Header(
-        version=6,
-        traffic_class=traffic_class,
-        flow_label=flow_label,
-        payload_length=payload_length,
-        next_header=next_header,
-        hop_limit=hop_limit,
-        src=IPv6Address(b[8:24]),
-        dst=IPv6Address(b[24:40]),
-    )
+    header = tuple.__new__(Ipv6Header, (
+        6, traffic_class, flow_label, payload_length, next_header, hop_limit,
+        IPv6Address(b[8:24]), IPv6Address(b[24:40]),
+    ))
 
     srh = None
     offset = IPV6_HEADER_LEN
@@ -90,16 +84,10 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
             IPv6Address(b[seg_base + i * SEGMENT_LEN : seg_base + (i + 1) * SEGMENT_LEN])
             for i in range(seg_count)
         )
-        srh = SegmentRoutingHeader(
-            next_header=b[offset],
-            hdr_ext_len=hdr_ext_len,
-            routing_type=routing_type,
-            segments_left=segments_left,
-            last_entry=last_entry,
-            flags=b[offset + 5],
-            tag=(b[offset + 6] << 8) | b[offset + 7],
-            segment_list=segment_list,
-        )
+        srh = tuple.__new__(SegmentRoutingHeader, (
+            b[offset], hdr_ext_len, routing_type, segments_left, last_entry,
+            b[offset + 5], (b[offset + 6] << 8) | b[offset + 7], segment_list,
+        ))
         offset += srh_len
 
     return Packet(header=header, srh=srh, payload=b[offset:total])

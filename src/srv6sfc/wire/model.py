@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv6Address
+from typing import NamedTuple
 
 from srv6sfc import errors
 
@@ -29,8 +30,7 @@ DEFAULT_HOP_LIMIT = 64
 MAX_PAYLOAD_LEN = 0xFFFF
 
 
-@dataclass(frozen=True, slots=True)
-class Ipv6Header:
+class Ipv6Header(NamedTuple):
     """Fixed 40-byte IPv6 header.
 
      0 1 2 3 4 5 6 7 0 1 2 3 4 5 6 7 0 1 2 3 4 5 6 7 0 1 2 3 4 5 6 7
@@ -45,7 +45,7 @@ class Ipv6Header:
     +-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+
 
     ``payload_length`` counts everything after these 40 bytes, including
-    any extension header.
+    any extension header. Immutable; edit with ``_replace``.
     """
 
     version: int
@@ -58,8 +58,7 @@ class Ipv6Header:
     dst: IPv6Address
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentRoutingHeader:
+class SegmentRoutingHeader(NamedTuple):
     """Routing extension header of type 4 carrying the segment list.
 
      0 1 2 3 4 5 6 7 0 1 2 3 4 5 6 7 0 1 2 3 4 5 6 7 0 1 2 3 4 5 6 7
@@ -76,6 +75,7 @@ class SegmentRoutingHeader:
     ``hdr_ext_len`` is in 8-octet units excluding the first 8 octets, so
     it equals ``2 * len(segment_list)``. TLVs are not supported; the
     length law is exact. ``flags`` and ``tag`` are carried opaquely.
+    Immutable, so one instance can be shared by every packet of a chain.
     """
 
     next_header: int

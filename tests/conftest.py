@@ -177,6 +177,21 @@ def chain_testbed(
     return network, chain
 
 
+def router_line(routers: int, owner: IPv6Address = SINK) -> Network:
+    """r0 -> r1 -> ... a line of plain routers; the last one owns ``owner``
+    and every other routes everything one step on."""
+    last = routers - 1
+    nodes = [
+        Node(
+            f"r{i}", NodeRole.PLAIN_ROUTER, (owner,) if i == last else (),
+            routing_table=((IPv6Network("::/0"), f"r{i + 1}"),) if i < last else (),
+        )
+        for i in range(routers)
+    ]
+    links = [(f"r{i}", f"r{i + 1}") for i in range(last)]
+    return build_network(nodes, links, ChainRegistry())
+
+
 @pytest.fixture
 def testbed_config_path():
     from importlib.resources import files

@@ -99,6 +99,16 @@ _VNF_LINE = "BBBB::2 behavior=passthrough permission=insert-next-only\n"
 _CHAIN_LINE = "c1 segs=BBBB::2,CCCC::2 src=AAAA::2 direction=uni\n"
 _RULES = _CHAIN_LINE + "\n[rules]\ner1 DDDD::/64 chain=c1\n"
 _ROUTE_LINE = "nfv DDDD::/64 via er2\n"
+# What a testbed whose [links] header is misspelt reports after the
+# unknown section: every route now names a neighbor it has no link to.
+_UNLINKED = [
+    f"{node!r} routes {prefix}::/64 via {via!r}, which is not a linked neighbor"
+    for node, prefix, via in (
+        ("er1", "bbbb", "nfv"), ("er1", "cccc", "nfv"), ("er1", "dddd", "nfv"),
+        ("nfv", "aaaa", "er1"), ("nfv", "eeee", "er1"), ("nfv", "cccc", "er2"),
+        ("nfv", "dddd", "er2"), ("er2", "aaaa", "nfv"), ("er2", "eeee", "nfv"),
+    )
+]
 
 
 @pytest.mark.parametrize(
@@ -122,6 +132,8 @@ _ROUTE_LINE = "nfv DDDD::/64 via er2\n"
                      "duplicate rule declaration for dddd::/64 on 'er1'", id="ambiguous-rule"),
         pytest.param(_ROUTE_LINE, _ROUTE_LINE + "nfv DDDD::/64 via er1\n",
                      "duplicate route declaration for dddd::/64 on 'nfv'", id="ambiguous-route"),
+        pytest.param("[links]\n", "[linkz]\n",
+                     ["line 16: unknown section [linkz]", *_UNLINKED], id="misspelt-section"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -131,11 +143,12 @@ def test_faulty_testbed_edit_fails_every_command(
     assert text.count(old) == 1
     cfg = tmp_path / "faulty.cfg"
     cfg.write_text(text.replace(old, new), encoding="utf-8")
+    problems = [problem] if isinstance(problem, str) else problem
     with pytest.raises(errors.ValidationError) as info:
         load_config(cfg)
-    assert info.value.problems == [problem]
+    assert info.value.problems == problems
 
-    stderr = json.dumps({"error": "ValidationError", "detail": [problem]}) + "\n"
+    stderr = json.dumps({"error": "ValidationError", "detail": problems}) + "\n"
     flow = ["--src", "EEEE::2", "--dst", "DDDD::2"]
     for argv in (
         ["validate", str(cfg)],
@@ -317,7 +330,7 @@ def test_config_is_checked_once_and_each_build_is_fresh(tmp_path, testbed_config
     assert len({id(vnf) for _, vnf in vnfs}) == len(vnfs) == 12
     # Each network's VNFs carry that network's own SIDs.
     assert all(vnf.sid is network.registry.sid(vnf.sid.address) for network, vnf in vnfs)
-    assert networks[2].connector_state("nfv").vnfs[IPv6Address("BBBB::2")].sid.kind is SidKind.SR_AWARE
+    assert networks[2].connector_state("nfv").vnfs[int(IPv6Address("BBBB::2"))].sid.kind is SidKind.SR_AWARE
 
 
 # Address parsing: ``_Collector.address`` against ``IPv6Address(text)`` ------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ER1, ER2, SINK, SRC, chain_testbed
+from conftest import ER1, ER2, SINK, SRC, chain_testbed, router_line
 from srv6sfc import errors, wire
 from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain, VnfInterface
 from srv6sfc.dataplane import (
@@ -37,7 +37,7 @@ from srv6sfc.dataplane import (
     predicted_cost,
     reencap_unaware,
 )
-from srv6sfc.sim import Dropped, _decrement_hop, inject
+from srv6sfc.sim import Dropped, inject
 from srv6sfc.wire import Ipv6Header, SegmentRoutingHeader, udp_packet
 
 BBBB2 = IPv6Address("BBBB::2")
@@ -141,7 +141,10 @@ def test_rewrites_carry_uid():
     )
     assert edited.uid == 7
     assert reencap_unaware(registry, replace(inner_packet(), uid=7), vnf_sid).uid == 7
-    assert _decrement_hop(stepped).uid == 7
+    # A plain hop keeps the uid ``inject`` gives the packet.
+    network = router_line(2)
+    network.next_uid()
+    assert inject(network, "r0", inner_packet()).outcome.packet.uid == 1
 
 
 ADDRESSES = st.integers(0, 2**128 - 1).map(IPv6Address)
@@ -173,18 +176,23 @@ def test_direct_rewrites_match_replace_reference(packet):
     left = srh.segments_left - 1
     reference = replace(
         packet,
-        header=replace(packet.header, dst=srh.segment_list[left]),
-        srh=replace(srh, segments_left=left),
+        header=packet.header._replace(dst=srh.segment_list[left]),
+        srh=srh._replace(segments_left=left),
     )
     stepped = advance_segment(packet)
     assert stepped == reference and stepped.uid == packet.uid
 
-    hopped = _decrement_hop(packet)
+    # One plain hop through ``inject``; an IPv6-in-IPv6 payload would be
+    # decapsulated at r1, so such packets cross as UDP.
+    if packet.is_encapsulated:
+        packet = replace(packet, srh=srh._replace(next_header=wire.NEXT_HEADER_UDP))
+    outcome = inject(router_line(2, packet.header.dst), "r0", packet).outcome
     if packet.header.hop_limit <= 1:
-        assert hopped is None
+        assert outcome == Dropped("r0", "hop limit exceeded")
     else:
-        reference = replace(packet, header=replace(packet.header, hop_limit=packet.header.hop_limit - 1))
-        assert hopped == reference and hopped.uid == packet.uid
+        hopped = packet.header._replace(hop_limit=packet.header.hop_limit - 1)
+        reference = replace(packet, header=hopped)
+        assert outcome.packet == reference and outcome.packet.uid == 0
 
 
 # Connector cost accounting ------------------------------------------------------

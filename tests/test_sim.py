@@ -11,18 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ER1, ER2, SINK, SRC, chain_testbed
+from conftest import ER1, ER2, SINK, SRC, chain_testbed, router_line
 from srv6sfc import errors
 from srv6sfc.chain import (
     ChainRegistry,
     ClassifierRule,
     Sid,
     SidKind,
+    VnfChain,
     classify,
     longest_prefix_match,
 )
 from srv6sfc.config import load_config
-from srv6sfc.dataplane import PassThroughRouter, PayloadStamper, PrefixFilter, node_cost
+from srv6sfc.dataplane import (
+    PassThroughRouter,
+    PayloadStamper,
+    PrefixFilter,
+    Vnf,
+    VnfAction,
+    node_cost,
+)
 from srv6sfc.sim import (
     Delivered,
     Dropped,
@@ -346,9 +354,76 @@ def test_misrouted_egress_raises_not_last_segment():
 
     network, chain = chain_testbed()
     outer = encapsulate(inner_packet(), chain)
-    misrouted = dc_replace(outer, header=dc_replace(outer.header, dst=ER2))
+    misrouted = dc_replace(outer, header=outer.header._replace(dst=ER2))
     with pytest.raises(errors.NotLastSegment):
         inject(network, "er2", misrouted)
+
+
+# Hop limit: carried by the walk, written back where the packet is seen ---------
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(st.integers(2, 8), st.lists(st.integers(1, 12), min_size=1, max_size=4))
+def test_hop_limit_runs_out_where_it_predicts(routers, hop_limits):
+    network = router_line(routers)
+    plain_hops = routers - 1
+    for hop_limit in hop_limits:  # one network: nothing carries over between walks
+        payload = bytes([hop_limit]) * 8
+        result = inject(network, "r0", udp_packet(SRC, SINK, payload, hop_limit=hop_limit))
+        forwards = [event.node for event in result.trace if event.kind is EventKind.FORWARDED]
+        if hop_limit <= plain_hops:
+            # Leaving r{i} needs more than one hop left; r{hop_limit-1} has exactly one.
+            assert result.outcome == Dropped(f"r{hop_limit - 1}", "hop limit exceeded")
+            assert forwards == [f"r{i}" for i in range(hop_limit - 1)]
+        else:
+            expected = udp_packet(SRC, SINK, payload, hop_limit=hop_limit - plain_hops)
+            assert result.outcome == Delivered(expected, f"r{plain_hops}")
+            assert serialize_packet(result.outcome.packet) == serialize_packet(expected)
+            assert forwards == [f"r{i}" for i in range(plain_hops)]
+
+
+def test_reencapsulated_outer_header_restarts_at_default_hop_limit():
+    """er1 -> r1 -> nfv1 (aware A1, unaware U) -> nfv2 (aware A2) -> er2.
+    A1 sees the outer header two hops after encapsulation; U's rebuilt
+    outer header starts again at 64, so A2, one hop on, sees 63."""
+    a1, u, a2 = IPv6Address("BBBB::2"), IPv6Address("BBBB::3"), IPv6Address("FFFF::2")
+    registry = ChainRegistry()
+    for address, kind, host in (
+        (a1, SidKind.SR_AWARE, "nfv1"), (u, SidKind.SR_UNAWARE, "nfv1"),
+        (a2, SidKind.SR_AWARE, "nfv2"), (ER2, SidKind.EGRESS_ENDPOINT, "er2"),
+    ):
+        registry.add_sid(Sid(address, kind, host))
+    registry.register_chain(VnfChain("c1", (a1, u, a2, ER2), ER1))
+    seen = []
+
+    def record(packet):
+        seen.append((packet.header.dst, packet.header.hop_limit))
+        return VnfAction.forward(packet)
+
+    def routes(*pairs):
+        return tuple((IPv6Network(prefix), via) for prefix, via in pairs)
+
+    onward = ("BBBB::/64", "FFFF::/64", "CCCC::/64")
+    nodes = [
+        Node("er1", NodeRole.INGRESS_EDGE, (ER1, SRC),
+             rules=(ClassifierRule(IPv6Network("DDDD::/64"), "c1"),),
+             routing_table=routes(*((prefix, "r1") for prefix in onward))),
+        Node("r1", NodeRole.PLAIN_ROUTER, (),
+             routing_table=routes(*((prefix, "nfv1") for prefix in onward))),
+        Node("nfv1", NodeRole.NFV_NODE, (),
+             hosted_vnfs=(Vnf(registry.sid(a1), record), Vnf(registry.sid(u), PassThroughRouter())),
+             routing_table=routes(("FFFF::/64", "nfv2"), ("CCCC::/64", "nfv2"))),
+        Node("nfv2", NodeRole.NFV_NODE, (), hosted_vnfs=(Vnf(registry.sid(a2), record),),
+             routing_table=routes(("CCCC::/64", "er2"))),
+        Node("er2", NodeRole.EGRESS_EDGE, (ER2, SINK)),
+    ]
+    links = [("er1", "r1"), ("r1", "nfv1"), ("nfv1", "nfv2"), ("nfv2", "er2")]
+    network = build_network(nodes, links, registry)
+    inner = udp_packet(SRC, SINK, b"payload!", hop_limit=9)
+    result = inject(network, "er1", inner)
+    # A1 is entered after the segment advance, so its dst is already U.
+    assert seen == [(u, 62), (ER2, 63)]
+    # The inner header is never decremented while it is tunnelled.
+    assert result.outcome == Delivered(inner, "er2")
 
 
 # Walk costs: the cost law on random mixed chains, bounded memory ---------------

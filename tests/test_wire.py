@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from ipaddress import IPv6Address
 
@@ -238,6 +239,53 @@ def test_roundtrip_seeded_random_packets(codec):
 def test_uid_is_not_compared(codec):
     packet = udp_packet(IPv6Address("::1"), IPv6Address("::2"), b"x", uid=77)
     assert codec.parse_packet(codec.serialize_packet(packet)) == packet
+
+
+# Immutability: a chain's SRH is shared by every packet it steers, and VNF
+# behaviours are user code, so nothing may be changed in place --------------
+
+def test_headers_and_packets_are_immutable():
+    srh = SegmentRoutingHeader.from_path((BBBB2, CCCC2))
+    header = Ipv6Header(6, 0, 0, srh.byte_length, 43, 64, CCCC2, BBBB2)
+    packet = Packet(header, srh, b"", uid=3)
+    packet_fields = [f.name for f in dataclasses.fields(Packet)]
+    for value, names in (
+        (header, Ipv6Header._fields),
+        (srh, SegmentRoutingHeader._fields),
+        (packet, packet_fields),
+    ):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+    assert packet.header is header and packet.srh is srh and packet.uid == 3
+
+    twin = Packet(header, srh, b"", uid=4)
+    assert twin == packet and hash(twin) == hash(packet)
+    stamped = dataclasses.replace(packet, payload=b"x")
+    assert type(stamped) is Packet and stamped.payload == b"x"
+    assert stamped.header is header and stamped.uid == 3
+
+
+def _hand_built(hop_limit=64, flow_label=0, hdr_ext_len=4) -> Packet:
+    """A packet whose headers skip every constructor check, as the hot
+    paths build them."""
+    srh = tuple.__new__(SegmentRoutingHeader, (41, hdr_ext_len, 4, 1, 1, 0, 0, (CCCC2, BBBB2)))
+    header = tuple.__new__(Ipv6Header, (6, 0, flow_label, 40, 43, hop_limit, CCCC2, BBBB2))
+    return Packet(header, srh, b"")
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (_hand_built(hop_limit=256), "hop_limit out of range: 256"),
+        (_hand_built(flow_label=2**20), "flow_label out of range: 1048576"),
+        (_hand_built(hdr_ext_len=6), "hdr_ext_len 6 != 2 \\* 2 segments"),
+    ],
+)
+def test_serialize_validates_hand_built_headers(codec, broken, message):
+    assert len(codec.serialize_packet(_hand_built())) == 80
+    with pytest.raises(errors.InvariantViolation, match=message):
+        codec.serialize_packet(broken)
 
 
 addresses = st.binary(min_size=16, max_size=16).map(IPv6Address)
