@@ -58,7 +58,7 @@ class CapacityModel:
     baseline_overhead_k0: float = 0.0
 
     def __post_init__(self):
-        if self.capacity <= 0:
+        if not self.capacity > 0:  # NaN fails too
             raise errors.BenchError(f"capacity must be positive, got {self.capacity}")
         if not 0 <= self.baseline_overhead_k0 < 100:
             raise errors.BenchError(
@@ -137,7 +137,7 @@ def evaluate_point(
 ) -> RatePoint:
     """One operating point: analytic S and U, with optional seeded
     multiplicative Gaussian jitter on U averaged over ``runs``."""
-    if rate_pps <= 0:
+    if not rate_pps > 0:  # NaN fails too
         raise errors.BenchError(f"rate must be positive, got {rate_pps}")
     if runs < 1:
         raise errors.BenchError(f"runs must be >= 1, got {runs}")

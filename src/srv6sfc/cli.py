@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,9 +37,9 @@ from srv6sfc.bench import (
 from srv6sfc.chain import SidKind
 from srv6sfc.config import ScenarioConfig, load_config, render_config, route_add
 from srv6sfc.dataplane import encapsulate
-from srv6sfc.sim import NodeRole, flow_payload, inject
+from srv6sfc.sim import FlowSpec, NodeRole, flow_packet, inject
 from srv6sfc.trace import EventKind, Trace
-from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN, hexdump, serialize_packet, udp_packet
+from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN, hexdump, serialize_packet
 from ipaddress import IPv6Address
 
 EXIT_OK = 0
@@ -84,6 +85,22 @@ def _int_in_range(minimum: int, maximum: int | None = None):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _rates(text: str) -> list[float]:
+    """argparse type: comma-separated finite numbers."""
+    return [_finite(rate) for rate in text.split(",") if rate]
+
+
 _port = _int_in_range(0, 0xFFFF)
 # Largest UDP payload whose datagram length still fits in 16 bits.
 _payload_bytes = _int_in_range(0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN)
@@ -96,6 +113,13 @@ def _default_ingress(config: ScenarioConfig) -> str:
         if node.role is NodeRole.INGRESS_EDGE:
             return node.node_id
     return config.nodes[0].node_id
+
+
+def _flow(args, ingress: str, count: int) -> FlowSpec:
+    """The flow that ``run`` and ``trace`` send, from their shared options."""
+    return FlowSpec(
+        ingress, args.src, args.dst, count, args.payload_bytes, args.sport, args.dport
+    )
 
 
 def cmd_validate(args) -> int:
@@ -143,19 +167,13 @@ def cmd_run(args) -> int:
     network = config.build_network()
     ingress = args.ingress or _default_ingress(config)
     terminal_only = args.trace == "terminal"
+    flow = _flow(args, ingress, args.count)
 
     delivered = 0
     dropped = 0
     drop_reasons: dict[str, int] = {}
     for i in range(args.count):
-        inner = udp_packet(
-            args.src,
-            args.dst,
-            flow_payload(i, args.payload_bytes),
-            src_port=args.sport,
-            dst_port=args.dport,
-        )
-        result = inject(network, ingress, inner, terminal_only=terminal_only)
+        result = inject(network, ingress, flow_packet(flow, i), terminal_only=terminal_only)
         jsonl = result.trace.to_jsonl()
         if jsonl:
             print(jsonl)
@@ -193,9 +211,7 @@ def cmd_bench(args) -> int:
     config = load_config(args.config)
     bench = config.bench
     names = ["aware", "unaware"] if args.scenario == "both" else [args.scenario]
-    rates = (
-        [float(r) for r in args.rates.split(",") if r] if args.rates else list(bench.rates)
-    )
+    rates = args.rates if args.rates is not None else list(bench.rates)
     runs = args.runs if args.runs is not None else bench.runs
     noise = args.noise if args.noise is not None else bench.noise
     seed = args.seed if args.seed is not None else bench.seed
@@ -246,13 +262,7 @@ def cmd_trace(args) -> int:
     config = load_config(args.config)
     network = config.build_network()
     ingress = network.node(args.ingress or _default_ingress(config)).node_id
-    inner = udp_packet(
-        args.src,
-        args.dst,
-        flow_payload(0, args.payload_bytes),
-        src_port=args.sport,
-        dst_port=args.dport,
-    )
+    inner = flow_packet(_flow(args, ingress, 1), 0)
     chain_id = network.classifiers[ingress].lookup(inner.header.dst)
     packet = inner
     if chain_id is not None:
@@ -304,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="rate sweep, region labels, regression CSVs")
     p.add_argument("config")
     p.add_argument("--scenario", choices=("aware", "unaware", "both"), default="both")
-    p.add_argument("--rates", help="comma-separated pps list (default from config)")
+    p.add_argument("--rates", type=_rates, help="comma-separated pps list (default from config)")
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--noise", type=float, help="percent jitter on utilization")
-    p.add_argument("--capacity", type=float, help="override capacity model")
-    p.add_argument("--k0", type=float, help="baseline overhead for --capacity")
+    p.add_argument("--noise", type=_finite, help="percent jitter on utilization")
+    p.add_argument("--capacity", type=_finite, help="override capacity model")
+    p.add_argument("--k0", type=_finite, help="baseline overhead for --capacity")
     p.add_argument("--out", default="bench-out")
     p.set_defaults(func=cmd_bench)
 

@@ -42,6 +42,7 @@ config. A build copies the registry (or rebuilds it under
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
 from ipaddress import AddressValueError, IPv6Address, IPv6Network, NetmaskValueError
@@ -359,11 +360,21 @@ def _parse_bench_line(collector: _Collector, tokens: list[str]) -> None:
             (scenario, CapacityModel(float(kv["capacity"]), float(kv.get("k0", "0"))))
         )
     elif keyword == "rates":
-        collector.bench_kwargs["rates"] = tuple(float(r) for r in tokens[1].split(",") if r)
+        rates = tuple(float(r) for r in tokens[1].split(",") if r)
+        for rate in rates:
+            if not 0 < rate < math.inf:
+                raise ValueError(f"rate must be positive and finite, got {rate:g}")
+        collector.bench_kwargs["rates"] = rates
     elif keyword == "runs":
-        collector.bench_kwargs["runs"] = int(tokens[1])
+        runs = int(tokens[1])
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        collector.bench_kwargs["runs"] = runs
     elif keyword == "noise":
-        collector.bench_kwargs["noise"] = float(tokens[1])
+        noise = float(tokens[1])
+        if not math.isfinite(noise):
+            raise ValueError(f"noise must be finite, got {noise:g}")
+        collector.bench_kwargs["noise"] = noise
     elif keyword == "seed":
         collector.bench_kwargs["seed"] = int(tokens[1])
     elif keyword == "payload":

@@ -17,9 +17,10 @@ SRH, and ``ChainRegistry.returns`` holds, per mapped SR-unaware
 interface, the chain, the successor segment and the SRH to re-encapsulate
 with. The per-packet rewrites (advance, decapsulate, edit, re-encapsulate)
 build the ``Packet`` and the header tuples directly (``tuple.__new__``,
-every field in order) and carry ``uid`` along. Any rewrite whose outer
-payload would pass 65,535 B raises :class:`errors.OversizedPacket`; the
-connector turns that into a drop at the node.
+every field in order); they are pure packet rewrites, and the walk that
+calls them keeps its own state. Any rewrite whose outer payload would
+pass 65,535 B raises :class:`errors.OversizedPacket`; the connector
+turns that into a drop at the node.
 
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
 per decapsulation and ``e`` per re-encapsulation (``node_cost``). In one
@@ -34,7 +35,7 @@ forwards costs f. Each pass returns its counts on ``ConnectorResult``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
 from typing import Callable, Sequence
@@ -291,8 +292,7 @@ def _payload_length(srh: SegmentRoutingHeader, payload: bytes, what: str) -> int
 
 
 def _outer_packet(
-    srh: SegmentRoutingHeader, payload: bytes, src: IPv6Address, dst: IPv6Address,
-    uid: int | None, what: str,
+    srh: SegmentRoutingHeader, payload: bytes, src: IPv6Address, dst: IPv6Address, what: str,
 ) -> Packet:
     """A fresh SR-encapsulated packet: default hop limit, zero traffic
     class and flow label."""
@@ -300,7 +300,7 @@ def _outer_packet(
         6, 0, 0, _payload_length(srh, payload, what), wire.NEXT_HEADER_ROUTING,
         wire.DEFAULT_HOP_LIMIT, src, dst,
     ))
-    return Packet(header, srh, payload, uid)
+    return Packet(header, srh, payload)
 
 
 def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
@@ -310,7 +310,7 @@ def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
     would not fit the 16-bit payload length."""
     return _outer_packet(
         chain.srh, wire.serialize_packet(inner), chain.ingress_source, chain.segments[0],
-        inner.uid, "encapsulated",
+        "encapsulated",
     )
 
 
@@ -320,8 +320,7 @@ def decapsulate(outer: Packet) -> Packet:
         raise errors.NotEncapsulated(
             f"payload protocol is {outer.effective_next_header}, not IPv6-in-IPv6"
         )
-    inner = wire.parse_packet(outer.payload)
-    return Packet(inner.header, inner.srh, inner.payload, outer.uid)
+    return wire.parse_packet(outer.payload)
 
 
 def advance_segment(packet: Packet) -> Packet:
@@ -341,7 +340,7 @@ def advance_segment(packet: Packet) -> Packet:
         srh.next_header, srh.hdr_ext_len, srh.routing_type, segments_left,
         srh.last_entry, srh.flags, srh.tag, srh.segment_list,
     ))
-    return Packet(header, srh, packet.payload, packet.uid)
+    return Packet(header, srh, packet.payload)
 
 
 def apply_edit(
@@ -398,7 +397,7 @@ def apply_edit(
         h.version, h.traffic_class, h.flow_label, _payload_length(srh, packet.payload, "edited"),
         h.next_header, h.hop_limit, h.src, new_remaining[0],
     ))
-    return Packet(header, srh, packet.payload, packet.uid)
+    return Packet(header, srh, packet.payload)
 
 
 def reencap_unaware(registry: ChainRegistry, returned: Packet, from_sid: Sid) -> Packet:
@@ -411,8 +410,7 @@ def reencap_unaware(registry: ChainRegistry, returned: Packet, from_sid: Sid) ->
     """
     chain, successor, srh = registry.unaware_return(from_sid)
     return _outer_packet(
-        srh, wire.serialize_packet(returned), chain.ingress_source, successor,
-        returned.uid, "re-encapsulated",
+        srh, wire.serialize_packet(returned), chain.ingress_source, successor, "re-encapsulated"
     )
 
 
@@ -430,24 +428,23 @@ def egress_process(packet: Packet) -> Packet:
 @dataclass
 class NfvNodeState:
     """Everything the connector needs about its node: hosted VNFs by
-    ``int`` of their SID address, the shared registry, the node's ledger,
-    and an optional next-hop resolver used to name egress ports."""
+    ``int`` of their SID address, the shared registry and the node's
+    ledger."""
 
     node_id: str
     vnfs: dict[int, Vnf]
     registry: ChainRegistry
     ledger: CostLedger
-    route: Callable[[IPv6Address], str | None] | None = None
 
 
 @dataclass
 class ConnectorResult:
-    """Connector outcome: packets to emit with their egress ports, or a
-    drop, and the pass's (f, d, e). Intra-node VNF-to-VNF hand-offs never
-    show up here."""
+    """Connector outcome: the packet that leaves the connector, or
+    ``None`` and the reason it was dropped, and the pass's (f, d, e).
+    Intra-node VNF-to-VNF hand-offs never show up here; where the packet
+    goes next is the walk's routing decision, not the connector's."""
 
-    outputs: list[tuple[Packet, str | None]] = field(default_factory=list)
-    dropped: bool = False
+    packet: Packet | None
     drop_reason: str | None = None
     cost: tuple[int, int, int] = (0, 0, 0)
 
@@ -540,12 +537,11 @@ def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_em
                     vnf = next_vnf  # mixed chain: aware VNF next door
                     continue
                 f += 1  # forward to next hop
-            port = state.route(current.header.dst) if state.route else None
-            return ConnectorResult([(current, port)], cost=(f, d, e))
+            return ConnectorResult(current, cost=(f, d, e))
     finally:
         state.ledger.add(f, d, e)
 
 
 def _dropped(emit: EmitFn, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:
     emit(EventKind.DROPPED, reason)
-    return ConnectorResult(dropped=True, drop_reason=reason, cost=cost)
+    return ConnectorResult(None, reason, cost)

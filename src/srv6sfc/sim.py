@@ -66,7 +66,7 @@ class Node:
 
 class Network:
     """Validated topology plus per-node ledgers. Immutable during a run
-    apart from the ledgers and the packet uid counter.
+    apart from the ledgers and the walk counter (``next_uid``).
 
     Each node's routes and classifier rules are compiled into prefix
     tables (``fib``, ``classifiers``) at construction, so a Node's
@@ -106,9 +106,7 @@ class Network:
             vnfs = {int(vnf.sid.address): vnf for vnf in node.hosted_vnfs}
             self._local[node.node_id] = frozenset(map(int, node.addresses)).union(vnfs)
             if vnfs:
-                self._states[node.node_id] = NfvNodeState(
-                    node.node_id, vnfs, registry, ledger, route=self.fib[node.node_id].lookup
-                )
+                self._states[node.node_id] = NfvNodeState(node.node_id, vnfs, registry, ledger)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -229,7 +227,7 @@ def _with_hop_limit(packet: Packet, hop_limit: int) -> Packet:
     if h.hop_limit == hop_limit:
         return packet
     header = tuple.__new__(Ipv6Header, (*h[:5], hop_limit, *h[6:]))
-    return Packet(header, packet.srh, packet.payload, packet.uid)
+    return Packet(header, packet.srh, packet.payload)
 
 
 def inject(
@@ -243,18 +241,17 @@ def inject(
 
     Classification and encapsulation happen at the ingress when a rule
     matches; otherwise the packet travels as plain IPv6. Every injected
-    packet ends in exactly one Delivered or Dropped. Connector passes
+    packet ends in exactly one Delivered or Dropped. The walk's number is
+    ``result.trace.uid``; the packet itself carries none. Connector passes
     charge their node's ledger themselves; each plain-forwarding node is
     charged once per packet, on the way out, also when the walk raises.
     """
     node = network.node(ingress)
-    uid = network.next_uid()
-    packet = Packet(inner.header, inner.srh, inner.payload, uid)
-    trace = Trace(uid, terminal_only, network.address_text, network.address_limit)
+    trace = Trace(network.next_uid(), terminal_only, network.address_text, network.address_limit)
     costs: dict[str, tuple[int, int, int]] = {}
     forwarded: dict[str, int] = {}
     try:
-        outcome = _walk(network, node, packet, trace, costs, forwarded)
+        outcome = _walk(network, node, inner, trace, costs, forwarded)
     finally:
         for node_id, f in forwarded.items():
             network.ledgers[node_id].add(f)
@@ -280,7 +277,12 @@ def _walk(
     """``inject``'s walk: fills ``costs`` with connector passes and
     ``forwarded`` with plain forwards, per node. A plain hop decrements
     ``hop`` only; the packet gets it back before the connector, egress or
-    delivery, and ``hop`` restarts from each packet they hand back."""
+    delivery, and ``hop`` restarts from each packet they hand back.
+
+    Every routing decision is the walk's, by one rule: a local
+    destination is handled at the node, anything else goes where the
+    node's FIB says. The packet a connector hands back follows it too, as
+    in Linux, where the local table comes before the main one."""
     chain_id = network.classifiers[node.node_id].lookup(packet.header.dst)
     if chain_id is not None:
         trace.add(node.node_id, EventKind.CLASSIFIED, chain_id)
@@ -307,12 +309,13 @@ def _walk(
             packet = _with_hop_limit(packet, hop)
             result = connector_process(state, packet, emit=partial(trace.add, node_id))
             _add_cost(costs, node_id, result.cost)
-            if result.dropped:
-                return Dropped(node_id, result.drop_reason or "dropped")
-            (packet, next_hop), = result.outputs
+            packet = result.packet
+            if packet is None:
+                return Dropped(node_id, result.drop_reason)
             hop = packet.header.hop_limit
-            if next_hop is None and int(packet.header.dst) in network._local[node_id]:
+            if int(packet.header.dst) in network._local[node_id]:
                 continue
+            next_hop = network.fib[node_id].lookup(packet.header.dst)
         elif key in network._local[node_id]:
             packet = _with_hop_limit(packet, hop)
             if packet.is_encapsulated:
@@ -357,7 +360,7 @@ class FlowSummary:
     delivered: int = 0
     dropped: int = 0
     drop_reasons: dict[str, int] = field(default_factory=dict)
-    # Per-node (f, d, e) counter deltas accumulated by this flow.
+    # Per-node (f, d, e) this flow's walks returned (``InjectResult.costs``).
     ledger_deltas: dict[str, tuple[int, int, int]] = field(default_factory=dict)
     delivered_packets: list[Packet] = field(default_factory=list)
 
@@ -389,10 +392,11 @@ def run_flow(network: Network, flow: FlowSpec, *, keep_delivered: bool = False) 
     """Inject ``flow.count`` packets and summarize outcomes and costs."""
     if flow.count < 1:
         raise ValueError(f"flow count must be >= 1, got {flow.count}")
-    before = {node_id: ledger.counts() for node_id, ledger in network.ledgers.items()}
     summary = FlowSummary()
     for i in range(flow.count):
         result = inject(network, flow.ingress, flow_packet(flow, i), terminal_only=True)
+        for node_id, cost in result.costs.items():
+            _add_cost(summary.ledger_deltas, node_id, cost)
         if result.delivered:
             summary.delivered += 1
             if keep_delivered:
@@ -401,10 +405,4 @@ def run_flow(network: Network, flow: FlowSpec, *, keep_delivered: bool = False) 
             summary.dropped += 1
             reason = result.outcome.reason
             summary.drop_reasons[reason] = summary.drop_reasons.get(reason, 0) + 1
-    for node_id, ledger in network.ledgers.items():
-        f0, d0, e0 = before[node_id]
-        f1, d1, e1 = ledger.counts()
-        delta = (f1 - f0, d1 - d0, e1 - e0)
-        if delta != (0, 0, 0):
-            summary.ledger_deltas[node_id] = delta
     return summary

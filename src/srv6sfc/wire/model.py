@@ -10,7 +10,7 @@ progresses. Chains written in forward path order are reversed on entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv6Address
 from typing import NamedTuple
 
@@ -123,19 +123,23 @@ class SegmentRoutingHeader(NamedTuple):
         return SRH_FIXED_LEN + SEGMENT_LEN * len(self.segment_list)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Packet:
     """One IPv6 packet: header, optional SRH, opaque payload bytes.
 
     When the effective next header is IPv6-in-IPv6 the payload is a full
-    serialized inner packet. ``uid`` is a simulator-assigned identifier;
-    it is never serialized and never takes part in equality.
+    serialized inner packet. A plain value: equality and hash compare
+    the three fields, and assigning any attribute raises
+    ``dataclasses.FrozenInstanceError``. Edit with ``dataclasses.replace``.
     """
+
+    # Declared by hand: ``slots=True`` rebuilds the class, and the frozen
+    # ``__setattr__`` then raises TypeError for a name that is not a field.
+    __slots__ = ("header", "srh", "payload")
 
     header: Ipv6Header
     srh: SegmentRoutingHeader | None
     payload: bytes
-    uid: int | None = field(default=None, compare=False)
 
     @property
     def effective_next_header(self) -> int:
@@ -275,7 +279,6 @@ def udp_packet(
     hop_limit: int = DEFAULT_HOP_LIMIT,
     traffic_class: int = 0,
     flow_label: int = 0,
-    uid: int | None = None,
 ) -> Packet:
     """Convenience builder for a plain IPv6+UDP packet with correct lengths."""
     datagram = encode_udp(src_port, dst_port, payload)
@@ -289,4 +292,4 @@ def udp_packet(
         src=src,
         dst=dst,
     )
-    return Packet(header=header, srh=None, payload=datagram, uid=uid)
+    return Packet(header=header, srh=None, payload=datagram)

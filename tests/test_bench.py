@@ -79,6 +79,11 @@ def test_point_rejects_bad_inputs():
         CapacityModel(capacity=0)
     with pytest.raises(errors.BenchError):
         CapacityModel(capacity=10, baseline_overhead_k0=100)
+    # NaN compares false to everything, so it must fail the range checks.
+    with pytest.raises(errors.BenchError):
+        evaluate_point(model, 1.0, float("nan"))
+    with pytest.raises(errors.BenchError):
+        CapacityModel(capacity=float("nan"))
 
 
 def test_noise_is_seeded_and_bounded():

@@ -282,11 +282,17 @@ def test_usage_error_exits_two(testbed_config_path, capsys):
         ("trace", [*RUN_ARGS, "--dport", "70000"], "argument --dport: must be <= 65535"),
         ("run", [*RUN_ARGS, "--payload-bytes", "70000"], "argument --payload-bytes: must be <= 65527"),
         ("trace", [*RUN_ARGS, "--payload-bytes", "65528"], "argument --payload-bytes: must be <= 65527"),
+        ("bench", ["--rates", "1000,abc"], "argument --rates: not a finite number: 'abc'"),
+        ("bench", ["--rates", "1000,nan,3000"], "argument --rates: not a finite number: 'nan'"),
+        ("bench", ["--noise", "nan"], "argument --noise: not a finite number: 'nan'"),
+        ("bench", ["--capacity", "nan"], "argument --capacity: not a finite number: 'nan'"),
+        ("bench", ["--k0", "inf"], "argument --k0: not a finite number: 'inf'"),
     ],
     ids=[
         "run-dst", "trace-src", "run-count-negative", "run-count-zero", "run-payload", "trace-payload",
         "run-sport-high", "run-dport-negative", "trace-sport-high", "trace-dport-high",
-        "run-payload-high", "trace-payload-high",
+        "run-payload-high", "trace-payload-high", "bench-rates-text", "bench-rates-nan",
+        "bench-noise-nan", "bench-capacity-nan", "bench-k0-inf",
     ],
 )
 def test_bad_argument_values_exit_two(testbed_config_path, capsys, command, argv, message):

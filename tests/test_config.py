@@ -134,6 +134,14 @@ _UNLINKED = [
                      "duplicate route declaration for dddd::/64 on 'nfv'", id="ambiguous-route"),
         pytest.param("[links]\n", "[linkz]\n",
                      ["line 16: unknown section [linkz]", *_UNLINKED], id="misspelt-section"),
+        # Values ``bench`` would refuse (exit 7) or silently misuse.
+        pytest.param("rates 1000,3000,", "rates 1000,-5,",
+                     "line 50: rate must be positive and finite, got -5", id="bench-rate-negative"),
+        pytest.param("rates 1000,3000,", "rates 1000,nan,",
+                     "line 50: rate must be positive and finite, got nan", id="bench-rate-nan"),
+        pytest.param("runs 30", "runs 0", "line 51: runs must be >= 1, got 0", id="bench-runs-zero"),
+        pytest.param("noise 1.0", "noise nan", "line 52: noise must be finite, got nan",
+                     id="bench-noise-nan"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(

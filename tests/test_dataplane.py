@@ -38,6 +38,7 @@ from srv6sfc.dataplane import (
     reencap_unaware,
 )
 from srv6sfc.sim import Dropped, inject
+from srv6sfc.trace import EventKind
 from srv6sfc.wire import Ipv6Header, SegmentRoutingHeader, udp_packet
 
 BBBB2 = IPv6Address("BBBB::2")
@@ -126,26 +127,7 @@ def test_advance_requires_srh():
         advance_segment(inner_packet())
 
 
-# Direct construction keeps every field and the uid ------------------------------
-
-def test_rewrites_carry_uid():
-    # uid is compare=False, so equality alone cannot see it lost.
-    registry, vnf_sid = make_registry_with_chain()
-    outer = replace(encapsulate(inner_packet(), steering_chain()), uid=7)
-    stepped = advance_segment(outer)
-    assert stepped.uid == 7
-    assert decapsulate(stepped).uid == 7
-    assert egress_process(stepped).uid == 7
-    edited = apply_edit(
-        stepped, SegmentListEdit.insert_after_current((V_X,)), VnfPermission.INSERT_NEXT_ONLY
-    )
-    assert edited.uid == 7
-    assert reencap_unaware(registry, replace(inner_packet(), uid=7), vnf_sid).uid == 7
-    # A plain hop keeps the uid ``inject`` gives the packet.
-    network = router_line(2)
-    network.next_uid()
-    assert inject(network, "r0", inner_packet()).outcome.packet.uid == 1
-
+# Direct construction keeps every field -----------------------------------------
 
 ADDRESSES = st.integers(0, 2**128 - 1).map(IPv6Address)
 
@@ -166,7 +148,7 @@ def srh_packets(draw):
         srh.byte_length + len(payload), 43, draw(st.integers(0, 255)),
         draw(ADDRESSES), draw(ADDRESSES),
     )
-    return wire.Packet(header, srh, payload, draw(st.none() | st.integers(0, 2**40)))
+    return wire.Packet(header, srh, payload)
 
 
 @settings(derandomize=True, max_examples=200)
@@ -180,7 +162,7 @@ def test_direct_rewrites_match_replace_reference(packet):
         srh=srh._replace(segments_left=left),
     )
     stepped = advance_segment(packet)
-    assert stepped == reference and stepped.uid == packet.uid
+    assert stepped == reference
 
     # One plain hop through ``inject``; an IPv6-in-IPv6 payload would be
     # decapsulated at r1, so such packets cross as UDP.
@@ -192,7 +174,7 @@ def test_direct_rewrites_match_replace_reference(packet):
     else:
         hopped = packet.header._replace(hop_limit=packet.header.hop_limit - 1)
         reference = replace(packet, header=hopped)
-        assert outcome.packet == reference and outcome.packet.uid == 0
+        assert outcome.packet == reference
 
 
 # Connector cost accounting ------------------------------------------------------
@@ -211,23 +193,21 @@ def run_connector(network, packet):
 )
 def test_single_vnf_costs(kind, expected):
     network, chain = chain_testbed(1, kind)
-    outer = replace(encapsulate(inner_packet(), chain), uid=7)
-    state, result = run_connector(network, outer)
-    assert not result.dropped
-    [(out_packet, port)] = result.outputs
-    assert out_packet.header.dst == CCCC2
-    assert port == "er2"
+    state, result = run_connector(network, encapsulate(inner_packet(), chain))
+    assert result.packet.header.dst == CCCC2
     assert result.cost == expected
     assert state.ledger.counts() == expected
+    # Where the packet goes next is the walk's decision: on to er2.
+    trace = inject(network, "er1", inner_packet()).trace
+    assert [e.detail for e in trace if e.node == "nfv" and e.kind is EventKind.FORWARDED] == ["er2"]
 
 
 @pytest.mark.parametrize("kind", [SidKind.SR_AWARE, SidKind.SR_UNAWARE])
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_counters_match_cost_formula(kind, n):
     network, chain = chain_testbed(n, kind)
-    outer = replace(encapsulate(inner_packet(), chain), uid=1)
-    state, result = run_connector(network, outer)
-    assert not result.dropped
+    state, result = run_connector(network, encapsulate(inner_packet(), chain))
+    assert result.packet is not None
     f, d, e = result.cost
     if kind is SidKind.SR_AWARE:
         assert (f, d, e) == (n + 2, 0, 0)
@@ -245,18 +225,15 @@ def test_aware_passthrough_is_noninterfering():
     network, chain = chain_testbed(1, SidKind.SR_AWARE)
     outer = encapsulate(inner_packet(), chain)
     _, result = run_connector(network, outer)
-    [(out_packet, _)] = result.outputs
-    assert wire.serialize_packet(out_packet) == wire.serialize_packet(advance_segment(outer))
+    assert wire.serialize_packet(result.packet) == wire.serialize_packet(advance_segment(outer))
 
 
 def test_drop_short_circuits_reencapsulation():
     network, chain = chain_testbed(
         1, SidKind.SR_UNAWARE, behaviors=[PrefixFilter(IPv6Network("DDDD::/64"))]
     )
-    outer = replace(encapsulate(inner_packet(), chain), uid=3)
-    state, result = run_connector(network, outer)
-    assert result.dropped
-    assert result.outputs == []
+    state, result = run_connector(network, encapsulate(inner_packet(), chain))
+    assert (result.packet, result.drop_reason) == (None, "vnf bbbb::2")
     assert state.ledger.e_count == 0
     assert result.cost == state.ledger.counts() == (1, 1, 0)
 
@@ -583,9 +560,8 @@ def test_chain_editor_inserts_detour_end_to_end():
     registry = network.registry
     short = VnfChain("short", (IPv6Address("BBBB::2"), CCCC2), ER1)
     registry.register_chain(short)
-    outer = replace(encapsulate(inner_packet(), short), uid=5)
-    state, result = run_connector(network, outer)
-    [(out_packet, _)] = result.outputs
+    state, result = run_connector(network, encapsulate(inner_packet(), short))
+    out_packet = result.packet
     # The detour VNF ran: delivered once by editor insert, so two aware
     # deliveries happened on this node.
     assert result.cost == state.ledger.counts() == (4, 0, 0)  # (n=2)+2

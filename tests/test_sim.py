@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
+from dataclasses import replace
 from ipaddress import IPv6Address, IPv6Network
 
 import pytest
@@ -29,6 +30,7 @@ from srv6sfc.dataplane import (
     PrefixFilter,
     Vnf,
     VnfAction,
+    encapsulate,
     node_cost,
 )
 from srv6sfc.sim import (
@@ -164,10 +166,40 @@ def test_testbed_trace_order():
 
 def test_inject_stamps_uid_on_both_paths():
     network, _ = chain_testbed()
-    chained = inject(network, "er1", udp_packet(SRC, SINK, b"x", uid=99))
-    plain = inject(network, "er1", udp_packet(SRC, IPv6Address("CCCC::1"), b"x", uid=99))
-    assert (chained.outcome.packet.uid, chained.trace.uid) == (0, 0)
-    assert (plain.outcome.packet.uid, plain.trace.uid) == (1, 1)
+    chained = inject(network, "er1", udp_packet(SRC, SINK, b"x"))
+    plain = inject(network, "er1", udp_packet(SRC, IPv6Address("CCCC::1"), b"x"))
+    assert (chained.trace.uid, plain.trace.uid) == (0, 1)
+
+
+@pytest.mark.parametrize("default_route", [False, True], ids=["no-default", "default-via-er2"])
+def test_connector_output_for_a_local_address_stays_at_the_node(default_route):
+    # The chain ends at BBBB::1, an address of nfv itself. The walk routes
+    # what the connector hands back like any packet, local addresses
+    # first, so a default route on nfv cannot send it away.
+    local_egress = IPv6Address("BBBB::1")
+    network, _ = chain_testbed(
+        1, SidKind.SR_AWARE, extra_sids=(Sid(local_egress, SidKind.EGRESS_ENDPOINT, "nfv"),)
+    )
+    chain = VnfChain("local", (IPv6Address("BBBB::2"), local_egress), ER1)
+    network.registry.register_chain(chain)
+    if default_route:
+        nodes = dict(network.nodes)
+        nodes["nfv"] = replace(
+            nodes["nfv"], routing_table=nodes["nfv"].routing_table + ((IPv6Network("::/0"), "er2"),)
+        )
+        network = build_network(list(nodes.values()), [("er1", "nfv"), ("nfv", "er2")], network.registry)
+    result = inject(network, "er1", encapsulate(udp_packet(SRC, SINK, b"x"), chain))
+    assert result.outcome == Delivered(udp_packet(SRC, SINK, b"x", hop_limit=63), "er2")
+    assert [(e.node, e.kind) for e in result.trace] == [
+        ("er1", EventKind.FORWARDED),
+        ("nfv", EventKind.SEGMENT_ADVANCED),
+        ("nfv", EventKind.VNF_DELIVERED),
+        ("nfv", EventKind.VNF_RETURNED),
+        ("nfv", EventKind.DECAPSULATED),
+        ("nfv", EventKind.FORWARDED),
+        ("er2", EventKind.DELIVERED),
+    ]
+    assert result.costs == {"nfv": (4, 0, 0), "er1": (1, 0, 0)}
 
 
 def test_unmatched_packet_forwarded_plain():
