@@ -1,10 +1,10 @@
 """Userspace IPv6 segment-routing service chaining.
 
-Subpackages and modules:
+Modules:
 
 wire
-    Bit-exact IPv6 + segment-routing-header codec in pure Python and a
-    minimal UDP carrier.
+    The packet model and its bit-exact IPv6 + segment-routing-header
+    codec in pure Python, and a minimal UDP carrier.
 chain
     Service chains, the SID registry, the univocal-mapping constraint
     and longest-prefix classification.

@@ -34,8 +34,9 @@ REGION_NO_LOSS = "no-loss"
 REGION_TRANSITION = "transition"
 REGION_SATURATION = "saturation"
 
-DEFAULT_S_THRESHOLD = 0.999
-DEFAULT_U_THRESHOLD = 99.0
+# Region boundaries: success ratio and utilization percentage.
+S_THRESHOLD = 0.999
+U_THRESHOLD = 99.0
 
 POINTS_CSV_HEADER = (
     "scenario",
@@ -141,6 +142,8 @@ def evaluate_point(
         raise errors.BenchError(f"rate must be positive, got {rate_pps}")
     if runs < 1:
         raise errors.BenchError(f"runs must be >= 1, got {runs}")
+    if not noise_pct >= 0:
+        raise errors.BenchError(f"noise must be >= 0, got {noise_pct}")
     demand = per_packet_cost * rate_pps
     available = model.available()
     success = 1.0 if demand <= available else available / demand
@@ -172,11 +175,7 @@ def evaluate_point(
     )
 
 
-def classify_regions(
-    points: list[RatePoint],
-    s_threshold: float = DEFAULT_S_THRESHOLD,
-    u_threshold: float = DEFAULT_U_THRESHOLD,
-) -> list[str]:
+def classify_regions(points: list[RatePoint]) -> list[str]:
     """Label each point: no-loss while success holds and utilization has
     headroom, saturation once success is gone and utilization is pinned,
     transition between."""
@@ -187,9 +186,9 @@ def classify_regions(
         raise errors.BenchError("rate points must be sorted by rate")
     labels = []
     for point in points:
-        if point.success_ratio >= s_threshold and point.utilization_pct < u_threshold:
+        if point.success_ratio >= S_THRESHOLD and point.utilization_pct < U_THRESHOLD:
             labels.append(REGION_NO_LOSS)
-        elif point.success_ratio < s_threshold and point.utilization_pct >= u_threshold:
+        elif point.success_ratio < S_THRESHOLD and point.utilization_pct >= U_THRESHOLD:
             labels.append(REGION_SATURATION)
         else:
             labels.append(REGION_TRANSITION)
@@ -256,8 +255,6 @@ def run_sweep(
     runs: int = 1,
     noise_pct: float = 0.0,
     seed: int = 0,
-    s_threshold: float = DEFAULT_S_THRESHOLD,
-    u_threshold: float = DEFAULT_U_THRESHOLD,
 ) -> SweepReport:
     """Measure the per-packet cost, evaluate every rate, label regions,
     and fit the no-loss line. Reproducible for a given seed: each rate
@@ -279,7 +276,7 @@ def run_sweep(
                 rng=rng,
             )
         )
-    regions = classify_regions(points, s_threshold, u_threshold)
+    regions = classify_regions(points)
     no_loss = [p for p, r in zip(points, regions) if r == REGION_NO_LOSS]
     regression = None
     regression_error = None

@@ -36,9 +36,8 @@ from srv6sfc.bench import (
 )
 from srv6sfc.chain import SidKind
 from srv6sfc.config import ScenarioConfig, load_config, render_config, route_add
-from srv6sfc.dataplane import encapsulate
-from srv6sfc.sim import FlowSpec, NodeRole, flow_packet, inject
-from srv6sfc.trace import EventKind, Trace
+from srv6sfc.sim import Dropped, FlowSpec, NodeRole, classify_at_ingress, flow_packet, inject
+from srv6sfc.trace import Trace
 from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN, hexdump, serialize_packet
 from ipaddress import IPv6Address
 
@@ -93,6 +92,14 @@ def _finite(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value:g}")
     return value
 
 
@@ -186,10 +193,10 @@ def cmd_run(args) -> int:
 
     ledgers = {}
     for node_id in sorted(network.ledgers):
-        ledger = network.ledgers[node_id]
-        f, d, e = ledger.counts()
-        if (f, d, e) != (0, 0, 0):
-            ledgers[node_id] = {"f": f, "d": d, "e": e, "cost_units": ledger.total_cost()}
+        counts = network.ledgers[node_id].counts()
+        if counts != (0, 0, 0):
+            f, d, e = counts
+            ledgers[node_id] = {"f": f, "d": d, "e": e, "cost_units": network.units.cost(counts)}
     print(
         json.dumps(
             {
@@ -263,17 +270,12 @@ def cmd_trace(args) -> int:
     network = config.build_network()
     ingress = network.node(args.ingress or _default_ingress(config)).node_id
     inner = flow_packet(_flow(args, ingress, 1), 0)
-    chain_id = network.classifiers[ingress].lookup(inner.header.dst)
-    packet = inner
-    if chain_id is not None:
-        try:
-            packet = encapsulate(inner, network.registry.chain(chain_id))
-        except errors.OversizedPacket as exc:
-            # Report the drop as `run` does: the Dropped event at the ingress.
-            trace = Trace(0)
-            trace.add(ingress, EventKind.DROPPED, str(exc))
-            print(trace.to_jsonl())
-            return EXIT_DROPPED
+    # A drop is reported as `run` reports it: the Dropped event at the ingress.
+    trace = Trace(0, terminal_only=True)
+    packet = classify_at_ingress(network.states[ingress], inner, trace)
+    if isinstance(packet, Dropped):
+        print(trace.to_jsonl())
+        return EXIT_DROPPED
     print(hexdump(serialize_packet(packet)))
     return EXIT_OK
 
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", type=_rates, help="comma-separated pps list (default from config)")
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--noise", type=_finite, help="percent jitter on utilization")
+    p.add_argument("--noise", type=_non_negative, help="percent jitter on utilization")
     p.add_argument("--capacity", type=_finite, help="override capacity model")
     p.add_argument("--k0", type=_finite, help="baseline overhead for --capacity")
     p.add_argument("--out", default="bench-out")

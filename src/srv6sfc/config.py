@@ -374,6 +374,8 @@ def _parse_bench_line(collector: _Collector, tokens: list[str]) -> None:
         noise = float(tokens[1])
         if not math.isfinite(noise):
             raise ValueError(f"noise must be finite, got {noise:g}")
+        if noise < 0:
+            raise ValueError(f"noise must be >= 0, got {noise:g}")
         collector.bench_kwargs["noise"] = noise
     elif keyword == "seed":
         collector.bench_kwargs["seed"] = int(tokens[1])

@@ -41,7 +41,7 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import Callable, Sequence
 
 from srv6sfc import errors, wire
-from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain
+from srv6sfc.chain import ChainRegistry, PrefixTable, Sid, SidKind, VnfChain
 from srv6sfc.trace import EventKind
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 
@@ -221,8 +221,7 @@ class CostLedger:
     """A node's aggregate f/d/e counts. Per-packet counts are not kept:
     each connector pass and each walk returns its own."""
 
-    def __init__(self, units: UnitCosts = UnitCosts()):
-        self.units = units
+    def __init__(self):
         self.f_count = 0
         self.d_count = 0
         self.e_count = 0
@@ -233,9 +232,6 @@ class CostLedger:
         self.f_count += f
         self.d_count += d
         self.e_count += e
-
-    def total_cost(self) -> float:
-        return self.units.cost(self.counts())
 
     def counts(self) -> tuple[int, int, int]:
         return (self.f_count, self.d_count, self.e_count)
@@ -426,15 +422,19 @@ def egress_process(packet: Packet) -> Packet:
 # The SR/VNF connector ----------------------------------------------------
 
 @dataclass
-class NfvNodeState:
-    """Everything the connector needs about its node: hosted VNFs by
-    ``int`` of their SID address, the shared registry and the node's
-    ledger."""
+class NodeState:
+    """One node compiled for the walk and the connector: hosted VNFs and
+    ``local`` (the node's addresses and hosted SIDs) by ``int`` of the
+    address, the main routing table ``fib``, the ingress ``classifier``,
+    the shared registry and the node's ledger."""
 
     node_id: str
     vnfs: dict[int, Vnf]
     registry: ChainRegistry
     ledger: CostLedger
+    local: frozenset[int]
+    fib: PrefixTable
+    classifier: PrefixTable
 
 
 @dataclass
@@ -449,7 +449,7 @@ class ConnectorResult:
     cost: tuple[int, int, int] = (0, 0, 0)
 
 
-def connector_process(state: NfvNodeState, packet: Packet, emit: EmitFn = _no_emit) -> ConnectorResult:
+def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit) -> ConnectorResult:
     """Run the per-SID pipeline for a packet addressed to a local VNF SID,
     looping while the next active segment is also hosted here.
 

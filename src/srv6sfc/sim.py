@@ -1,14 +1,18 @@
 """Deterministic topology and packet-walking engine.
 
 A network is a set of nodes joined by links, with static routing tables
-and one shared chain registry. Packets are walked one at a time; there
-is no event-time interleaving, so identical inputs always produce
-identical traces and ledgers. Rates and capacity enter only via the
-benchmark's analytic model.
+and one shared chain registry. It compiles each node once into a
+``dataplane.NodeState`` (routing and classifier tables, local addresses,
+hosted VNFs, ledger), and a walk carries the record of the node it is
+at. Packets are walked one at a time; there is no event-time
+interleaving, so identical inputs always produce identical traces and
+ledgers. Rates and capacity enter only via the benchmark's analytic
+model.
 
-Each walk returns the (f, d, e) it cost every node that charged it
-(``InjectResult.costs``); the per-node ledgers keep aggregates only, so
-memory does not grow with the number of packets walked.
+Each walk returns the (f, d, e) it cost every node that charged it, in
+first-charge order (``InjectResult.costs``); the per-node ledgers keep
+aggregates only, so memory does not grow with the number of packets
+walked.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from srv6sfc import errors
 from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable, Sid
 from srv6sfc.dataplane import (
     CostLedger,
-    NfvNodeState,
+    NodeState,
     UnitCosts,
     Vnf,
     connector_process,
@@ -68,11 +72,12 @@ class Network:
     """Validated topology plus per-node ledgers. Immutable during a run
     apart from the ledgers and the walk counter (``next_uid``).
 
-    Each node's routes and classifier rules are compiled into prefix
-    tables (``fib``, ``classifiers``) at construction, so a Node's
-    ``routing_table`` and ``rules`` must not change afterwards. Local
-    addresses and hosted VNFs are keyed by ``int(address)``, like them.
-    ``address_text`` is the traces' address-text memo (see
+    Each node is compiled once, at construction, into the ``NodeState``
+    the walk carries (``states``): its routes and classifier rules as
+    prefix tables, its local addresses and hosted VNFs keyed by
+    ``int(address)``, and its ledger (also in ``ledgers``). A Node's
+    ``routing_table``, ``rules`` and ``addresses`` must not change
+    afterwards. ``address_text`` is the traces' address-text memo (see
     ``srv6sfc.trace``); it fills as events are kept, not at construction,
     and holds at most ``address_limit`` entries: the number of addresses
     the network declares (registered SIDs plus node addresses).
@@ -90,32 +95,27 @@ class Network:
         self.registry = registry
         self.units = units
         self.ledgers: dict[str, CostLedger] = {}
-        self._local: dict[str, frozenset[int]] = {}
-        self._states: dict[str, NfvNodeState] = {}
+        self.states: dict[str, NodeState] = {}
         self._next_uid = 0
         self.address_text: dict[object, str] = {}
         self.address_limit = len(registry.sid_table) + sum(
             len(node.addresses) for node in nodes.values()
         )
-        self.fib = {n.node_id: PrefixTable(n.routing_table) for n in nodes.values()}
-        self.classifiers = {
-            n.node_id: PrefixTable((r.network, r.chain_id) for r in n.rules) for n in nodes.values()
-        }
         for node in nodes.values():
-            ledger = self.ledgers[node.node_id] = CostLedger(units)
             vnfs = {int(vnf.sid.address): vnf for vnf in node.hosted_vnfs}
-            self._local[node.node_id] = frozenset(map(int, node.addresses)).union(vnfs)
-            if vnfs:
-                self._states[node.node_id] = NfvNodeState(node.node_id, vnfs, registry, ledger)
+            ledger = self.ledgers[node.node_id] = CostLedger()
+            self.states[node.node_id] = NodeState(
+                node.node_id, vnfs, registry, ledger,
+                local=frozenset(map(int, node.addresses)).union(vnfs),
+                fib=PrefixTable(node.routing_table),
+                classifier=PrefixTable((rule.network, rule.chain_id) for rule in node.rules),
+            )
 
     def node(self, node_id: str) -> Node:
         try:
             return self.nodes[node_id]
         except KeyError:
             raise errors.UnknownNodeRef(f"no node {node_id!r}") from None
-
-    def connector_state(self, node_id: str) -> NfvNodeState | None:
-        return self._states.get(node_id)
 
     def next_uid(self) -> int:
         uid = self._next_uid
@@ -242,21 +242,14 @@ def inject(
     Classification and encapsulation happen at the ingress when a rule
     matches; otherwise the packet travels as plain IPv6. Every injected
     packet ends in exactly one Delivered or Dropped. The walk's number is
-    ``result.trace.uid``; the packet itself carries none. Connector passes
-    charge their node's ledger themselves; each plain-forwarding node is
-    charged once per packet, on the way out, also when the walk raises.
+    ``result.trace.uid``; the packet itself carries none. Every charge
+    lands in its node's ledger as it is made, so the ledgers hold all of
+    a walk's charges also when it raises.
     """
-    node = network.node(ingress)
+    state = network.states[network.node(ingress).node_id]
     trace = Trace(network.next_uid(), terminal_only, network.address_text, network.address_limit)
     costs: dict[str, tuple[int, int, int]] = {}
-    forwarded: dict[str, int] = {}
-    try:
-        outcome = _walk(network, node, inner, trace, costs, forwarded)
-    finally:
-        for node_id, f in forwarded.items():
-            network.ledgers[node_id].add(f)
-            _add_cost(costs, node_id, (f, 0, 0))
-    return InjectResult(outcome, trace, costs)
+    return InjectResult(_walk(network, state, inner, trace, costs), trace, costs)
 
 
 def _add_cost(costs: dict[str, tuple[int, int, int]], node_id: str, cost: tuple[int, int, int]) -> None:
@@ -266,46 +259,57 @@ def _add_cost(costs: dict[str, tuple[int, int, int]], node_id: str, cost: tuple[
     )
 
 
+def classify_at_ingress(state: NodeState, packet: Packet, trace: Trace) -> Packet | Dropped:
+    """A walk's first step: a packet one of the node's classifier rules
+    matches is encapsulated for that rule's chain, or dropped at the node
+    when the result would not fit; any other packet is returned as is."""
+    chain_id = state.classifier.lookup(packet.header.dst)
+    if chain_id is None:
+        return packet
+    trace.add(state.node_id, EventKind.CLASSIFIED, chain_id)
+    try:
+        packet = encapsulate(packet, state.registry.chain(chain_id))
+    except errors.OversizedPacket as exc:
+        trace.add(state.node_id, EventKind.DROPPED, str(exc))
+        return Dropped(state.node_id, str(exc))
+    trace.add(state.node_id, EventKind.ENCAPSULATED, packet.header.dst)
+    return packet
+
+
 def _walk(
     network: Network,
-    node: Node,
+    state: NodeState,
     packet: Packet,
     trace: Trace,
     costs: dict[str, tuple[int, int, int]],
-    forwarded: dict[str, int],
 ) -> Delivered | Dropped:
-    """``inject``'s walk: fills ``costs`` with connector passes and
-    ``forwarded`` with plain forwards, per node. A plain hop decrements
-    ``hop`` only; the packet gets it back before the connector, egress or
-    delivery, and ``hop`` restarts from each packet they hand back.
+    """``inject``'s walk, carrying the current node's ``NodeState``: fills
+    ``costs`` with the connector passes and plain forwards of each node.
+    A plain hop decrements ``hop`` only; the packet gets it back before
+    the connector, egress or delivery, and ``hop`` restarts from each
+    packet they hand back.
 
     Every routing decision is the walk's, by one rule: a local
     destination is handled at the node, anything else goes where the
     node's FIB says. The packet a connector hands back follows it too, as
     in Linux, where the local table comes before the main one."""
-    chain_id = network.classifiers[node.node_id].lookup(packet.header.dst)
-    if chain_id is not None:
-        trace.add(node.node_id, EventKind.CLASSIFIED, chain_id)
-        try:
-            packet = encapsulate(packet, network.registry.chain(chain_id))
-        except errors.OversizedPacket as exc:
-            trace.add(node.node_id, EventKind.DROPPED, str(exc))
-            return Dropped(node.node_id, str(exc))
-        trace.add(node.node_id, EventKind.ENCAPSULATED, packet.header.dst)
+    packet = classify_at_ingress(state, packet, trace)
+    if type(packet) is Dropped:
+        return packet
 
+    states = network.states
     hop = packet.header.hop_limit
     visits = 0
     while True:
+        node_id = state.node_id
         visits += 1
         if visits > MAX_NODE_VISITS:
-            trace.add(node.node_id, EventKind.DROPPED, "node visit budget exceeded")
-            return Dropped(node.node_id, "node visit budget exceeded")
+            trace.add(node_id, EventKind.DROPPED, "node visit budget exceeded")
+            return Dropped(node_id, "node visit budget exceeded")
 
-        node_id = node.node_id
         dst = packet.header.dst
         key = int(dst)
-        state = network.connector_state(node_id)
-        if packet.srh is not None and state is not None and key in state.vnfs:
+        if packet.srh is not None and key in state.vnfs:
             packet = _with_hop_limit(packet, hop)
             result = connector_process(state, packet, emit=partial(trace.add, node_id))
             _add_cost(costs, node_id, result.cost)
@@ -313,10 +317,10 @@ def _walk(
             if packet is None:
                 return Dropped(node_id, result.drop_reason)
             hop = packet.header.hop_limit
-            if int(packet.header.dst) in network._local[node_id]:
+            if int(packet.header.dst) in state.local:
                 continue
-            next_hop = network.fib[node_id].lookup(packet.header.dst)
-        elif key in network._local[node_id]:
+            next_hop = state.fib.lookup(packet.header.dst)
+        elif key in state.local:
             packet = _with_hop_limit(packet, hop)
             if packet.is_encapsulated:
                 packet = egress_process(packet)
@@ -326,9 +330,10 @@ def _walk(
             trace.add(node_id, EventKind.DELIVERED, dst)
             return Delivered(packet, node_id)
         else:
-            next_hop = network.fib[node_id].lookup(dst)
-            if next_hop is not None:
-                forwarded[node_id] = forwarded.get(node_id, 0) + 1  # plain router cost
+            next_hop = state.fib.lookup(dst)
+            if next_hop is not None:  # plain router cost
+                state.ledger.add(1)
+                _add_cost(costs, node_id, (1, 0, 0))
 
         if next_hop is None:
             reason = f"no route to {packet.header.dst}"
@@ -339,7 +344,7 @@ def _walk(
             return Dropped(node_id, "hop limit exceeded")
         hop -= 1
         trace.add(node_id, EventKind.FORWARDED, next_hop)
-        node = network.node(next_hop)
+        state = states[next_hop]
 
 
 # Flows -------------------------------------------------------------------

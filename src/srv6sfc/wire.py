@@ -1,11 +1,17 @@
-"""Wire-format data model: IPv6 fixed header, the segment routing
-extension header (routing type 4), and a minimal UDP carrier.
+"""Packet wire model and codec: the IPv6 fixed header, the segment
+routing extension header (routing type 4) and a minimal UDP carrier.
 
 All multi-byte fields are big-endian. The segment list is stored in
 reverse path order: ``segment_list[0]`` is the final segment and
 ``segments_left`` indexes the active entry, counting down as the packet
 progresses. Chains written in forward path order are reversed on entry
 (see :meth:`SegmentRoutingHeader.from_path`).
+
+The codec checks every length before the corresponding bytes are
+touched, so arbitrary input can never cause an out-of-range read:
+malformed bytes raise a :class:`srv6sfc.errors.WireError` subclass,
+nothing else. Callers go through ``wire.parse_packet`` and
+``wire.serialize_packet``, so a tracer that rebinds them sees every call.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ UDP_HEADER_LEN = 8
 DEFAULT_HOP_LIMIT = 64
 MAX_PAYLOAD_LEN = 0xFFFF
 
+
+def active_backend() -> str:
+    """Name of the codec, for run metadata; there is only one."""
+    return "python"
+
+
+# Model ------------------------------------------------------------------
 
 class Ipv6Header(NamedTuple):
     """Fixed 40-byte IPv6 header.
@@ -107,16 +120,7 @@ class SegmentRoutingHeader(NamedTuple):
             raise errors.InvariantViolation("segment list must not be empty")
         if segments_left is None:
             segments_left = n - 1
-        return cls(
-            next_header=next_header,
-            hdr_ext_len=2 * n,
-            routing_type=SRH_ROUTING_TYPE,
-            segments_left=segments_left,
-            last_entry=n - 1,
-            flags=flags,
-            tag=tag,
-            segment_list=segs,
-        )
+        return cls(next_header, 2 * n, SRH_ROUTING_TYPE, segments_left, n - 1, flags, tag, segs)
 
     @property
     def byte_length(self) -> int:
@@ -183,9 +187,7 @@ def validate_packet(packet: Packet) -> None:
     srh_len = 0
     if srh is not None:
         if h.next_header != NEXT_HEADER_ROUTING:
-            raise errors.InvariantViolation(
-                "SRH present but header.next_header != routing (43)"
-            )
+            raise errors.InvariantViolation("SRH present but header.next_header != routing (43)")
         n = len(srh.segment_list)
         if n == 0:
             raise errors.InvariantViolation("segment list must not be empty")
@@ -202,9 +204,7 @@ def validate_packet(packet: Packet) -> None:
                 f"segments_left {srh.segments_left} exceeds last_entry {srh.last_entry}"
             )
         if srh.hdr_ext_len != 2 * n:
-            raise errors.InvariantViolation(
-                f"hdr_ext_len {srh.hdr_ext_len} != 2 * {n} segments"
-            )
+            raise errors.InvariantViolation(f"hdr_ext_len {srh.hdr_ext_len} != 2 * {n} segments")
         if not 0 <= srh.next_header <= 0xFF:
             raise errors.InvariantViolation(f"SRH next_header out of range: {srh.next_header}")
         if not 0 <= srh.flags <= 0xFF:
@@ -224,10 +224,129 @@ def validate_packet(packet: Packet) -> None:
         raise errors.InvariantViolation(f"payload too long for 16-bit length: {expected}")
 
 
+# Codec ------------------------------------------------------------------
+
+def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
+    """Parse one packet, bit-exactly; re-serializing returns the input."""
+    b = bytes(data)
+    n = len(b)
+    if n < IPV6_HEADER_LEN:
+        raise errors.TruncatedPacket(f"need 40 bytes for the fixed header, got {n}")
+
+    version = b[0] >> 4
+    if version != 6:
+        raise errors.BadVersion(f"version nibble is {version}, not 6")
+    traffic_class = ((b[0] & 0x0F) << 4) | (b[1] >> 4)
+    flow_label = ((b[1] & 0x0F) << 16) | (b[2] << 8) | b[3]
+    payload_length = (b[4] << 8) | b[5]
+    next_header = b[6]
+    hop_limit = b[7]
+
+    total = IPV6_HEADER_LEN + payload_length
+    if n < total:
+        raise errors.TruncatedPacket(
+            f"payload_length declares {payload_length} bytes, only {n - IPV6_HEADER_LEN} present"
+        )
+    if n > total:
+        raise errors.TrailingBytes(f"{n - total} bytes beyond the declared packet")
+
+    header = tuple.__new__(Ipv6Header, (
+        6, traffic_class, flow_label, payload_length, next_header, hop_limit,
+        IPv6Address(b[8:24]), IPv6Address(b[24:40]),
+    ))
+
+    srh = None
+    offset = IPV6_HEADER_LEN
+    if next_header == NEXT_HEADER_ROUTING:
+        if payload_length < SRH_FIXED_LEN:
+            raise errors.TruncatedPacket("routing header overruns the declared payload")
+        routing_type = b[offset + 2]
+        if routing_type != SRH_ROUTING_TYPE:
+            raise errors.BadRoutingType(f"routing_type {routing_type}, expected {SRH_ROUTING_TYPE}")
+        hdr_ext_len = b[offset + 1]
+        if hdr_ext_len == 0 or hdr_ext_len % 2 != 0:
+            raise errors.MalformedSrh(f"hdr_ext_len {hdr_ext_len} is not a positive even value")
+        seg_count = hdr_ext_len // 2
+        srh_len = SRH_FIXED_LEN + 8 * hdr_ext_len
+        if payload_length < srh_len:
+            raise errors.TruncatedPacket(
+                f"SRH needs {srh_len} bytes, payload declares {payload_length}"
+            )
+        segments_left = b[offset + 3]
+        last_entry = b[offset + 4]
+        if last_entry != seg_count - 1:
+            raise errors.MalformedSrh(
+                f"last_entry {last_entry} inconsistent with hdr_ext_len {hdr_ext_len}"
+            )
+        if segments_left > last_entry:
+            raise errors.MalformedSrh(
+                f"segments_left {segments_left} exceeds last_entry {last_entry}"
+            )
+        seg_base = offset + SRH_FIXED_LEN
+        segment_list = tuple(
+            IPv6Address(b[seg_base + i * SEGMENT_LEN : seg_base + (i + 1) * SEGMENT_LEN])
+            for i in range(seg_count)
+        )
+        srh = tuple.__new__(SegmentRoutingHeader, (
+            b[offset], hdr_ext_len, routing_type, segments_left, last_entry,
+            b[offset + 5], (b[offset + 6] << 8) | b[offset + 7], segment_list,
+        ))
+        offset += srh_len
+
+    return Packet(header=header, srh=srh, payload=b[offset:total])
+
+
+def serialize_packet(packet: Packet) -> bytes:
+    """Emit network byte order; the exact inverse of :func:`parse_packet`."""
+    validate_packet(packet)
+    h = packet.header
+    out = bytearray(IPV6_HEADER_LEN + h.payload_length)
+    out[0] = 0x60 | (h.traffic_class >> 4)
+    out[1] = ((h.traffic_class & 0x0F) << 4) | (h.flow_label >> 16)
+    out[2] = (h.flow_label >> 8) & 0xFF
+    out[3] = h.flow_label & 0xFF
+    out[4] = h.payload_length >> 8
+    out[5] = h.payload_length & 0xFF
+    out[6] = h.next_header
+    out[7] = h.hop_limit
+    out[8:24] = h.src.packed
+    out[24:40] = h.dst.packed
+
+    offset = IPV6_HEADER_LEN
+    srh = packet.srh
+    if srh is not None:
+        out[offset] = srh.next_header
+        out[offset + 1] = srh.hdr_ext_len
+        out[offset + 2] = srh.routing_type
+        out[offset + 3] = srh.segments_left
+        out[offset + 4] = srh.last_entry
+        out[offset + 5] = srh.flags
+        out[offset + 6] = srh.tag >> 8
+        out[offset + 7] = srh.tag & 0xFF
+        offset += SRH_FIXED_LEN
+        for segment in srh.segment_list:
+            out[offset : offset + SEGMENT_LEN] = segment.packed
+            offset += SEGMENT_LEN
+
+    out[offset:] = packet.payload
+    return bytes(out)
+
+
+def hexdump(data: bytes) -> str:
+    """Classic dump: offset, 16 hex bytes in two groups, ASCII gutter."""
+    lines = []
+    for base in range(0, len(data), 16):
+        chunk = data[base : base + 16]
+        left = " ".join(f"{byte:02x}" for byte in chunk[:8])
+        right = " ".join(f"{byte:02x}" for byte in chunk[8:])
+        gutter = "".join(chr(byte) if 0x20 <= byte < 0x7F else "." for byte in chunk)
+        lines.append(f"{base:08x}  {left:<23}  {right:<23}  |{gutter}|")
+    return "\n".join(lines)
+
+
 # UDP carrier ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class UdpHeader:
+class UdpHeader(NamedTuple):
     """8-byte UDP header. The checksum is carried opaquely, never computed."""
 
     src_port: int
@@ -257,10 +376,10 @@ def decode_udp(data: bytes) -> tuple[UdpHeader, bytes]:
     if len(data) < UDP_HEADER_LEN:
         raise errors.TruncatedPacket(f"UDP needs 8 bytes, got {len(data)}")
     header = UdpHeader(
-        src_port=int.from_bytes(data[0:2], "big"),
-        dst_port=int.from_bytes(data[2:4], "big"),
-        length=int.from_bytes(data[4:6], "big"),
-        checksum=int.from_bytes(data[6:8], "big"),
+        int.from_bytes(data[0:2], "big"),
+        int.from_bytes(data[2:4], "big"),
+        int.from_bytes(data[4:6], "big"),
+        int.from_bytes(data[6:8], "big"),
     )
     if header.length != len(data):
         raise errors.TruncatedPacket(
@@ -283,13 +402,6 @@ def udp_packet(
     """Convenience builder for a plain IPv6+UDP packet with correct lengths."""
     datagram = encode_udp(src_port, dst_port, payload)
     header = Ipv6Header(
-        version=6,
-        traffic_class=traffic_class,
-        flow_label=flow_label,
-        payload_length=len(datagram),
-        next_header=NEXT_HEADER_UDP,
-        hop_limit=hop_limit,
-        src=src,
-        dst=dst,
+        6, traffic_class, flow_label, len(datagram), NEXT_HEADER_UDP, hop_limit, src, dst
     )
-    return Packet(header=header, srh=None, payload=datagram)
+    return Packet(header, None, datagram)

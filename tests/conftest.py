@@ -11,8 +11,8 @@ from hypothesis import settings
 from srv6sfc.chain import ChainRegistry, ClassifierRule, Sid, SidKind, VnfChain
 from srv6sfc.dataplane import PassThroughRouter, UnitCosts, Vnf, VnfPermission
 from srv6sfc.sim import Network, Node, NodeRole, build_network
+from srv6sfc import wire
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
-from srv6sfc.wire import _codec_py
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a Tier-1 result depends only on the code under test.
@@ -20,7 +20,7 @@ settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 
 
-@pytest.fixture(params=[pytest.param(_codec_py, id="python")])
+@pytest.fixture(params=[pytest.param(wire, id="python")])
 def codec(request):
     """The codec module under test. The single ``python`` param keeps the
     wire tests' ids (``test_...[python]``) stable."""

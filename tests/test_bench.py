@@ -75,6 +75,9 @@ def test_point_rejects_bad_inputs():
         evaluate_point(model, 1.0, 0)
     with pytest.raises(errors.BenchError):
         evaluate_point(model, 1.0, 100, runs=0)
+    # A negative jitter used to switch the noise off silently.
+    with pytest.raises(errors.BenchError):
+        evaluate_point(model, 1.0, 100, noise_pct=-5.0)
     with pytest.raises(errors.BenchError):
         CapacityModel(capacity=0)
     with pytest.raises(errors.BenchError):

@@ -142,6 +142,8 @@ _UNLINKED = [
         pytest.param("runs 30", "runs 0", "line 51: runs must be >= 1, got 0", id="bench-runs-zero"),
         pytest.param("noise 1.0", "noise nan", "line 52: noise must be finite, got nan",
                      id="bench-noise-nan"),
+        pytest.param("noise 1.0", "noise -5", "line 52: noise must be >= 0, got -5",
+                     id="bench-noise-negative"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -192,7 +194,7 @@ def test_build_network_from_config(testbed_config_path):
     config = load_config(testbed_config_path)
     network = config.build_network()
     assert set(network.nodes) == {"er1", "nfv", "er2"}
-    assert network.connector_state("nfv") is not None
+    assert network.states["nfv"].vnfs and not network.states["er1"].vnfs
 
 
 def test_kind_override_flips_vnf_kind(testbed_config_path):
@@ -295,7 +297,7 @@ def _editor_testbed(path) -> str:
 def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
     network = parse_config_text(_editor_testbed(testbed_config_path)).build_network()
     keys = {address: address for address in network.registry.sid_table}
-    edits = [vnf.behavior.edit for vnf in network.connector_state("nfv").vnfs.values()
+    edits = [vnf.behavior.edit for vnf in network.states["nfv"].vnfs.values()
              if isinstance(vnf.behavior, ChainEditor)]
     assert len(edits) == 3
     registered = [sid for edit in edits for sid in edit.sids if sid in keys]
@@ -333,12 +335,12 @@ def test_config_is_checked_once_and_each_build_is_fresh(tmp_path, testbed_config
     vnfs = [
         (network, vnf)
         for network in networks
-        for vnf in network.connector_state("nfv").vnfs.values()
+        for vnf in network.states["nfv"].vnfs.values()
     ]
     assert len({id(vnf) for _, vnf in vnfs}) == len(vnfs) == 12
     # Each network's VNFs carry that network's own SIDs.
     assert all(vnf.sid is network.registry.sid(vnf.sid.address) for network, vnf in vnfs)
-    assert networks[2].connector_state("nfv").vnfs[int(IPv6Address("BBBB::2"))].sid.kind is SidKind.SR_AWARE
+    assert networks[2].states["nfv"].vnfs[int(IPv6Address("BBBB::2"))].sid.kind is SidKind.SR_AWARE
 
 
 # Address parsing: ``_Collector.address`` against ``IPv6Address(text)`` ------------

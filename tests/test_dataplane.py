@@ -18,7 +18,6 @@ from srv6sfc.dataplane import (
     ActionKind,
     ChainEditor,
     CostLedger,
-    NfvNodeState,
     PassThroughRouter,
     PayloadStamper,
     PrefixFilter,
@@ -180,7 +179,7 @@ def test_direct_rewrites_match_replace_reference(packet):
 # Connector cost accounting ------------------------------------------------------
 
 def run_connector(network, packet):
-    state = network.connector_state("nfv")
+    state = network.states["nfv"]
     return state, connector_process(state, packet)
 
 
@@ -259,14 +258,14 @@ def test_unaware_vnf_cannot_edit_chain():
 def test_connector_requires_local_sid():
     network, chain = chain_testbed(1, SidKind.SR_UNAWARE)
     outer = encapsulate(inner_packet(), VnfChain("x", (CCCC2,), ER1))
-    state = network.connector_state("nfv")
+    state = network.states["nfv"]
     with pytest.raises(errors.UnknownSid):
         connector_process(state, outer)
 
 
 def test_connector_requires_srh():
     network, _ = chain_testbed(1, SidKind.SR_UNAWARE)
-    state = network.connector_state("nfv")
+    state = network.states["nfv"]
     with pytest.raises(errors.NoSrh):
         connector_process(state, inner_packet())
 

@@ -147,11 +147,10 @@ def test_built_tables_agree_with_reference_lookups(testbed_config_path):
         for prefix in prefixes:  # first, last and just past each prefix
             probes += [prefix.network_address, prefix.broadcast_address,
                        prefix.broadcast_address + 1]
+        state = network.states[node_id]
         for address in probes:
-            assert network.fib[node_id].lookup(address) == longest_prefix_match(
-                node.routing_table, address
-            )
-            assert network.classifiers[node_id].lookup(address) == classify(node.rules, address)
+            assert state.fib.lookup(address) == longest_prefix_match(node.routing_table, address)
+            assert state.classifier.lookup(address) == classify(node.rules, address)
 
 
 # Walks --------------------------------------------------------------------------
@@ -169,6 +168,23 @@ def test_inject_stamps_uid_on_both_paths():
     chained = inject(network, "er1", udp_packet(SRC, SINK, b"x"))
     plain = inject(network, "er1", udp_packet(SRC, IPv6Address("CCCC::1"), b"x"))
     assert (chained.trace.uid, plain.trace.uid) == (0, 1)
+
+
+def test_walk_calls_the_hosted_vnf_objects(testbed_config_path):
+    # Tools that wrap a built network's VNF behaviors (the benchmark
+    # counts VNF calls this way) rely on the walk's compiled node state
+    # holding the very ``Vnf`` objects of ``Node.hosted_vnfs``.
+    network = load_config(testbed_config_path).build_network()
+    vnf = network.nodes["nfv"].hosted_vnfs[0]
+    behavior, calls = vnf.behavior, []
+
+    def counted(packet):
+        calls.append(packet)
+        return behavior(packet)
+
+    vnf.behavior = counted
+    assert inject(network, "er1", udp_packet(SRC, SINK, b"x")).delivered
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("default_route", [False, True], ids=["no-default", "default-via-er2"])
