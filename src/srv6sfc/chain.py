@@ -17,7 +17,7 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import Generic, Iterable, NamedTuple, TypeVar
 
 from srv6sfc import errors
-from srv6sfc.wire import SegmentRoutingHeader
+from srv6sfc.wire import MAX_SEGMENTS, SegmentRoutingHeader
 
 T = TypeVar("T")
 
@@ -81,6 +81,8 @@ class VnfChain:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise errors.InvalidChain(f"chain {self.chain_id!r} has no segments")
+        if len(self.segments) > MAX_SEGMENTS:
+            raise errors.InvalidChain(f"chain {self.chain_id!r} has more than {MAX_SEGMENTS} segments")
         seen = set()
         for address in self.segments:
             if address in seen:

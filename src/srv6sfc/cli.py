@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--scenario", choices=("aware", "unaware", "both"), default="both")
     p.add_argument("--rates", type=_rates, help="comma-separated pps list (default from config)")
-    p.add_argument("--runs", type=int)
+    p.add_argument("--runs", type=_int_in_range(1))
     p.add_argument("--seed", type=int)
     p.add_argument("--noise", type=_non_negative, help="percent jitter on utilization")
     p.add_argument("--capacity", type=_finite, help="override capacity model")

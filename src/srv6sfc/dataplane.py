@@ -91,22 +91,31 @@ class SegmentListEdit:
         return cls(cls.Kind.REPLACE, tuple(sids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VnfAction:
     """A VNF's verdict on one packet. Drop carries no packet; EditChain is
-    only legal from SR-aware VNFs."""
+    only legal from SR-aware VNFs. Built like ``wire.Packet``, for speed:
+    ``__init__`` checks the verdict, then stores through the slots."""
+
+    __slots__ = ("kind", "packet", "edit")
 
     kind: ActionKind
-    packet: Packet | None = None
-    edit: SegmentListEdit | None = None
+    packet: Packet | None
+    edit: SegmentListEdit | None
 
-    def __post_init__(self):
-        if self.kind is ActionKind.DROP and self.packet is not None:
+    def __init__(self, kind, packet=None, edit=None):
+        if kind is ActionKind.DROP and packet is not None:
             raise errors.InvariantViolation("Drop carries no packet")
-        if self.kind is not ActionKind.DROP and self.packet is None:
-            raise errors.InvariantViolation(f"{self.kind.value} requires a packet")
-        if self.kind is ActionKind.EDIT_CHAIN and self.edit is None:
+        if kind is not ActionKind.DROP and packet is None:
+            raise errors.InvariantViolation(f"{kind.value} requires a packet")
+        if kind is ActionKind.EDIT_CHAIN and edit is None:
             raise errors.InvariantViolation("EditChain requires an edit")
+        _set_kind(self, kind)
+        _set_packet(self, packet)
+        _set_edit(self, edit)
+
+    def __reduce__(self):
+        return VnfAction, (self.kind, self.packet, self.edit)
 
     @classmethod
     def forward(cls, packet: Packet) -> "VnfAction":
@@ -123,6 +132,9 @@ class VnfAction:
     @classmethod
     def edit_chain(cls, packet: Packet, edit: SegmentListEdit) -> "VnfAction":
         return cls(ActionKind.EDIT_CHAIN, packet, edit)
+
+
+_set_kind, _set_packet, _set_edit = (VnfAction.__dict__[name].__set__ for name in VnfAction.__slots__)
 
 
 class VnfPermission(Enum):
@@ -324,18 +336,12 @@ def advance_segment(packet: Packet) -> Packet:
     srh = packet.srh
     if srh is None:
         raise errors.NoSrh("cannot advance a packet without an SRH")
-    if srh.segments_left == 0:
+    _, _, _, segments_left, _, _, _, segments = srh
+    if segments_left == 0:
         raise errors.AlreadyAtLastSegment("segments_left is already 0")
-    segments_left = srh.segments_left - 1
-    h = packet.header
-    header = tuple.__new__(Ipv6Header, (
-        h.version, h.traffic_class, h.flow_label, h.payload_length, h.next_header,
-        h.hop_limit, h.src, srh.segment_list[segments_left],
-    ))
-    srh = tuple.__new__(SegmentRoutingHeader, (
-        srh.next_header, srh.hdr_ext_len, srh.routing_type, segments_left,
-        srh.last_entry, srh.flags, srh.tag, srh.segment_list,
-    ))
+    segments_left -= 1
+    header = tuple.__new__(Ipv6Header, (*packet.header[:7], segments[segments_left]))
+    srh = tuple.__new__(SegmentRoutingHeader, (*srh[:3], segments_left, *srh[4:]))
     return Packet(header, srh, packet.payload)
 
 
@@ -350,8 +356,8 @@ def apply_edit(
     Only the remaining (untraversed) part of the list may change; the
     already-walked suffix is preserved, and segments_left, last_entry,
     lengths and the destination address are all recomputed. Raises
-    :class:`errors.OversizedPacket` when the longer SRH would push the
-    outer payload past 65,535 B.
+    :class:`errors.OversizedPacket` when the longer SRH would pass 127
+    segments or push the outer payload past 65,535 B.
     """
     srh = packet.srh
     if srh is None:
@@ -365,8 +371,9 @@ def apply_edit(
             if address not in registry.sid_table:
                 raise errors.UnknownSidInEdit(f"edit references unregistered SID {address}")
 
+    next_header, _, routing_type, segments_left, _, flags, tag, segments = srh
     # Remaining path in forward order: active segment first.
-    remaining = tuple(srh.segment_list[i] for i in range(srh.segments_left, -1, -1))
+    remaining = segments[segments_left::-1]
     if edit.kind is SegmentListEdit.Kind.INSERT_AFTER_CURRENT:
         new_remaining = edit.sids + remaining
     elif edit.kind is SegmentListEdit.Kind.INSERT_AT:
@@ -381,17 +388,16 @@ def apply_edit(
             raise errors.InvalidEdit("replacement segment list must not be empty")
         new_remaining = edit.sids
 
-    walked = srh.segment_list[srh.segments_left + 1 :]
-    segment_list = tuple(reversed(new_remaining)) + walked
+    segment_list = tuple(reversed(new_remaining)) + segments[segments_left + 1 :]
     n = len(segment_list)
+    if n > wire.MAX_SEGMENTS:
+        raise errors.OversizedPacket(f"edited SRH of {n} segments exceeds {wire.MAX_SEGMENTS}")
     srh = tuple.__new__(SegmentRoutingHeader, (
-        srh.next_header, 2 * n, srh.routing_type, len(new_remaining) - 1, n - 1,
-        srh.flags, srh.tag, segment_list,
+        next_header, 2 * n, routing_type, len(new_remaining) - 1, n - 1, flags, tag, segment_list,
     ))
     h = packet.header
     header = tuple.__new__(Ipv6Header, (
-        h.version, h.traffic_class, h.flow_label, _payload_length(srh, packet.payload, "edited"),
-        h.next_header, h.hop_limit, h.src, new_remaining[0],
+        *h[:3], _payload_length(srh, packet.payload, "edited"), *h[4:7], new_remaining[0],
     ))
     return Packet(header, srh, packet.payload)
 

@@ -96,7 +96,7 @@ class Trace:
                 if len(memo) < self._address_limit:
                     memo[detail] = text
             detail = text
-        self.events.append(TraceEvent(node, kind, detail))
+        self.events.append(tuple.__new__(TraceEvent, (node, kind, detail)))
 
     def to_jsonl(self) -> str:
         """One JSON object per event: uid, node, event, detail."""

@@ -7,15 +7,23 @@ reverse path order: ``segment_list[0]`` is the final segment and
 progresses. Chains written in forward path order are reversed on entry
 (see :meth:`SegmentRoutingHeader.from_path`).
 
+The codec is ``struct`` over two layouts. ``_FIXED`` (``!IHBB``) is one
+32-bit word of version (4 bits), traffic class (8) and flow label (20),
+then payload length, next header and hop limit; the two addresses follow.
+``_SRH_FIXED`` (``!BBBBBBH``) is the SRH's first 8 bytes, in field order;
+the segments follow, ``segment_list[0]`` first, then the payload.
+
 The codec checks every length before the corresponding bytes are
 touched, so arbitrary input can never cause an out-of-range read:
 malformed bytes raise a :class:`srv6sfc.errors.WireError` subclass,
-nothing else. Callers go through ``wire.parse_packet`` and
+nothing else. Serializing validates first, so ``struct`` never sees an
+out-of-range field. Callers go through ``wire.parse_packet`` and
 ``wire.serialize_packet``, so a tracer that rebinds them sees every call.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 from typing import NamedTuple
@@ -34,6 +42,9 @@ SEGMENT_LEN = 16
 UDP_HEADER_LEN = 8
 DEFAULT_HOP_LIMIT = 64
 MAX_PAYLOAD_LEN = 0xFFFF
+MAX_SEGMENTS = 127         # hdr_ext_len = 2n must fit its 8 bits
+_FIXED = struct.Struct("!IHBB")
+_SRH_FIXED = struct.Struct("!BBBBBBH")
 
 
 def active_backend() -> str:
@@ -127,7 +138,7 @@ class SegmentRoutingHeader(NamedTuple):
         return SRH_FIXED_LEN + SEGMENT_LEN * len(self.segment_list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Packet:
     """One IPv6 packet: header, optional SRH, opaque payload bytes.
 
@@ -135,6 +146,11 @@ class Packet:
     serialized inner packet. A plain value: equality and hash compare
     the three fields, and assigning any attribute raises
     ``dataclasses.FrozenInstanceError``. Edit with ``dataclasses.replace``.
+
+    A frozen dataclass for ``replace``, equality and hash, whose
+    ``__init__`` stores through the slot descriptors: the generated one's
+    ``object.__setattr__`` per field costs about half of a construction.
+    ``__reduce__`` rebuilds through it (copy and pickle would assign).
     """
 
     # Declared by hand: ``slots=True`` rebuilds the class, and the frozen
@@ -145,6 +161,14 @@ class Packet:
     srh: SegmentRoutingHeader | None
     payload: bytes
 
+    def __init__(self, header: Ipv6Header, srh: SegmentRoutingHeader | None, payload: bytes):
+        _set_header(self, header)
+        _set_srh(self, srh)
+        _set_payload(self, payload)
+
+    def __reduce__(self):
+        return Packet, (self.header, self.srh, self.payload)
+
     @property
     def effective_next_header(self) -> int:
         """Protocol of the payload, looking through the SRH if present."""
@@ -153,6 +177,9 @@ class Packet:
     @property
     def is_encapsulated(self) -> bool:
         return self.effective_next_header == NEXT_HEADER_IPV6
+
+
+_set_header, _set_srh, _set_payload = (Packet.__dict__[name].__set__ for name in Packet.__slots__)
 
 
 def active_segment(srh: SegmentRoutingHeader) -> IPv6Address:
@@ -171,54 +198,55 @@ def validate_packet(packet: Packet) -> None:
     Serialization calls this first so that a malformed in-memory packet
     is reported as a construction bug rather than emitted as bad bytes.
     """
-    h = packet.header
-    if h.version != 6:
-        raise errors.InvariantViolation(f"version must be 6, got {h.version}")
-    if not 0 <= h.traffic_class <= 0xFF:
-        raise errors.InvariantViolation(f"traffic_class out of range: {h.traffic_class}")
-    if not 0 <= h.flow_label <= 0xFFFFF:
-        raise errors.InvariantViolation(f"flow_label out of range: {h.flow_label}")
-    if not 0 <= h.next_header <= 0xFF:
-        raise errors.InvariantViolation(f"next_header out of range: {h.next_header}")
-    if not 0 <= h.hop_limit <= 0xFF:
-        raise errors.InvariantViolation(f"hop_limit out of range: {h.hop_limit}")
+    version, traffic_class, flow_label, payload_length, next_header, hop_limit, _, _ = packet.header
+    if version != 6:
+        raise errors.InvariantViolation(f"version must be 6, got {version}")
+    if not 0 <= traffic_class <= 0xFF:
+        raise errors.InvariantViolation(f"traffic_class out of range: {traffic_class}")
+    if not 0 <= flow_label <= 0xFFFFF:
+        raise errors.InvariantViolation(f"flow_label out of range: {flow_label}")
+    if not 0 <= next_header <= 0xFF:
+        raise errors.InvariantViolation(f"next_header out of range: {next_header}")
+    if not 0 <= hop_limit <= 0xFF:
+        raise errors.InvariantViolation(f"hop_limit out of range: {hop_limit}")
 
     srh = packet.srh
     srh_len = 0
     if srh is not None:
-        if h.next_header != NEXT_HEADER_ROUTING:
+        if next_header != NEXT_HEADER_ROUTING:
             raise errors.InvariantViolation("SRH present but header.next_header != routing (43)")
-        n = len(srh.segment_list)
+        srh_next, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments = srh
+        n = len(segments)
         if n == 0:
             raise errors.InvariantViolation("segment list must not be empty")
-        if srh.routing_type != SRH_ROUTING_TYPE:
+        if n > MAX_SEGMENTS:
+            raise errors.InvariantViolation(f"{n} segments exceed the SRH maximum of {MAX_SEGMENTS}")
+        if routing_type != SRH_ROUTING_TYPE:
             raise errors.InvariantViolation(
-                f"routing_type must be {SRH_ROUTING_TYPE}, got {srh.routing_type}"
+                f"routing_type must be {SRH_ROUTING_TYPE}, got {routing_type}"
             )
-        if srh.last_entry != n - 1:
+        if last_entry != n - 1:
+            raise errors.InvariantViolation(f"last_entry {last_entry} != {n - 1} for {n} segments")
+        if not 0 <= segments_left <= last_entry:
             raise errors.InvariantViolation(
-                f"last_entry {srh.last_entry} != {n - 1} for {n} segments"
+                f"segments_left {segments_left} exceeds last_entry {last_entry}"
             )
-        if not 0 <= srh.segments_left <= srh.last_entry:
-            raise errors.InvariantViolation(
-                f"segments_left {srh.segments_left} exceeds last_entry {srh.last_entry}"
-            )
-        if srh.hdr_ext_len != 2 * n:
-            raise errors.InvariantViolation(f"hdr_ext_len {srh.hdr_ext_len} != 2 * {n} segments")
-        if not 0 <= srh.next_header <= 0xFF:
-            raise errors.InvariantViolation(f"SRH next_header out of range: {srh.next_header}")
-        if not 0 <= srh.flags <= 0xFF:
-            raise errors.InvariantViolation(f"SRH flags out of range: {srh.flags}")
-        if not 0 <= srh.tag <= 0xFFFF:
-            raise errors.InvariantViolation(f"SRH tag out of range: {srh.tag}")
-        srh_len = srh.byte_length
-    elif h.next_header == NEXT_HEADER_ROUTING:
+        if hdr_ext_len != 2 * n:
+            raise errors.InvariantViolation(f"hdr_ext_len {hdr_ext_len} != 2 * {n} segments")
+        if not 0 <= srh_next <= 0xFF:
+            raise errors.InvariantViolation(f"SRH next_header out of range: {srh_next}")
+        if not 0 <= flags <= 0xFF:
+            raise errors.InvariantViolation(f"SRH flags out of range: {flags}")
+        if not 0 <= tag <= 0xFFFF:
+            raise errors.InvariantViolation(f"SRH tag out of range: {tag}")
+        srh_len = SRH_FIXED_LEN + SEGMENT_LEN * n
+    elif next_header == NEXT_HEADER_ROUTING:
         raise errors.InvariantViolation("header.next_header is routing (43) but no SRH attached")
 
     expected = srh_len + len(packet.payload)
-    if h.payload_length != expected:
+    if payload_length != expected:
         raise errors.InvariantViolation(
-            f"payload_length {h.payload_length} != SRH {srh_len} + payload {len(packet.payload)}"
+            f"payload_length {payload_length} != SRH {srh_len} + payload {len(packet.payload)}"
         )
     if expected > MAX_PAYLOAD_LEN:
         raise errors.InvariantViolation(f"payload too long for 16-bit length: {expected}")
@@ -233,14 +261,10 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
     if n < IPV6_HEADER_LEN:
         raise errors.TruncatedPacket(f"need 40 bytes for the fixed header, got {n}")
 
-    version = b[0] >> 4
+    word, payload_length, next_header, hop_limit = _FIXED.unpack_from(b)
+    version = word >> 28
     if version != 6:
         raise errors.BadVersion(f"version nibble is {version}, not 6")
-    traffic_class = ((b[0] & 0x0F) << 4) | (b[1] >> 4)
-    flow_label = ((b[1] & 0x0F) << 16) | (b[2] << 8) | b[3]
-    payload_length = (b[4] << 8) | b[5]
-    next_header = b[6]
-    hop_limit = b[7]
 
     total = IPV6_HEADER_LEN + payload_length
     if n < total:
@@ -251,85 +275,52 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
         raise errors.TrailingBytes(f"{n - total} bytes beyond the declared packet")
 
     header = tuple.__new__(Ipv6Header, (
-        6, traffic_class, flow_label, payload_length, next_header, hop_limit,
+        6, (word >> 20) & 0xFF, word & 0xFFFFF, payload_length, next_header, hop_limit,
         IPv6Address(b[8:24]), IPv6Address(b[24:40]),
     ))
 
-    srh = None
-    offset = IPV6_HEADER_LEN
-    if next_header == NEXT_HEADER_ROUTING:
-        if payload_length < SRH_FIXED_LEN:
-            raise errors.TruncatedPacket("routing header overruns the declared payload")
-        routing_type = b[offset + 2]
-        if routing_type != SRH_ROUTING_TYPE:
-            raise errors.BadRoutingType(f"routing_type {routing_type}, expected {SRH_ROUTING_TYPE}")
-        hdr_ext_len = b[offset + 1]
-        if hdr_ext_len == 0 or hdr_ext_len % 2 != 0:
-            raise errors.MalformedSrh(f"hdr_ext_len {hdr_ext_len} is not a positive even value")
-        seg_count = hdr_ext_len // 2
-        srh_len = SRH_FIXED_LEN + 8 * hdr_ext_len
-        if payload_length < srh_len:
-            raise errors.TruncatedPacket(
-                f"SRH needs {srh_len} bytes, payload declares {payload_length}"
-            )
-        segments_left = b[offset + 3]
-        last_entry = b[offset + 4]
-        if last_entry != seg_count - 1:
-            raise errors.MalformedSrh(
-                f"last_entry {last_entry} inconsistent with hdr_ext_len {hdr_ext_len}"
-            )
-        if segments_left > last_entry:
-            raise errors.MalformedSrh(
-                f"segments_left {segments_left} exceeds last_entry {last_entry}"
-            )
-        seg_base = offset + SRH_FIXED_LEN
-        segment_list = tuple(
-            IPv6Address(b[seg_base + i * SEGMENT_LEN : seg_base + (i + 1) * SEGMENT_LEN])
-            for i in range(seg_count)
+    if next_header != NEXT_HEADER_ROUTING:
+        return Packet(header, None, b[IPV6_HEADER_LEN:])
+    if payload_length < SRH_FIXED_LEN:
+        raise errors.TruncatedPacket("routing header overruns the declared payload")
+    srh_next, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag = (
+        _SRH_FIXED.unpack_from(b, IPV6_HEADER_LEN)
+    )
+    if routing_type != SRH_ROUTING_TYPE:
+        raise errors.BadRoutingType(f"routing_type {routing_type}, expected {SRH_ROUTING_TYPE}")
+    if hdr_ext_len == 0 or hdr_ext_len % 2 != 0:
+        raise errors.MalformedSrh(f"hdr_ext_len {hdr_ext_len} is not a positive even value")
+    srh_len = SRH_FIXED_LEN + 8 * hdr_ext_len
+    if payload_length < srh_len:
+        raise errors.TruncatedPacket(f"SRH needs {srh_len} bytes, payload declares {payload_length}")
+    if last_entry != hdr_ext_len // 2 - 1:
+        raise errors.MalformedSrh(
+            f"last_entry {last_entry} inconsistent with hdr_ext_len {hdr_ext_len}"
         )
-        srh = tuple.__new__(SegmentRoutingHeader, (
-            b[offset], hdr_ext_len, routing_type, segments_left, last_entry,
-            b[offset + 5], (b[offset + 6] << 8) | b[offset + 7], segment_list,
-        ))
-        offset += srh_len
-
-    return Packet(header=header, srh=srh, payload=b[offset:total])
+    if segments_left > last_entry:
+        raise errors.MalformedSrh(f"segments_left {segments_left} exceeds last_entry {last_entry}")
+    start = IPV6_HEADER_LEN + SRH_FIXED_LEN
+    end = IPV6_HEADER_LEN + srh_len
+    srh = tuple.__new__(SegmentRoutingHeader, (
+        srh_next, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag,
+        tuple(IPv6Address(b[i : i + SEGMENT_LEN]) for i in range(start, end, SEGMENT_LEN)),
+    ))
+    return Packet(header, srh, b[end:])
 
 
 def serialize_packet(packet: Packet) -> bytes:
     """Emit network byte order; the exact inverse of :func:`parse_packet`."""
     validate_packet(packet)
-    h = packet.header
-    out = bytearray(IPV6_HEADER_LEN + h.payload_length)
-    out[0] = 0x60 | (h.traffic_class >> 4)
-    out[1] = ((h.traffic_class & 0x0F) << 4) | (h.flow_label >> 16)
-    out[2] = (h.flow_label >> 8) & 0xFF
-    out[3] = h.flow_label & 0xFF
-    out[4] = h.payload_length >> 8
-    out[5] = h.payload_length & 0xFF
-    out[6] = h.next_header
-    out[7] = h.hop_limit
-    out[8:24] = h.src.packed
-    out[24:40] = h.dst.packed
-
-    offset = IPV6_HEADER_LEN
+    _, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst = packet.header
+    word = 0x60000000 | traffic_class << 20 | flow_label
+    fixed = _FIXED.pack(word, payload_length, next_header, hop_limit)
     srh = packet.srh
-    if srh is not None:
-        out[offset] = srh.next_header
-        out[offset + 1] = srh.hdr_ext_len
-        out[offset + 2] = srh.routing_type
-        out[offset + 3] = srh.segments_left
-        out[offset + 4] = srh.last_entry
-        out[offset + 5] = srh.flags
-        out[offset + 6] = srh.tag >> 8
-        out[offset + 7] = srh.tag & 0xFF
-        offset += SRH_FIXED_LEN
-        for segment in srh.segment_list:
-            out[offset : offset + SEGMENT_LEN] = segment.packed
-            offset += SEGMENT_LEN
-
-    out[offset:] = packet.payload
-    return bytes(out)
+    if srh is None:
+        return b"".join((fixed, src.packed, dst.packed, packet.payload))
+    return b"".join((
+        fixed, src.packed, dst.packed, _SRH_FIXED.pack(*srh[:7]),
+        *[segment.packed for segment in srh[7]], packet.payload,
+    ))
 
 
 def hexdump(data: bytes) -> str:

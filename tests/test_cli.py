@@ -286,6 +286,7 @@ def test_usage_error_exits_two(testbed_config_path, capsys):
         ("bench", ["--rates", "1000,nan,3000"], "argument --rates: not a finite number: 'nan'"),
         ("bench", ["--noise", "nan"], "argument --noise: not a finite number: 'nan'"),
         ("bench", ["--noise", "-5"], "argument --noise: must be >= 0, got -5"),
+        ("bench", ["--runs", "0"], "argument --runs: must be >= 1, got 0"),
         ("bench", ["--capacity", "nan"], "argument --capacity: not a finite number: 'nan'"),
         ("bench", ["--k0", "inf"], "argument --k0: not a finite number: 'inf'"),
     ],
@@ -293,7 +294,8 @@ def test_usage_error_exits_two(testbed_config_path, capsys):
         "run-dst", "trace-src", "run-count-negative", "run-count-zero", "run-payload", "trace-payload",
         "run-sport-high", "run-dport-negative", "trace-sport-high", "trace-dport-high",
         "run-payload-high", "trace-payload-high", "bench-rates-text", "bench-rates-nan",
-        "bench-noise-nan", "bench-noise-negative", "bench-capacity-nan", "bench-k0-inf",
+        "bench-noise-nan", "bench-noise-negative", "bench-runs-zero", "bench-capacity-nan",
+        "bench-k0-inf",
     ],
 )
 def test_bad_argument_values_exit_two(testbed_config_path, capsys, command, argv, message):

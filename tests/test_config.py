@@ -123,6 +123,10 @@ _UNLINKED = [
                      "'nfv' carries classifier rules but is nfv-node", id="rule-on-nfv"),
         pytest.param(_CHAIN_LINE, _CHAIN_LINE + "c1 segs=CCCC::2 src=AAAA::2\n",
                      "duplicate chain id 'c1'", id="duplicate-chain"),
+        # hdr_ext_len = 2n is one byte, so an SRH holds at most 127 segments.
+        pytest.param("segs=BBBB::2,", "segs=" + "".join(f"BBBB::{i:x}," for i in range(2, 129)),
+                     ["line 28: chain 'c1' has more than 127 segments",
+                      "rule for unknown chain 'c1'"], id="chain-too-long"),
         pytest.param(_VNF_LINE, _VNF_LINE + "BBBB::2 behavior=prefix-filter:DDDD::/64\n",
                      "duplicate VNF declaration for bbbb::2", id="duplicate-vnf"),
         pytest.param(_VNF_LINE, _VNF_LINE + "CCCC::2 behavior=passthrough\n",

@@ -532,14 +532,33 @@ def test_growth_past_16_bits_drops_at_node(kind, behavior, reason, ledger):
     assert network.ledgers["nfv"].counts() == ledger
 
 
-def test_self_inserting_editor_trips_loop_budget():
-    network, chain = chain_testbed(
+def test_self_inserting_editor_drops_past_127_segments():
+    # Each pass of the editor adds one segment to the 2 of the chain; the
+    # 126th edit would make 128, which hdr_ext_len's one byte cannot carry.
+    network, _ = chain_testbed(
         1,
         SidKind.SR_AWARE,
         behaviors=[ChainEditor(SegmentListEdit.insert_after_current((BBBB2,)))],
     )
+    reason = "edited SRH of 128 segments exceeds 127"
+    result = inject(network, "er1", inner_packet())
+    assert result.outcome == Dropped("nfv", reason)
+    assert network.ledgers["nfv"].counts() == (126, 0, 0)
+
+
+def test_editor_reinserting_unaware_vnf_trips_loop_budget():
+    # Re-encapsulation rebuilds the chain's 3-segment SRH, so this loop
+    # never grows the list: only the step budget ends it.
+    network, chain = chain_testbed(
+        2,
+        (SidKind.SR_UNAWARE, SidKind.SR_AWARE),
+        behaviors=[
+            PassThroughRouter(),
+            ChainEditor(SegmentListEdit.insert_after_current((BBBB2,))),
+        ],
+    )
     outer = encapsulate(inner_packet(), chain)
-    with pytest.raises(errors.PipelineLoop):
+    with pytest.raises(errors.PipelineLoop, match="1024 VNF invocations on 'nfv'"):
         run_connector(network, outer)
 
 

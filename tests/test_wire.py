@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 from ipaddress import IPv6Address
 
@@ -10,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codec_reference import reference_parse, reference_serialize
 from conftest import (
     TESTBED_GOLDEN,
     random_junk,
     random_valid_packet,
 )
 from srv6sfc import errors, wire
+from srv6sfc.dataplane import ActionKind, SegmentListEdit, VnfAction
 from srv6sfc.wire import (
     Ipv6Header,
     Packet,
@@ -243,17 +247,23 @@ def test_headers_and_packets_are_immutable():
     header = Ipv6Header(6, 0, 0, srh.byte_length, 43, 64, CCCC2, BBBB2)
     packet = Packet(header, srh, b"")
     packet_fields = [f.name for f in dataclasses.fields(Packet)]
+    action = VnfAction.edit_chain(packet, SegmentListEdit.insert_after_current((CCCC2,)))
     udp, _ = decode_udp(encode_udp(1, 2, b"x"))
     for value, names in (
         (header, Ipv6Header._fields),
         (srh, SegmentRoutingHeader._fields),
         (packet, packet_fields),
+        (action, ("kind", "packet", "edit")),
         (udp, ("src_port", "dst_port", "length", "checksum")),
     ):
         # A name that is not a field (a VNF marking the packet) is refused too.
         for name in (*names, "mark"):
             with pytest.raises(AttributeError):
                 setattr(value, name, 0)
+        # A behaviour may copy what it is handed; a copy is an equal value.
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone == value
+    assert action.kind is ActionKind.EDIT_CHAIN and action.packet is packet
     assert packet.header is header and packet.srh is srh and packet.payload == b""
 
     twin = Packet(header, srh, b"")
@@ -264,11 +274,17 @@ def test_headers_and_packets_are_immutable():
     assert stamped.header is header
 
 
-def _hand_built(hop_limit=64, flow_label=0, hdr_ext_len=4) -> Packet:
+def _hand_built(hop_limit=64, flow_label=0, hdr_ext_len=4, segments=2) -> Packet:
     """A packet whose headers skip every constructor check, as the hot
     paths build them."""
-    srh = tuple.__new__(SegmentRoutingHeader, (41, hdr_ext_len, 4, 1, 1, 0, 0, (CCCC2, BBBB2)))
-    header = tuple.__new__(Ipv6Header, (6, 0, flow_label, 40, 43, hop_limit, CCCC2, BBBB2))
+    segment_list = (CCCC2,) * (segments - 1) + (BBBB2,)
+    srh = tuple.__new__(
+        SegmentRoutingHeader, (41, hdr_ext_len, 4, 1, segments - 1, 0, 0, segment_list)
+    )
+    payload_length = 8 + 16 * segments
+    header = tuple.__new__(
+        Ipv6Header, (6, 0, flow_label, payload_length, 43, hop_limit, CCCC2, BBBB2)
+    )
     return Packet(header, srh, b"")
 
 
@@ -278,6 +294,8 @@ def _hand_built(hop_limit=64, flow_label=0, hdr_ext_len=4) -> Packet:
         (_hand_built(hop_limit=256), "hop_limit out of range: 256"),
         (_hand_built(flow_label=2**20), "flow_label out of range: 1048576"),
         (_hand_built(hdr_ext_len=6), "hdr_ext_len 6 != 2 \\* 2 segments"),
+        # Every field would pass its own check, but hdr_ext_len 256 has no byte.
+        (_hand_built(hdr_ext_len=256, segments=128), "128 segments exceed the SRH maximum of 127"),
     ],
 )
 def test_serialize_validates_hand_built_headers(codec, broken, message):
@@ -354,6 +372,77 @@ def test_parse_junk_structured_errors_only(codec):
             codec.parse_packet(data)
         except errors.WireError:
             pass
+
+
+# Oracle: the struct codec against the byte-at-a-time reference ----------------
+# A round trip alone passes a field swapped the same way in both directions.
+
+def _edge(low: int, high: int):
+    """Any value in [low, high], the two ends drawn often."""
+    return st.sampled_from((low, high)) | st.integers(low, high)
+
+
+@st.composite
+def oracle_packet(draw):
+    srh = None
+    if draw(st.booleans()):
+        count = draw(_edge(1, wire.MAX_SEGMENTS))
+        srh = SegmentRoutingHeader(
+            next_header=draw(_edge(0, 255)),
+            hdr_ext_len=2 * count,
+            routing_type=4,
+            segments_left=draw(_edge(0, count - 1)),
+            last_entry=count - 1,
+            flags=draw(_edge(0, 255)),
+            tag=draw(_edge(0, 0xFFFF)),
+            segment_list=tuple(draw(st.lists(addresses, min_size=count, max_size=count))),
+        )
+    payload = draw(st.binary(max_size=64))
+    header = Ipv6Header(
+        version=6,
+        traffic_class=draw(_edge(0, 0xFF)),
+        flow_label=draw(_edge(0, 0xFFFFF)),
+        payload_length=(srh.byte_length if srh else 0) + len(payload),
+        next_header=43 if srh else draw(_edge(0, 255).filter(lambda v: v != 43)),
+        hop_limit=draw(_edge(0, 255)),
+        src=draw(addresses),
+        dst=draw(addresses),
+    )
+    return Packet(header, srh, payload)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except errors.WireError as exc:
+        return type(exc), str(exc)
+
+
+@given(oracle_packet())
+@settings(max_examples=300, deadline=None)
+def test_codec_matches_reference_on_valid_packets(packet):
+    data = wire.serialize_packet(packet)
+    assert data == reference_serialize(packet)
+    parsed = wire.parse_packet(data)
+    assert parsed == reference_parse(data) == packet
+    assert type(parsed.header) is Ipv6Header and type(parsed.srh) is type(packet.srh)
+
+
+@given(oracle_packet(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_codec_matches_reference_on_damaged_bytes(packet, data):
+    raw = bytearray(reference_serialize(packet))
+    how = data.draw(st.sampled_from(("truncate", "corrupt", "extend")))
+    if how == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    elif how == "corrupt":
+        for _ in range(data.draw(st.integers(1, 4))):
+            # Mostly the two fixed headers, where every field lives.
+            raw[data.draw(st.integers(0, min(len(raw), 48) - 1))] = data.draw(_edge(0, 255))
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    damaged = bytes(raw)
+    assert _outcome(wire.parse_packet, damaged) == _outcome(reference_parse, damaged)
 
 
 # UDP carrier ------------------------------------------------------------------
