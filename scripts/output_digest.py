@@ -7,9 +7,14 @@ configs that ``perfbench/workloads.py`` generates for seeds 1 and 7
 (read, never edited; a ``[bench]`` section is appended to the copy). For each config the commands are ``run --trace
 full``, ``run --trace terminal`` and ``trace`` on a few flows taken from
 the workload's packets (the first ones, plus the first packet of every
-distinct expected outcome), and ``bench`` with the config's own models
-and with ``--capacity``/``--k0``. A digest covers each call's argv, exit
-code, stdout and stderr, and for ``bench`` the files it writes.
+distinct expected outcome), ``bench`` with the config's own models
+and with ``--capacity``/``--k0``, ``validate``, and ``route add`` on the
+workload's ingress: a new prefix (printed, then written ``--in-place``
+twice to show it is idempotent) and five refusals, one digest each (a bad
+prefix, an undeclared segment, a repeated segment, an existing chain id
+with other segments, and a prefix the node already steers). A digest
+covers each call's argv, exit code, stdout and stderr, for ``bench`` the
+files it writes and for ``route add --in-place`` the rewritten config.
 
 Everything runs in-process against the ``src/`` of the checkout this
 script sits in, from a scratch directory, with every path relative to
@@ -31,6 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  (perfbench's generators)
 from srv6sfc import cli  # noqa: E402
+from srv6sfc.config import load_config  # noqa: E402
 
 SEEDS = (1, 7)
 FIRST_FLOWS = 4
@@ -83,6 +89,30 @@ def _call(argv: list[str]) -> bytes:
     return f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode()
 
 
+def _route_calls(config: str, node: str) -> dict[str, list[str]]:
+    """``route add`` argv by digest name: one accepted route, then the
+    refusals. Each names ``node`` and a next hop linked to it."""
+    loaded = load_config(config)
+    neighbors = {b if a == node else a for a, b in loaded.links if node in (a, b)}
+    via = next(str(d.addresses[0]) for d in loaded.nodes if d.node_id in neighbors and d.addresses)
+    chain = loaded.chains[0]
+    segs = [str(address) for address in chain.segments]
+    steered = next(rule for rule in loaded.rules if rule.node_id == node)
+
+    def route(prefix: str, seg_list: list[str], *extra: str) -> list[str]:
+        return ["route", "add", prefix, "via", via, "encap", "seg", ",".join(seg_list),
+                "--config", config, "--node", node, *extra]
+
+    return {
+        "route-accepted": route("ffff:ffff::/64", segs[-1:]),
+        "route-bad-prefix": route("junk/99", segs),
+        "route-unknown-segment": route("ffff:ffff::/64", ["1234:5678::1", *segs]),
+        "route-repeated-sid": route("ffff:ffff::/64", [segs[0], *segs]),
+        "route-chain-id": route("ffff:ffff::/64", segs[-1:], "--chain-id", chain.chain_id),
+        "route-steered": route(str(steered.network), segs[-1:]),
+    }
+
+
 def _bench_files(out: Path) -> bytes:
     if not out.is_dir():
         return b""
@@ -110,6 +140,17 @@ def main() -> int:
                 out = f"{label}-bench{index}"
                 digests["bench"].update(_call(["bench", config, "--out", out, *extra]))
                 digests["bench"].update(_bench_files(Path(out)))
+            digests["validate"] = hashlib.sha256(_call(["validate", config]))
+            routes = _route_calls(config, workload.ingress)
+            for name, argv in routes.items():
+                digests[name] = hashlib.sha256(_call(argv))
+            # Written in place twice: the second write changes nothing.
+            copy = f"{label}-route.cfg"
+            Path(copy).write_text(text, encoding="utf-8")
+            argv = [copy if arg == config else arg for arg in routes["route-accepted"]]
+            idempotent = digests["route-idempotent"] = hashlib.sha256()
+            for _ in range(2):
+                idempotent.update(_call([*argv, "--in-place"]) + Path(copy).read_bytes())
             for name, digest in digests.items():
                 print(f"{label} {name} {digest.hexdigest()}")
         os.chdir(ROOT)

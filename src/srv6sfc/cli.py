@@ -230,7 +230,7 @@ def cmd_bench(args) -> int:
         if args.capacity is not None:
             model = CapacityModel(args.capacity, args.k0 if args.k0 is not None else 0.0)
         if model is None:
-            _error("ValidationError", f"no capacity model for scenario {name!r}")
+            _error("ValidationError", [f"no capacity model for scenario {name!r}"])
             return EXIT_VALIDATION
         network = config.build_network(kind_override=kind)
         reports.append(

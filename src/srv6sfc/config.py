@@ -17,7 +17,18 @@ loads always builds.
     [chains]   <id> segs=<addr,...> src=<addr> [direction=<uni|east|west>]
     [rules]    <node> <prefix> chain=<id>
     [routes]   <node> <prefix> via <node>
-    [bench]    flow / model / rates / runs / noise / seed / payload / units
+    [bench]    flow src=<addr> dst=<addr> ingress=<id>
+               model <aware|unaware|default> capacity=<num> [k0=<num>]
+               rates <rate,...> | runs <int> | noise <num> | seed <int> | payload <bytes>
+               units [f=<num>] [d=<num>] [e=<num>]
+
+Every line is read by one rule: the tokens its usage names come first,
+then only ``key=value`` tokens whose keys the usage names; a bracketed
+key is optional. Anything else is the problem ``line N: expected:
+<usage>``, or ``unknown field '<key>'``, or ``missing '<key>' field``.
+A ``[bench]`` value is checked where it is read: each rate positive and
+finite, ``runs`` at least 1, ``payload`` in 0..65527 (the most a UDP
+datagram carries), ``noise`` and each unit cost finite and >= 0.
 
 Behavior specs: ``passthrough``, ``prefix-filter:<prefix>``,
 ``payload-stamp:<byte>``, ``chain-editor:insert-after:<sid+sid>``,
@@ -45,7 +56,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
-from ipaddress import AddressValueError, IPv6Address, IPv6Network, NetmaskValueError
+from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 from socket import AF_INET6, inet_pton
 
@@ -71,6 +82,7 @@ from srv6sfc.dataplane import (
     VnfPermission,
 )
 from srv6sfc.sim import FlowSpec, Network, Node, NodeRole, topology_problems
+from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN
 
 SECTION_ORDER = ("nodes", "links", "sids", "vnfs", "chains", "rules", "routes", "bench")
 
@@ -218,14 +230,76 @@ def behavior_from_spec(spec: str, sid_table: dict[IPv6Address, Sid] | None = Non
 
 # Parsing -------------------------------------------------------------------
 
-def _split_kv(tokens: list[str]) -> dict[str, str]:
-    pairs = {}
-    for token in tokens:
+# Each line's usage as the module docstring spells it, the names of its
+# positional tokens and its keys with their defaults (None: required).
+# A ``[bench]`` line is keyed by its keyword, its first positional token.
+_LINES: dict[str, tuple[str, tuple[str, ...], dict[str, str | None]]] = {
+    "nodes": ("<id> <role> addrs=<addr,...>", ("id", "role"), {"addrs": None}),
+    "links": ("<id> <id>", ("a", "b"), {}),
+    "sids": ("<addr> kind=<sr-aware|sr-unaware|egress> node=<id> [iface=<single|west|east>]",
+             ("addr",), {"kind": None, "node": None, "iface": "single"}),
+    "vnfs": ("<addr> behavior=<spec> [permission=<level>]",
+             ("addr",), {"behavior": None, "permission": "insert-next-only"}),
+    "chains": ("<id> segs=<addr,...> src=<addr> [direction=<uni|east|west>]",
+               ("id",), {"segs": None, "src": None, "direction": "uni"}),
+    "rules": ("<node> <prefix> chain=<id>", ("node", "prefix"), {"chain": None}),
+    "routes": ("<node> <prefix> via <node>", ("node", "prefix", "via", "next"), {}),
+    "bench flow": ("flow src=<addr> dst=<addr> ingress=<id>",
+                   ("_",), {"src": None, "dst": None, "ingress": None}),
+    "bench model": ("model <aware|unaware|default> capacity=<num> [k0=<num>]",
+                    ("_", "scenario"), {"capacity": None, "k0": "0"}),
+    "bench rates": ("rates <rate,...>", ("_", "value"), {}),
+    "bench runs": ("runs <int>", ("_", "value"), {}),
+    "bench noise": ("noise <num>", ("_", "value"), {}),
+    "bench seed": ("seed <int>", ("_", "value"), {}),
+    "bench payload": ("payload <bytes>", ("_", "value"), {}),
+    "bench units": ("units [f=<num>] [d=<num>] [e=<num>]",
+                    ("_",), {"f": "1.0", "d": "0.5", "e": "0.5"}),
+}
+
+
+class _Shape(Exception):
+    """A line whose tokens do not have the shape of its usage."""
+
+
+def _fields(
+    tokens: list[str], positional: tuple[str, ...], keys: dict[str, str | None]
+) -> dict[str, str]:
+    """A line's fields by name: the ``positional`` tokens first, then
+    ``key=value`` tokens with keys of ``keys``; an absent key takes its
+    default, and one whose default is None is missing."""
+    if len(tokens) < len(positional):
+        raise _Shape
+    fields = dict(zip(positional, tokens))
+    for token in tokens[len(positional):]:
         key, sep, value = token.partition("=")
         if not sep:
-            raise ValueError(f"expected key=value, got {token!r}")
-        pairs[key] = value
-    return pairs
+            raise _Shape
+        if key not in keys:
+            raise ValueError(f"unknown field {key!r}")
+        fields[key] = value
+    for key, default in keys.items():
+        if fields.setdefault(key, default) is None:
+            raise ValueError(f"missing {key!r} field")
+    return fields
+
+
+def _integer(name: str, text: str, low: int, high: float = math.inf) -> int:
+    value = int(text)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
+def _non_negative(name: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value:g}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value:g}")
+    return value
 
 
 class _Collector:
@@ -273,121 +347,70 @@ class _Collector:
 
 def _parse_line(collector: _Collector, section: str, line_no: int, line: str) -> None:
     tokens = line.split()
+    kind = section
+    if section == "bench":
+        keyword, *_ = tokens
+        kind = f"bench {keyword}"
+    address, bench = collector.address, collector.bench_kwargs
     try:
-        if section == "nodes":
-            kv = _split_kv(tokens[2:])
-            collector.nodes.append(
-                NodeDecl(
-                    node_id=tokens[0],
-                    role=NodeRole(tokens[1]),
-                    addresses=tuple(collector.address(a) for a in kv["addrs"].split(",") if a),
-                )
-            )
-        elif section == "links":
-            if len(tokens) != 2:
-                raise ValueError("a link needs exactly two node ids")
-            collector.links.append((tokens[0], tokens[1]))
-        elif section == "sids":
-            kv = _split_kv(tokens[1:])
+        if kind not in _LINES:
+            raise ValueError(f"unknown bench keyword {keyword!r}")
+        usage, positional, keys = _LINES[kind]
+        f = _fields(tokens, positional, keys)
+        if kind == "nodes":
+            collector.nodes.append(NodeDecl(
+                f["id"], NodeRole(f["role"]), tuple(address(a) for a in f["addrs"].split(",") if a)
+            ))
+        elif kind == "links":
+            collector.links.append((f["a"], f["b"]))
+        elif kind == "sids":
             collector.sids.append(
-                Sid(
-                    address=collector.address(tokens[0]),
-                    kind=SidKind(kv["kind"]),
-                    host_node=kv["node"],
-                    interface=VnfInterface(kv.get("iface", "single")),
-                )
+                Sid(address(f["addr"]), SidKind(f["kind"]), f["node"], VnfInterface(f["iface"]))
             )
-        elif section == "vnfs":
-            kv = _split_kv(tokens[1:])
+        elif kind == "vnfs":
             collector.vnfs.append(
-                VnfDecl(
-                    address=collector.address(tokens[0]),
-                    behavior_spec=kv["behavior"],
-                    permission=VnfPermission(kv.get("permission", "insert-next-only")),
-                )
+                VnfDecl(address(f["addr"]), f["behavior"], VnfPermission(f["permission"]))
             )
-        elif section == "chains":
-            kv = _split_kv(tokens[1:])
-            collector.chains.append(
-                VnfChain(
-                    chain_id=tokens[0],
-                    segments=tuple(collector.address(a) for a in kv["segs"].split(",") if a),
-                    ingress_source=collector.address(kv["src"]),
-                    direction=ChainDirection(kv.get("direction", "uni")),
-                )
+        elif kind == "chains":
+            collector.chains.append(VnfChain(
+                f["id"], tuple(address(a) for a in f["segs"].split(",") if a),
+                address(f["src"]), ChainDirection(f["direction"]),
+            ))
+        elif kind == "rules":
+            collector.rules.append(RuleDecl(f["node"], collector.network(f["prefix"]), f["chain"]))
+        elif kind == "routes":
+            if f["via"] != "via":
+                raise _Shape
+            collector.routes.append(RouteDecl(f["node"], collector.network(f["prefix"]), f["next"]))
+        elif kind == "bench flow":
+            bench.update(
+                flow_src=address(f["src"]), flow_dst=address(f["dst"]), flow_ingress=f["ingress"]
             )
-        elif section == "rules":
-            kv = _split_kv(tokens[2:])
-            collector.rules.append(
-                RuleDecl(
-                    node_id=tokens[0],
-                    network=collector.network(tokens[1]),
-                    chain_id=kv["chain"],
-                )
-            )
-        elif section == "routes":
-            if len(tokens) != 4 or tokens[2] != "via":
-                raise ValueError("expected: <node> <prefix> via <node>")
-            collector.routes.append(
-                RouteDecl(
-                    node_id=tokens[0],
-                    network=collector.network(tokens[1]),
-                    via=tokens[3],
-                )
-            )
-        elif section == "bench":
-            _parse_bench_line(collector, tokens)
-    except (KeyError, ValueError, AddressValueError, NetmaskValueError, errors.SfcError) as exc:
-        detail = str(exc) or type(exc).__name__
-        if isinstance(exc, KeyError):
-            detail = f"missing {exc} field"
-        collector.problem(line_no, detail)
-
-
-def _parse_bench_line(collector: _Collector, tokens: list[str]) -> None:
-    keyword = tokens[0]
-    if keyword == "flow":
-        kv = _split_kv(tokens[1:])
-        collector.bench_kwargs["flow_src"] = collector.address(kv["src"])
-        collector.bench_kwargs["flow_dst"] = collector.address(kv["dst"])
-        collector.bench_kwargs["flow_ingress"] = kv["ingress"]
-    elif keyword == "model":
-        scenario = tokens[1]
-        if scenario not in ("aware", "unaware", "default"):
-            raise ValueError(f"model scenario must be aware/unaware/default, got {scenario!r}")
-        kv = _split_kv(tokens[2:])
-        collector.bench_models.append(
-            (scenario, CapacityModel(float(kv["capacity"]), float(kv.get("k0", "0"))))
-        )
-    elif keyword == "rates":
-        rates = tuple(float(r) for r in tokens[1].split(",") if r)
-        for rate in rates:
-            if not 0 < rate < math.inf:
-                raise ValueError(f"rate must be positive and finite, got {rate:g}")
-        collector.bench_kwargs["rates"] = rates
-    elif keyword == "runs":
-        runs = int(tokens[1])
-        if runs < 1:
-            raise ValueError(f"runs must be >= 1, got {runs}")
-        collector.bench_kwargs["runs"] = runs
-    elif keyword == "noise":
-        noise = float(tokens[1])
-        if not math.isfinite(noise):
-            raise ValueError(f"noise must be finite, got {noise:g}")
-        if noise < 0:
-            raise ValueError(f"noise must be >= 0, got {noise:g}")
-        collector.bench_kwargs["noise"] = noise
-    elif keyword == "seed":
-        collector.bench_kwargs["seed"] = int(tokens[1])
-    elif keyword == "payload":
-        collector.bench_kwargs["payload"] = int(tokens[1])
-    elif keyword == "units":
-        kv = _split_kv(tokens[1:])
-        collector.bench_kwargs["units"] = UnitCosts(
-            f=float(kv.get("f", "1.0")), d=float(kv.get("d", "0.5")), e=float(kv.get("e", "0.5"))
-        )
-    else:
-        raise ValueError(f"unknown bench keyword {keyword!r}")
+        elif kind == "bench model":
+            if f["scenario"] not in ("aware", "unaware", "default"):
+                raise ValueError(f"model scenario must be aware/unaware/default, got {f['scenario']!r}")
+            model = CapacityModel(float(f["capacity"]), float(f["k0"]))
+            collector.bench_models.append((f["scenario"], model))
+        elif kind == "bench rates":
+            rates = tuple(float(r) for r in f["value"].split(",") if r)
+            for rate in rates:
+                if not 0 < rate < math.inf:
+                    raise ValueError(f"rate must be positive and finite, got {rate:g}")
+            bench["rates"] = rates
+        elif kind == "bench runs":
+            bench["runs"] = _integer("runs", f["value"], 1)
+        elif kind == "bench noise":
+            bench["noise"] = _non_negative("noise", f["value"])
+        elif kind == "bench seed":
+            bench["seed"] = int(f["value"])
+        elif kind == "bench payload":
+            bench["payload"] = _integer("payload", f["value"], 0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN)
+        elif kind == "bench units":
+            bench["units"] = UnitCosts(*(_non_negative(f"units {k}", f[k]) for k in "fde"))
+    except _Shape:
+        collector.problem(line_no, f"expected: {usage}")
+    except (ValueError, errors.SfcError) as exc:
+        collector.problem(line_no, str(exc) or type(exc).__name__)
 
 
 def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
@@ -520,69 +543,34 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def render_config(config: ScenarioConfig) -> str:
     """Canonical text form; loading it back yields an equal config."""
-    out: list[str] = []
-
-    out.append("[nodes]")
-    for decl in config.nodes:
-        addrs = ",".join(str(a) for a in decl.addresses)
-        out.append(f"{decl.node_id} {decl.role.value} addrs={addrs}")
-
-    out.append("")
-    out.append("[links]")
-    for a, b in config.links:
-        out.append(f"{a} {b}")
-
-    out.append("")
-    out.append("[sids]")
-    for sid in config.sids:
-        line = f"{sid.address} kind={sid.kind.value} node={sid.host_node}"
-        if sid.interface is not VnfInterface.SINGLE:
-            line += f" iface={sid.interface.value}"
-        out.append(line)
-
-    out.append("")
-    out.append("[vnfs]")
-    for vnf in config.vnfs:
-        out.append(
-            f"{vnf.address} behavior={vnf.behavior_spec} permission={vnf.permission.value}"
-        )
-
-    out.append("")
-    out.append("[chains]")
-    for chain in config.chains:
-        segs = ",".join(str(a) for a in chain.segments)
-        out.append(
-            f"{chain.chain_id} segs={segs} src={chain.ingress_source} "
-            f"direction={chain.direction.value}"
-        )
-
-    out.append("")
-    out.append("[rules]")
-    for rule in config.rules:
-        out.append(f"{rule.node_id} {rule.network} chain={rule.chain_id}")
-
-    out.append("")
-    out.append("[routes]")
-    for route in config.routes:
-        out.append(f"{route.node_id} {route.network} via {route.via}")
-
-    bench = config.bench
-    out.append("")
-    out.append("[bench]")
-    if bench.flow_src is not None:
-        out.append(f"flow src={bench.flow_src} dst={bench.flow_dst} ingress={bench.flow_ingress}")
-    for scenario, model in bench.models:
-        out.append(
-            f"model {scenario} capacity={model.capacity!r} k0={model.baseline_overhead_k0!r}"
-        )
-    out.append("rates " + ",".join(repr(rate) for rate in bench.rates))
-    out.append(f"runs {bench.runs}")
-    out.append(f"noise {bench.noise!r}")
-    out.append(f"seed {bench.seed}")
-    out.append(f"payload {bench.payload}")
-    out.append(f"units f={bench.units.f!r} d={bench.units.d!r} e={bench.units.e!r}")
-    out.append("")
-    return "\n".join(out)
+    bench, units = config.bench, config.bench.units
+    flow = f"flow src={bench.flow_src} dst={bench.flow_dst} ingress={bench.flow_ingress}"
+    sections = {
+        "nodes": [f"{d.node_id} {d.role.value} addrs={','.join(map(str, d.addresses))}"
+                  for d in config.nodes],
+        "links": [f"{a} {b}" for a, b in config.links],
+        "sids": [f"{s.address} kind={s.kind.value} node={s.host_node}"
+                 + ("" if s.interface is VnfInterface.SINGLE else f" iface={s.interface.value}")
+                 for s in config.sids],
+        "vnfs": [f"{v.address} behavior={v.behavior_spec} permission={v.permission.value}"
+                 for v in config.vnfs],
+        "chains": [f"{c.chain_id} segs={','.join(map(str, c.segments))} src={c.ingress_source} "
+                   f"direction={c.direction.value}" for c in config.chains],
+        "rules": [f"{r.node_id} {r.network} chain={r.chain_id}" for r in config.rules],
+        "routes": [f"{r.node_id} {r.network} via {r.via}" for r in config.routes],
+        "bench": [
+            *([] if bench.flow_src is None else [flow]),
+            *(f"model {scenario} capacity={model.capacity!r} k0={model.baseline_overhead_k0!r}"
+              for scenario, model in bench.models),
+            "rates " + ",".join(map(repr, bench.rates)),
+            f"runs {bench.runs}",
+            f"noise {bench.noise!r}",
+            f"seed {bench.seed}",
+            f"payload {bench.payload}",
+            f"units f={units.f!r} d={units.d!r} e={units.e!r}",
+        ],
+    }
+    return "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items()) + "\n"
 
 
 # Route installation ----------------------------------------------------------
@@ -603,12 +591,12 @@ def route_add(
     """
     try:
         prefix = IPv6Network(prefix_text, strict=False)
-    except (AddressValueError, NetmaskValueError, ValueError) as exc:
+    except ValueError as exc:
         raise errors.BadPrefix(f"bad prefix {prefix_text!r}: {exc}") from exc
     try:
         via = IPv6Address(via_text)
         segments = tuple(IPv6Address(s) for s in segment_texts)
-    except (AddressValueError, ValueError) as exc:
+    except ValueError as exc:
         raise errors.BadPrefix(f"bad address: {exc}") from exc
 
     declared = {sid.address for sid in config.sids}
@@ -617,11 +605,8 @@ def route_add(
             raise errors.UnknownSegment(f"segment {segment} is not a declared SID")
 
     if node_id is None:
-        for decl in config.nodes:
-            if decl.role is NodeRole.INGRESS_EDGE:
-                node_id = decl.node_id
-                break
-        else:
+        node_id = next((d.node_id for d in config.nodes if d.role is NodeRole.INGRESS_EDGE), None)
+        if node_id is None:
             raise errors.ValidationError(["no ingress-edge node to install the route on"])
     node = next((d for d in config.nodes if d.node_id == node_id), None)
     if node is None:
@@ -637,37 +622,19 @@ def route_add(
     if chain_id is None:
         # Reuse a chain that already encodes this path; the kernel
         # command would be a no-op for an already-installed route.
-        reusable = next(
-            (
-                c
-                for c in config.chains
-                if c.segments == segments
-                and c.ingress_source == ingress_source
-                and c.direction is ChainDirection.UNIDIRECTIONAL
-            ),
-            None,
+        chain_id = next(
+            (c.chain_id for c in config.chains if c.segments == segments
+             and c.ingress_source == ingress_source and c.direction is ChainDirection.UNIDIRECTIONAL),
+            f"rt-{prefix.network_address.compressed}-{prefix.prefixlen}",
         )
-        chain_id = (
-            reusable.chain_id
-            if reusable is not None
-            else f"rt-{prefix.network_address.compressed}-{prefix.prefixlen}"
-        )
-    chain = VnfChain(
-        chain_id=chain_id,
-        segments=segments,
-        ingress_source=ingress_source,
-        direction=ChainDirection.UNIDIRECTIONAL,
-    )
+    try:
+        chain = VnfChain(chain_id, segments, ingress_source, ChainDirection.UNIDIRECTIONAL)
+    except errors.ChainError as exc:
+        raise errors.ValidationError([str(exc)]) from exc
     rule = RuleDecl(node_id=node_id, network=prefix, chain_id=chain_id)
     route = RouteDecl(node_id=node_id, network=prefix, via=via_node.node_id)
 
-    existing = next((c for c in config.chains if c.chain_id == chain_id), None)
-    if existing is not None and existing != chain:
-        raise errors.ValidationError(
-            [f"chain {chain_id!r} already exists with different segments"]
-        )
-
-    new_chains = config.chains if existing is not None else config.chains + (chain,)
+    new_chains = config.chains if chain in config.chains else config.chains + (chain,)
     new_rules = config.rules if rule in config.rules else config.rules + (rule,)
     new_routes = config.routes if route in config.routes else config.routes + (route,)
     updated = dc_replace(config, chains=new_chains, rules=new_rules, routes=new_routes)

@@ -214,6 +214,42 @@ def test_route_add_for_a_steered_prefix_is_refused(testbed_config_path, tmp_path
     assert cfg.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize(
+    "segs, extra, problem",
+    [
+        pytest.param("BBBB::2,BBBB::2,CCCC::2", [], "chain 'rt-ffff::-64' lists bbbb::2 twice",
+                     id="repeated-sid"),
+        pytest.param("CCCC::2", ["--chain-id", "c1"], "duplicate chain id 'c1'", id="chain-id-taken"),
+    ],
+)
+def test_route_add_chain_refusals_exit_four_and_leave_the_file(
+    testbed_config_path, tmp_path, capsys, segs, extra, problem
+):
+    cfg = tmp_path / "testbed.cfg"
+    data = Path(testbed_config_path).read_bytes()
+    cfg.write_bytes(data)
+    argv = ["route", "add", "FFFF::/64", "via", "AAAA::1", "encap", "seg", segs,
+            "--config", str(cfg), *extra]
+    for in_place in ([], ["--in-place"]):
+        code, out, err = run_cli([*argv, *in_place], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, ""), in_place
+        assert json.loads(err) == {"error": "ValidationError", "detail": [problem]}
+        assert cfg.read_bytes() == data
+
+
+def test_bench_without_a_capacity_model_is_a_validation_error(
+    testbed_config_path, tmp_path, capsys
+):
+    lines = Path(testbed_config_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    cfg = tmp_path / "nomodel.cfg"
+    cfg.write_text("".join(line for line in lines if not line.startswith("model ")), encoding="utf-8")
+    assert run_cli(["validate", str(cfg)], capsys)[0] == cli.EXIT_OK
+    code, out, err = run_cli(["bench", str(cfg), "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    detail = ["no capacity model for scenario 'aware'"]
+    assert err == json.dumps({"error": "ValidationError", "detail": detail}) + "\n"
+
+
 def test_route_add_malformed_tokens(testbed_config_path, capsys):
     code, _, err = run_cli(
         ["route", "add", "FFFF::/64", "through", "AAAA::1", "encap", "seg", "CCCC::2",

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from dataclasses import replace
+from importlib.resources import files
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 
@@ -99,6 +102,8 @@ _VNF_LINE = "BBBB::2 behavior=passthrough permission=insert-next-only\n"
 _CHAIN_LINE = "c1 segs=BBBB::2,CCCC::2 src=AAAA::2 direction=uni\n"
 _RULES = _CHAIN_LINE + "\n[rules]\ner1 DDDD::/64 chain=c1\n"
 _ROUTE_LINE = "nfv DDDD::/64 via er2\n"
+_ER2_LINE = "er2 egress-edge addrs=CCCC::2,DDDD::2\n"
+_RULE_LINE = "er1 DDDD::/64 chain=c1\n"
 # What a testbed whose [links] header is misspelt reports after the
 # unknown section: every route now names a neighbor it has no link to.
 _UNLINKED = [
@@ -148,6 +153,30 @@ _UNLINKED = [
                      id="bench-noise-nan"),
         pytest.param("noise 1.0", "noise -5", "line 52: noise must be >= 0, got -5",
                      id="bench-noise-negative"),
+        pytest.param("payload 1024", "payload 70000", "line 54: payload must be <= 65527, got 70000",
+                     id="bench-payload-too-big"),
+        pytest.param("payload 1024", "payload -1", "line 54: payload must be >= 0, got -1",
+                     id="bench-payload-negative"),
+        pytest.param("units f=1.0", "units f=-1", "line 55: units f must be >= 0, got -1",
+                     id="bench-units-negative"),
+        pytest.param("units f=1.0", "units f=nan", "line 55: units f must be finite, got nan",
+                     id="bench-units-nan"),
+        # Lines whose shape is not their usage's, and keys no usage names.
+        pytest.param(_ER2_LINE, _ER2_LINE + "er3\n",
+                     "line 15: expected: <id> <role> addrs=<addr,...>", id="one-token-node"),
+        pytest.param(_RULE_LINE, _RULE_LINE + "er1\n",
+                     "line 32: expected: <node> <prefix> chain=<id>", id="one-token-rule"),
+        pytest.param("runs 30", "runs", "line 51: expected: runs <int>", id="bench-runs-no-value"),
+        pytest.param("seed 42", "seed", "line 53: expected: seed <int>", id="bench-seed-no-value"),
+        pytest.param("model unaware capacity=58997.05014749262 k0=12.5", "model",
+                     "line 49: expected: model <aware|unaware|default> capacity=<num> [k0=<num>]",
+                     id="bench-model-no-value"),
+        pytest.param("seed 42", "seed 42 43", "line 53: expected: seed <int>", id="bench-seed-twice"),
+        pytest.param("permission=insert-next-only", "permision=full-rewrite",
+                     "line 25: unknown field 'permision'", id="misspelt-vnf-key"),
+        pytest.param("direction=uni", "direcion=east",
+                     ["line 28: unknown field 'direcion'", "rule for unknown chain 'c1'"],
+                     id="misspelt-chain-key"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -192,6 +221,95 @@ def test_line_numbers_in_syntax_problems():
     with pytest.raises(errors.ValidationError) as info:
         parse_config_text(text)
     assert any(p.startswith("line 2:") for p in info.value.problems)
+
+
+def test_every_line_usage_is_spelled_in_the_module_docstring():
+    for usage, _, _ in config_module._LINES.values():
+        assert usage in config_module.__doc__
+
+
+# Random line mutations of the testbed, through every command ---------------------
+
+_TESTBED = (files("srv6sfc") / "configs" / "testbed.cfg").read_text(encoding="utf-8")
+_TOKENS = [
+    *(f"[{name}]" for name in config_module.SECTION_ORDER), "[linkz]",
+    "via", "flow", "model", "rates", "runs", "noise", "seed", "payload", "units", "aware",
+    "er1", "nfv", "er2", "ingress-edge", "nfv-node", "BBBB::2", "CCCC::2", "AAAA::1", "AAAA::2",
+    "DDDD::/64", "FFFF::/64", "::/0", "fe80::1%eth0", "::ffff:1.2.3.4", "BBBB::2%1",
+    "kind=sr-aware", "kind=egress", "node=nfv", "iface=west", "chain=c1", "src=AAAA::2",
+    "segs=BBBB::2,CCCC::2", "segs=CCCC::2,CCCC::2", "segs=", "addrs=AAAA::9,fe80::2%eth0",
+    "behavior=chain-editor:insert-after:CCCC::2", "behavior=payload-stamp:300",
+    "permission=full-rewrite", "direction=east", "capacity=nan", "capacity=-1", "k0=1e400",
+    "f=nan", "d=1e400", "e=-1", "f=0", "ingress=nfv", "dst=::ffff:1.2.3.4",
+    "permision=full-rewrite", "direcion=east", "kinds=egress", "capacty=1",
+    "nan", "1e400", "-1", "0", "70000", "65527", "1,2", "=", "x=",
+]
+_DECLARATIONS = [i for i, line in enumerate(_TESTBED.splitlines()) if line and not line.startswith("#")]
+
+
+@st.composite
+def mutated_testbeds(draw) -> str:
+    """The testbed after one to three line or token mutations."""
+    lines = _TESTBED.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from(_DECLARATIONS)) % len(lines)
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "replace", "insert", "delete"]))
+        if op == "drop":
+            del lines[at]
+        elif op == "duplicate":
+            lines.insert(at, lines[at])
+        elif op == "swap":
+            other = draw(st.sampled_from(_DECLARATIONS)) % len(lines)
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            tokens = lines[at].split()
+            spot = draw(st.integers(0, len(tokens)))
+            if op == "insert":
+                tokens.insert(spot, draw(st.sampled_from(_TOKENS)))
+            elif tokens:
+                spot = min(spot, len(tokens) - 1)
+                if op == "replace":
+                    tokens[spot] = draw(st.sampled_from(_TOKENS))
+                else:
+                    del tokens[spot]
+            lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_testbeds())
+@example(text=_TESTBED.replace("runs 30", "runs"))
+@example(text=_TESTBED.replace("payload 1024", "payload 70000"))
+def test_mutated_testbed_ends_in_a_documented_exit_in_every_command(tmp_path_factory, text):
+    scratch = tmp_path_factory.mktemp("mutant")
+    cfg = scratch / "mutant.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    flow = ["--src", "EEEE::2", "--dst", "DDDD::2"]
+    validate = _outcome(["validate", str(cfg)])
+    assert validate[0] in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION), validate
+    outcomes = {
+        "run": _outcome(["run", str(cfg), *flow, "--count", "2", "--trace", "terminal"]),
+        "trace": _outcome(["trace", str(cfg), *flow]),
+        "route": _outcome(["route", "add", "FFFF::/64", "via", "AAAA::1", "encap", "seg",
+                           "CCCC::2", "--config", str(cfg)]),
+        "bench": _outcome(["bench", str(cfg), "--out", str(scratch / "bench-out")]),
+    }
+    if validate[0] == cli.EXIT_OK:
+        assert outcomes["run"][0] in (cli.EXIT_OK, cli.EXIT_DROPPED), outcomes["run"]
+        assert outcomes["trace"][0] in (cli.EXIT_OK, cli.EXIT_DROPPED), outcomes["trace"]
+        assert outcomes["route"][0] in (cli.EXIT_OK, cli.EXIT_VALIDATION), outcomes["route"]
+        assert outcomes["bench"][0] in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_BENCH), \
+            outcomes["bench"]
+    else:
+        for code, out, err in outcomes.values():
+            assert (code, out, err) == (validate[0], "", validate[2])
 
 
 def test_build_network_from_config(testbed_config_path):
