@@ -23,12 +23,15 @@ loads always builds.
                units [f=<num>] [d=<num>] [e=<num>]
 
 Every line is read by one rule: the tokens its usage names come first,
-then only ``key=value`` tokens whose keys the usage names; a bracketed
-key is optional. Anything else is the problem ``line N: expected:
-<usage>``, or ``unknown field '<key>'``, or ``missing '<key>' field``.
-A ``[bench]`` value is checked where it is read: each rate positive and
-finite, ``runs`` at least 1, ``payload`` in 0..65527 (the most a UDP
-datagram carries), ``noise`` and each unit cost finite and >= 0.
+then only ``key=value`` tokens whose keys the usage names, each at most
+once; a bracketed key is optional. Anything else is the problem ``line
+N: expected: <usage>``, or ``unknown field '<key>'``, ``duplicate field
+'<key>'`` or ``missing '<key>' field``. A ``[bench]`` value is checked
+where it is read: at least one rate, each positive and finite, ``runs``
+at least 1, ``payload`` in 0..65527 (the most a UDP datagram carries),
+``noise`` and each unit cost finite and >= 0. Like a ``[rules]`` or
+``[routes]`` line, a ``[bench]`` keyword (a ``model`` per scenario) may
+repeat with an equal value; another value is a problem.
 
 Behavior specs: ``passthrough``, ``prefix-filter:<prefix>``,
 ``payload-stamp:<byte>``, ``chain-editor:insert-after:<sid+sid>``,
@@ -277,11 +280,19 @@ def _fields(
             raise _Shape
         if key not in keys:
             raise ValueError(f"unknown field {key!r}")
+        if key in fields:
+            raise ValueError(f"duplicate field {key!r}")
         fields[key] = value
     for key, default in keys.items():
         if fields.setdefault(key, default) is None:
             raise ValueError(f"missing {key!r} field")
     return fields
+
+
+def _once(table: dict, key: str, value: object, what: str | None = None) -> None:
+    """Store a ``[bench]`` value; an equal repeat is fine, another is refused."""
+    if table.setdefault(key, value) != value:
+        raise ValueError(f"duplicate bench {what or key} declaration")
 
 
 def _integer(name: str, text: str, low: int, high: float = math.inf) -> int:
@@ -316,7 +327,7 @@ class _Collector:
         self.rules: list[RuleDecl] = []
         self.routes: list[RouteDecl] = []
         self.bench_kwargs: dict = {}
-        self.bench_models: list[tuple[str, CapacityModel]] = []
+        self.bench_models: dict[str, CapacityModel] = {}
         self._addresses: dict[str, IPv6Address] = {}
         self._networks: dict[str, IPv6Network] = {}
 
@@ -383,30 +394,31 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
                 raise _Shape
             collector.routes.append(RouteDecl(f["node"], collector.network(f["prefix"]), f["next"]))
         elif kind == "bench flow":
-            bench.update(
-                flow_src=address(f["src"]), flow_dst=address(f["dst"]), flow_ingress=f["ingress"]
-            )
+            _once(bench, "flow", (address(f["src"]), address(f["dst"]), f["ingress"]))
         elif kind == "bench model":
-            if f["scenario"] not in ("aware", "unaware", "default"):
-                raise ValueError(f"model scenario must be aware/unaware/default, got {f['scenario']!r}")
+            scenario = f["scenario"]
+            if scenario not in ("aware", "unaware", "default"):
+                raise ValueError(f"model scenario must be aware/unaware/default, got {scenario!r}")
             model = CapacityModel(float(f["capacity"]), float(f["k0"]))
-            collector.bench_models.append((f["scenario"], model))
+            _once(collector.bench_models, scenario, model, f"model {scenario!r}")
         elif kind == "bench rates":
             rates = tuple(float(r) for r in f["value"].split(",") if r)
+            if not rates:
+                raise ValueError("rate list is empty")
             for rate in rates:
                 if not 0 < rate < math.inf:
                     raise ValueError(f"rate must be positive and finite, got {rate:g}")
-            bench["rates"] = rates
+            _once(bench, "rates", rates)
         elif kind == "bench runs":
-            bench["runs"] = _integer("runs", f["value"], 1)
+            _once(bench, "runs", _integer("runs", f["value"], 1))
         elif kind == "bench noise":
-            bench["noise"] = _non_negative("noise", f["value"])
+            _once(bench, "noise", _non_negative("noise", f["value"]))
         elif kind == "bench seed":
-            bench["seed"] = int(f["value"])
+            _once(bench, "seed", int(f["value"]))
         elif kind == "bench payload":
-            bench["payload"] = _integer("payload", f["value"], 0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN)
+            _once(bench, "payload", _integer("payload", f["value"], 0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN))
         elif kind == "bench units":
-            bench["units"] = UnitCosts(*(_non_negative(f"units {k}", f[k]) for k in "fde"))
+            _once(bench, "units", UnitCosts(*(_non_negative(f"units {k}", f[k]) for k in "fde")))
     except _Shape:
         collector.problem(line_no, f"expected: {usage}")
     except (ValueError, errors.SfcError) as exc:
@@ -432,6 +444,8 @@ def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
         if section in SECTION_ORDER:  # an unknown section's lines are skipped
             _parse_line(collector, section, line_no, line)
 
+    bench = collector.bench_kwargs
+    flow_src, flow_dst, flow_ingress = bench.pop("flow", (None, None, None))
     config = ScenarioConfig(
         nodes=tuple(collector.nodes),
         links=tuple(collector.links),
@@ -440,7 +454,9 @@ def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
         chains=tuple(collector.chains),
         rules=tuple(collector.rules),
         routes=tuple(collector.routes),
-        bench=BenchSection(models=tuple(collector.bench_models), **collector.bench_kwargs),
+        bench=BenchSection(
+            flow_src, flow_dst, flow_ingress, tuple(collector.bench_models.items()), **bench
+        ),
         path=path,
     )
     problems = collector.problems + _semantic_problems(config)

@@ -286,8 +286,9 @@ def _walk(
     """``inject``'s walk, carrying the current node's ``NodeState``: fills
     ``costs`` with the connector passes and plain forwards of each node.
     A plain hop decrements ``hop`` only; the packet gets it back before
-    the connector, egress or delivery, and ``hop`` restarts from each
-    packet they hand back.
+    the connector or delivery (egress decapsulation drops the outer
+    header, hop limit and all), and ``hop`` restarts from each packet
+    they hand back.
 
     Every routing decision is the walk's, by one rule: a local
     destination is handled at the node, anything else goes where the
@@ -321,14 +322,13 @@ def _walk(
                 continue
             next_hop = state.fib.lookup(packet.header.dst)
         elif key in state.local:
-            packet = _with_hop_limit(packet, hop)
             if packet.is_encapsulated:
                 packet = egress_process(packet)
                 hop = packet.header.hop_limit
                 trace.add(node_id, EventKind.DECAPSULATED, None)
                 continue
             trace.add(node_id, EventKind.DELIVERED, dst)
-            return Delivered(packet, node_id)
+            return Delivered(_with_hop_limit(packet, hop), node_id)
         else:
             next_hop = state.fib.lookup(dst)
             if next_hop is not None:  # plain router cost

@@ -19,6 +19,13 @@ malformed bytes raise a :class:`srv6sfc.errors.WireError` subclass,
 nothing else. Serializing validates first, so ``struct`` never sees an
 out-of-range field. Callers go through ``wire.parse_packet`` and
 ``wire.serialize_packet``, so a tracer that rebinds them sees every call.
+
+Neither direction does work twice. Parsed addresses come from an intern
+table keyed by their 16 bytes, first come first stored up to
+``ADDRESS_INTERN_LIMIT`` entries, so equal ones are one object. A parsed
+packet keeps its bytes as ``image``, and ``serialize_packet`` returns
+them; that test sits inside it, so a tracer still counts every call. A
+rewrite, ``dataclasses.replace`` or a copy carries no image.
 """
 
 from __future__ import annotations
@@ -43,8 +50,10 @@ UDP_HEADER_LEN = 8
 DEFAULT_HOP_LIMIT = 64
 MAX_PAYLOAD_LEN = 0xFFFF
 MAX_SEGMENTS = 127         # hdr_ext_len = 2n must fit its 8 bits
+ADDRESS_INTERN_LIMIT = 4096
 _FIXED = struct.Struct("!IHBB")
 _SRH_FIXED = struct.Struct("!BBBBBBH")
+_UDP = struct.Struct("!HHHH")
 
 
 def active_backend() -> str:
@@ -151,11 +160,12 @@ class Packet:
     ``__init__`` stores through the slot descriptors: the generated one's
     ``object.__setattr__`` per field costs about half of a construction.
     ``__reduce__`` rebuilds through it (copy and pickle would assign).
+    ``image``, not a field, holds the bytes a parsed packet came from.
     """
 
     # Declared by hand: ``slots=True`` rebuilds the class, and the frozen
     # ``__setattr__`` then raises TypeError for a name that is not a field.
-    __slots__ = ("header", "srh", "payload")
+    __slots__ = ("header", "srh", "payload", "image")
 
     header: Ipv6Header
     srh: SegmentRoutingHeader | None
@@ -165,6 +175,7 @@ class Packet:
         _set_header(self, header)
         _set_srh(self, srh)
         _set_payload(self, payload)
+        _set_image(self, None)
 
     def __reduce__(self):
         return Packet, (self.header, self.srh, self.payload)
@@ -179,7 +190,18 @@ class Packet:
         return self.effective_next_header == NEXT_HEADER_IPV6
 
 
-_set_header, _set_srh, _set_payload = (Packet.__dict__[name].__set__ for name in Packet.__slots__)
+_set_header, _set_srh, _set_payload, _set_image = (Packet.__dict__[n].__set__ for n in Packet.__slots__)
+
+
+class _Interned(dict):
+    def __missing__(self, packed: bytes) -> IPv6Address:
+        address = IPv6Address(packed)
+        if len(self) < ADDRESS_INTERN_LIMIT:
+            self[packed] = address
+        return address
+
+
+_addresses = _Interned()
 
 
 def active_segment(srh: SegmentRoutingHeader) -> IPv6Address:
@@ -276,11 +298,12 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
 
     header = tuple.__new__(Ipv6Header, (
         6, (word >> 20) & 0xFF, word & 0xFFFFF, payload_length, next_header, hop_limit,
-        IPv6Address(b[8:24]), IPv6Address(b[24:40]),
+        _addresses[b[8:24]], _addresses[b[24:40]],
     ))
 
     if next_header != NEXT_HEADER_ROUTING:
-        return Packet(header, None, b[IPV6_HEADER_LEN:])
+        _set_image(packet := Packet(header, None, b[IPV6_HEADER_LEN:]), b)
+        return packet
     if payload_length < SRH_FIXED_LEN:
         raise errors.TruncatedPacket("routing header overruns the declared payload")
     srh_next, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag = (
@@ -303,13 +326,16 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
     end = IPV6_HEADER_LEN + srh_len
     srh = tuple.__new__(SegmentRoutingHeader, (
         srh_next, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag,
-        tuple(IPv6Address(b[i : i + SEGMENT_LEN]) for i in range(start, end, SEGMENT_LEN)),
+        tuple(_addresses[b[i : i + SEGMENT_LEN]] for i in range(start, end, SEGMENT_LEN)),
     ))
-    return Packet(header, srh, b[end:])
+    _set_image(packet := Packet(header, srh, b[end:]), b)
+    return packet
 
 
 def serialize_packet(packet: Packet) -> bytes:
     """Emit network byte order; the exact inverse of :func:`parse_packet`."""
+    if packet.image is not None:
+        return packet.image
     validate_packet(packet)
     _, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst = packet.header
     word = 0x60000000 | traffic_class << 20 | flow_label
@@ -354,24 +380,13 @@ def encode_udp(src_port: int, dst_port: int, data: bytes, checksum: int = 0) -> 
     for name, value in (("src_port", src_port), ("dst_port", dst_port), ("checksum", checksum)):
         if not 0 <= value <= 0xFFFF:
             raise errors.InvariantViolation(f"UDP {name} out of range: {value}")
-    return (
-        src_port.to_bytes(2, "big")
-        + dst_port.to_bytes(2, "big")
-        + length.to_bytes(2, "big")
-        + checksum.to_bytes(2, "big")
-        + data
-    )
+    return _UDP.pack(src_port, dst_port, length, checksum) + data
 
 
 def decode_udp(data: bytes) -> tuple[UdpHeader, bytes]:
     if len(data) < UDP_HEADER_LEN:
         raise errors.TruncatedPacket(f"UDP needs 8 bytes, got {len(data)}")
-    header = UdpHeader(
-        int.from_bytes(data[0:2], "big"),
-        int.from_bytes(data[2:4], "big"),
-        int.from_bytes(data[4:6], "big"),
-        int.from_bytes(data[6:8], "big"),
-    )
+    header = UdpHeader._make(_UDP.unpack_from(data))
     if header.length != len(data):
         raise errors.TruncatedPacket(
             f"UDP length field {header.length} != {len(data)} bytes present"

@@ -104,6 +104,8 @@ _RULES = _CHAIN_LINE + "\n[rules]\ner1 DDDD::/64 chain=c1\n"
 _ROUTE_LINE = "nfv DDDD::/64 via er2\n"
 _ER2_LINE = "er2 egress-edge addrs=CCCC::2,DDDD::2\n"
 _RULE_LINE = "er1 DDDD::/64 chain=c1\n"
+_AWARE_MODEL = "model aware capacity=45180.72289156627 k0=8.9\n"
+_FLOW = "flow src=EEEE::2 dst=DDDD::2 ingress=er1\n"
 # What a testbed whose [links] header is misspelt reports after the
 # unknown section: every route now names a neighbor it has no link to.
 _UNLINKED = [
@@ -177,6 +179,20 @@ _UNLINKED = [
         pytest.param("direction=uni", "direcion=east",
                      ["line 28: unknown field 'direcion'", "rule for unknown chain 'c1'"],
                      id="misspelt-chain-key"),
+        # A key twice on one line, an empty rate list, and [bench] keywords
+        # repeated with another value: none may silently pick a winner.
+        pytest.param("BBBB::2 kind=sr-unaware node=nfv",
+                     "BBBB::2 kind=sr-unaware node=nfv kind=sr-aware",
+                     ["line 21: duplicate field 'kind'", "VNF declared for unknown SID bbbb::2",
+                      "chain 'c1' references undeclared SID bbbb::2"], id="key-twice-on-a-line"),
+        pytest.param("rates 1000,3000,6000,9000,12000,13000", "rates ,",
+                     "line 50: rate list is empty", id="bench-rates-empty"),
+        pytest.param(_AWARE_MODEL, _AWARE_MODEL + "model aware capacity=1000 k0=1\n",
+                     "line 49: duplicate bench model 'aware' declaration", id="bench-model-conflict"),
+        pytest.param("seed 42\n", "seed 42\nseed 43\n",
+                     "line 54: duplicate bench seed declaration", id="bench-seed-conflict"),
+        pytest.param(_FLOW, _FLOW + "flow src=EEEE::2 dst=DDDD::3 ingress=er1\n",
+                     "line 46: duplicate bench flow declaration", id="bench-flow-conflict"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -214,6 +230,17 @@ def test_exact_repeated_rule_and_route_lines_are_accepted(testbed_config_path):
     network = config.build_network()
     assert len(network.node("er1").rules) == 1
     assert len(network.node("nfv").routing_table) == 4
+
+
+def test_exact_repeated_bench_lines_are_accepted(testbed_config_path):
+    text = Path(testbed_config_path).read_text(encoding="utf-8")
+    config = parse_config_text(text)
+    for line in (_FLOW, _AWARE_MODEL, "seed 42\n", "runs 30\n", "units f=1.0 d=0.5 e=0.5\n"):
+        text = text.replace(line, line * 2)
+    # The value is compared, not its text.
+    repeated = parse_config_text(text.replace("seed 42\n", "seed 42\nseed 042\n", 1))
+    assert repeated.bench == config.bench
+    assert [scenario for scenario, _ in repeated.bench.models] == ["aware", "unaware"]
 
 
 def test_line_numbers_in_syntax_problems():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ER1, ER2, SINK, SRC, chain_testbed, router_line
-from srv6sfc import errors
+from srv6sfc import errors, wire
 from srv6sfc.chain import (
     ChainRegistry,
     ClassifierRule,
@@ -538,3 +538,38 @@ def test_long_runs_retain_no_memory_per_packet(testbed_config_path):
     # Flat: ten times the packets leave no more behind. Per-packet records
     # would keep hundreds of bytes each, megabytes over these 10k packets.
     assert after_11k - after_1k < 16 * 1024, (after_1k, after_11k)
+
+
+def test_address_intern_table_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(wire, "_addresses", wire._Interned())
+    limit = wire.ADDRESS_INTERN_LIMIT
+    # Twice as many distinct addresses as the table may hold.
+    packets = [
+        serialize_packet(udp_packet(IPv6Address(2 * i + 1), IPv6Address(2 * i + 2), b"x"))
+        for i in range(limit)
+    ]
+
+    def parse_all() -> int:
+        """Bytes still allocated after parsing every packet once more."""
+        for data in packets:
+            wire.parse_packet(data)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    parse_all()
+    table = wire._addresses
+    # First come, first stored: the first half of the addresses, no more.
+    assert len(table) == limit
+    assert set(table) == {IPv6Address(n).packed for n in range(1, limit + 1)}
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        retained = parse_all() - start
+    finally:
+        tracemalloc.stop()
+    assert len(table) == limit
+    # A miss past the bound builds an equal address and stores nothing.
+    late = wire.parse_packet(packets[-1]).header.dst
+    assert late == IPv6Address(2 * limit) and late is not wire.parse_packet(packets[-1]).header.dst
+    assert retained < 4 * 1024, retained

@@ -14,12 +14,23 @@ from hypothesis import strategies as st
 
 from codec_reference import reference_parse, reference_serialize
 from conftest import (
+    SINK,
+    SRC,
     TESTBED_GOLDEN,
+    chain_testbed,
     random_junk,
     random_valid_packet,
 )
 from srv6sfc import errors, wire
-from srv6sfc.dataplane import ActionKind, SegmentListEdit, VnfAction
+from srv6sfc.dataplane import (
+    ActionKind,
+    PassThroughRouter,
+    PayloadStamper,
+    SegmentListEdit,
+    VnfAction,
+    advance_segment,
+)
+from srv6sfc.sim import Delivered, inject
 from srv6sfc.wire import (
     Ipv6Header,
     Packet,
@@ -443,6 +454,88 @@ def test_codec_matches_reference_on_damaged_bytes(packet, data):
         raw += data.draw(st.binary(min_size=1, max_size=16))
     damaged = bytes(raw)
     assert _outcome(wire.parse_packet, damaged) == _outcome(reference_parse, damaged)
+
+
+# Work not done twice: the carried wire image and interned addresses ------------
+
+@given(oracle_packet())
+@settings(max_examples=200, deadline=None)
+def test_a_parsed_packet_serializes_to_the_bytes_it_came_from(packet):
+    data = wire.serialize_packet(packet)
+    for source in (data, bytearray(data), memoryview(data)):
+        parsed = wire.parse_packet(source)
+        assert type(parsed.image) is bytes and parsed.image == data
+        assert wire.serialize_packet(parsed) is parsed.image  # not packed again
+        wire.validate_packet(parsed)
+        # The field-equal twin has no image and packs the same bytes.
+        twin = Packet(parsed.header, parsed.srh, parsed.payload)
+        assert twin.image is None and twin == parsed and hash(twin) == hash(parsed)
+        assert wire.serialize_packet(twin) == data
+
+
+def test_copies_and_rewrites_of_a_parsed_packet_carry_no_image():
+    parsed = wire.parse_packet(TESTBED_GOLDEN)
+    assert parsed.image is TESTBED_GOLDEN
+    assert "image" not in repr(parsed) and parsed.__reduce__()[1] == (
+        parsed.header, parsed.srh, parsed.payload
+    )
+    for clone in (
+        dataclasses.replace(parsed),
+        copy.copy(parsed),
+        copy.deepcopy(parsed),
+        pickle.loads(pickle.dumps(parsed)),
+    ):
+        assert clone.image is None and clone == parsed
+        assert wire.serialize_packet(clone) == TESTBED_GOLDEN
+    # A packet built from a parsed one is packed from its own fields.
+    inner = bytearray(parsed.payload)
+    inner[-1] ^= 0xFF
+    edited = dataclasses.replace(parsed, payload=bytes(inner))
+    assert wire.serialize_packet(edited) == TESTBED_GOLDEN[:-1] + bytes([TESTBED_GOLDEN[-1] ^ 0xFF])
+    advanced = advance_segment(parsed)
+    assert advanced.image is None
+    assert wire.serialize_packet(advanced) == reference_serialize(advanced)
+    with pytest.raises(AttributeError):
+        parsed.image = b""
+
+
+def test_a_vnf_that_modifies_the_packet_is_reencoded():
+    handed = []
+
+    def recording(behavior):
+        def vnf(packet):
+            action = behavior(packet)
+            handed.append((packet, action.packet))
+            return action
+        return vnf
+
+    inner = udp_packet(SRC, SINK, b"payload!")
+    sent = wire.serialize_packet(inner)
+    for behavior, first in ((PassThroughRouter(), sent[40]), (PayloadStamper(0xAB), 0xAB)):
+        handed.clear()
+        network, _ = chain_testbed(1, behaviors=[recording(behavior)])
+        result = inject(network, "er1", inner)
+        assert type(result.outcome) is Delivered
+        delivered = wire.serialize_packet(result.outcome.packet)
+        assert delivered == sent[:40] + bytes([first]) + sent[41:]
+        [(given_packet, returned)] = handed
+        assert given_packet.image is not None  # the decapsulated inner, as parsed
+        # Pass-through hands its parsed packet back; the stamp is a new one.
+        assert (returned is given_packet) is (first == sent[40])
+        assert (returned.image is None) is (first == 0xAB)
+
+
+def test_equal_parses_share_their_address_objects(monkeypatch):
+    monkeypatch.setattr(wire, "_addresses", wire._Interned())
+    first = wire.parse_packet(TESTBED_GOLDEN)
+    second = wire.parse_packet(bytes(bytearray(TESTBED_GOLDEN)))
+    assert first.image is not second.image
+    assert first.header.src is second.header.src and first.header.dst is second.header.dst
+    assert all(a is b for a, b in zip(first.srh.segment_list, second.srh.segment_list))
+    # The active segment and the destination are one object within a parse, too.
+    assert first.header.dst is first.srh.segment_list[first.srh.segments_left]
+    inner = wire.parse_packet(first.payload)
+    assert inner.header.src is wire.parse_packet(second.payload).header.src
 
 
 # UDP carrier ------------------------------------------------------------------
