@@ -25,10 +25,17 @@ import statistics
 from dataclasses import dataclass
 
 from srv6sfc import errors
-from srv6sfc.sim import FlowSpec, Network, flow_packet, inject
+from srv6sfc.chain import SidKind
+from srv6sfc.sim import FlowSpec, FlowSummary, Network, flow_packet, inject
 
 SCENARIO_AWARE = "SR kernel"
 SCENARIO_UNAWARE = "SR kernel + hook"
+# Each scenario's name in configs and on the command line: its report
+# label and the kind its VNF SIDs take.
+SCENARIOS = {
+    "aware": (SCENARIO_AWARE, SidKind.SR_AWARE),
+    "unaware": (SCENARIO_UNAWARE, SidKind.SR_UNAWARE),
+}
 
 REGION_NO_LOSS = "no-loss"
 REGION_TRANSITION = "transition"
@@ -221,22 +228,17 @@ def measure_per_packet_cost(network: Network, flow: FlowSpec, probes: int = 4) -
     """Exact per-packet cost in cost units, read from the NFV-node costs
     that probe packets driven through the chain return."""
     nfv_nodes = network.nfv_node_ids()
-    dropped = 0
-    drop_reasons: dict[str, int] = {}
+    summary = FlowSummary()
     distinct: set[tuple[int, int, int]] = set()
     for i in range(probes):
         result = inject(network, flow.ingress, flow_packet(flow, i), terminal_only=True)
-        if not result.delivered:
-            dropped += 1
-            reason = result.outcome.reason
-            drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
-            continue
+        summary.add(result)
         crossed = [result.costs[node_id] for node_id in nfv_nodes if node_id in result.costs]
-        if crossed:
+        if result.delivered and crossed:
             distinct.add(tuple(map(sum, zip(*crossed))))
-    if dropped:
+    if summary.dropped:
         raise errors.BenchError(
-            f"cost probe dropped {dropped}/{probes} packets: {drop_reasons}"
+            f"cost probe dropped {summary.dropped}/{probes} packets: {summary.drop_reasons}"
         )
     if not distinct:
         raise errors.BenchError("probe flow never crossed an NFV node")

@@ -36,6 +36,10 @@ repeat with an equal value; another value is a problem.
 Behavior specs: ``passthrough``, ``prefix-filter:<prefix>``,
 ``payload-stamp:<byte>``, ``chain-editor:insert-after:<sid+sid>``,
 ``chain-editor:insert-at:<pos>:<sid+sid>``, ``chain-editor:replace:<sid+sid>``.
+A chain editor must sit on an SR-aware SID, make an edit its
+``permission`` allows, name only declared SIDs, replace with at least one
+SID and insert at a position >= 0; the connector would refuse anything
+else on the first packet.
 
 Loading is one pass. Each distinct address text in a file becomes one
 ``IPv6Address`` object, shared by every section that spells it, and each
@@ -52,6 +56,9 @@ Validation is the one place a config becomes nodes: it parses each VNF
 behavior once and keeps the registry and the checked nodes on the
 config. A build copies the registry (or rebuilds it under
 ``kind_override``) and binds new ``Vnf`` objects to its SIDs.
+``route_add`` reads its prefix and addresses with the file's own readers
+and checks its result with the same validation, so every refusal is one
+``ValidationError``.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from pathlib import Path
 from socket import AF_INET6, inet_pton
 
 from srv6sfc import errors
-from srv6sfc.bench import CapacityModel
+from srv6sfc.bench import SCENARIOS, CapacityModel
 from srv6sfc.chain import (
     ChainDirection,
     ChainRegistry,
@@ -75,6 +82,7 @@ from srv6sfc.chain import (
     VnfInterface,
 )
 from srv6sfc.dataplane import (
+    PERMITTED_EDITS,
     ChainEditor,
     PassThroughRouter,
     PayloadStamper,
@@ -231,6 +239,22 @@ def behavior_from_spec(spec: str, sid_table: dict[IPv6Address, Sid] | None = Non
     raise errors.ValidationError([f"unknown behavior {spec!r}"])
 
 
+def _edit_problems(vnf: VnfDecl, sid: Sid, edit: SegmentListEdit, sid_table) -> list[str]:
+    """The faults of a chain editor that its declaration already shows:
+    each would fail the connector or ``apply_edit`` on the first packet."""
+    problems = []
+    if sid.kind is SidKind.SR_UNAWARE:
+        problems.append("an SR-unaware VNF sees no SRH and cannot edit it")
+    if edit.kind not in PERMITTED_EDITS[vnf.permission]:
+        problems.append(f"{edit.kind.value} not allowed at permission {vnf.permission.value}")
+    problems.extend(f"edit references undeclared SID {a}" for a in edit.sids if a not in sid_table)
+    if edit.kind is SegmentListEdit.Kind.REPLACE and not edit.sids:
+        problems.append("replacement segment list must not be empty")
+    if edit.position is not None and edit.position < 0:
+        problems.append(f"insert position must be >= 0, got {edit.position}")
+    return [f"VNF {vnf.address}: {problem}" for problem in problems]
+
+
 # Parsing -------------------------------------------------------------------
 
 # Each line's usage as the module docstring spells it, the names of its
@@ -314,18 +338,11 @@ def _non_negative(name: str, text: str) -> float:
 
 
 class _Collector:
-    """Accumulates declarations and problems while scanning the file."""
+    """Accumulates declarations (by section) and problems while scanning the file."""
 
-    def __init__(self, path: str):
-        self.path = path
+    def __init__(self):
         self.problems: list[str] = []
-        self.nodes: list[NodeDecl] = []
-        self.links: list[tuple[str, str]] = []
-        self.sids: list[Sid] = []
-        self.vnfs: list[VnfDecl] = []
-        self.chains: list[VnfChain] = []
-        self.rules: list[RuleDecl] = []
-        self.routes: list[RouteDecl] = []
+        self.decls: dict[str, list] = {name: [] for name in SECTION_ORDER if name != "bench"}
         self.bench_kwargs: dict = {}
         self.bench_models: dict[str, CapacityModel] = {}
         self._addresses: dict[str, IPv6Address] = {}
@@ -368,36 +385,33 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             raise ValueError(f"unknown bench keyword {keyword!r}")
         usage, positional, keys = _LINES[kind]
         f = _fields(tokens, positional, keys)
+        decl = None
         if kind == "nodes":
-            collector.nodes.append(NodeDecl(
+            decl = NodeDecl(
                 f["id"], NodeRole(f["role"]), tuple(address(a) for a in f["addrs"].split(",") if a)
-            ))
+            )
         elif kind == "links":
-            collector.links.append((f["a"], f["b"]))
+            decl = (f["a"], f["b"])
         elif kind == "sids":
-            collector.sids.append(
-                Sid(address(f["addr"]), SidKind(f["kind"]), f["node"], VnfInterface(f["iface"]))
-            )
+            decl = Sid(address(f["addr"]), SidKind(f["kind"]), f["node"], VnfInterface(f["iface"]))
         elif kind == "vnfs":
-            collector.vnfs.append(
-                VnfDecl(address(f["addr"]), f["behavior"], VnfPermission(f["permission"]))
-            )
+            decl = VnfDecl(address(f["addr"]), f["behavior"], VnfPermission(f["permission"]))
         elif kind == "chains":
-            collector.chains.append(VnfChain(
+            decl = VnfChain(
                 f["id"], tuple(address(a) for a in f["segs"].split(",") if a),
                 address(f["src"]), ChainDirection(f["direction"]),
-            ))
+            )
         elif kind == "rules":
-            collector.rules.append(RuleDecl(f["node"], collector.network(f["prefix"]), f["chain"]))
+            decl = RuleDecl(f["node"], collector.network(f["prefix"]), f["chain"])
         elif kind == "routes":
             if f["via"] != "via":
                 raise _Shape
-            collector.routes.append(RouteDecl(f["node"], collector.network(f["prefix"]), f["next"]))
+            decl = RouteDecl(f["node"], collector.network(f["prefix"]), f["next"])
         elif kind == "bench flow":
             _once(bench, "flow", (address(f["src"]), address(f["dst"]), f["ingress"]))
         elif kind == "bench model":
             scenario = f["scenario"]
-            if scenario not in ("aware", "unaware", "default"):
+            if scenario not in SCENARIOS and scenario != "default":
                 raise ValueError(f"model scenario must be aware/unaware/default, got {scenario!r}")
             model = CapacityModel(float(f["capacity"]), float(f["k0"]))
             _once(collector.bench_models, scenario, model, f"model {scenario!r}")
@@ -419,6 +433,8 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             _once(bench, "payload", _integer("payload", f["value"], 0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN))
         elif kind == "bench units":
             _once(bench, "units", UnitCosts(*(_non_negative(f"units {k}", f[k]) for k in "fde")))
+        if decl is not None:
+            collector.decls[section].append(decl)
     except _Shape:
         collector.problem(line_no, f"expected: {usage}")
     except (ValueError, errors.SfcError) as exc:
@@ -428,7 +444,7 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
 def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
     """Parse and cross-validate; raises ValidationError with every
     problem found, or ParseError when the document has no structure."""
-    collector = _Collector(path)
+    collector = _Collector()
     section: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -447,13 +463,7 @@ def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
     bench = collector.bench_kwargs
     flow_src, flow_dst, flow_ingress = bench.pop("flow", (None, None, None))
     config = ScenarioConfig(
-        nodes=tuple(collector.nodes),
-        links=tuple(collector.links),
-        sids=tuple(collector.sids),
-        vnfs=tuple(collector.vnfs),
-        chains=tuple(collector.chains),
-        rules=tuple(collector.rules),
-        routes=tuple(collector.routes),
+        **{name: tuple(decls) for name, decls in collector.decls.items()},
         bench=BenchSection(
             flow_src, flow_dst, flow_ingress, tuple(collector.bench_models.items()), **bench
         ),
@@ -495,6 +505,8 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
             problems.append(f"VNF {vnf.address}: bad behavior spec {vnf.behavior_spec!r} ({exc})")
             continue
         if sid is not None and sid.kind is not SidKind.EGRESS_ENDPOINT:
+            if isinstance(behavior, ChainEditor):
+                problems.extend(_edit_problems(vnf, sid, behavior.edit, sid_table))
             hosted[sid.host_node].append(Vnf(sid, behavior, vnf.permission))
 
     chain_ids = set()
@@ -550,8 +562,9 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise errors.ParseError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise errors.ParseError(f"cannot read config {path}: {reason}") from exc
     return parse_config_text(text, str(path))
 
 
@@ -603,22 +616,19 @@ def route_add(
     """Install a classifier rule, its chain, and a route in one step,
     mirroring `route add PREFIX via NEXTHOP encap seg SID,...`.
 
-    Re-adding an identical route is a no-op.
+    Re-adding an identical route is a no-op. Every refusal, a bad prefix
+    or address included, is a ``ValidationError``.
     """
+    collector = _Collector()
     try:
-        prefix = IPv6Network(prefix_text, strict=False)
+        prefix = collector.network(prefix_text)
     except ValueError as exc:
-        raise errors.BadPrefix(f"bad prefix {prefix_text!r}: {exc}") from exc
+        raise errors.ValidationError([f"bad prefix {prefix_text!r}: {exc}"]) from exc
     try:
-        via = IPv6Address(via_text)
-        segments = tuple(IPv6Address(s) for s in segment_texts)
+        via = collector.address(via_text)
+        segments = tuple(map(collector.address, segment_texts))
     except ValueError as exc:
-        raise errors.BadPrefix(f"bad address: {exc}") from exc
-
-    declared = {sid.address for sid in config.sids}
-    for segment in segments:
-        if segment not in declared:
-            raise errors.UnknownSegment(f"segment {segment} is not a declared SID")
+        raise errors.ValidationError([f"bad address: {exc}"]) from exc
 
     if node_id is None:
         node_id = next((d.node_id for d in config.nodes if d.role is NodeRole.INGRESS_EDGE), None)

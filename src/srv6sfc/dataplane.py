@@ -143,7 +143,7 @@ class VnfPermission(Enum):
     FULL_REWRITE = "full-rewrite"
 
 
-_PERMITTED_EDITS = {
+PERMITTED_EDITS = {
     VnfPermission.INSERT_NEXT_ONLY: {SegmentListEdit.Kind.INSERT_AFTER_CURRENT},
     VnfPermission.INSERT_ANYWHERE: {
         SegmentListEdit.Kind.INSERT_AFTER_CURRENT,
@@ -362,7 +362,7 @@ def apply_edit(
     srh = packet.srh
     if srh is None:
         raise errors.NoSrh("segment-list edit on a packet without an SRH")
-    if edit.kind not in _PERMITTED_EDITS[permission]:
+    if edit.kind not in PERMITTED_EDITS[permission]:
         raise errors.EditPermissionDenied(
             f"{edit.kind.value} not allowed at permission {permission.value}"
         )

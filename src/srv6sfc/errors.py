@@ -174,14 +174,6 @@ class ConfigError(SfcError):
     """Scenario configuration problem."""
 
 
-class BadPrefix(ConfigError):
-    """Text does not parse as an IPv6 prefix."""
-
-
-class UnknownSegment(ConfigError):
-    """Route installation references a SID that is not declared."""
-
-
 class ParseError(ConfigError):
     """File unreadable or syntactically broken beyond recovery."""
 

@@ -373,6 +373,17 @@ class FlowSummary:
     def total(self) -> int:
         return self.delivered + self.dropped
 
+    def add(self, result: InjectResult) -> None:
+        """Count one walk: its outcome, its drop reason, its per-node costs."""
+        for node_id, cost in result.costs.items():
+            _add_cost(self.ledger_deltas, node_id, cost)
+        if result.delivered:
+            self.delivered += 1
+        else:
+            self.dropped += 1
+            reason = result.outcome.reason
+            self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+
 
 def flow_payload(uid: int, size: int) -> bytes:
     """Deterministic per-packet payload so bit-exactness is meaningful."""
@@ -400,14 +411,7 @@ def run_flow(network: Network, flow: FlowSpec, *, keep_delivered: bool = False) 
     summary = FlowSummary()
     for i in range(flow.count):
         result = inject(network, flow.ingress, flow_packet(flow, i), terminal_only=True)
-        for node_id, cost in result.costs.items():
-            _add_cost(summary.ledger_deltas, node_id, cost)
-        if result.delivered:
-            summary.delivered += 1
-            if keep_delivered:
-                summary.delivered_packets.append(result.outcome.packet)
-        else:
-            summary.dropped += 1
-            reason = result.outcome.reason
-            summary.drop_reasons[reason] = summary.drop_reasons.get(reason, 0) + 1
+        summary.add(result)
+        if keep_delivered and result.delivered:
+            summary.delivered_packets.append(result.outcome.packet)
     return summary

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import sys
+from ipaddress import IPv6Address
 from pathlib import Path
 
 import pytest
 
 from srv6sfc import cli
+from srv6sfc.config import load_config
+from srv6sfc.sim import FlowSpec, run_flow
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's config and packet generators)
 
 RUN_ARGS = ["--src", "EEEE::2", "--dst", "DDDD::2"]
 
@@ -62,6 +69,54 @@ def test_run_drop_exits_nonzero(testbed_config_path, tmp_path, capsys):
     assert summary["status"] == "dropped"
     assert summary["dropped"] == 2
     assert "vnf bbbb::2" in summary["drop_reasons"]
+
+
+def _summary_case(name: str, testbed_path: str) -> tuple[str, FlowSpec]:
+    """A config text and a flow through it, by case name."""
+    testbed = Path(testbed_path).read_text(encoding="utf-8")
+    flow = FlowSpec("er1", IPv6Address("EEEE::2"), IPv6Address("DDDD::2"), 3)
+    if name == "testbed":
+        return testbed, flow
+    if name == "prefix-filter":
+        return testbed.replace("behavior=passthrough", "behavior=prefix-filter:DDDD::/64"), flow
+    if name == "chain8":
+        return workloads.chain8_config(), flow
+    # The mesh packet that charges the most nodes.
+    mesh = workloads.mesh(1)
+    index = max(range(len(mesh.expects)),
+                key=lambda i: sum(cost != (0, 0, 0) for cost in mesh.expects[i].ledger))
+    packet = mesh.packets[index]
+    udp = packet.payload
+    return mesh.config_text, FlowSpec(
+        mesh.ingress, packet.header.src, packet.header.dst, 3, len(udp) - 8,
+        int.from_bytes(udp[0:2], "big"), int.from_bytes(udp[2:4], "big"),
+    )
+
+
+@pytest.mark.parametrize("name", ["testbed", "prefix-filter", "chain8", "mesh"])
+def test_run_summary_is_the_flow_summary(name, testbed_config_path, tmp_path, capsys):
+    text, flow = _summary_case(name, testbed_config_path)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(
+        ["run", str(cfg), "--src", str(flow.src), "--dst", str(flow.dst), "--ingress", flow.ingress,
+         "--count", str(flow.count), "--payload-bytes", str(flow.payload_size),
+         "--sport", str(flow.src_port), "--dport", str(flow.dst_port), "--trace", "terminal"],
+        capsys,
+    )
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    network = load_config(cfg).build_network()
+    expected = run_flow(network, flow)
+    assert code == (cli.EXIT_OK if expected.dropped == 0 else cli.EXIT_DROPPED)
+    assert (summary["delivered"], summary["dropped"]) == (expected.delivered, expected.dropped)
+    assert summary["drop_reasons"] == expected.drop_reasons
+    assert {node: (c["f"], c["d"], c["e"]) for node, c in summary["ledgers"].items()} == \
+        expected.ledger_deltas
+    # The walks' costs are what a fresh network's ledgers hold after the flow.
+    assert expected.ledger_deltas == {
+        node: ledger.counts() for node, ledger in network.ledgers.items()
+        if ledger.counts() != (0, 0, 0)
+    }
 
 
 def test_run_drops_packet_too_big_for_the_wire(testbed_config_path, capsys):
@@ -192,7 +247,10 @@ def test_route_add_bad_prefix(testbed_config_path, capsys):
         capsys,
     )
     assert code == cli.EXIT_VALIDATION
-    assert json.loads(err)["error"] == "BadPrefix"
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "detail": ["bad prefix 'junk/one': At least 3 parts expected in 'junk'"],
+    }
 
 
 def test_route_add_for_a_steered_prefix_is_refused(testbed_config_path, tmp_path, capsys):
@@ -215,20 +273,30 @@ def test_route_add_for_a_steered_prefix_is_refused(testbed_config_path, tmp_path
 
 
 @pytest.mark.parametrize(
-    "segs, extra, problem",
+    "prefix, segs, extra, problem",
     [
-        pytest.param("BBBB::2,BBBB::2,CCCC::2", [], "chain 'rt-ffff::-64' lists bbbb::2 twice",
-                     id="repeated-sid"),
-        pytest.param("CCCC::2", ["--chain-id", "c1"], "duplicate chain id 'c1'", id="chain-id-taken"),
+        pytest.param("FFFF::/64", "BBBB::2,BBBB::2,CCCC::2", [],
+                     "chain 'rt-ffff::-64' lists bbbb::2 twice", id="repeated-sid"),
+        pytest.param("FFFF::/64", "CCCC::2", ["--chain-id", "c1"], "duplicate chain id 'c1'",
+                     id="chain-id-taken"),
+        # Every argument is read by the config file's own readers and every
+        # refusal is one problem list.
+        pytest.param("junk/one", "CCCC::2", [],
+                     "bad prefix 'junk/one': At least 3 parts expected in 'junk'", id="bad-prefix"),
+        pytest.param("FFFF::/64", "BBBB::2,CCCC::x", [],
+                     "bad address: Only hex digits permitted in 'x' in 'CCCC::x'", id="bad-address"),
+        pytest.param("FFFF::/64", "1234::1,CCCC::2", [],
+                     "chain 'rt-ffff::-64' references undeclared SID 1234::1",
+                     id="undeclared-segment"),
     ],
 )
 def test_route_add_chain_refusals_exit_four_and_leave_the_file(
-    testbed_config_path, tmp_path, capsys, segs, extra, problem
+    testbed_config_path, tmp_path, capsys, prefix, segs, extra, problem
 ):
     cfg = tmp_path / "testbed.cfg"
     data = Path(testbed_config_path).read_bytes()
     cfg.write_bytes(data)
-    argv = ["route", "add", "FFFF::/64", "via", "AAAA::1", "encap", "seg", segs,
+    argv = ["route", "add", prefix, "via", "AAAA::1", "encap", "seg", segs,
             "--config", str(cfg), *extra]
     for in_place in ([], ["--in-place"]):
         code, out, err = run_cli([*argv, *in_place], capsys)

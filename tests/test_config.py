@@ -51,6 +51,24 @@ def test_missing_file_is_parse_error(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
+def test_non_utf8_config_is_a_parse_error_in_every_command(testbed_config_path, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(Path(testbed_config_path).read_bytes().replace(b"# Three", b"# \xffThree"))
+    reason = "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
+    stderr = json.dumps({"error": "ParseError", "detail": f"cannot read config {cfg}: {reason}"})
+    flow = ["--src", "EEEE::2", "--dst", "DDDD::2"]
+    for argv in (
+        ["validate", str(cfg)],
+        ["run", str(cfg), *flow],
+        ["bench", str(cfg), "--out", str(tmp_path / "bench-out")],
+        ["trace", str(cfg), *flow],
+        ["route", "add", "FFFF::/64", "via", "AAAA::1", "encap", "seg", "CCCC::2",
+         "--config", str(cfg)],
+    ):
+        assert cli.main(argv) == cli.EXIT_PARSE, argv
+        assert capsys.readouterr() == ("", stderr + "\n"), argv
+
+
 def test_declaration_before_section_is_parse_error():
     with pytest.raises(errors.ParseError):
         parse_config_text("er1 ingress-edge addrs=::1\n")
@@ -106,6 +124,16 @@ _ER2_LINE = "er2 egress-edge addrs=CCCC::2,DDDD::2\n"
 _RULE_LINE = "er1 DDDD::/64 chain=c1\n"
 _AWARE_MODEL = "model aware capacity=45180.72289156627 k0=8.9\n"
 _FLOW = "flow src=EEEE::2 dst=DDDD::2 ingress=er1\n"
+_VNF_BLOCK = "BBBB::2 kind=sr-unaware node=nfv\nCCCC::2 kind=egress node=er2\n\n[vnfs]\n" + _VNF_LINE
+
+
+def _aware_editor(spec: str, permission: str = "insert-next-only") -> str:
+    """``_VNF_BLOCK`` with BBBB::2 SR-aware and running the behavior ``spec``."""
+    return _VNF_BLOCK.replace("sr-unaware", "sr-aware").replace(
+        "behavior=passthrough permission=insert-next-only", f"behavior={spec} permission={permission}"
+    )
+
+
 # What a testbed whose [links] header is misspelt reports after the
 # unknown section: every route now names a neighbor it has no link to.
 _UNLINKED = [
@@ -193,6 +221,21 @@ _UNLINKED = [
                      "line 54: duplicate bench seed declaration", id="bench-seed-conflict"),
         pytest.param(_FLOW, _FLOW + "flow src=EEEE::2 dst=DDDD::3 ingress=er1\n",
                      "line 46: duplicate bench flow declaration", id="bench-flow-conflict"),
+        # Chain editors whose faults the declaration shows: each used to
+        # load, and then every steered ``run`` exited 5.
+        pytest.param(_VNF_LINE, _VNF_LINE.replace("passthrough", "chain-editor:insert-after:CCCC::2"),
+                     "VNF bbbb::2: an SR-unaware VNF sees no SRH and cannot edit it",
+                     id="editor-on-unaware-sid"),
+        pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:replace:CCCC::2"),
+                     "VNF bbbb::2: replace not allowed at permission insert-next-only",
+                     id="editor-edit-not-permitted"),
+        pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:insert-after:1234::1"),
+                     "VNF bbbb::2: edit references undeclared SID 1234::1", id="editor-undeclared-sid"),
+        pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:replace:", "full-rewrite"),
+                     "VNF bbbb::2: replacement segment list must not be empty",
+                     id="editor-empty-replace"),
+        pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:insert-at:-1:CCCC::2", "insert-anywhere"),
+                     "VNF bbbb::2: insert position must be >= 0, got -1", id="editor-negative-position"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -314,6 +357,12 @@ def _outcome(argv: list[str]) -> tuple[int, str, str]:
 @given(text=mutated_testbeds())
 @example(text=_TESTBED.replace("runs 30", "runs"))
 @example(text=_TESTBED.replace("payload 1024", "payload 70000"))
+# Chain editors that loaded and then failed every steered ``run``.
+@example(text=_TESTBED.replace("behavior=passthrough", "behavior=chain-editor:insert-after:CCCC::2"))
+@example(text=_TESTBED.replace("kind=sr-unaware", "kind=sr-aware").replace(
+    "behavior=passthrough", "behavior=chain-editor:insert-after:1234::1"))
+@example(text=_TESTBED.replace("kind=sr-unaware", "kind=sr-aware").replace(
+    "behavior=passthrough", "behavior=chain-editor:replace:CCCC::2"))
 def test_mutated_testbed_ends_in_a_documented_exit_in_every_command(tmp_path_factory, text):
     scratch = tmp_path_factory.mktemp("mutant")
     cfg = scratch / "mutant.cfg"
@@ -437,14 +486,15 @@ def _editor_testbed(path) -> str:
     ).replace(
         "[chains]\n",
         "BBBB::3 behavior=chain-editor:insert-after:bbbb::4+BBBB:0::5 permission=full-rewrite\n"
-        "BBBB::4 behavior=chain-editor:insert-at:1:cccc::2\n"
-        "BBBB::5 behavior=chain-editor:replace:bbbb:0:0::2+FFFF::1+CCCC::2\n"
+        "BBBB::4 behavior=chain-editor:insert-at:1:cccc::2 permission=insert-anywhere\n"
+        "BBBB::5 behavior=chain-editor:replace:bbbb:0:0::2+CCCC::2 permission=full-rewrite\n"
         "\n[chains]\n",
     )
 
 
 def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
-    network = parse_config_text(_editor_testbed(testbed_config_path)).build_network()
+    text = _editor_testbed(testbed_config_path)
+    network = parse_config_text(text).build_network()
     keys = {address: address for address in network.registry.sid_table}
     edits = [vnf.behavior.edit for vnf in network.states["nfv"].vnfs.values()
              if isinstance(vnf.behavior, ChainEditor)]
@@ -452,8 +502,10 @@ def test_chain_editor_sids_are_the_registry_objects(testbed_config_path):
     registered = [sid for edit in edits for sid in edit.sids if sid in keys]
     assert len(registered) == 5
     assert all(sid is keys[sid] for sid in registered)
-    # An unregistered SID is kept as parsed; the walk refuses it later.
-    assert IPv6Address("FFFF::1") in edits[2].sids
+    # An undeclared SID is refused where the config is loaded.
+    with pytest.raises(errors.ValidationError) as info:
+        parse_config_text(text.replace("+CCCC::2 permission", "+FFFF::1+CCCC::2 permission"))
+    assert info.value.problems == ["VNF bbbb::5: edit references undeclared SID ffff::1"]
 
 
 def test_config_is_checked_once_and_each_build_is_fresh(tmp_path, testbed_config_path, monkeypatch):
@@ -551,7 +603,7 @@ def address_texts(draw) -> str:
 @example("::\x00")
 @example("\u0661::")
 def test_address_parse_matches_ipaddress(text):
-    collector = _Collector("<test>")
+    collector = _Collector()
     outcome = address_outcome(collector.address, text)
     assert outcome == address_outcome(IPv6Address, text)
     if outcome[0] is IPv6Address:
@@ -613,14 +665,16 @@ def test_route_add_is_idempotent(testbed_config_path):
 
 def test_route_add_bad_prefix(testbed_config_path):
     config = load_config(testbed_config_path)
-    with pytest.raises(errors.BadPrefix):
+    with pytest.raises(errors.ValidationError) as info:
         route_add(config, "junk/99", "AAAA::1", ["BBBB::2"])
+    assert info.value.problems == ["bad prefix 'junk/99': At least 3 parts expected in 'junk'"]
 
 
 def test_route_add_unknown_segment(testbed_config_path):
     config = load_config(testbed_config_path)
-    with pytest.raises(errors.UnknownSegment):
+    with pytest.raises(errors.ValidationError) as info:
         route_add(config, "FFFF::/64", "AAAA::1", ["1234::1", "CCCC::2"])
+    assert info.value.problems == ["chain 'rt-ffff::-64' references undeclared SID 1234::1"]
 
 
 def test_route_add_existing_route_matches_linux_example(testbed_config_path):
