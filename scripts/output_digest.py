@@ -12,9 +12,11 @@ and with ``--capacity``/``--k0``, ``validate``, and ``route add`` on the
 workload's ingress: a new prefix (printed, then written ``--in-place``
 twice to show it is idempotent) and five refusals, one digest each (a bad
 prefix, an undeclared segment, a repeated segment, an existing chain id
-with other segments, and a prefix the node already steers). A digest
-covers each call's argv, exit code, stdout and stderr, for ``bench`` the
-files it writes and for ``route add --in-place`` the rewritten config.
+with other segments, and a prefix the node already steers). Seven option
+values that ``bench`` and ``run`` refuse as usage errors get one digest
+each (``USAGE_REFUSALS``). A digest covers each call's argv, exit code,
+stdout and stderr, for ``bench`` the files it writes and for ``route add
+--in-place`` the rewritten config.
 
 Everything runs in-process against the ``src/`` of the checkout this
 script sits in, from a scratch directory, with every path relative to
@@ -40,6 +42,16 @@ from srv6sfc.config import load_config  # noqa: E402
 
 SEEDS = (1, 7)
 FIRST_FLOWS = 4
+# Option values refused before any work: digest name -> command, options.
+USAGE_REFUSALS = {
+    "usage-bench-rates-empty": ["bench", "--rates", ","],
+    "usage-bench-rates-negative": ["bench", "--rates", "-5"],
+    "usage-bench-runs-zero": ["bench", "--runs", "0"],
+    "usage-bench-capacity-zero": ["bench", "--capacity", "0"],
+    "usage-bench-k0-alone": ["bench", "--k0", "5"],
+    "usage-run-count-zero": ["run", "--count", "0"],
+    "usage-run-sport-high": ["run", "--sport", "70000"],
+}
 
 
 def _configs():
@@ -141,6 +153,13 @@ def main() -> int:
                 digests["bench"].update(_call(["bench", config, "--out", out, *extra]))
                 digests["bench"].update(_bench_files(Path(out)))
             digests["validate"] = hashlib.sha256(_call(["validate", config]))
+            flow = _flows(workload)[0]
+            for name, (command, *options) in USAGE_REFUSALS.items():
+                out = f"{label}-{name}"
+                where = ["--out", out] if command == "bench" else flow
+                digests[name] = hashlib.sha256(
+                    _call([command, config, *where, *options]) + _bench_files(Path(out))
+                )
             routes = _route_calls(config, workload.ingress)
             for name, argv in routes.items():
                 digests[name] = hashlib.sha256(_call(argv))

@@ -41,6 +41,9 @@ REGION_NO_LOSS = "no-loss"
 REGION_TRANSITION = "transition"
 REGION_SATURATION = "saturation"
 
+# Packets of the flow driven through the chain to measure its cost.
+COST_PROBES = 4
+
 # Region boundaries: success ratio and utilization percentage.
 S_THRESHOLD = 0.999
 U_THRESHOLD = 99.0
@@ -224,13 +227,13 @@ def fit_linear(points: list[RatePoint]) -> RegressionResult:
     return RegressionResult(m=m, k=k, r_squared=r_squared, points_used=tuple(points))
 
 
-def measure_per_packet_cost(network: Network, flow: FlowSpec, probes: int = 4) -> float:
+def measure_per_packet_cost(network: Network, flow: FlowSpec) -> float:
     """Exact per-packet cost in cost units, read from the NFV-node costs
-    that probe packets driven through the chain return."""
+    that ``COST_PROBES`` packets driven through the chain return."""
     nfv_nodes = network.nfv_node_ids()
     summary = FlowSummary()
     distinct: set[tuple[int, int, int]] = set()
-    for i in range(probes):
+    for i in range(COST_PROBES):
         result = inject(network, flow.ingress, flow_packet(flow, i), terminal_only=True)
         summary.add(result)
         crossed = [result.costs[node_id] for node_id in nfv_nodes if node_id in result.costs]
@@ -238,7 +241,7 @@ def measure_per_packet_cost(network: Network, flow: FlowSpec, probes: int = 4) -
             distinct.add(tuple(map(sum, zip(*crossed))))
     if summary.dropped:
         raise errors.BenchError(
-            f"cost probe dropped {summary.dropped}/{probes} packets: {summary.drop_reasons}"
+            f"cost probe dropped {summary.dropped}/{COST_PROBES} packets: {summary.drop_reasons}"
         )
     if not distinct:
         raise errors.BenchError("probe flow never crossed an NFV node")

@@ -10,7 +10,8 @@ Exit codes, one per error path:
     4  config or route validation error
     5  pipeline contract error while running (misconfiguration)
     6  output I/O error
-    7  bench could not fit a regression (insufficient no-loss points)
+    7  bench failed: no regression (fewer than two no-loss rates), or a
+       cost probe that was dropped or not uniform
 
 Normal output goes to stdout; structured error objects go to stderr as
 single-line JSON.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -33,10 +33,11 @@ from srv6sfc.bench import (
     regression_csv,
     run_sweep,
 )
-from srv6sfc.config import ScenarioConfig, load_config, render_config, route_add
+from srv6sfc.config import BENCH_READERS, ScenarioConfig, load_config, render_config, route_add
+from srv6sfc.config import read_finite, read_integer
 from srv6sfc.sim import Dropped, FlowSpec, FlowSummary, NodeRole, classify_at_ingress, flow_packet, inject
 from srv6sfc.trace import Trace
-from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN, hexdump, serialize_packet
+from srv6sfc.wire import hexdump, serialize_packet
 from ipaddress import IPv6Address
 
 EXIT_OK = 0
@@ -60,50 +61,31 @@ def _ipv6(text: str) -> IPv6Address:
         raise argparse.ArgumentTypeError(f"not an IPv6 address: {text!r}") from None
 
 
-def _int_in_range(minimum: int, maximum: int | None = None):
-    """argparse type: an integer in ``minimum..maximum``, unbounded above if None."""
+def _usage(read, *args, **bounds):
+    """argparse type: ``read(*args, text, **bounds)``, whose ``ValueError``
+    is a usage error with the reader's own text."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
+            return read(*args, text, **bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite number."""
+_port = _usage(read_integer, "port", low=0, high=0xFFFF)
+_payload_bytes = _usage(BENCH_READERS["payload"])
+
+
+def _capacity_model(args) -> CapacityModel | None:
+    """The ``--capacity``/``--k0`` model; a bad one, or ``--k0`` alone, is a usage error."""
+    if args.capacity is None and args.k0 is not None:
+        args.parser.error("argument --k0: not allowed without argument --capacity")
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    """argparse type: a finite number >= 0."""
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value:g}")
-    return value
-
-
-def _rates(text: str) -> list[float]:
-    """argparse type: comma-separated finite numbers."""
-    return [_finite(rate) for rate in text.split(",") if rate]
-
-
-_port = _int_in_range(0, 0xFFFF)
-# Largest UDP payload whose datagram length still fits in 16 bits.
-_payload_bytes = _int_in_range(0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN)
+        return None if args.capacity is None else CapacityModel(args.capacity, args.k0 or 0.0)
+    except errors.BenchError as exc:
+        args.parser.error(f"argument {'--k0' if args.capacity > 0 else '--capacity'}: {exc}")
 
 
 def _default_ingress(config: ScenarioConfig) -> str:
@@ -185,10 +167,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    override = _capacity_model(args)
     config = load_config(args.config)
     bench = config.bench
     names = list(SCENARIOS) if args.scenario == "both" else [args.scenario]
-    rates = args.rates if args.rates is not None else list(bench.rates)
+    rates = args.rates if args.rates is not None else bench.rates
     runs = args.runs if args.runs is not None else bench.runs
     noise = args.noise if args.noise is not None else bench.noise
     seed = args.seed if args.seed is not None else bench.seed
@@ -196,12 +179,9 @@ def cmd_bench(args) -> int:
     reports = []
     for name in names:
         label, kind = SCENARIOS[name]
-        model = bench.model_for(name)
-        if args.capacity is not None:
-            model = CapacityModel(args.capacity, args.k0 if args.k0 is not None else 0.0)
+        model = override or bench.model_for(name)
         if model is None:
-            _error("ValidationError", [f"no capacity model for scenario {name!r}"])
-            return EXIT_VALIDATION
+            raise errors.ValidationError([f"no capacity model for scenario {name!r}"])
         network = config.build_network(kind_override=kind)
         reports.append(
             run_sweep(
@@ -224,15 +204,13 @@ def cmd_bench(args) -> int:
     print(f"wrote {out_dir / 'points.csv'} and {out_dir / 'regression.csv'}", file=sys.stderr)
 
     refused = [r for r in reports if r.regression is None]
-    if refused:
-        for report in refused:
-            _error(
-                "InsufficientPoints",
-                f"{report.scenario}: regression refused ({report.regression_error}); "
-                f"need at least 2 distinct no-loss rates",
-            )
-        return EXIT_BENCH
-    return EXIT_OK
+    for report in refused:
+        _error(
+            "InsufficientPoints",
+            f"{report.scenario}: regression refused ({report.regression_error}); "
+            f"need at least 2 distinct no-loss rates",
+        )
+    return EXIT_BENCH if refused else EXIT_OK
 
 
 def cmd_trace(args) -> int:
@@ -276,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", type=_ipv6, required=True)
     p.add_argument("--dst", type=_ipv6, required=True)
     p.add_argument("--ingress")
-    p.add_argument("--count", type=_int_in_range(1), default=1)
+    p.add_argument("--count", type=_usage(read_integer, "count", low=1), default=1)
     p.add_argument("--payload-bytes", type=_payload_bytes, default=1024)
     p.add_argument("--sport", type=_port, default=40000)
     p.add_argument("--dport", type=_port, default=5201)
@@ -286,14 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="rate sweep, region labels, regression CSVs")
     p.add_argument("config")
     p.add_argument("--scenario", choices=(*SCENARIOS, "both"), default="both")
-    p.add_argument("--rates", type=_rates, help="comma-separated pps list (default from config)")
-    p.add_argument("--runs", type=_int_in_range(1))
+    p.add_argument("--rates", type=_usage(BENCH_READERS["rates"]),
+                   help="comma-separated pps list (default from config)")
+    p.add_argument("--runs", type=_usage(BENCH_READERS["runs"]))
     p.add_argument("--seed", type=int)
-    p.add_argument("--noise", type=_non_negative, help="percent jitter on utilization")
-    p.add_argument("--capacity", type=_finite, help="override capacity model")
-    p.add_argument("--k0", type=_finite, help="baseline overhead for --capacity")
+    p.add_argument("--noise", type=_usage(BENCH_READERS["noise"]), help="percent jitter on utilization")
+    p.add_argument("--capacity", type=_usage(read_finite, "capacity"),
+                   help="override capacity model")
+    p.add_argument("--k0", type=_usage(read_finite, "k0"), help="baseline overhead for --capacity")
     p.add_argument("--out", default="bench-out")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("trace", help="hex-dump the packet as encapsulated at ingress")
     p.add_argument("config")

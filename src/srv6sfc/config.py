@@ -37,9 +37,9 @@ Behavior specs: ``passthrough``, ``prefix-filter:<prefix>``,
 ``payload-stamp:<byte>``, ``chain-editor:insert-after:<sid+sid>``,
 ``chain-editor:insert-at:<pos>:<sid+sid>``, ``chain-editor:replace:<sid+sid>``.
 A chain editor must sit on an SR-aware SID, make an edit its
-``permission`` allows, name only declared SIDs, replace with at least one
-SID and insert at a position >= 0; the connector would refuse anything
-else on the first packet.
+``permission`` allows, name only declared SIDs, insert no egress SID and
+at a position >= 0, and replace with a list that ends at its one egress
+SID; the connector or the egress would refuse anything else at run time.
 
 Loading is one pass. Each distinct address text in a file becomes one
 ``IPv6Address`` object, shared by every section that spells it, and each
@@ -54,8 +54,8 @@ malformed token keeps the message ``ipaddress`` gives it.
 
 Validation is the one place a config becomes nodes: it parses each VNF
 behavior once and keeps the registry and the checked nodes on the
-config. A build copies the registry (or rebuilds it under
-``kind_override``) and binds new ``Vnf`` objects to its SIDs.
+config. A build copies the registry (or builds one, as validation does,
+under ``kind_override``) and binds new ``Vnf`` objects to its SIDs.
 ``route_add`` reads its prefix and addresses with the file's own readers
 and checks its result with the same validation, so every refusal is one
 ``ValidationError``.
@@ -66,6 +66,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
 from socket import AF_INET6, inet_pton
@@ -154,7 +155,6 @@ class ScenarioConfig:
     rules: tuple[RuleDecl, ...]
     routes: tuple[RouteDecl, ...]
     bench: BenchSection = BenchSection()
-    path: str = field(default="<memory>", compare=False)
     # What validation built, set by ``_semantic_problems``. Neither is handed
     # out: builds copy them, and ``dataclasses.replace`` resets both.
     _registry: ChainRegistry | None = field(
@@ -162,36 +162,29 @@ class ScenarioConfig:
     )
     _checked_nodes: tuple[Node, ...] = field(default=(), init=False, compare=False, repr=False)
 
-    def build_registry(self, kind_override: SidKind | None = None) -> ChainRegistry:
-        """A fresh registry of the config's SIDs and chains, validated first
-        if need be; with ``kind_override``, non-egress SIDs take that kind."""
+    def build_network(self, kind_override: SidKind | None = None) -> Network:
+        """The checked nodes, with their own registry and ``Vnf`` objects,
+        validated first if need be; with ``kind_override``, non-egress SIDs
+        take that kind, and a chain that kind breaks is a ``ValidationError``."""
         if self._registry is None:
             problems = _semantic_problems(self)
             if problems:
                 raise errors.ValidationError(problems)
         if kind_override is None:
-            return self._registry.copy()
-        return self._new_registry(kind_override)
-
-    def build_network(self, kind_override: SidKind | None = None) -> Network:
-        """The checked nodes, with their own registry and ``Vnf`` objects."""
-        registry = self.build_registry(kind_override)
+            registry = self._registry.copy()
+        else:
+            sids = [sid if sid.kind is SidKind.EGRESS_ENDPOINT else dc_replace(sid, kind=kind_override)
+                    for sid in self.sids]
+            try:
+                registry = _new_registry(sids, self.chains)
+            except errors.ChainError as exc:
+                problem = f"VNF SIDs as {kind_override.value}: {type(exc).__name__}: {exc}"
+                raise errors.ValidationError([problem]) from exc
         nodes = {}
         for node in self._checked_nodes:
             vnfs = [Vnf(registry.sid(v.sid.address), v.behavior, v.permission) for v in node.hosted_vnfs]
             nodes[node.node_id] = dc_replace(node, hosted_vnfs=vnfs)
         return Network(nodes, {frozenset(pair) for pair in self.links}, registry, self.bench.units)
-
-    def _new_registry(self, kind_override: SidKind | None = None) -> ChainRegistry:
-        """A registry of the config's SIDs and chains, built from scratch."""
-        registry = ChainRegistry()
-        for sid in self.sids:
-            if kind_override is not None and sid.kind is not SidKind.EGRESS_ENDPOINT:
-                sid = dc_replace(sid, kind=kind_override)
-            registry.add_sid(sid)
-        for chain in self.chains:
-            registry.register_chain(chain)
-        return registry
 
     def flow(self) -> FlowSpec:
         bench = self.bench
@@ -205,6 +198,16 @@ class ScenarioConfig:
             dst=bench.flow_dst,
             payload_size=bench.payload,
         )
+
+
+def _new_registry(sids, chains) -> ChainRegistry:
+    """The one way a registry is built: ``sids``, then ``chains``."""
+    registry = ChainRegistry()
+    for sid in sids:
+        registry.add_sid(sid)
+    for chain in chains:
+        registry.register_chain(chain)
+    return registry
 
 
 # Behavior factory ---------------------------------------------------------
@@ -240,8 +243,8 @@ def behavior_from_spec(spec: str, sid_table: dict[IPv6Address, Sid] | None = Non
 
 
 def _edit_problems(vnf: VnfDecl, sid: Sid, edit: SegmentListEdit, sid_table) -> list[str]:
-    """The faults of a chain editor that its declaration already shows:
-    each would fail the connector or ``apply_edit`` on the first packet."""
+    """The faults of a chain editor that its declaration already shows: each
+    would fail the connector, ``apply_edit`` or the egress on the first packet."""
     problems = []
     if sid.kind is SidKind.SR_UNAWARE:
         problems.append("an SR-unaware VNF sees no SRH and cannot edit it")
@@ -252,6 +255,13 @@ def _edit_problems(vnf: VnfDecl, sid: Sid, edit: SegmentListEdit, sid_table) -> 
         problems.append("replacement segment list must not be empty")
     if edit.position is not None and edit.position < 0:
         problems.append(f"insert position must be >= 0, got {edit.position}")
+    if not problems:
+        # An applicable edit must keep the egress SID last.
+        egress = [a for a in edit.sids if sid_table[a].kind is SidKind.EGRESS_ENDPOINT]
+        if edit.kind is not SegmentListEdit.Kind.REPLACE and egress:
+            problems.append(f"an insert must not name the egress SID {egress[0]}")
+        elif edit.kind is SegmentListEdit.Kind.REPLACE and egress != [edit.sids[-1]]:
+            problems.append("a replacement list must end at an egress SID and name no other")
     return [f"VNF {vnf.address}: {problem}" for problem in problems]
 
 
@@ -319,7 +329,10 @@ def _once(table: dict, key: str, value: object, what: str | None = None) -> None
         raise ValueError(f"duplicate bench {what or key} declaration")
 
 
-def _integer(name: str, text: str, low: int, high: float = math.inf) -> int:
+# Value readers, shared with ``srv6sfc bench``'s options: a refused value
+# is a ``ValueError`` whose text the file and the option both report.
+
+def read_integer(name: str, text: str, low: int, high: float = math.inf) -> int:
     value = int(text)
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -328,13 +341,34 @@ def _integer(name: str, text: str, low: int, high: float = math.inf) -> int:
     return value
 
 
-def _non_negative(name: str, text: str) -> float:
+def read_finite(name: str, text: str, low: float = -math.inf) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value:g}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value:g}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low:g}, got {value:g}")
     return value
+
+
+def read_rates(text: str) -> tuple[float, ...]:
+    """A comma-separated rate list: at least one rate, each positive and finite."""
+    rates = tuple(float(r) for r in text.split(",") if r)
+    if not rates:
+        raise ValueError("rate list is empty")
+    for rate in rates:
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {rate:g}")
+    return rates
+
+
+# The reader of each one-value ``[bench]`` keyword.
+BENCH_READERS = {
+    "rates": read_rates,
+    "runs": partial(read_integer, "runs", low=1),
+    "noise": partial(read_finite, "noise", low=0),
+    "seed": int,
+    "payload": partial(read_integer, "payload", low=0, high=MAX_PAYLOAD_LEN - UDP_HEADER_LEN),
+}
 
 
 class _Collector:
@@ -413,26 +447,12 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
             scenario = f["scenario"]
             if scenario not in SCENARIOS and scenario != "default":
                 raise ValueError(f"model scenario must be aware/unaware/default, got {scenario!r}")
-            model = CapacityModel(float(f["capacity"]), float(f["k0"]))
+            model = CapacityModel(read_finite("capacity", f["capacity"]), read_finite("k0", f["k0"]))
             _once(collector.bench_models, scenario, model, f"model {scenario!r}")
-        elif kind == "bench rates":
-            rates = tuple(float(r) for r in f["value"].split(",") if r)
-            if not rates:
-                raise ValueError("rate list is empty")
-            for rate in rates:
-                if not 0 < rate < math.inf:
-                    raise ValueError(f"rate must be positive and finite, got {rate:g}")
-            _once(bench, "rates", rates)
-        elif kind == "bench runs":
-            _once(bench, "runs", _integer("runs", f["value"], 1))
-        elif kind == "bench noise":
-            _once(bench, "noise", _non_negative("noise", f["value"]))
-        elif kind == "bench seed":
-            _once(bench, "seed", int(f["value"]))
-        elif kind == "bench payload":
-            _once(bench, "payload", _integer("payload", f["value"], 0, MAX_PAYLOAD_LEN - UDP_HEADER_LEN))
+        elif keyword in BENCH_READERS:
+            _once(bench, keyword, BENCH_READERS[keyword](f["value"]))
         elif kind == "bench units":
-            _once(bench, "units", UnitCosts(*(_non_negative(f"units {k}", f[k]) for k in "fde")))
+            _once(bench, "units", UnitCosts(*(read_finite(f"units {k}", f[k], 0) for k in "fde")))
         if decl is not None:
             collector.decls[section].append(decl)
     except _Shape:
@@ -441,7 +461,7 @@ def _parse_line(collector: _Collector, section: str, line_no: int, line: str) ->
         collector.problem(line_no, str(exc) or type(exc).__name__)
 
 
-def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
+def parse_config_text(text: str) -> ScenarioConfig:
     """Parse and cross-validate; raises ValidationError with every
     problem found, or ParseError when the document has no structure."""
     collector = _Collector()
@@ -467,7 +487,6 @@ def parse_config_text(text: str, path: str = "<memory>") -> ScenarioConfig:
         bench=BenchSection(
             flow_src, flow_dst, flow_ingress, tuple(collector.bench_models.items()), **bench
         ),
-        path=path,
     )
     problems = collector.problems + _semantic_problems(config)
     if problems:
@@ -550,7 +569,7 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
         # Registry-level rules (egress-last, interface match, univocal
         # mapping) only make sense once the references resolve.
         try:
-            registry = config._new_registry()
+            registry = _new_registry(config.sids, config.chains)
         except errors.SfcError as exc:
             problems.append(f"{type(exc).__name__}: {exc}")
         else:
@@ -565,7 +584,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise errors.ParseError(f"cannot read config {path}: {reason}") from exc
-    return parse_config_text(text, str(path))
+    return parse_config_text(text)
 
 
 # Rendering ------------------------------------------------------------------

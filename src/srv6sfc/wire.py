@@ -126,11 +126,8 @@ class SegmentRoutingHeader(NamedTuple):
         path: tuple[IPv6Address, ...] | list[IPv6Address],
         *,
         segments_left: int | None = None,
-        next_header: int = NEXT_HEADER_IPV6,
-        flags: int = 0,
-        tag: int = 0,
     ) -> "SegmentRoutingHeader":
-        """Build an SRH from segments given in forward path order.
+        """Build an SRH over inner IPv6, flags and tag 0, from segments in forward path order.
 
         ``segments_left`` defaults to pointing at the first path segment.
         """
@@ -140,7 +137,7 @@ class SegmentRoutingHeader(NamedTuple):
             raise errors.InvariantViolation("segment list must not be empty")
         if segments_left is None:
             segments_left = n - 1
-        return cls(next_header, 2 * n, SRH_ROUTING_TYPE, segments_left, n - 1, flags, tag, segs)
+        return cls(NEXT_HEADER_IPV6, 2 * n, SRH_ROUTING_TYPE, segments_left, n - 1, 0, 0, segs)
 
     @property
     def byte_length(self) -> int:
@@ -372,15 +369,15 @@ class UdpHeader(NamedTuple):
     checksum: int = 0
 
 
-def encode_udp(src_port: int, dst_port: int, data: bytes, checksum: int = 0) -> bytes:
-    """Datagram bytes for ``data`` with the length field filled in."""
+def encode_udp(src_port: int, dst_port: int, data: bytes) -> bytes:
+    """Datagram bytes for ``data`` with the length field filled in and checksum 0."""
     length = UDP_HEADER_LEN + len(data)
     if length > MAX_PAYLOAD_LEN:
         raise errors.InvariantViolation(f"UDP datagram too long: {length}")
-    for name, value in (("src_port", src_port), ("dst_port", dst_port), ("checksum", checksum)):
+    for name, value in (("src_port", src_port), ("dst_port", dst_port)):
         if not 0 <= value <= 0xFFFF:
             raise errors.InvariantViolation(f"UDP {name} out of range: {value}")
-    return _UDP.pack(src_port, dst_port, length, checksum) + data
+    return _UDP.pack(src_port, dst_port, length, 0) + data
 
 
 def decode_udp(data: bytes) -> tuple[UdpHeader, bytes]:
@@ -402,12 +399,8 @@ def udp_packet(
     src_port: int = 40000,
     dst_port: int = 5201,
     hop_limit: int = DEFAULT_HOP_LIMIT,
-    traffic_class: int = 0,
-    flow_label: int = 0,
 ) -> Packet:
     """Convenience builder for a plain IPv6+UDP packet with correct lengths."""
     datagram = encode_udp(src_port, dst_port, payload)
-    header = Ipv6Header(
-        6, traffic_class, flow_label, len(datagram), NEXT_HEADER_UDP, hop_limit, src, dst
-    )
+    header = Ipv6Header(6, 0, 0, len(datagram), NEXT_HEADER_UDP, hop_limit, src, dst)
     return Packet(header, None, datagram)

@@ -318,6 +318,29 @@ def test_bench_without_a_capacity_model_is_a_validation_error(
     assert err == json.dumps({"error": "ValidationError", "detail": detail}) + "\n"
 
 
+def test_scenario_kind_that_breaks_a_chain_is_a_validation_error(
+    testbed_config_path, tmp_path, capsys
+):
+    # One SR-aware SID in two chains loads, but the SR-unaware scenario
+    # would map its one interface to both chains.
+    text = Path(testbed_config_path).read_text(encoding="utf-8")
+    text = text.replace("kind=sr-unaware", "kind=sr-aware").replace(
+        "direction=uni\n", "direction=uni\nc2 segs=BBBB::2,CCCC::2 src=AAAA::2\n"
+    )
+    cfg = tmp_path / "two-chains.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(["validate", str(cfg)], capsys)[0] == cli.EXIT_OK
+    code, out, err = run_cli(["bench", str(cfg), "--out", str(tmp_path / "both")], capsys)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    detail = [
+        "VNF SIDs as sr-unaware: UnivocalMappingViolation: SR-unaware interface "
+        "(bbbb::2, single) already feeds chain 'c1'; cannot also feed 'c2'"
+    ]
+    assert err == json.dumps({"error": "ValidationError", "detail": detail}) + "\n"
+    aware = ["bench", str(cfg), "--scenario", "aware", "--out", str(tmp_path / "aware")]
+    assert run_cli(aware, capsys)[0] == cli.EXIT_OK
+
+
 def test_route_add_malformed_tokens(testbed_config_path, capsys):
     code, _, err = run_cli(
         ["route", "add", "FFFF::/64", "through", "AAAA::1", "encap", "seg", "CCCC::2",
@@ -376,30 +399,42 @@ def test_usage_error_exits_two(testbed_config_path, capsys):
     [
         ("run", ["--src", "EEEE::2", "--dst", "nonsense"], "argument --dst: not an IPv6 address"),
         ("trace", ["--src", "zz", "--dst", "DDDD::2"], "argument --src: not an IPv6 address"),
-        ("run", [*RUN_ARGS, "--count", "-3"], "argument --count: must be >= 1"),
-        ("run", [*RUN_ARGS, "--count", "0"], "argument --count: must be >= 1"),
-        ("run", [*RUN_ARGS, "--payload-bytes", "-5"], "argument --payload-bytes: must be >= 0"),
-        ("trace", [*RUN_ARGS, "--payload-bytes", "-1"], "argument --payload-bytes: must be >= 0"),
-        ("run", [*RUN_ARGS, "--sport", "99999"], "argument --sport: must be <= 65535"),
-        ("run", [*RUN_ARGS, "--dport", "-1"], "argument --dport: must be >= 0"),
-        ("trace", [*RUN_ARGS, "--sport", "65536"], "argument --sport: must be <= 65535"),
-        ("trace", [*RUN_ARGS, "--dport", "70000"], "argument --dport: must be <= 65535"),
-        ("run", [*RUN_ARGS, "--payload-bytes", "70000"], "argument --payload-bytes: must be <= 65527"),
-        ("trace", [*RUN_ARGS, "--payload-bytes", "65528"], "argument --payload-bytes: must be <= 65527"),
-        ("bench", ["--rates", "1000,abc"], "argument --rates: not a finite number: 'abc'"),
-        ("bench", ["--rates", "1000,nan,3000"], "argument --rates: not a finite number: 'nan'"),
-        ("bench", ["--noise", "nan"], "argument --noise: not a finite number: 'nan'"),
-        ("bench", ["--noise", "-5"], "argument --noise: must be >= 0, got -5"),
-        ("bench", ["--runs", "0"], "argument --runs: must be >= 1, got 0"),
-        ("bench", ["--capacity", "nan"], "argument --capacity: not a finite number: 'nan'"),
-        ("bench", ["--k0", "inf"], "argument --k0: not a finite number: 'inf'"),
+        ("run", [*RUN_ARGS, "--count", "-3"], "argument --count: count must be >= 1, got -3"),
+        ("run", [*RUN_ARGS, "--count", "0"], "argument --count: count must be >= 1, got 0"),
+        ("run", [*RUN_ARGS, "--payload-bytes", "-5"], "argument --payload-bytes: payload must be >= 0"),
+        ("trace", [*RUN_ARGS, "--payload-bytes", "-1"], "argument --payload-bytes: payload must be >= 0"),
+        ("run", [*RUN_ARGS, "--sport", "99999"], "argument --sport: port must be <= 65535"),
+        ("run", [*RUN_ARGS, "--dport", "-1"], "argument --dport: port must be >= 0"),
+        ("trace", [*RUN_ARGS, "--sport", "65536"], "argument --sport: port must be <= 65535"),
+        ("trace", [*RUN_ARGS, "--dport", "70000"], "argument --dport: port must be <= 65535"),
+        ("run", [*RUN_ARGS, "--payload-bytes", "70000"],
+         "argument --payload-bytes: payload must be <= 65527"),
+        ("trace", [*RUN_ARGS, "--payload-bytes", "65528"],
+         "argument --payload-bytes: payload must be <= 65527"),
+        ("bench", ["--rates", "1000,abc"], "argument --rates: could not convert string to float: 'abc'"),
+        ("bench", ["--rates", "1000,nan,3000"], "argument --rates: rate must be positive and finite, got nan"),
+        ("bench", ["--noise", "nan"], "argument --noise: noise must be finite, got nan"),
+        ("bench", ["--noise", "-5"], "argument --noise: noise must be >= 0, got -5"),
+        ("bench", ["--runs", "0"], "argument --runs: runs must be >= 1, got 0"),
+        ("bench", ["--capacity", "nan"], "argument --capacity: capacity must be finite, got nan"),
+        ("bench", ["--k0", "inf"], "argument --k0: k0 must be finite, got inf"),
+        # Values that used to pass argparse and then fail the sweep (exit 7),
+        # and a --k0 that used to be ignored without --capacity.
+        ("bench", ["--rates", "-5"], "argument --rates: rate must be positive and finite, got -5"),
+        ("bench", ["--rates", "0"], "argument --rates: rate must be positive and finite, got 0"),
+        ("bench", ["--rates", ","], "argument --rates: rate list is empty"),
+        ("bench", ["--capacity", "0"], "argument --capacity: capacity must be positive, got 0.0"),
+        ("bench", ["--k0", "150", "--capacity", "100"],
+         "argument --k0: baseline overhead must be in [0, 100), got 150.0"),
+        ("bench", ["--k0", "5"], "argument --k0: not allowed without argument --capacity"),
     ],
     ids=[
         "run-dst", "trace-src", "run-count-negative", "run-count-zero", "run-payload", "trace-payload",
         "run-sport-high", "run-dport-negative", "trace-sport-high", "trace-dport-high",
         "run-payload-high", "trace-payload-high", "bench-rates-text", "bench-rates-nan",
         "bench-noise-nan", "bench-noise-negative", "bench-runs-zero", "bench-capacity-nan",
-        "bench-k0-inf",
+        "bench-k0-inf", "bench-rates-negative", "bench-rates-zero", "bench-rates-empty",
+        "bench-capacity-zero", "bench-k0-too-high", "bench-k0-without-capacity",
     ],
 )
 def test_bad_argument_values_exit_two(testbed_config_path, capsys, command, argv, message):

@@ -28,6 +28,8 @@ from srv6sfc.config import (
 )
 from srv6sfc.dataplane import ChainEditor, PassThroughRouter, PayloadStamper, PrefixFilter
 
+RUN_ARGS = ["--src", "EEEE::2", "--dst", "DDDD::2"]
+
 
 def test_load_bundled_testbed(testbed_config_path):
     config = load_config(testbed_config_path)
@@ -134,6 +136,12 @@ def _aware_editor(spec: str, permission: str = "insert-next-only") -> str:
     )
 
 
+def _with_bbbb3(text: str) -> str:
+    """``text`` with the SR-aware SID BBBB::3 declared on the NFV node."""
+    egress = "CCCC::2 kind=egress node=er2\n"
+    return text.replace(egress, egress + "BBBB::3 kind=sr-aware node=nfv\n")
+
+
 # What a testbed whose [links] header is misspelt reports after the
 # unknown section: every route now names a neighbor it has no link to.
 _UNLINKED = [
@@ -236,6 +244,22 @@ _UNLINKED = [
                      id="editor-empty-replace"),
         pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:insert-at:-1:CCCC::2", "insert-anywhere"),
                      "VNF bbbb::2: insert position must be >= 0, got -1", id="editor-negative-position"),
+        # Edits that misplace the egress SID: each loaded, and then every
+        # steered ``run`` exited 5 at the egress or at the next SID.
+        pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:insert-after:CCCC::2")),
+                     "VNF bbbb::2: an insert must not name the egress SID cccc::2",
+                     id="editor-inserts-egress-after"),
+        pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:insert-at:0:CCCC::2",
+                                                           "insert-anywhere")),
+                     "VNF bbbb::2: an insert must not name the egress SID cccc::2",
+                     id="editor-inserts-egress-at"),
+        pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:replace:CCCC::2+BBBB::3",
+                                                           "full-rewrite")),
+                     "VNF bbbb::2: a replacement list must end at an egress SID and name no other",
+                     id="editor-replace-egress-not-last"),
+        pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:replace:BBBB::3", "full-rewrite")),
+                     "VNF bbbb::2: a replacement list must end at an egress SID and name no other",
+                     id="editor-replace-without-egress"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -284,6 +308,41 @@ def test_exact_repeated_bench_lines_are_accepted(testbed_config_path):
     repeated = parse_config_text(text.replace("seed 42\n", "seed 42\nseed 042\n", 1))
     assert repeated.bench == config.bench
     assert [scenario for scenario, _ in repeated.bench.models] == ["aware", "unaware"]
+
+
+# A [bench] value and the option that overrides it: one reader, one text.
+_BENCH_OPTIONS = {
+    "rates": ("bench", "--rates"),
+    "runs": ("bench", "--runs"),
+    "noise": ("bench", "--noise"),
+    "payload": ("run", "--payload-bytes"),
+}
+_VALUE_TEXTS = [
+    "0", "-0", "1", "-1", "-5", "30", "1.5", "-0.5", "1e3", "1e400", "-1e400", "nan", "inf",
+    "-inf", "abc", "0x10", "1_000", "+3", ",", "1,2", "1,,2", "1,-2", "1000,nan", "65527", "65528",
+]
+
+
+@pytest.mark.parametrize("keyword", _BENCH_OPTIONS)
+def test_bench_line_and_its_option_refuse_the_same_values(testbed_config_path, capsys, keyword):
+    text = Path(testbed_config_path).read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    line_no, line = next((n, line) for n, line in enumerate(lines, 1) if line.startswith(keyword + " "))
+    command, option = _BENCH_OPTIONS[keyword]
+    parser, flow = cli.build_parser(), RUN_ARGS if command == "run" else []
+    for value in _VALUE_TEXTS:
+        try:
+            loaded = getattr(parse_config_text(text.replace(line, f"{keyword} {value}\n")).bench, keyword)
+        except errors.ValidationError as exc:
+            loaded = exc.problems
+        try:
+            args = parser.parse_args([command, testbed_config_path, *flow, f"{option}={value}"])
+        except SystemExit as exc:
+            assert exc.code == cli.EXIT_USAGE
+            refusal = capsys.readouterr().err.splitlines()[-1].split(f"argument {option}: ", 1)[1]
+            assert loaded == [f"line {line_no}: {refusal}"], value
+        else:
+            assert loaded == getattr(args, option[2:].replace("-", "_")), value
 
 
 def test_line_numbers_in_syntax_problems():
@@ -363,6 +422,11 @@ def _outcome(argv: list[str]) -> tuple[int, str, str]:
     "behavior=passthrough", "behavior=chain-editor:insert-after:1234::1"))
 @example(text=_TESTBED.replace("kind=sr-unaware", "kind=sr-aware").replace(
     "behavior=passthrough", "behavior=chain-editor:replace:CCCC::2"))
+@example(text=_TESTBED.replace("kind=sr-unaware", "kind=sr-aware").replace(
+    "behavior=passthrough", "behavior=chain-editor:insert-after:CCCC::2"))
+# One SR-aware SID in two chains: loads, but not as the unaware scenario.
+@example(text=_TESTBED.replace("kind=sr-unaware", "kind=sr-aware").replace(
+    "direction=uni\n", "direction=uni\nc2 segs=BBBB::2,CCCC::2 src=AAAA::2\n"))
 def test_mutated_testbed_ends_in_a_documented_exit_in_every_command(tmp_path_factory, text):
     scratch = tmp_path_factory.mktemp("mutant")
     cfg = scratch / "mutant.cfg"
@@ -447,7 +511,7 @@ def test_networks_of_one_config_do_not_share_a_registry(testbed_config_path):
     assert "extra" in first.registry.chains
     assert "extra" not in second.registry.chains
     assert "extra" not in config.build_network().registry.chains
-    assert "extra" not in config.build_registry().chains
+    assert "extra" not in config.build_network(kind_override=SidKind.SR_AWARE).registry.chains
 
 
 def test_edited_config_builds_its_own_registry(testbed_config_path):
@@ -464,14 +528,13 @@ def test_edited_config_builds_its_own_registry(testbed_config_path):
 def test_edited_config_is_validated_on_its_first_build(testbed_config_path):
     config = load_config(testbed_config_path)
     rule = RuleDecl("ghost", IPv6Network("FFFF::/64"), "nochain")
-    for build in ("build_registry", "build_network"):
-        for kind in (None, SidKind.SR_AWARE):
-            edited = replace(config, rules=config.rules + (rule,))
-            with pytest.raises(errors.ValidationError) as info:
-                getattr(edited, build)(kind_override=kind)
-            assert info.value.problems == [
-                "rule on unknown node 'ghost'", "rule for unknown chain 'nochain'"
-            ]
+    for kind in (None, SidKind.SR_AWARE):
+        edited = replace(config, rules=config.rules + (rule,))
+        with pytest.raises(errors.ValidationError) as info:
+            edited.build_network(kind_override=kind)
+        assert info.value.problems == [
+            "rule on unknown node 'ghost'", "rule for unknown chain 'nochain'"
+        ]
 
 
 def _editor_testbed(path) -> str:
@@ -486,7 +549,7 @@ def _editor_testbed(path) -> str:
     ).replace(
         "[chains]\n",
         "BBBB::3 behavior=chain-editor:insert-after:bbbb::4+BBBB:0::5 permission=full-rewrite\n"
-        "BBBB::4 behavior=chain-editor:insert-at:1:cccc::2 permission=insert-anywhere\n"
+        "BBBB::4 behavior=chain-editor:insert-at:1:bbbb:0::3 permission=insert-anywhere\n"
         "BBBB::5 behavior=chain-editor:replace:bbbb:0:0::2+CCCC::2 permission=full-rewrite\n"
         "\n[chains]\n",
     )
