@@ -16,7 +16,7 @@ with other segments, and a prefix the node already steers). Seven option
 values that ``bench`` and ``run`` refuse as usage errors get one digest
 each (``USAGE_REFUSALS``). A digest covers each call's argv, exit code,
 stdout and stderr, for ``bench`` the files it writes and for ``route add
---in-place`` the rewritten config.
+--in-place`` the edited config.
 
 Everything runs in-process against the ``src/`` of the checkout this
 script sits in, from a scratch directory, with every path relative to

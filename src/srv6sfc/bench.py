@@ -147,7 +147,11 @@ def evaluate_point(
     rng: random.Random | None = None,
 ) -> RatePoint:
     """One operating point: analytic S and U, with optional seeded
-    multiplicative Gaussian jitter on U averaged over ``runs``."""
+    multiplicative Gaussian jitter on U averaged over ``runs``.
+
+    The config's readers already refuse a bad rate, ``runs`` or noise;
+    these checks are kept for library callers, for whom ``runs=0`` would
+    otherwise end in ``statistics.StatisticsError``, not an ``SfcError``."""
     if not rate_pps > 0:  # NaN fails too
         raise errors.BenchError(f"rate must be positive, got {rate_pps}")
     if runs < 1:
@@ -264,9 +268,7 @@ def run_sweep(
     """Measure the per-packet cost, evaluate every rate, label regions,
     and fit the no-loss line. Reproducible for a given seed: each rate
     owns an independently derived generator, so evaluation order does
-    not matter."""
-    if not rates:
-        raise errors.EmptySweep("rate list is empty")
+    not matter. An empty ``rates`` is ``classify_regions``'s ``EmptySweep``."""
     per_packet_cost = measure_per_packet_cost(network, flow)
     points = []
     for rate in sorted(rates):

@@ -33,12 +33,11 @@ from srv6sfc.bench import (
     regression_csv,
     run_sweep,
 )
-from srv6sfc.config import BENCH_READERS, ScenarioConfig, load_config, render_config, route_add
-from srv6sfc.config import read_finite, read_integer
+from srv6sfc.config import BENCH_READERS, ScenarioConfig, load_config, read_config_text, route_add
+from srv6sfc.config import read_address, read_finite, read_integer
 from srv6sfc.sim import Dropped, FlowSpec, FlowSummary, NodeRole, classify_at_ingress, flow_packet, inject
 from srv6sfc.trace import Trace
 from srv6sfc.wire import hexdump, serialize_packet
-from ipaddress import IPv6Address
 
 EXIT_OK = 0
 EXIT_DROPPED = 1
@@ -54,13 +53,6 @@ def _error(kind: str, detail) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
-def _ipv6(text: str) -> IPv6Address:
-    try:
-        return IPv6Address(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an IPv6 address: {text!r}") from None
-
-
 def _usage(read, *args, **bounds):
     """argparse type: ``read(*args, text, **bounds)``, whose ``ValueError``
     is a usage error with the reader's own text."""
@@ -74,6 +66,7 @@ def _usage(read, *args, **bounds):
     return parse
 
 
+_address = _usage(read_address)
 _port = _usage(read_integer, "port", low=0, high=0xFFFF)
 _payload_bytes = _usage(BENCH_READERS["payload"])
 
@@ -120,18 +113,16 @@ def cmd_route(args) -> int:
     if len(tokens) != 7 or (tokens[0], tokens[2], tokens[4], tokens[5]) != ("add", "via", "encap", "seg"):
         _error("UsageError", f"expected: {shape}")
         return EXIT_USAGE
-    config = load_config(args.config)
-    updated = route_add(
-        config,
+    text = route_add(
+        read_config_text(args.config),
         tokens[1],
         tokens[3],
         [s for s in tokens[6].split(",") if s],
         node_id=args.node,
         chain_id=args.chain_id,
     )
-    text = render_config(updated)
     if args.in_place:
-        Path(args.config).write_text(text, encoding="utf-8")
+        Path(args.config).write_bytes(text.encode("utf-8"))
         print(f"updated {args.config}")
     else:
         print(text, end="")
@@ -246,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--node", help="node to install on (default: first ingress edge)")
     p.add_argument("--chain-id", help="chain id (default: derived from the prefix)")
-    p.add_argument("--in-place", action="store_true", help="rewrite the config file")
+    p.add_argument("--in-place", action="store_true", help="write the edited config back to its file")
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("run", help="inject packets and print trace + ledger summary")
     p.add_argument("config")
-    p.add_argument("--src", type=_ipv6, required=True)
-    p.add_argument("--dst", type=_ipv6, required=True)
+    p.add_argument("--src", type=_address, required=True)
+    p.add_argument("--dst", type=_address, required=True)
     p.add_argument("--ingress")
     p.add_argument("--count", type=_usage(read_integer, "count", low=1), default=1)
     p.add_argument("--payload-bytes", type=_payload_bytes, default=1024)
@@ -277,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="hex-dump the packet as encapsulated at ingress")
     p.add_argument("config")
-    p.add_argument("--src", type=_ipv6, required=True)
-    p.add_argument("--dst", type=_ipv6, required=True)
+    p.add_argument("--src", type=_address, required=True)
+    p.add_argument("--dst", type=_address, required=True)
     p.add_argument("--ingress")
     p.add_argument("--payload-bytes", type=_payload_bytes, default=8)
     p.add_argument("--sport", type=_port, default=40000)

@@ -47,18 +47,19 @@ distinct ``[rules]``/``[routes]`` prefix text one ``IPv6Network``. Equal
 addresses are then mostly identical objects, so the simulator's dict
 probes (VNF tables, the trace's address-text memo) match by identity
 instead of calling the pure-Python ``IPv6Address.__eq__``. A new text is
-parsed by the C ``socket.inet_pton`` rather than by ``ipaddress``;
-anything ``inet_pton`` refuses goes through ``IPv6Address(text)``, so
-scoped addresses (``fe80::1%eth0``) keep their scope id and every
-malformed token keeps the message ``ipaddress`` gives it.
+read by ``read_address``, which the command line shares: by the C
+``socket.inet_pton``, or, for anything it refuses, by
+``IPv6Address(text)``, so scoped addresses (``fe80::1%eth0``) keep their
+scope id and every malformed token keeps the message ``ipaddress`` gives it.
 
 Validation is the one place a config becomes nodes: it parses each VNF
 behavior once and keeps the registry and the checked nodes on the
 config. A build copies the registry (or builds one, as validation does,
 under ``kind_override``) and binds new ``Vnf`` objects to its SIDs.
-``route_add`` reads its prefix and addresses with the file's own readers
-and checks its result with the same validation, so every refusal is one
-``ValidationError``.
+``route_add`` edits the config text it is given: each of its rule, chain
+and route that the config lacks becomes one line at the end of its
+section, and the edited text is loaded again, so every refusal is the
+loader's own ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def _once(table: dict, key: str, value: object, what: str | None = None) -> None
         raise ValueError(f"duplicate bench {what or key} declaration")
 
 
-# Value readers, shared with ``srv6sfc bench``'s options: a refused value
+# Value readers, shared with the command line's options: a refused value
 # is a ``ValueError`` whose text the file and the option both report.
 
 def read_integer(name: str, text: str, low: int, high: float = math.inf) -> int:
@@ -371,6 +372,16 @@ BENCH_READERS = {
 }
 
 
+def read_address(text: str) -> IPv6Address:
+    """The address ``text`` spells, as ``IPv6Address(text)`` reads it."""
+    try:
+        packed = inet_pton(AF_INET6, text)
+    except (OSError, ValueError):
+        # Scoped addresses, and the exact error for a bad token.
+        return IPv6Address(text)
+    return IPv6Address(int.from_bytes(packed, "big"))
+
+
 class _Collector:
     """Accumulates declarations (by section) and problems while scanning the file."""
 
@@ -389,14 +400,7 @@ class _Collector:
         """The one ``IPv6Address`` for ``text`` in this file."""
         address = self._addresses.get(text)
         if address is None:
-            try:
-                packed = inet_pton(AF_INET6, text)
-            except (OSError, ValueError):
-                # Scoped addresses, and the exact error for a bad token.
-                address = IPv6Address(text)
-            else:
-                address = IPv6Address(int.from_bytes(packed, "big"))
-            self._addresses[text] = address
+            address = self._addresses[text] = read_address(text)
         return address
 
     def network(self, text: str) -> IPv6Network:
@@ -578,74 +582,63 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
     return problems
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def read_config_text(path: str | Path) -> str:
+    """The config file's text, with its line breaks as written."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise errors.ParseError(f"cannot read config {path}: {reason}") from exc
-    return parse_config_text(text)
 
 
-# Rendering ------------------------------------------------------------------
-
-def render_config(config: ScenarioConfig) -> str:
-    """Canonical text form; loading it back yields an equal config."""
-    bench, units = config.bench, config.bench.units
-    flow = f"flow src={bench.flow_src} dst={bench.flow_dst} ingress={bench.flow_ingress}"
-    sections = {
-        "nodes": [f"{d.node_id} {d.role.value} addrs={','.join(map(str, d.addresses))}"
-                  for d in config.nodes],
-        "links": [f"{a} {b}" for a, b in config.links],
-        "sids": [f"{s.address} kind={s.kind.value} node={s.host_node}"
-                 + ("" if s.interface is VnfInterface.SINGLE else f" iface={s.interface.value}")
-                 for s in config.sids],
-        "vnfs": [f"{v.address} behavior={v.behavior_spec} permission={v.permission.value}"
-                 for v in config.vnfs],
-        "chains": [f"{c.chain_id} segs={','.join(map(str, c.segments))} src={c.ingress_source} "
-                   f"direction={c.direction.value}" for c in config.chains],
-        "rules": [f"{r.node_id} {r.network} chain={r.chain_id}" for r in config.rules],
-        "routes": [f"{r.node_id} {r.network} via {r.via}" for r in config.routes],
-        "bench": [
-            *([] if bench.flow_src is None else [flow]),
-            *(f"model {scenario} capacity={model.capacity!r} k0={model.baseline_overhead_k0!r}"
-              for scenario, model in bench.models),
-            "rates " + ",".join(map(repr, bench.rates)),
-            f"runs {bench.runs}",
-            f"noise {bench.noise!r}",
-            f"seed {bench.seed}",
-            f"payload {bench.payload}",
-            f"units f={units.f!r} d={units.d!r} e={units.e!r}",
-        ],
-    }
-    return "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items()) + "\n"
+def load_config(path: str | Path) -> ScenarioConfig:
+    return parse_config_text(read_config_text(path))
 
 
 # Route installation ----------------------------------------------------------
 
+def _insert_line(lines: list[str], section: str, line: str) -> None:
+    """Put ``line`` after the last declaration under the last ``[section]``
+    header of ``lines``; without one, after a new header at the end."""
+    at = current = None
+    for index, raw in enumerate(lines, start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content.startswith("[") and content.endswith("]"):
+            current = content[1:-1].strip()
+        if content and current == section:
+            at = index
+    if at is None:
+        lines += ["\n", f"[{section}]\n"]
+        at = len(lines)
+    lines.insert(at, line + "\n")
+
+
 def route_add(
-    config: ScenarioConfig,
+    text: str,
     prefix_text: str,
     via_text: str,
     segment_texts: list[str],
     *,
     node_id: str | None = None,
     chain_id: str | None = None,
-) -> ScenarioConfig:
+) -> str:
     """Install a classifier rule, its chain, and a route in one step,
-    mirroring `route add PREFIX via NEXTHOP encap seg SID,...`.
+    mirroring `route add PREFIX via NEXTHOP encap seg SID,...`, as an edit
+    of the config ``text``: each declaration the config lacks becomes one
+    line at the end of its section, and the rest of ``text`` is kept as
+    written.
 
-    Re-adding an identical route is a no-op. Every refusal, a bad prefix
-    or address included, is a ``ValidationError``.
+    Re-adding an installed route returns ``text`` unchanged. Every
+    refusal, a bad prefix or address included, is a ``ValidationError``.
     """
-    collector = _Collector()
+    config = parse_config_text(text)
     try:
-        prefix = collector.network(prefix_text)
+        prefix = IPv6Network(prefix_text, strict=False)
     except ValueError as exc:
         raise errors.ValidationError([f"bad prefix {prefix_text!r}: {exc}"]) from exc
     try:
-        via = collector.address(via_text)
-        segments = tuple(map(collector.address, segment_texts))
+        via = read_address(via_text)
+        segments = tuple(map(read_address, segment_texts))
     except ValueError as exc:
         raise errors.ValidationError([f"bad address: {exc}"]) from exc
 
@@ -676,15 +669,21 @@ def route_add(
         chain = VnfChain(chain_id, segments, ingress_source, ChainDirection.UNIDIRECTIONAL)
     except errors.ChainError as exc:
         raise errors.ValidationError([str(exc)]) from exc
-    rule = RuleDecl(node_id=node_id, network=prefix, chain_id=chain_id)
-    route = RouteDecl(node_id=node_id, network=prefix, via=via_node.node_id)
+    declarations = (
+        ("chains", chain, config.chains,
+         f"{chain_id} segs={','.join(map(str, segments))} src={ingress_source}"),
+        ("rules", RuleDecl(node_id, prefix, chain_id), config.rules,
+         f"{node_id} {prefix} chain={chain_id}"),
+        ("routes", RouteDecl(node_id, prefix, via_node.node_id), config.routes,
+         f"{node_id} {prefix} via {via_node.node_id}"),
+    )
+    missing = [(section, line) for section, decl, declared, line in declarations if decl not in declared]
+    if not missing:
+        return text
 
-    new_chains = config.chains if chain in config.chains else config.chains + (chain,)
-    new_rules = config.rules if rule in config.rules else config.rules + (rule,)
-    new_routes = config.routes if route in config.routes else config.routes + (route,)
-    updated = dc_replace(config, chains=new_chains, rules=new_rules, routes=new_routes)
-
-    problems = _semantic_problems(updated)
-    if problems:
-        raise errors.ValidationError(problems)
-    return updated
+    lines = (text if text.endswith("\n") else text + "\n").splitlines(keepends=True)
+    for section, line in missing:
+        _insert_line(lines, section, line)
+    edited = "".join(lines)
+    parse_config_text(edited)
+    return edited

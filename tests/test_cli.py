@@ -240,6 +240,56 @@ def test_route_add_idempotent_output(testbed_config_path, capsys):
     assert first == second
 
 
+def _without_routes(text: str) -> str:
+    head, _, rest = text.partition("[routes]\n")
+    return head + rest[rest.index("[bench]"):]
+
+
+def _with_new_route(text: str) -> str:
+    """``text`` with the three lines of ``_NEW_ROUTE``, each after its section's last line."""
+    return text.replace(
+        "direction=uni\n", "direction=uni\nrt-ffff::-64 segs=cccc::2 src=aaaa::2\n"
+    ).replace(
+        "chain=c1\n", "chain=c1\ner1 ffff::/64 chain=rt-ffff::-64\n"
+    ).replace(
+        "er2 EEEE::/64 via nfv\n", "er2 EEEE::/64 via nfv\ner1 ffff::/64 via nfv\n"
+    )
+
+
+_NEW_ROUTE = ["FFFF::/64", "via", "AAAA::1", "encap", "seg", "CCCC::2"]
+_INSTALLED_ROUTE = ["DDDD::2/64", "via", "AAAA::1", "encap", "seg", "BBBB::2,CCCC::2"]
+
+
+def _same(text: str) -> str:
+    return text
+
+
+@pytest.mark.parametrize(
+    "edit_file, route, edited",
+    [
+        # Re-adding the route the testbed installs changes no byte.
+        pytest.param(_same, _INSTALLED_ROUTE, _same, id="installed"),
+        pytest.param(lambda text: text.replace("\n", "\r\n"), _INSTALLED_ROUTE, _same,
+                     id="installed-crlf"),
+        pytest.param(_same, _NEW_ROUTE, _with_new_route, id="new"),
+        pytest.param(_without_routes, _INSTALLED_ROUTE,
+                     lambda text: text + "\n[routes]\ner1 dddd::/64 via nfv\n", id="section-appended"),
+        pytest.param(lambda text: text.replace("chain=c1\n", "chain=c1\n# steered prefixes\n"),
+                     _NEW_ROUTE, _with_new_route, id="comment-kept"),
+    ],
+)
+def test_route_add_edits_only_the_missing_lines(
+    testbed_config_path, tmp_path, capsys, edit_file, route, edited
+):
+    text = edit_file(Path(testbed_config_path).read_text(encoding="utf-8"))
+    cfg = tmp_path / "testbed.cfg"
+    cfg.write_bytes(text.encode("utf-8"))
+    argv = ["route", "add", *route, "--config", str(cfg)]
+    assert run_cli(argv, capsys) == (cli.EXIT_OK, edited(text), "")
+    assert run_cli([*argv, "--in-place"], capsys) == (cli.EXIT_OK, f"updated {cfg}\n", "")
+    assert cfg.read_bytes() == edited(text).encode("utf-8")
+
+
 def test_route_add_bad_prefix(testbed_config_path, capsys):
     code, _, err = run_cli(
         ["route", "add", "junk/one", "via", "AAAA::1", "encap", "seg", "CCCC::2",
@@ -397,8 +447,9 @@ def test_usage_error_exits_two(testbed_config_path, capsys):
 @pytest.mark.parametrize(
     "command, argv, message",
     [
-        ("run", ["--src", "EEEE::2", "--dst", "nonsense"], "argument --dst: not an IPv6 address"),
-        ("trace", ["--src", "zz", "--dst", "DDDD::2"], "argument --src: not an IPv6 address"),
+        ("run", ["--src", "EEEE::2", "--dst", "nonsense"],
+         "argument --dst: At least 3 parts expected in 'nonsense'"),
+        ("trace", ["--src", "zz", "--dst", "DDDD::2"], "argument --src: At least 3 parts expected in 'zz'"),
         ("run", [*RUN_ARGS, "--count", "-3"], "argument --count: count must be >= 1, got -3"),
         ("run", [*RUN_ARGS, "--count", "0"], "argument --count: count must be >= 1, got 0"),
         ("run", [*RUN_ARGS, "--payload-bytes", "-5"], "argument --payload-bytes: payload must be >= 0"),
