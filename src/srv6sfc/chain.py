@@ -129,6 +129,8 @@ class PrefixTable(Generic[T]):
     per distinct length instead of a scan of every entry. The earliest
     entry wins a tie, as in ``longest_prefix_match``, which stays the
     reference. Later changes to the source entries are not seen.
+    ``lookup`` reads the address's integer from its ``_ip`` slot, the
+    value ``IPv6Address.__int__`` returns, without the Python-level call.
     """
 
     __slots__ = ("_buckets",)
@@ -144,7 +146,7 @@ class PrefixTable(Generic[T]):
         )
 
     def lookup(self, address: IPv6Address) -> T | None:
-        key = int(address)
+        key = address._ip
         for mask, bucket in self._buckets:
             value = bucket.get(key & mask, _MISSING)
             if value is not _MISSING:

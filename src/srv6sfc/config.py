@@ -43,14 +43,13 @@ SID; the connector or the egress would refuse anything else at run time.
 
 Loading is one pass. Each distinct address text in a file becomes one
 ``IPv6Address`` object, shared by every section that spells it, and each
-distinct ``[rules]``/``[routes]`` prefix text one ``IPv6Network``. Equal
-addresses are then mostly identical objects, so the simulator's dict
-probes (VNF tables, the trace's address-text memo) match by identity
-instead of calling the pure-Python ``IPv6Address.__eq__``. A new text is
-read by ``read_address``, which the command line shares: by the C
-``socket.inet_pton``, or, for anything it refuses, by
+distinct ``[rules]``/``[routes]`` prefix text one ``IPv6Network``. A new
+address text is read by ``read_address``, which the command line shares:
+by the C ``socket.inet_pton``, or, for anything it refuses, by
 ``IPv6Address(text)``, so scoped addresses (``fe80::1%eth0``) keep their
 scope id and every malformed token keeps the message ``ipaddress`` gives it.
+A prefix is read the same way by ``read_network``: ``inet_pton`` and a
+plain length, or ``IPv6Network(text, strict=False)`` for anything else.
 
 Validation is the one place a config becomes nodes: it parses each VNF
 behavior once and keeps the registry and the checked nodes on the
@@ -227,7 +226,7 @@ def behavior_from_spec(spec: str, sid_table: dict[IPv6Address, Sid] | None = Non
     if kind == "passthrough":
         return PassThroughRouter()
     if kind == "prefix-filter":
-        return PrefixFilter(IPv6Network(rest, strict=False))
+        return PrefixFilter(read_network(rest))
     if kind == "payload-stamp":
         return PayloadStamper(int(rest, 0))
     if kind == "chain-editor":
@@ -382,6 +381,22 @@ def read_address(text: str) -> IPv6Address:
     return IPv6Address(int.from_bytes(packed, "big"))
 
 
+def read_network(text: str) -> IPv6Network:
+    """The prefix ``text`` spells, as ``IPv6Network(text, strict=False)``
+    reads it: an address ``inet_pton`` takes and a plain length up to 128
+    build it from integers, anything else goes through ``ipaddress``."""
+    address, _, length = text.partition("/")
+    if length.isascii() and length.isdigit() and len(length) <= 3 and int(length) <= 128:
+        try:
+            packed = inet_pton(AF_INET6, address)
+        except (OSError, ValueError):
+            pass
+        else:
+            return IPv6Network((int.from_bytes(packed, "big"), int(length)), strict=False)
+    # Scoped or odd prefixes, and the exact error for a bad token.
+    return IPv6Network(text, strict=False)
+
+
 class _Collector:
     """Accumulates declarations (by section) and problems while scanning the file."""
 
@@ -407,7 +422,7 @@ class _Collector:
         """The one ``IPv6Network`` for the prefix ``text`` in this file."""
         network = self._networks.get(text)
         if network is None:
-            network = self._networks[text] = IPv6Network(text, strict=False)
+            network = self._networks[text] = read_network(text)
         return network
 
 
@@ -633,7 +648,7 @@ def route_add(
     """
     config = parse_config_text(text)
     try:
-        prefix = IPv6Network(prefix_text, strict=False)
+        prefix = read_network(prefix_text)
     except ValueError as exc:
         raise errors.ValidationError([f"bad prefix {prefix_text!r}: {exc}"]) from exc
     try:

@@ -15,12 +15,14 @@ What depends only on (chain, SID position) is compiled when a chain is
 registered, not per packet: each ``VnfChain`` carries its encapsulation
 SRH, and ``ChainRegistry.returns`` holds, per mapped SR-unaware
 interface, the chain, the successor segment and the SRH to re-encapsulate
-with. The per-packet rewrites (advance, decapsulate, edit, re-encapsulate)
-build the ``Packet`` and the header tuples directly (``tuple.__new__``,
-every field in order); they are pure packet rewrites, and the walk that
-calls them keeps its own state. Any rewrite whose outer payload would
-pass 65,535 B raises :class:`errors.OversizedPacket`; the connector
-turns that into a drop at the node.
+with. Each node's ``NodeState.returns`` holds those of its hosted VNFs,
+keyed like its VNF table by the SID's integer. The per-packet rewrites
+(advance, decapsulate, edit, re-encapsulate) build the ``Packet`` and the
+header tuples directly (``tuple.__new__``, every field in order); they
+are pure packet rewrites, and the walk that calls them keeps its own
+state. Any rewrite whose outer payload would pass 65,535 B raises
+:class:`errors.OversizedPacket`; the connector turns that into a drop at
+the node.
 
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
 per decapsulation and ``e`` per re-encapsulation (``node_cost``). In one
@@ -41,7 +43,7 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import Callable, Sequence
 
 from srv6sfc import errors, wire
-from srv6sfc.chain import ChainRegistry, PrefixTable, Sid, SidKind, VnfChain
+from srv6sfc.chain import ChainRegistry, PrefixTable, Sid, SidKind, UnawareReturn, VnfChain
 from srv6sfc.trace import EventKind
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 
@@ -402,15 +404,16 @@ def apply_edit(
     return Packet(header, srh, packet.payload)
 
 
-def reencap_unaware(registry: ChainRegistry, returned: Packet, from_sid: Sid) -> Packet:
+def reencap_unaware(back: UnawareReturn, returned: Packet) -> Packet:
     """Rebuild the outer header + SRH for a packet coming back from an
     SR-unaware VNF interface, statelessly from the univocal mapping.
 
     Works regardless of how the VNF modified the inner packet: nothing
-    from the original encapsulation needs to be remembered. The chain,
-    successor and SRH come precompiled from ``registry.returns``.
+    from the original encapsulation needs to be remembered. ``back`` is
+    the interface's compiled return path (``ChainRegistry.unaware_return``):
+    its chain, successor and SRH.
     """
-    chain, successor, srh = registry.unaware_return(from_sid)
+    chain, successor, srh = back
     return _outer_packet(
         srh, wire.serialize_packet(returned), chain.ingress_source, successor, "re-encapsulated"
     )
@@ -430,12 +433,15 @@ def egress_process(packet: Packet) -> Packet:
 @dataclass
 class NodeState:
     """One node compiled for the walk and the connector: hosted VNFs and
-    ``local`` (the node's addresses and hosted SIDs) by ``int`` of the
-    address, the main routing table ``fib``, the ingress ``classifier``,
-    the shared registry and the node's ledger."""
+    ``local`` (the node's addresses and hosted SIDs) by the address's
+    integer (``IPv6Address._ip``), ``returns``, the compiled return path
+    (``ChainRegistry.unaware_return``) of each hosted SR-unaware VNF the
+    registry maps, by the same key, the main routing table ``fib``, the
+    ingress ``classifier``, the shared registry and the node's ledger."""
 
     node_id: str
     vnfs: dict[int, Vnf]
+    returns: dict[int, UnawareReturn]
     registry: ChainRegistry
     ledger: CostLedger
     local: frozenset[int]
@@ -464,7 +470,7 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
     """
     if packet.srh is None:
         raise errors.NoSrh("connector requires an SR-encapsulated packet")
-    vnf = state.vnfs.get(int(packet.header.dst))
+    vnf = state.vnfs.get(packet.header.dst._ip)
     if vnf is None:
         raise errors.UnknownSid(f"{packet.header.dst} is not hosted on {state.node_id!r}")
 
@@ -500,7 +506,7 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                     current = action.packet
                 if current.srh is None:
                     raise errors.NoSrh(f"SR-aware VNF {sid.address} must preserve the SRH")
-                next_vnf = state.vnfs.get(int(current.header.dst))
+                next_vnf = state.vnfs.get(current.header.dst._ip)
                 if next_vnf is not None:
                     vnf = next_vnf  # direct resend toward the next local VNF
                     continue
@@ -526,19 +532,21 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                     return _dropped(emit, f"vnf {sid.address}", (f, d, e))
                 plain = action.packet
                 f += 1  # return leg to the connector
-                successor = state.registry.unaware_return(sid).successor
-                next_vnf = state.vnfs.get(int(successor))
+                back = state.returns.get(sid.address._ip)
+                if back is None:  # unmapped: the registry raises UnivocalMappingMissing
+                    back = state.registry.unaware_return(sid)
+                next_vnf = state.vnfs.get(back.successor._ip)
                 if next_vnf is not None and next_vnf.sid.kind is SidKind.SR_UNAWARE:
                     vnf = next_vnf  # plain hand-off, no strip/rebuild in between
                     continue
                 try:
-                    current = reencap_unaware(state.registry, plain, sid)
+                    current = reencap_unaware(back, plain)
                 except errors.OversizedPacket as exc:
                     return _dropped(emit, str(exc), (f, d, e))
                 e += 1
                 emit(EventKind.RE_ENCAPSULATED, current.header.dst)
                 plain = None
-                next_vnf = state.vnfs.get(int(current.header.dst))
+                next_vnf = state.vnfs.get(current.header.dst._ip)
                 if next_vnf is not None:
                     vnf = next_vnf  # mixed chain: aware VNF next door
                     continue

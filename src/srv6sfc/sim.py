@@ -23,7 +23,7 @@ from functools import partial
 from ipaddress import IPv6Address, IPv6Network
 
 from srv6sfc import errors
-from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable, Sid
+from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable, Sid, SidKind
 from srv6sfc.dataplane import (
     CostLedger,
     NodeState,
@@ -74,10 +74,14 @@ class Network:
 
     Each node is compiled once, at construction, into the ``NodeState``
     the walk carries (``states``): its routes and classifier rules as
-    prefix tables, its local addresses and hosted VNFs keyed by
-    ``int(address)``, and its ledger (also in ``ledgers``). A Node's
-    ``routing_table``, ``rules`` and ``addresses`` must not change
-    afterwards. ``address_text`` is the traces' address-text memo (see
+    prefix tables, its local addresses and hosted VNFs keyed by the
+    address's integer, the return path (``UnawareReturn``) of each hosted
+    SR-unaware VNF that the registry maps, under the same key, and its
+    ledger (also in ``ledgers``). The walk and the connector read a
+    packet's address integers from the ``_ip`` slot, so no per-packet
+    probe calls into ``ipaddress``. A Node's ``routing_table``, ``rules``
+    and ``addresses`` must not change afterwards, nor the registry's
+    chains. ``address_text`` is the traces' address-text memo (see
     ``srv6sfc.trace``); it fills as events are kept, not at construction,
     and holds at most ``address_limit`` entries: the number of addresses
     the network declares (registered SIDs plus node addresses).
@@ -97,15 +101,23 @@ class Network:
         self.ledgers: dict[str, CostLedger] = {}
         self.states: dict[str, NodeState] = {}
         self._next_uid = 0
-        self.address_text: dict[object, str] = {}
+        self.address_text: dict[int | tuple[int, str], str] = {}
         self.address_limit = len(registry.sid_table) + sum(
             len(node.addresses) for node in nodes.values()
         )
+        mapped = registry.returns
         for node in nodes.values():
             vnfs = {int(vnf.sid.address): vnf for vnf in node.hosted_vnfs}
+            returns = {}
+            for key, vnf in vnfs.items():
+                sid = vnf.sid
+                if sid.kind is SidKind.SR_UNAWARE:
+                    back = mapped.get((sid.address, sid.interface))
+                    if back is not None:
+                        returns[key] = back
             ledger = self.ledgers[node.node_id] = CostLedger()
             self.states[node.node_id] = NodeState(
-                node.node_id, vnfs, registry, ledger,
+                node.node_id, vnfs, returns, registry, ledger,
                 local=frozenset(map(int, node.addresses)).union(vnfs),
                 fib=PrefixTable(node.routing_table),
                 classifier=PrefixTable((rule.network, rule.chain_id) for rule in node.rules),
@@ -309,7 +321,7 @@ def _walk(
             return Dropped(node_id, "node visit budget exceeded")
 
         dst = packet.header.dst
-        key = int(dst)
+        key = dst._ip
         if packet.srh is not None and key in state.vnfs:
             packet = _with_hop_limit(packet, hop)
             result = connector_process(state, packet, emit=partial(trace.add, node_id))
@@ -318,7 +330,7 @@ def _walk(
             if packet is None:
                 return Dropped(node_id, result.drop_reason)
             hop = packet.header.hop_limit
-            if int(packet.header.dst) in state.local:
+            if packet.header.dst._ip in state.local:
                 continue
             next_hop = state.fib.lookup(packet.header.dst)
         elif key in state.local:
@@ -331,9 +343,10 @@ def _walk(
             return Delivered(_with_hop_limit(packet, hop), node_id)
         else:
             next_hop = state.fib.lookup(dst)
-            if next_hop is not None:  # plain router cost
-                state.ledger.add(1)
-                _add_cost(costs, node_id, (1, 0, 0))
+            if next_hop is not None:  # plain router cost, charged as it is made
+                state.ledger.f_count += 1
+                prior = costs.get(node_id)
+                costs[node_id] = (1, 0, 0) if prior is None else (prior[0] + 1, prior[1], prior[2])
 
         if next_hop is None:
             reason = f"no route to {packet.header.dst}"

@@ -2,18 +2,23 @@
 
 Rendering an address is the costly part of a trace: ``str(IPv6Address)``
 runs a pure-Python hextet compression. A trace therefore renders each
-non-string detail through an address-text memo, a dict from the detail
-to its text. Every ``Network`` owns one, empty until the first kept
-event fills it, and ``sim.inject`` hands it to each trace it creates; a
-standalone ``Trace()`` gets a private one. The memo is bounded by the
-config, not by traffic. For packets that enter without an SRH of their
-own, every address the simulator puts in an event is either a registered
-SID (the active segment, a VNF, a re-encapsulation target) or an address
-of the node that delivers the packet, because ``Delivered`` fires only
-when the destination is one of that node's local addresses. A packet
-that brings its own SRH can name any address as its next segment, so a
-trace stores a new text only while the memo holds fewer entries than
-the network declares addresses; past that it renders without storing.
+address detail through an address-text memo, a dict from the address's
+integer to its text. The integer is read from the ``_ip`` slot, since
+``hash`` and ``int`` of an ``IPv6Address`` are Python-level calls; a
+scoped address is keyed by ``(integer, scope id)``, so ``fe80::1%eth0``
+and ``fe80::1`` keep their own texts. Every ``Network`` owns one memo,
+empty until the first kept event fills it, and ``sim.inject`` hands it
+to each trace it creates; a standalone ``Trace()`` gets a private one.
+Any other detail that is not a string is rendered by ``str`` each time,
+not stored. The memo is bounded by the config, not by traffic. For
+packets that enter without an SRH of their own, every address the
+simulator puts in an event is either a registered SID (the active
+segment, a VNF, a re-encapsulation target) or an address of the node
+that delivers the packet, because ``Delivered`` fires only when the
+destination is one of that node's local addresses. A packet that brings
+its own SRH can name any address as its next segment, so a trace stores
+a new text only while the memo holds fewer entries than the network
+declares addresses; past that it renders without storing.
 Drop reasons and other details that are already strings are kept as
 they are.
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
+from ipaddress import IPv6Address
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
@@ -59,7 +65,7 @@ class Trace:
     Delivered and Dropped are terminal: recording anything after one of
     them is a simulator bug and raises. With ``terminal_only`` set, only
     the terminal event is kept (cheap mode for large runs).
-    ``address_text`` is the memo that renders non-string details; traces
+    ``address_text`` is the memo that renders address details; traces
     of one network share it. A text is stored in it only while it holds
     fewer than ``address_limit`` entries.
     """
@@ -68,7 +74,7 @@ class Trace:
         self,
         uid: int | None = None,
         terminal_only: bool = False,
-        address_text: dict[object, str] | None = None,
+        address_text: dict[int | tuple[int, str], str] | None = None,
         address_limit: int = sys.maxsize,
     ):
         self.uid = uid
@@ -88,14 +94,17 @@ class Trace:
             self._closed = True
         elif self.terminal_only:
             return
-        if detail is not None and not isinstance(detail, str):
+        if type(detail) is IPv6Address:
+            key = detail._ip if detail._scope_id is None else (detail._ip, detail._scope_id)
             memo = self._address_text
-            text = memo.get(detail)
+            text = memo.get(key)
             if text is None:
                 text = str(detail)
                 if len(memo) < self._address_limit:
-                    memo[detail] = text
+                    memo[key] = text
             detail = text
+        elif detail is not None and not isinstance(detail, str):
+            detail = str(detail)
         self.events.append(tuple.__new__(TraceEvent, (node, kind, detail)))
 
     def to_jsonl(self) -> str:

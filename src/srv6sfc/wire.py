@@ -337,12 +337,15 @@ def serialize_packet(packet: Packet) -> bytes:
     _, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst = packet.header
     word = 0x60000000 | traffic_class << 20 | flow_label
     fixed = _FIXED.pack(word, payload_length, next_header, hop_limit)
+    # ``_ip.to_bytes`` is what ``IPv6Address.packed`` returns, without its
+    # two Python-level calls.
+    src, dst = src._ip.to_bytes(16, "big"), dst._ip.to_bytes(16, "big")
     srh = packet.srh
     if srh is None:
-        return b"".join((fixed, src.packed, dst.packed, packet.payload))
+        return b"".join((fixed, src, dst, packet.payload))
     return b"".join((
-        fixed, src.packed, dst.packed, _SRH_FIXED.pack(*srh[:7]),
-        *[segment.packed for segment in srh[7]], packet.payload,
+        fixed, src, dst, _SRH_FIXED.pack(*srh[:7]),
+        *[segment._ip.to_bytes(16, "big") for segment in srh[7]], packet.payload,
     ))
 
 

@@ -192,6 +192,41 @@ def router_line(routers: int, owner: IPv6Address = SINK) -> Network:
     return build_network(nodes, links, ChainRegistry())
 
 
+def chain8_config() -> str:
+    """The testbed with eight SR-aware pass-through VNFs on the NFV node."""
+    sids = [f"BBBB::{i + 2:x}" for i in range(8)]
+    return "\n".join(
+        [
+            "[nodes]",
+            "er1 ingress-edge addrs=AAAA::2,EEEE::2",
+            "nfv nfv-node addrs=AAAA::1,BBBB::1,CCCC::1",
+            "er2 egress-edge addrs=CCCC::2,DDDD::2",
+            "[links]",
+            "er1 nfv",
+            "nfv er2",
+            "[sids]",
+            *(f"{sid} kind=sr-aware node=nfv" for sid in sids),
+            "CCCC::2 kind=egress node=er2",
+            "[vnfs]",
+            *(f"{sid} behavior=passthrough permission=insert-next-only" for sid in sids),
+            "[chains]",
+            f"c8 segs={','.join(sids)},CCCC::2 src=AAAA::2 direction=uni",
+            "[rules]",
+            "er1 DDDD::/64 chain=c8",
+            "[routes]",
+            "er1 BBBB::/64 via nfv",
+            "er1 CCCC::/64 via nfv",
+            "er1 DDDD::/64 via nfv",
+            "nfv AAAA::/64 via er1",
+            "nfv EEEE::/64 via er1",
+            "nfv CCCC::/64 via er2",
+            "nfv DDDD::/64 via er2",
+            "er2 AAAA::/64 via nfv",
+            "er2 EEEE::/64 via nfv",
+        ]
+    ) + "\n"
+
+
 @pytest.fixture
 def testbed_config_path():
     from importlib.resources import files

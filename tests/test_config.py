@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 from dataclasses import replace
+from functools import partial
 from importlib.resources import files
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
@@ -663,6 +664,57 @@ def test_address_parse_matches_ipaddress(text):
     assert outcome == address_outcome(IPv6Address, text)
     if outcome[0] is IPv6Address:
         assert collector.address(text) is collector.address(text)
+
+
+# Prefix parsing: ``_Collector.network`` against ``IPv6Network(text, strict=False)``
+
+def network_outcome(parse, text: str):
+    """What parsing the prefix ``text`` gives: the network's value, length,
+    text and scope id, or the exception's type and message."""
+    try:
+        network = parse(text)
+    except Exception as exc:  # compared with the reference, whatever it is
+        return type(exc), str(exc)
+    address = network.network_address
+    return type(network), int(address), network.prefixlen, str(network), address.scope_id
+
+
+# Plain lengths in and out of range, with leading zeros, and odd ones.
+_LENGTH = st.one_of(
+    st.integers(0, 135).map(str),
+    st.integers(0, 200).map(lambda n: f"0{n}"),
+    st.sampled_from(
+        ["", " 64", "64 ", "+64", "-1", "1e2", "\u0666\u0664", "\uff16\uff14", "64/64", "9" * 5000]
+    ),
+)
+
+
+@st.composite
+def prefix_texts(draw) -> str:
+    if draw(st.integers(0, 7)) == 0:  # no length at all
+        return draw(address_texts())
+    return draw(address_texts()) + "/" + draw(_LENGTH)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(prefix_texts())
+@example("DDDD::/64")
+@example("DDDD::1/64")
+@example("::/0")
+@example("::1/128")
+@example("::/129")
+@example("::/064")
+@example("fe80::%eth0/64")
+@example("::1.2.3.4/120")
+@example("DDDD::")
+@example("/64")
+@example("::/" + "9" * 5000)
+def test_prefix_parse_matches_ipaddress(text):
+    collector = _Collector()
+    outcome = network_outcome(collector.network, text)
+    assert outcome == network_outcome(partial(IPv6Network, strict=False), text)
+    if outcome[0] is IPv6Network:
+        assert collector.network(text) is collector.network(text)
 
 
 # Behavior specs -----------------------------------------------------------------

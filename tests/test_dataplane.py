@@ -36,7 +36,7 @@ from srv6sfc.dataplane import (
     predicted_cost,
     reencap_unaware,
 )
-from srv6sfc.sim import Dropped, inject
+from srv6sfc.sim import Dropped, Network, inject
 from srv6sfc.trace import EventKind
 from srv6sfc.wire import Ipv6Header, SegmentRoutingHeader, udp_packet
 
@@ -299,7 +299,7 @@ def make_registry_with_chain() -> tuple[ChainRegistry, Sid]:
 
 def test_reencap_targets_successor():
     registry, vnf_sid = make_registry_with_chain()
-    outer = reencap_unaware(registry, inner_packet(), vnf_sid)
+    outer = reencap_unaware(registry.unaware_return(vnf_sid), inner_packet())
     assert outer.header.dst == CCCC2
     assert outer.srh.segments_left == 0
     assert outer.header.src == ER1
@@ -311,22 +311,38 @@ def test_reencap_unmapped_interface_rejected():
     stranger = Sid(IPv6Address("BBBB::9"), SidKind.SR_UNAWARE, "nfv")
     registry.add_sid(stranger)
     with pytest.raises(errors.UnivocalMappingMissing):
-        reencap_unaware(registry, inner_packet(), stranger)
+        reencap_unaware(registry.unaware_return(stranger), inner_packet())
+
+
+def test_connector_refuses_a_hosted_unaware_vnf_without_a_mapping():
+    # BBBB::9 is hosted, but no registered chain maps its interface.
+    stray = Sid(IPv6Address("BBBB::9"), SidKind.SR_UNAWARE, "nfv")
+    network, _ = chain_testbed(1, SidKind.SR_UNAWARE, extra_sids=(stray,))
+    nodes = dict(network.nodes)
+    hosted = (*nodes["nfv"].hosted_vnfs, Vnf(stray, PassThroughRouter()))
+    nodes["nfv"] = replace(nodes["nfv"], hosted_vnfs=hosted)
+    network = Network(nodes, network.links, network.registry)
+    state = network.states["nfv"]
+    assert int(stray.address) in state.vnfs and int(stray.address) not in state.returns
+    packet = encapsulate(inner_packet(), VnfChain("own", (stray.address, CCCC2), ER1))
+    with pytest.raises(errors.UnivocalMappingMissing) as caught:
+        connector_process(state, packet)
+    assert str(caught.value) == "no chain mapped for SR-unaware interface (bbbb::9, single)"
 
 
 def test_reencap_refuses_outer_payload_past_16_bits():
     # Outer payload = 40 B SRH + 40 B inner header + 8 B UDP + data.
     registry, vnf_sid = make_registry_with_chain()
-    outer = reencap_unaware(registry, inner_packet(b"x" * 65447), vnf_sid)
+    outer = reencap_unaware(registry.unaware_return(vnf_sid), inner_packet(b"x" * 65447))
     assert outer.header.payload_length == wire.MAX_PAYLOAD_LEN
     with pytest.raises(errors.OversizedPacket, match="re-encapsulated payload of 65536 B exceeds"):
-        reencap_unaware(registry, inner_packet(b"x" * 65448), vnf_sid)
+        reencap_unaware(registry.unaware_return(vnf_sid), inner_packet(b"x" * 65448))
 
 
 def test_reencap_carries_modified_inner():
     registry, vnf_sid = make_registry_with_chain()
     stamped = PayloadStamper(0xAB)(inner_packet()).packet
-    outer = reencap_unaware(registry, stamped, vnf_sid)
+    outer = reencap_unaware(registry.unaware_return(vnf_sid), stamped)
     assert decapsulate(outer).payload[0] == 0xAB
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ER1, ER2, SINK, SRC, chain_testbed, router_line
+from conftest import ER1, ER2, SINK, SRC, chain8_config, chain_testbed, router_line
 from srv6sfc import errors, wire
 from srv6sfc.chain import (
     ChainRegistry,
@@ -23,7 +23,7 @@ from srv6sfc.chain import (
     classify,
     longest_prefix_match,
 )
-from srv6sfc.config import load_config
+from srv6sfc.config import load_config, parse_config_text, read_address
 from srv6sfc.dataplane import (
     PassThroughRouter,
     PayloadStamper,
@@ -573,3 +573,63 @@ def test_address_intern_table_stops_at_its_bound(monkeypatch):
     late = wire.parse_packet(packets[-1]).header.dst
     assert late == IPv6Address(2 * limit) and late is not wire.parse_packet(packets[-1]).header.dst
     assert retained < 4 * 1024, retained
+
+
+# The packet path reads address integers from the ``_ip`` slot ------------------
+
+def test_ip_slot_is_the_address_integer():
+    # The walk, the connector, the prefix tables, the codec and the trace
+    # memo read ``_ip`` where ``int()`` would make a Python-level call. An
+    # ``ipaddress`` that renamed the slot fails here, for addresses from
+    # every source the walk sees.
+    parsed = wire.parse_packet(serialize_packet(udp_packet(SRC, SINK, b"slot")))
+    chain = VnfChain("c", (IPv6Address("BBBB::2"), ER2), ER1)
+    sources = [
+        read_address("BBBB::2"), read_address("fe80::1%eth0"),
+        parsed.header.src, parsed.header.dst,
+        udp_packet(SRC, SINK).header.dst,
+        *chain.srh.segment_list,
+    ]
+    for address in sources:
+        assert type(address._ip) is int and address._ip == int(address)
+        assert address._ip.to_bytes(16, "big") == address.packed
+
+
+def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
+    networks = [
+        load_config(testbed_config_path).build_network(),
+        parse_config_text(chain8_config()).build_network(),
+    ]
+    # Chained, delivered at the ingress and unroutable; small and large.
+    packets = [
+        udp_packet(SRC, IPv6Address(dst), b"x" * size)
+        for dst in ("DDDD::2", "EEEE::2", "9999::1") for size in (64, 1024)
+    ]
+
+    def walk_all() -> list:
+        seen = []
+        for network in networks:
+            for packet in packets:
+                for terminal_only in (False, True):
+                    result = inject(network, "er1", packet, terminal_only=terminal_only)
+                    result.trace.to_jsonl()
+                    seen.append((result.trace.events, result.costs))
+        return seen
+
+    expected = walk_all()  # warm-up: fills the trace memo and the intern table
+    calls: dict[str, int] = {}
+
+    def counting(name, method):
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(*args)
+        return counted
+
+    for name in ("__int__", "__hash__", "__eq__"):
+        monkeypatch.setattr(IPv6Address, name, counting(name, getattr(IPv6Address, name)))
+    packed = counting("packed", IPv6Address.packed.fget)
+    monkeypatch.setattr(IPv6Address, "packed", property(packed))
+    seen = walk_all()
+    monkeypatch.undo()
+    assert calls == {}
+    assert seen == expected

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chain8_config
 from srv6sfc import cli
 from srv6sfc.chain import VnfChain
 from srv6sfc.config import load_config, parse_config_text
@@ -47,6 +48,12 @@ def reference_jsonl(uid, terminal_only: bool, calls) -> str:
     return "\n".join(lines)
 
 
+def memo_key(address: IPv6Address):
+    """The address-text memo's key for ``address``: its integer, paired
+    with its scope id when it has one."""
+    return int(address) if address.scope_id is None else (int(address), address.scope_id)
+
+
 # Characters the escaper treats specially, mixed with any code point,
 # lone surrogates included.
 _TEXT = st.text(
@@ -58,10 +65,14 @@ _TEXT = st.text(
 )
 # A small pool as well, so that traces sharing a memo hit it.
 _ADDRESSES = st.one_of(
-    st.sampled_from([IPv6Address("BBBB::2"), IPv6Address("::"), IPv6Address("2001:db8::1:0:0:1")]),
+    st.sampled_from([
+        IPv6Address("BBBB::2"), IPv6Address("::"), IPv6Address("2001:db8::1:0:0:1"),
+        IPv6Address("fe80::1"), IPv6Address("fe80::1%eth0"), IPv6Address("fe80::1%2"),
+    ]),
     st.integers(0, 2**128 - 1).map(IPv6Address),
 )
-_DETAILS = st.one_of(st.none(), _TEXT, _ADDRESSES)
+# An integer detail equal to an address's integer must keep its own text.
+_DETAILS = st.one_of(st.none(), _TEXT, _ADDRESSES, st.sampled_from([0, 0xFE80 << 112 | 1]))
 _UIDS = st.one_of(st.none(), st.just(0), st.integers(0, 2**64), st.integers(10**30, 10**40))
 _CALLS = st.tuples(
     st.lists(st.tuples(_TEXT, st.sampled_from(NON_TERMINAL), _DETAILS), max_size=6),
@@ -73,13 +84,28 @@ _CALLS = st.tuples(
 @given(st.lists(st.tuples(_UIDS, st.booleans(), _CALLS), min_size=1, max_size=4))
 def test_to_jsonl_matches_json_dumps(walks):
     address_text: dict[object, str] = {}
+    keys = set()
     for uid, terminal_only, (calls, terminal) in walks:
         calls = calls + [terminal] if terminal is not None else calls
         trace = Trace(uid, terminal_only, address_text)
         for node, kind, detail in calls:
             trace.add(node, kind, detail)
+            if isinstance(detail, IPv6Address):
+                keys.add(memo_key(detail))
         assert trace.to_jsonl() == reference_jsonl(uid, terminal_only, calls)
-    assert all(isinstance(key, IPv6Address) for key in address_text)
+    # Only addresses are stored, each under its integer (and scope id).
+    assert set(address_text) <= keys
+
+
+def test_address_memo_keeps_scoped_and_unscoped_texts_apart():
+    scoped, plain = IPv6Address("fe80::1%eth0"), IPv6Address("fe80::1")
+    for order in ((scoped, plain), (plain, scoped)):
+        memo: dict[object, str] = {}
+        for address in order * 2:
+            trace = Trace(None, False, memo)
+            trace.add("nfv", EventKind.DELIVERED, address)
+            assert trace.events[0].detail == str(address)
+        assert memo == {plain._ip: "fe80::1", (scoped._ip, "eth0"): "fe80::1%eth0"}
 
 
 def test_standalone_trace_renders_addresses():
@@ -94,41 +120,6 @@ def test_standalone_trace_renders_addresses():
 
 
 # Golden `run` output ---------------------------------------------------------
-
-def chain8_config() -> str:
-    """The testbed with eight SR-aware pass-through VNFs on the NFV node."""
-    sids = [f"BBBB::{i + 2:x}" for i in range(8)]
-    return "\n".join(
-        [
-            "[nodes]",
-            "er1 ingress-edge addrs=AAAA::2,EEEE::2",
-            "nfv nfv-node addrs=AAAA::1,BBBB::1,CCCC::1",
-            "er2 egress-edge addrs=CCCC::2,DDDD::2",
-            "[links]",
-            "er1 nfv",
-            "nfv er2",
-            "[sids]",
-            *(f"{sid} kind=sr-aware node=nfv" for sid in sids),
-            "CCCC::2 kind=egress node=er2",
-            "[vnfs]",
-            *(f"{sid} behavior=passthrough permission=insert-next-only" for sid in sids),
-            "[chains]",
-            f"c8 segs={','.join(sids)},CCCC::2 src=AAAA::2 direction=uni",
-            "[rules]",
-            "er1 DDDD::/64 chain=c8",
-            "[routes]",
-            "er1 BBBB::/64 via nfv",
-            "er1 CCCC::/64 via nfv",
-            "er1 DDDD::/64 via nfv",
-            "nfv AAAA::/64 via er1",
-            "nfv EEEE::/64 via er1",
-            "nfv CCCC::/64 via er2",
-            "nfv DDDD::/64 via er2",
-            "er2 AAAA::/64 via nfv",
-            "er2 EEEE::/64 via nfv",
-        ]
-    ) + "\n"
-
 
 # SHA-256 of the stdout of `srv6sfc run CONFIG --src EEEE::2 --dst DDDD::2
 # --trace full --count 2`, captured while each line was still built by one
@@ -206,9 +197,9 @@ er2 EEEE::/64 via nfv
 
 def test_address_memo_is_bounded_by_the_config():
     network = parse_config_text(MIXED_CONFIG).build_network()
-    known = set(network.registry.sid_table)
+    known = {memo_key(address) for address in network.registry.sid_table}
     for node in network.nodes.values():
-        known.update(node.addresses)
+        known.update(map(memo_key, node.addresses))
     destinations = [
         IPv6Address(f"{prefix}::{host:x}")
         for prefix in ("DDDD", "FFFF", "CCCC", "BBBB", "AAAA", "EEEE", "9999")
