@@ -28,6 +28,12 @@ class SidKind(Enum):
     EGRESS_ENDPOINT = "egress"
 
 
+# The members as module constants for the packet path: on CPython 3.11 a
+# read through the Enum class (``SidKind.SR_AWARE``) is a slow lookup,
+# as ``EnumType`` defines ``__getattr__``; a module global is not.
+SR_AWARE, SR_UNAWARE, EGRESS_ENDPOINT = SidKind
+
+
 class VnfInterface(Enum):
     SINGLE = "single"
     WEST = "west"
@@ -170,6 +176,13 @@ def next_after(chain: VnfChain, sid: IPv6Address) -> IPv6Address:
     return chain.segments[index + 1]
 
 
+def address_key(address: IPv6Address) -> int | tuple[int, str]:
+    """An address as a key that hashes in C: its integer (the ``_ip``
+    slot, what ``int`` returns), paired with its scope id when it has
+    one. ``IPv6Address.__hash__`` is a Python-level call."""
+    return address._ip if address._scope_id is None else (address._ip, address._scope_id)
+
+
 class UnawareReturn(NamedTuple):
     """Where traffic leaving an SR-unaware interface goes next: its
     mapped chain, the successor segment, and the SRH that steers there
@@ -191,11 +204,16 @@ class ChainRegistry:
     (address, interface) to its :class:`UnawareReturn`, so the connector
     re-encapsulates with one dict probe. It is the one table of the
     univocal mapping: an entry's chain is the chain its key feeds.
+
+    ``sid_keys`` holds the ``address_key`` of every registered SID, so a
+    per-packet check hashes an integer, not an ``IPv6Address``. Add SIDs
+    through ``add_sid``, which keeps both tables.
     """
 
     def __init__(self):
         self.chains: dict[str, VnfChain] = {}
         self.sid_table: dict[IPv6Address, Sid] = {}
+        self.sid_keys: set[int | tuple[int, str]] = set()
         self.returns: dict[tuple[IPv6Address, VnfInterface], UnawareReturn] = {}
 
     def copy(self) -> ChainRegistry:
@@ -205,6 +223,7 @@ class ChainRegistry:
         clone = ChainRegistry()
         clone.chains = dict(self.chains)
         clone.sid_table = dict(self.sid_table)
+        clone.sid_keys = set(self.sid_keys)
         clone.returns = dict(self.returns)
         return clone
 
@@ -213,6 +232,7 @@ class ChainRegistry:
         if existing is not None and existing != sid:
             raise errors.DuplicateSidAddress(f"{sid.address} already registered as {existing}")
         self.sid_table[sid.address] = sid
+        self.sid_keys.add(address_key(sid.address))
 
     def sid(self, address: IPv6Address) -> Sid:
         try:

@@ -33,6 +33,16 @@ the count after its delivery leg. So n pass-through VNFs of one kind
 cost (n+2)f (aware) or d+(2n+1)f+e (unaware), and a node that only
 forwards costs f. Each pass returns its counts on ``ConnectorResult``;
 ``CostLedger`` keeps per-node aggregates only.
+
+The connector, ``apply_edit`` and ``VnfAction`` read Enum members from
+module constants bound once beside their Enums (``DROP`` is
+``ActionKind.DROP``, ``REPLACE`` is ``SegmentListEdit.Kind.REPLACE``,
+likewise ``chain.SR_AWARE`` and ``trace.DROPPED``), never through the
+class: on CPython 3.11 ``EnumType`` defines ``__getattr__``, which makes
+each such read a slow lookup, and the walk would make dozens per packet.
+No per-packet check hashes an Enum member or an ``IPv6Address`` either,
+as both hash in Python: ``apply_edit`` finds a permission's edits by its
+value string, and an edit's SIDs in ``ChainRegistry.sid_keys``.
 """
 
 from __future__ import annotations
@@ -43,8 +53,26 @@ from ipaddress import IPv6Address, IPv6Network
 from typing import Callable, Sequence
 
 from srv6sfc import errors, wire
-from srv6sfc.chain import ChainRegistry, PrefixTable, Sid, SidKind, UnawareReturn, VnfChain
-from srv6sfc.trace import EventKind
+from srv6sfc.chain import (
+    SR_AWARE,
+    SR_UNAWARE,
+    ChainRegistry,
+    PrefixTable,
+    Sid,
+    SidKind,
+    UnawareReturn,
+    VnfChain,
+    address_key,
+)
+from srv6sfc.trace import (
+    DECAPSULATED,
+    DROPPED,
+    RE_ENCAPSULATED,
+    SEGMENT_ADVANCED,
+    VNF_DELIVERED,
+    VNF_RETURNED,
+    EventKind,
+)
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 
 EmitFn = Callable[[EventKind, object], None]
@@ -67,6 +95,10 @@ class ActionKind(Enum):
     EDIT_CHAIN = "edit-chain"
 
 
+# The members as module constants, for the packet path (see the module docstring).
+FORWARD, MODIFIED, DROP, EDIT_CHAIN = ActionKind
+
+
 @dataclass(frozen=True)
 class SegmentListEdit:
     """A change to the not-yet-traversed part of the segment list."""
@@ -82,15 +114,18 @@ class SegmentListEdit:
 
     @classmethod
     def insert_after_current(cls, sids) -> "SegmentListEdit":
-        return cls(cls.Kind.INSERT_AFTER_CURRENT, tuple(sids))
+        return cls(INSERT_AFTER_CURRENT, tuple(sids))
 
     @classmethod
     def insert_at(cls, position: int, sids) -> "SegmentListEdit":
-        return cls(cls.Kind.INSERT_AT, tuple(sids), position)
+        return cls(INSERT_AT, tuple(sids), position)
 
     @classmethod
     def replace(cls, sids) -> "SegmentListEdit":
-        return cls(cls.Kind.REPLACE, tuple(sids))
+        return cls(REPLACE, tuple(sids))
+
+
+INSERT_AFTER_CURRENT, INSERT_AT, REPLACE = SegmentListEdit.Kind
 
 
 @dataclass(frozen=True, init=False)
@@ -106,11 +141,11 @@ class VnfAction:
     edit: SegmentListEdit | None
 
     def __init__(self, kind, packet=None, edit=None):
-        if kind is ActionKind.DROP and packet is not None:
+        if kind is DROP and packet is not None:
             raise errors.InvariantViolation("Drop carries no packet")
-        if kind is not ActionKind.DROP and packet is None:
+        if kind is not DROP and packet is None:
             raise errors.InvariantViolation(f"{kind.value} requires a packet")
-        if kind is ActionKind.EDIT_CHAIN and edit is None:
+        if kind is EDIT_CHAIN and edit is None:
             raise errors.InvariantViolation("EditChain requires an edit")
         _set_kind(self, kind)
         _set_packet(self, packet)
@@ -121,19 +156,19 @@ class VnfAction:
 
     @classmethod
     def forward(cls, packet: Packet) -> "VnfAction":
-        return cls(ActionKind.FORWARD, packet)
+        return cls(FORWARD, packet)
 
     @classmethod
     def modified(cls, packet: Packet) -> "VnfAction":
-        return cls(ActionKind.MODIFIED, packet)
+        return cls(MODIFIED, packet)
 
     @classmethod
     def drop(cls) -> "VnfAction":
-        return cls(ActionKind.DROP)
+        return cls(DROP)
 
     @classmethod
     def edit_chain(cls, packet: Packet, edit: SegmentListEdit) -> "VnfAction":
-        return cls(ActionKind.EDIT_CHAIN, packet, edit)
+        return cls(EDIT_CHAIN, packet, edit)
 
 
 _set_kind, _set_packet, _set_edit = (VnfAction.__dict__[name].__set__ for name in VnfAction.__slots__)
@@ -145,18 +180,15 @@ class VnfPermission(Enum):
     FULL_REWRITE = "full-rewrite"
 
 
+# Tuples: ``in`` finds a member by identity, without hashing it.
 PERMITTED_EDITS = {
-    VnfPermission.INSERT_NEXT_ONLY: {SegmentListEdit.Kind.INSERT_AFTER_CURRENT},
-    VnfPermission.INSERT_ANYWHERE: {
-        SegmentListEdit.Kind.INSERT_AFTER_CURRENT,
-        SegmentListEdit.Kind.INSERT_AT,
-    },
-    VnfPermission.FULL_REWRITE: {
-        SegmentListEdit.Kind.INSERT_AFTER_CURRENT,
-        SegmentListEdit.Kind.INSERT_AT,
-        SegmentListEdit.Kind.REPLACE,
-    },
+    VnfPermission.INSERT_NEXT_ONLY: (INSERT_AFTER_CURRENT,),
+    VnfPermission.INSERT_ANYWHERE: (INSERT_AFTER_CURRENT, INSERT_AT),
+    VnfPermission.FULL_REWRITE: (INSERT_AFTER_CURRENT, INSERT_AT, REPLACE),
 }
+# The same, keyed by each permission's value: a string's hash is cached
+# and computed in C, an Enum member's is a Python call.
+_PERMITTED_BY_VALUE = {permission._value_: kinds for permission, kinds in PERMITTED_EDITS.items()}
 
 
 @dataclass
@@ -364,21 +396,23 @@ def apply_edit(
     srh = packet.srh
     if srh is None:
         raise errors.NoSrh("segment-list edit on a packet without an SRH")
-    if edit.kind not in PERMITTED_EDITS[permission]:
+    kind = edit.kind
+    if kind not in _PERMITTED_BY_VALUE[permission._value_]:
         raise errors.EditPermissionDenied(
-            f"{edit.kind.value} not allowed at permission {permission.value}"
+            f"{kind.value} not allowed at permission {permission.value}"
         )
     if registry is not None:
+        keys = registry.sid_keys
         for address in edit.sids:
-            if address not in registry.sid_table:
+            if address_key(address) not in keys:
                 raise errors.UnknownSidInEdit(f"edit references unregistered SID {address}")
 
     next_header, _, routing_type, segments_left, _, flags, tag, segments = srh
     # Remaining path in forward order: active segment first.
     remaining = segments[segments_left::-1]
-    if edit.kind is SegmentListEdit.Kind.INSERT_AFTER_CURRENT:
+    if kind is INSERT_AFTER_CURRENT:
         new_remaining = edit.sids + remaining
-    elif edit.kind is SegmentListEdit.Kind.INSERT_AT:
+    elif kind is INSERT_AT:
         position = edit.position if edit.position is not None else 0
         if not 0 <= position <= len(remaining) - 1:
             raise errors.PositionOutOfRange(
@@ -487,17 +521,17 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                     f"{steps - 1} VNF invocations on {state.node_id!r} without leaving the node"
                 )
             sid = vnf.sid
-            if sid.kind is SidKind.SR_AWARE:
+            if sid.kind is SR_AWARE:
                 # Only an unaware VNF is handed the plain packet, so here it is None.
                 current = advance_segment(current)
-                emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
+                emit(SEGMENT_ADVANCED, current.header.dst)
                 f += 1
-                emit(EventKind.VNF_DELIVERED, sid.address)
+                emit(VNF_DELIVERED, sid.address)
                 action = vnf.behavior(current)
-                emit(EventKind.VNF_RETURNED, sid.address)
-                if action.kind is ActionKind.DROP:
+                emit(VNF_RETURNED, sid.address)
+                if action.kind is DROP:
                     return _dropped(emit, f"vnf {sid.address}", (f, d, e))
-                if action.kind is ActionKind.EDIT_CHAIN:
+                if action.kind is EDIT_CHAIN:
                     try:
                         current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
                     except errors.OversizedPacket as exc:
@@ -512,23 +546,23 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                     continue
                 f += 2  # back to the connector, then to next hop
             else:
-                if sid.kind is not SidKind.SR_UNAWARE:
+                if sid.kind is not SR_UNAWARE:
                     raise errors.UnknownSid(f"{sid.address} is an egress endpoint, not a VNF")
                 if plain is None:
                     current = advance_segment(current)
-                    emit(EventKind.SEGMENT_ADVANCED, current.header.dst)
+                    emit(SEGMENT_ADVANCED, current.header.dst)
                     plain = decapsulate(current)
                     d += 1
-                    emit(EventKind.DECAPSULATED, None)
+                    emit(DECAPSULATED, None)
                 f += 1
-                emit(EventKind.VNF_DELIVERED, sid.address)
+                emit(VNF_DELIVERED, sid.address)
                 action = vnf.behavior(plain)
-                if action.kind is ActionKind.EDIT_CHAIN:
+                if action.kind is EDIT_CHAIN:
                     raise errors.InvalidEdit(
                         f"SR-unaware VNF {sid.address} sees no SRH and cannot edit it"
                     )
-                emit(EventKind.VNF_RETURNED, sid.address)
-                if action.kind is ActionKind.DROP:
+                emit(VNF_RETURNED, sid.address)
+                if action.kind is DROP:
                     return _dropped(emit, f"vnf {sid.address}", (f, d, e))
                 plain = action.packet
                 f += 1  # return leg to the connector
@@ -536,7 +570,7 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                 if back is None:  # unmapped: the registry raises UnivocalMappingMissing
                     back = state.registry.unaware_return(sid)
                 next_vnf = state.vnfs.get(back.successor._ip)
-                if next_vnf is not None and next_vnf.sid.kind is SidKind.SR_UNAWARE:
+                if next_vnf is not None and next_vnf.sid.kind is SR_UNAWARE:
                     vnf = next_vnf  # plain hand-off, no strip/rebuild in between
                     continue
                 try:
@@ -544,7 +578,7 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                 except errors.OversizedPacket as exc:
                     return _dropped(emit, str(exc), (f, d, e))
                 e += 1
-                emit(EventKind.RE_ENCAPSULATED, current.header.dst)
+                emit(RE_ENCAPSULATED, current.header.dst)
                 plain = None
                 next_vnf = state.vnfs.get(current.header.dst._ip)
                 if next_vnf is not None:
@@ -557,5 +591,5 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
 
 
 def _dropped(emit: EmitFn, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:
-    emit(EventKind.DROPPED, reason)
+    emit(DROPPED, reason)
     return ConnectorResult(None, reason, cost)

@@ -33,7 +33,15 @@ from srv6sfc.dataplane import (
     egress_process,
     encapsulate,
 )
-from srv6sfc.trace import EventKind, Trace
+from srv6sfc.trace import (
+    CLASSIFIED,
+    DECAPSULATED,
+    DELIVERED,
+    DROPPED,
+    ENCAPSULATED,
+    FORWARDED,
+    Trace,
+)
 from srv6sfc.wire import Ipv6Header, Packet, udp_packet
 
 # Visits to individual nodes before a walk is declared stuck; the outer
@@ -278,13 +286,13 @@ def classify_at_ingress(state: NodeState, packet: Packet, trace: Trace) -> Packe
     chain_id = state.classifier.lookup(packet.header.dst)
     if chain_id is None:
         return packet
-    trace.add(state.node_id, EventKind.CLASSIFIED, chain_id)
+    trace.add(state.node_id, CLASSIFIED, chain_id)
     try:
         packet = encapsulate(packet, state.registry.chain(chain_id))
     except errors.OversizedPacket as exc:
-        trace.add(state.node_id, EventKind.DROPPED, str(exc))
+        trace.add(state.node_id, DROPPED, str(exc))
         return Dropped(state.node_id, str(exc))
-    trace.add(state.node_id, EventKind.ENCAPSULATED, packet.header.dst)
+    trace.add(state.node_id, ENCAPSULATED, packet.header.dst)
     return packet
 
 
@@ -317,7 +325,7 @@ def _walk(
         node_id = state.node_id
         visits += 1
         if visits > MAX_NODE_VISITS:
-            trace.add(node_id, EventKind.DROPPED, "node visit budget exceeded")
+            trace.add(node_id, DROPPED, "node visit budget exceeded")
             return Dropped(node_id, "node visit budget exceeded")
 
         dst = packet.header.dst
@@ -337,9 +345,9 @@ def _walk(
             if packet.is_encapsulated:
                 packet = egress_process(packet)
                 hop = packet.header.hop_limit
-                trace.add(node_id, EventKind.DECAPSULATED, None)
+                trace.add(node_id, DECAPSULATED, None)
                 continue
-            trace.add(node_id, EventKind.DELIVERED, dst)
+            trace.add(node_id, DELIVERED, dst)
             return Delivered(_with_hop_limit(packet, hop), node_id)
         else:
             next_hop = state.fib.lookup(dst)
@@ -350,13 +358,13 @@ def _walk(
 
         if next_hop is None:
             reason = f"no route to {packet.header.dst}"
-            trace.add(node_id, EventKind.DROPPED, reason)
+            trace.add(node_id, DROPPED, reason)
             return Dropped(node_id, reason)
         if hop <= 1:
-            trace.add(node_id, EventKind.DROPPED, "hop limit exceeded")
+            trace.add(node_id, DROPPED, "hop limit exceeded")
             return Dropped(node_id, "hop limit exceeded")
         hop -= 1
-        trace.add(node_id, EventKind.FORWARDED, next_hop)
+        trace.add(node_id, FORWARDED, next_hop)
         state = states[next_hop]
 
 

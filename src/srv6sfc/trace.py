@@ -27,6 +27,14 @@ Each exported line is one JSON object with the keys ``uid``, ``node``,
 ASCII-only escaping; ``null`` stands for an absent uid or detail. This
 is exactly what ``json.dumps(..., separators=(",", ":"))`` prints for
 that dict; ``to_jsonl`` builds the line directly with the same C escaper.
+
+Each ``EventKind`` member is also bound as a module constant of the same
+name (``DROPPED is EventKind.DROPPED``), and the walk and ``Trace.add``
+read those. On CPython 3.11 ``EnumType`` defines ``__getattr__``, so a
+read of ``EventKind.DROPPED`` through the class is a slow attribute
+lookup (about 100 ns), where a module global costs a few; the walk
+makes dozens of such reads per packet. Set-up and CLI code still write
+``EventKind.X``.
 """
 
 from __future__ import annotations
@@ -51,6 +59,13 @@ class EventKind(Enum):
     FORWARDED = "Forwarded"
     DROPPED = "Dropped"
     DELIVERED = "Delivered"
+
+
+# The members as module constants, for the packet path (see the module docstring).
+(
+    CLASSIFIED, ENCAPSULATED, SEGMENT_ADVANCED, VNF_DELIVERED, VNF_RETURNED,
+    DECAPSULATED, RE_ENCAPSULATED, FORWARDED, DROPPED, DELIVERED,
+) = EventKind
 
 
 class TraceEvent(NamedTuple):
@@ -89,8 +104,9 @@ class Trace:
         only when the event is kept."""
         if self._closed:
             raise errors.InvariantViolation(f"trace for uid={self.uid} already terminated")
-        # Identity tests: hashing the Enum for a set probe costs more.
-        if kind is EventKind.DROPPED or kind is EventKind.DELIVERED:
+        # Identity tests against the module constants: hashing the Enum for
+        # a set probe, or reading the members through the class, costs more.
+        if kind is DROPPED or kind is DELIVERED:
             self._closed = True
         elif self.terminal_only:
             return

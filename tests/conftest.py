@@ -195,6 +195,21 @@ def router_line(routers: int, owner: IPv6Address = SINK) -> Network:
 def chain8_config() -> str:
     """The testbed with eight SR-aware pass-through VNFs on the NFV node."""
     sids = [f"BBBB::{i + 2:x}" for i in range(8)]
+    return aware_testbed_config("c8", {sid: "passthrough" for sid in sids}, sids)
+
+
+def editor_config() -> str:
+    """The testbed with an SR-aware chain editor on the NFV node: the
+    chain names only the editor, which inserts a pass-through VNF after
+    itself on every packet."""
+    behaviors = {"BBBB::2": "chain-editor:insert-after:BBBB::3", "BBBB::3": "passthrough"}
+    return aware_testbed_config("ce", behaviors, ["BBBB::2"])
+
+
+def aware_testbed_config(chain_id: str, behaviors: dict[str, str], chain: list[str]) -> str:
+    """The testbed's nodes, links and routes with SR-aware VNFs of the
+    given behaviors on the NFV node, and chain ``chain_id`` through
+    ``chain`` to the egress ``CCCC::2`` for traffic to ``DDDD::/64``."""
     return "\n".join(
         [
             "[nodes]",
@@ -205,14 +220,14 @@ def chain8_config() -> str:
             "er1 nfv",
             "nfv er2",
             "[sids]",
-            *(f"{sid} kind=sr-aware node=nfv" for sid in sids),
+            *(f"{sid} kind=sr-aware node=nfv" for sid in behaviors),
             "CCCC::2 kind=egress node=er2",
             "[vnfs]",
-            *(f"{sid} behavior=passthrough permission=insert-next-only" for sid in sids),
+            *(f"{sid} behavior={spec} permission=insert-next-only" for sid, spec in behaviors.items()),
             "[chains]",
-            f"c8 segs={','.join(sids)},CCCC::2 src=AAAA::2 direction=uni",
+            f"{chain_id} segs={','.join(chain)},CCCC::2 src=AAAA::2 direction=uni",
             "[rules]",
-            "er1 DDDD::/64 chain=c8",
+            f"er1 DDDD::/64 chain={chain_id}",
             "[routes]",
             "er1 BBBB::/64 via nfv",
             "er1 CCCC::/64 via nfv",

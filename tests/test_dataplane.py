@@ -463,6 +463,35 @@ def test_edit_unknown_sid_rejected_with_registry():
         )
 
 
+def test_edit_refusals_keep_their_texts():
+    # ``apply_edit`` finds permissions by value and SIDs by integer (and
+    # scope id), hashing neither; what it refuses, and how it says so, is
+    # what the Enum and IPv6Address keys gave.
+    insert_at = SegmentListEdit.insert_at(1, (V_Z,))
+    with pytest.raises(errors.EditPermissionDenied) as denied:
+        apply_edit(editable_packet(), insert_at, VnfPermission.INSERT_NEXT_ONLY)
+    assert str(denied.value) == "insert-at not allowed at permission insert-next-only"
+    with pytest.raises(errors.EditPermissionDenied) as denied:
+        apply_edit(editable_packet(), SegmentListEdit.replace((CCCC2,)), VnfPermission.INSERT_ANYWHERE)
+    assert str(denied.value) == "replace not allowed at permission insert-anywhere"
+
+    registry, _ = make_registry_with_chain()
+    plain, scoped = IPv6Address("fe80::1"), IPv6Address("fe80::2%eth0")
+    registry.add_sid(Sid(plain, SidKind.SR_AWARE, "nfv"))
+    registry.add_sid(Sid(scoped, SidKind.SR_AWARE, "nfv"))
+    for known in (plain, scoped, IPv6Address("fe80::2%eth0"), IPv6Address(int(plain))):
+        edit = SegmentListEdit.insert_after_current((known,))
+        for table in (registry, registry.copy()):
+            edited = apply_edit(editable_packet(), edit, VnfPermission.INSERT_NEXT_ONLY, table)
+            assert edited.header.dst == known
+    for unknown in ("9999::9", "fe80::1%eth0", "fe80::2", "fe80::2%eth1"):
+        edit = SegmentListEdit.insert_after_current((BBBB2, IPv6Address(unknown)))
+        with pytest.raises(errors.UnknownSidInEdit) as refused:
+            apply_edit(editable_packet(), edit, VnfPermission.INSERT_NEXT_ONLY, registry)
+        assert str(refused.value) == f"edit references unregistered SID {unknown}"
+        assert (IPv6Address(unknown) in registry.sid_table) is False
+
+
 EDIT_STRATEGY = st.one_of(
     st.builds(
         SegmentListEdit.insert_after_current,

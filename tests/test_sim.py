@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 import tracemalloc
 from dataclasses import replace
+from enum import Enum, EnumType
 from ipaddress import IPv6Address, IPv6Network
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ER1, ER2, SINK, SRC, chain8_config, chain_testbed, router_line
+from conftest import ER1, ER2, SINK, SRC, chain8_config, chain_testbed, editor_config, router_line
 from srv6sfc import errors, wire
 from srv6sfc.chain import (
     ChainRegistry,
@@ -25,9 +27,11 @@ from srv6sfc.chain import (
 )
 from srv6sfc.config import load_config, parse_config_text, read_address
 from srv6sfc.dataplane import (
+    ActionKind,
     PassThroughRouter,
     PayloadStamper,
     PrefixFilter,
+    SegmentListEdit,
     Vnf,
     VnfAction,
     encapsulate,
@@ -595,10 +599,14 @@ def test_ip_slot_is_the_address_integer():
         assert address._ip.to_bytes(16, "big") == address.packed
 
 
-def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
+def guard_walker(testbed_config_path):
+    """Walks every packet of the packet-path guards through the testbed,
+    chain8 and the chain-editor config, full and terminal-only, exporting
+    each trace; returns each walk's events and costs."""
     networks = [
         load_config(testbed_config_path).build_network(),
         parse_config_text(chain8_config()).build_network(),
+        parse_config_text(editor_config()).build_network(),
     ]
     # Chained, delivered at the ingress and unroutable; small and large.
     packets = [
@@ -616,20 +624,62 @@ def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
                     seen.append((result.trace.events, result.costs))
         return seen
 
+    return walk_all
+
+
+def counting(calls: dict[str, int], name: str, method):
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return method(*args)
+    return counted
+
+
+def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
+    walk_all = guard_walker(testbed_config_path)
     expected = walk_all()  # warm-up: fills the trace memo and the intern table
     calls: dict[str, int] = {}
-
-    def counting(name, method):
-        def counted(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return method(*args)
-        return counted
-
     for name in ("__int__", "__hash__", "__eq__"):
-        monkeypatch.setattr(IPv6Address, name, counting(name, getattr(IPv6Address, name)))
-    packed = counting("packed", IPv6Address.packed.fget)
+        monkeypatch.setattr(IPv6Address, name, counting(calls, name, getattr(IPv6Address, name)))
+    packed = counting(calls, "packed", IPv6Address.packed.fget)
     monkeypatch.setattr(IPv6Address, "packed", property(packed))
     seen = walk_all()
     monkeypatch.undo()
     assert calls == {}
     assert seen == expected
+
+
+# ... and reads no Enum member through its class --------------------------------
+
+def test_walks_read_no_enum_member_through_its_class(testbed_config_path, monkeypatch):
+    # On CPython 3.11 ``EnumType`` defines ``__getattr__``, so
+    # ``EventKind.DROPPED`` is a slow lookup; the walk reads the module
+    # constants instead, and hashes no Enum member (``Enum.__hash__`` is a
+    # Python function).
+    walk_all = guard_walker(testbed_config_path)
+    expected = walk_all()
+    calls: dict[str, int] = {}
+    class_attribute = type.__getattribute__
+
+    def counted_read(cls, name):
+        if name in class_attribute(cls, "_member_map_"):
+            key = f"{class_attribute(cls, '__qualname__')}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+        return class_attribute(cls, name)
+
+    monkeypatch.setattr(EnumType, "__getattribute__", counted_read)
+    monkeypatch.setattr(Enum, "__hash__", counting(calls, "Enum.__hash__", Enum.__hash__))
+    seen = walk_all()
+    walked = dict(calls)
+    {SidKind.SR_AWARE: 0}.get(SidKind.SR_AWARE)  # the counters do see reads and hashes
+    monkeypatch.undo()
+    assert walked == {}
+    assert calls == {"SidKind.SR_AWARE": 2, "Enum.__hash__": 2}
+    assert seen == expected
+
+
+@pytest.mark.parametrize("enum", [EventKind, SidKind, ActionKind, SegmentListEdit.Kind])
+def test_kind_constants_are_the_members_of_their_name(enum):
+    # Each module binds its Enum's members as constants of the same name.
+    module = sys.modules[enum.__module__]
+    for member in enum:
+        assert getattr(module, member.name) is member
