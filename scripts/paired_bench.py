@@ -37,8 +37,15 @@ PAIRS_TO_WIN = 0.9
 
 
 def seed_range(text: str) -> list[int]:
+    """``FIRST-LAST`` as a list of seeds; fewer than two is refused, as the
+    quartiles of each side need at least two runs."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} names {len(seeds)} seed(s); at least two are needed"
+        )
+    return seeds
 
 
 def parse_args(argv):

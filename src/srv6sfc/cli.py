@@ -33,9 +33,13 @@ from srv6sfc.bench import (
     regression_csv,
     run_sweep,
 )
+from srv6sfc.chain import SidKind
 from srv6sfc.config import BENCH_READERS, ScenarioConfig, load_config, read_config_text, route_add
 from srv6sfc.config import read_address, read_finite, read_integer
-from srv6sfc.sim import Dropped, FlowSpec, FlowSummary, NodeRole, classify_at_ingress, flow_packet, inject
+from srv6sfc.dataplane import ChainEditor
+from srv6sfc.sim import (
+    Dropped, FlowSpec, FlowSummary, Network, NodeRole, classify_at_ingress, flow_packet, inject,
+)
 from srv6sfc.trace import Trace
 from srv6sfc.wire import hexdump, serialize_packet
 
@@ -95,6 +99,27 @@ def _flow(args, ingress: str, count: int) -> FlowSpec:
     return FlowSpec(
         ingress, args.src, args.dst, count, args.payload_bytes, args.sport, args.dport
     )
+
+
+def _refuse_unaware_editors(scenario: str, network: Network, flow: FlowSpec) -> None:
+    """A ``ValidationError`` when the scenario's kind makes a chain editor on
+    the flow's classified chain SR-unaware: such a VNF sees no SRH, so the
+    sweep's first packet would fail the connector. Validation cannot see
+    this, as it checks the kinds the file declares."""
+    chain_id = network.states[flow.ingress].classifier.lookup(flow.dst)
+    if chain_id is None:
+        return
+    hosted = {vnf.sid.address: vnf for node in network.nodes.values() for vnf in node.hosted_vnfs}
+    problems = [
+        f"scenario {scenario!r} makes chain editor {address} SR-unaware, and the bench flow's "
+        f"chain {chain_id!r} crosses it: an SR-unaware VNF sees no SRH and cannot edit it"
+        for address in network.registry.chain(chain_id).segments
+        if (vnf := hosted.get(address)) is not None
+        and vnf.sid.kind is SidKind.SR_UNAWARE
+        and isinstance(vnf.behavior, ChainEditor)
+    ]
+    if problems:
+        raise errors.ValidationError(problems)
 
 
 def cmd_validate(args) -> int:
@@ -167,25 +192,23 @@ def cmd_bench(args) -> int:
     noise = args.noise if args.noise is not None else bench.noise
     seed = args.seed if args.seed is not None else bench.seed
 
-    reports = []
+    # Every scenario is built and checked before any sweep runs.
+    sweeps = []
     for name in names:
         label, kind = SCENARIOS[name]
         model = override or bench.model_for(name)
         if model is None:
             raise errors.ValidationError([f"no capacity model for scenario {name!r}"])
         network = config.build_network(kind_override=kind)
-        reports.append(
-            run_sweep(
-                network,
-                config.flow(),
-                model,
-                scenario=label,
-                rates=rates,
-                runs=runs,
-                noise_pct=noise,
-                seed=seed,
-            )
+        flow = config.flow()
+        _refuse_unaware_editors(name, network, flow)
+        sweeps.append((label, network, flow, model))
+    reports = [
+        run_sweep(
+            network, flow, model, scenario=label, rates=rates, runs=runs, noise_pct=noise, seed=seed
         )
+        for label, network, flow, model in sweeps
+    ]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

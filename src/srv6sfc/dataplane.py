@@ -9,7 +9,8 @@ and runs the per-SID pipeline:
 * SR-unaware SID: advance, strip the outer header + SRH once, shuttle
   the plain inner packet through consecutive local unaware VNFs (two
   connector legs per VNF), then rebuild the encapsulation statelessly
-  from the univocal mapping and forward.
+  from the univocal mapping and forward. The advance is reported, but
+  the advanced outer packet is never built: the strip would discard it.
 
 What depends only on (chain, SID position) is compiled when a chain is
 registered, not per packet: each ``VnfChain`` carries its encapsulation
@@ -501,6 +502,10 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
 
     The pass counts its f/d/e operations, returns them on the result and
     charges ``state.ledger`` once on the way out, also when a step raises.
+    An SR-unaware VNF reached from the encapsulated packet reports the
+    advance (``SEGMENT_ADVANCED`` with the next segment) and decapsulates
+    the packet as it arrived, so the outer header's hop limit is never
+    read there; only an SR-aware VNF sees it.
     """
     if packet.srh is None:
         raise errors.NoSrh("connector requires an SR-encapsulated packet")
@@ -549,8 +554,12 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                 if sid.kind is not SR_UNAWARE:
                     raise errors.UnknownSid(f"{sid.address} is an egress endpoint, not a VNF")
                 if plain is None:
-                    current = advance_segment(current)
-                    emit(SEGMENT_ADVANCED, current.header.dst)
+                    # Advance, then strip: the advanced outer packet would be
+                    # thrown away at once, so only its new destination is read.
+                    _, _, _, segments_left, _, _, _, segments = current.srh
+                    if segments_left == 0:
+                        raise errors.AlreadyAtLastSegment("segments_left is already 0")
+                    emit(SEGMENT_ADVANCED, segments[segments_left - 1])
                     plain = decapsulate(current)
                     d += 1
                     emit(DECAPSULATED, None)

@@ -23,7 +23,7 @@ from functools import partial
 from ipaddress import IPv6Address, IPv6Network
 
 from srv6sfc import errors
-from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable, Sid, SidKind
+from srv6sfc.chain import SR_AWARE, ChainRegistry, ClassifierRule, PrefixTable, Sid, SidKind
 from srv6sfc.dataplane import (
     CostLedger,
     NodeState,
@@ -306,9 +306,10 @@ def _walk(
     """``inject``'s walk, carrying the current node's ``NodeState``: fills
     ``costs`` with the connector passes and plain forwards of each node.
     A plain hop decrements ``hop`` only; the packet gets it back before
-    the connector or delivery (egress decapsulation drops the outer
-    header, hop limit and all), and ``hop`` restarts from each packet
-    they hand back.
+    a connector pass whose first VNF is SR-aware, or before delivery. An
+    SR-unaware pass and egress decapsulation drop the outer header, hop
+    limit and all, unread, so the packet goes to them as it arrived; and
+    ``hop`` restarts from each packet they hand back.
 
     Every routing decision is the walk's, by one rule: a local
     destination is handled at the node, anything else goes where the
@@ -330,8 +331,10 @@ def _walk(
 
         dst = packet.header.dst
         key = dst._ip
-        if packet.srh is not None and key in state.vnfs:
-            packet = _with_hop_limit(packet, hop)
+        vnf = None if packet.srh is None else state.vnfs.get(key)
+        if vnf is not None:
+            if vnf.sid.kind is SR_AWARE:  # an SR-unaware pass strips the outer header unread
+                packet = _with_hop_limit(packet, hop)
             result = connector_process(state, packet, emit=partial(trace.add, node_id))
             _add_cost(costs, node_id, result.cost)
             packet = result.packet

@@ -391,6 +391,42 @@ def test_scenario_kind_that_breaks_a_chain_is_a_validation_error(
     assert run_cli(aware, capsys)[0] == cli.EXIT_OK
 
 
+def test_scenario_kind_that_unmakes_a_chain_editor_is_a_validation_error(
+    testbed_config_path, tmp_path, capsys
+):
+    # BBBB::2 is an SR-aware chain editor on the bench flow's chain; the
+    # SR-unaware scenario would hand it a packet without an SRH.
+    text = Path(testbed_config_path).read_text(encoding="utf-8").replace(
+        "BBBB::2 kind=sr-unaware node=nfv\n",
+        "BBBB::2 kind=sr-aware node=nfv\nBBBB::3 kind=sr-aware node=nfv\n",
+    ).replace(
+        "BBBB::2 behavior=passthrough permission=insert-next-only\n",
+        "BBBB::2 behavior=chain-editor:insert-after:BBBB::3 permission=insert-next-only\n"
+        "BBBB::3 behavior=passthrough permission=insert-next-only\n",
+    )
+    cfg = tmp_path / "editor.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(["validate", str(cfg)], capsys)[0] == cli.EXIT_OK
+    assert run_cli(["run", str(cfg), *RUN_ARGS], capsys)[0] == cli.EXIT_OK
+    aware = ["bench", str(cfg), "--scenario", "aware", "--out", str(tmp_path / "aware")]
+    assert run_cli(aware, capsys)[0] == cli.EXIT_OK
+    detail = [
+        "scenario 'unaware' makes chain editor bbbb::2 SR-unaware, and the bench flow's chain "
+        "'c1' crosses it: an SR-unaware VNF sees no SRH and cannot edit it"
+    ]
+    for scenario in ("unaware", "both"):
+        out_dir = tmp_path / scenario
+        argv = ["bench", str(cfg), "--scenario", scenario, "--out", str(out_dir)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, ""), scenario
+        assert err == json.dumps({"error": "ValidationError", "detail": detail}) + "\n"
+        assert not out_dir.exists()
+    # A chain that avoids the editor still sweeps both scenarios.
+    avoiding = tmp_path / "avoiding.cfg"
+    avoiding.write_text(text.replace("c1 segs=BBBB::2,", "c1 segs=BBBB::3,"), encoding="utf-8")
+    assert run_cli(["bench", str(avoiding), "--out", str(tmp_path / "avoiding")], capsys)[0] == cli.EXIT_OK
+
+
 def test_route_add_malformed_tokens(testbed_config_path, capsys):
     code, _, err = run_cli(
         ["route", "add", "FFFF::/64", "through", "AAAA::1", "encap", "seg", "CCCC::2",

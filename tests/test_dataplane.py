@@ -330,6 +330,86 @@ def test_connector_refuses_a_hosted_unaware_vnf_without_a_mapping():
     assert str(caught.value) == "no chain mapped for SR-unaware interface (bbbb::9, single)"
 
 
+# What the SR-unaware proxy's pass keeps ---------------------------------------------
+
+def connector_pass(network, packet):
+    """One connector pass at nfv: the bytes it hands back, its cost, its events."""
+    events = []
+    result = connector_process(
+        network.states["nfv"], packet, emit=lambda kind, detail=None: events.append((kind, detail))
+    )
+    return wire.serialize_packet(result.packet), result.cost, events
+
+
+def with_outer_hop_limit(packet, hop_limit):
+    return replace(packet, header=packet.header._replace(hop_limit=hop_limit))
+
+
+def test_unaware_pass_does_not_depend_on_the_arriving_hop_limit():
+    # The proxy strips the outer header; the re-encapsulated packet starts
+    # from the default hop limit whatever the arriving one was.
+    network, chain = chain_testbed(1, SidKind.SR_UNAWARE)
+    outer = encapsulate(inner_packet(), chain)
+    passes = [connector_pass(network, with_outer_hop_limit(outer, hop)) for hop in (1, 2, 64)]
+    assert passes[0] == passes[1] == passes[2]
+    assert passes[0] == (
+        wire.serialize_packet(advance_segment(outer)),
+        (3, 1, 1),
+        [
+            (EventKind.SEGMENT_ADVANCED, CCCC2),
+            (EventKind.DECAPSULATED, None),
+            (EventKind.VNF_DELIVERED, BBBB2),
+            (EventKind.VNF_RETURNED, BBBB2),
+            (EventKind.RE_ENCAPSULATED, CCCC2),
+        ],
+    )
+
+
+def test_aware_then_unaware_pass_on_one_node():
+    # The SR-aware VNF sees the hop limit the packet arrived with; the
+    # SR-unaware one after it gets the plain inner packet.
+    bbbb3 = IPv6Address("BBBB::3")
+    seen = []
+
+    def recording(packet):
+        seen.append((packet.srh is not None, packet.header.hop_limit))
+        return VnfAction.forward(packet)
+
+    network, chain = chain_testbed(
+        2, (SidKind.SR_AWARE, SidKind.SR_UNAWARE), behaviors=[recording, recording]
+    )
+    outer = with_outer_hop_limit(encapsulate(inner_packet(), chain), 7)
+    packet, cost, events = connector_pass(network, outer)
+    assert seen == [(True, 7), (False, inner_packet().header.hop_limit)]
+    assert cost == node_cost([SidKind.SR_AWARE, SidKind.SR_UNAWARE]) == (4, 1, 1)
+    assert events == [
+        (EventKind.SEGMENT_ADVANCED, bbbb3),
+        (EventKind.VNF_DELIVERED, BBBB2),
+        (EventKind.VNF_RETURNED, BBBB2),
+        (EventKind.SEGMENT_ADVANCED, CCCC2),
+        (EventKind.DECAPSULATED, None),
+        (EventKind.VNF_DELIVERED, bbbb3),
+        (EventKind.VNF_RETURNED, bbbb3),
+        (EventKind.RE_ENCAPSULATED, CCCC2),
+    ]
+    assert packet == wire.serialize_packet(advance_segment(advance_segment(
+        encapsulate(inner_packet(), chain)
+    )))
+
+
+def test_unaware_sid_at_the_last_segment_is_refused():
+    network, _ = chain_testbed(1, SidKind.SR_UNAWARE)
+    state = network.states["nfv"]
+    events = []
+    packet = encapsulate(inner_packet(), VnfChain("last", (BBBB2,), ER1))
+    assert packet.srh.segments_left == 0
+    with pytest.raises(errors.AlreadyAtLastSegment) as caught:
+        connector_process(state, packet, emit=lambda kind, detail=None: events.append(kind))
+    assert str(caught.value) == "segments_left is already 0"
+    assert events == []
+    assert state.ledger.counts() == (0, 0, 0)
+
+
 def test_reencap_refuses_outer_payload_past_16_bits():
     # Outer payload = 40 B SRH + 40 B inner header + 8 B UDP + data.
     registry, vnf_sid = make_registry_with_chain()

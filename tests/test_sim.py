@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ER1, ER2, SINK, SRC, chain8_config, chain_testbed, editor_config, router_line
-from srv6sfc import errors, wire
+from srv6sfc import dataplane, errors, wire
 from srv6sfc.chain import (
     ChainRegistry,
     ClassifierRule,
@@ -674,6 +674,36 @@ def test_walks_read_no_enum_member_through_its_class(testbed_config_path, monkey
     monkeypatch.undo()
     assert walked == {}
     assert calls == {"SidKind.SR_AWARE": 2, "Enum.__hash__": 2}
+    assert seen == expected
+
+
+# ... and the SR-unaware proxy builds no packet it throws away ------------------
+
+def test_unaware_pass_builds_no_discarded_packet(testbed_config_path, monkeypatch):
+    # Per testbed packet: encapsulation, the inner packet the proxy parses,
+    # its re-encapsulation and the one egress decapsulation parses. Neither
+    # the hop limit before the SR-unaware pass nor the advanced outer packet
+    # is built: the proxy strips that header unread.
+    network = load_config(testbed_config_path).build_network()
+    packets = [udp_packet(SRC, SINK, b"x" * size) for size in (64, 1024)]
+
+    def walk_all() -> list:
+        seen = []
+        for packet in packets:
+            for terminal_only in (False, True):
+                result = inject(network, "er1", packet, terminal_only=terminal_only)
+                assert result.delivered
+                seen.append((result.trace.events, result.costs, serialize_packet(result.outcome.packet)))
+        return seen
+
+    expected = walk_all()  # warm-up
+    calls: dict[str, int] = {}
+    monkeypatch.setattr(wire.Packet, "__init__", counting(calls, "Packet", wire.Packet.__init__))
+    monkeypatch.setattr(dataplane, "advance_segment", counting(calls, "advance_segment", dataplane.advance_segment))
+    seen = walk_all()
+    monkeypatch.undo()
+    walks = len(expected)
+    assert {name: count / walks for name, count in calls.items()} == {"Packet": 4}
     assert seen == expected
 
 
