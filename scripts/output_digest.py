@@ -4,7 +4,12 @@
 
 The configs are the bundled ``testbed.cfg`` and the chain8 and mesh
 configs that ``perfbench/workloads.py`` generates for seeds 1 and 7
-(read, never edited; a ``[bench]`` section is appended to the copy). For each config the commands are ``run --trace
+(read, never edited; a ``[bench]`` section is appended to the copy),
+then two variants of ``testbed.cfg`` that take the testbed workload's
+flows: its VNF made an SR-aware chain editor that inserts an SR-aware
+pass-through VNF after itself (as ``tests/conftest.py``'s
+``editor_config``), and its VNF made a prefix filter that drops the
+flow. For each config the commands are ``run --trace
 full``, ``run --trace terminal`` and ``trace`` on a few flows taken from
 the workload's packets (the first ones, plus the first packet of every
 distinct expected outcome), ``bench`` with the config's own models
@@ -54,21 +59,37 @@ USAGE_REFUSALS = {
 }
 
 
+def _bench_section(workload) -> str:
+    """A ``[bench]`` section with the workload's first packet as the flow."""
+    first = workload.packets[0].header
+    return (
+        f"\n[bench]\nflow src={first.src} dst={first.dst} ingress={workload.ingress}\n"
+        "model aware capacity=45000 k0=9\nmodel unaware capacity=59000 k0=12.5\n"
+        "rates 500,1000,1500,6000\nruns 5\n"
+    )
+
+
 def _configs():
     """(label, config text, workload) for every config digested. The
-    generated configs have no ``[bench]`` section, so one is appended
-    with the workload's first packet as the bench flow."""
-    yield "testbed", workloads.TESTBED_PATH.read_text(encoding="utf-8"), workloads.testbed(1)
+    generated configs have no ``[bench]`` section, so one is appended."""
+    testbed = workloads.testbed(1)
+    testbed_text = workloads.TESTBED_PATH.read_text(encoding="utf-8")
+    yield "testbed", testbed_text, testbed
     for builder, name in ((workloads.chain8, "chain8"), (workloads.mesh, "mesh")):
         for seed in SEEDS:
             workload = builder(seed)
-            first = workload.packets[0].header
-            bench = (
-                f"\n[bench]\nflow src={first.src} dst={first.dst} ingress={workload.ingress}\n"
-                "model aware capacity=45000 k0=9\nmodel unaware capacity=59000 k0=12.5\n"
-                "rates 500,1000,1500,6000\nruns 5\n"
-            )
-            yield f"{name}-seed{seed}", workload.config_text + bench, workload
+            yield f"{name}-seed{seed}", workload.config_text + _bench_section(workload), workload
+    editing = testbed_text.replace(
+        "BBBB::2 kind=sr-unaware node=nfv",
+        "BBBB::2 kind=sr-aware node=nfv\nBBBB::3 kind=sr-aware node=nfv",
+    ).replace(
+        "BBBB::2 behavior=passthrough permission=insert-next-only",
+        "BBBB::2 behavior=chain-editor:insert-after:BBBB::3 permission=insert-next-only\n"
+        "BBBB::3 behavior=passthrough permission=insert-next-only",
+    )
+    yield "testbed-editor", editing, testbed
+    dropping = testbed_text.replace("behavior=passthrough", "behavior=prefix-filter:DDDD::/64")
+    yield "testbed-filter", dropping, testbed
 
 
 def _flows(workload) -> list[list[str]]:

@@ -43,7 +43,21 @@ class: on CPython 3.11 ``EnumType`` defines ``__getattr__``, which makes
 each such read a slow lookup, and the walk would make dozens per packet.
 No per-packet check hashes an Enum member or an ``IPv6Address`` either,
 as both hash in Python: ``apply_edit`` finds a permission's edits by its
-value string, and an edit's SIDs in ``ChainRegistry.sid_keys``.
+value string, and an edit's SIDs in ``ChainRegistry.sid_keys``;
+``PrefixFilter`` tests a destination's integer against the prefix and
+mask integers it compiled at construction.
+
+Nor does the packet path make a Python call that does no work. A
+``VnfAction`` is built like ``wire.Packet``: a frozen dataclass whose
+hand-declared slots are stored through their descriptors. The stock
+builders (``forward``, ``modified``, ``edit_chain``) do not re-enter
+``__init__``, whose checks a builder's verdict kind passes by
+construction; each keeps only the check its own arguments can fail
+(``forward(None)`` still raises), ``drop`` returns one shared verdict,
+and a direct ``VnfAction(kind, ...)`` keeps every check. The rewrites
+unpack the header and SRH tuples into named fields and rebuild from
+them, and read the SRH's length and the payload protocol from the
+fields by the rules ``wire.Packet`` states, not through its properties.
 """
 
 from __future__ import annotations
@@ -74,7 +88,7 @@ from srv6sfc.trace import (
     VNF_RETURNED,
     EventKind,
 )
-from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
+from srv6sfc.wire import SEGMENT_LEN, SRH_FIXED_LEN, Ipv6Header, Packet, SegmentRoutingHeader
 
 EmitFn = Callable[[EventKind, object], None]
 
@@ -129,11 +143,18 @@ class SegmentListEdit:
 INSERT_AFTER_CURRENT, INSERT_AT, REPLACE = SegmentListEdit.Kind
 
 
+_NO_EDIT = "EditChain requires an edit"
+
+
 @dataclass(frozen=True, init=False)
 class VnfAction:
     """A VNF's verdict on one packet. Drop carries no packet; EditChain is
     only legal from SR-aware VNFs. Built like ``wire.Packet``, for speed:
-    ``__init__`` checks the verdict, then stores through the slots."""
+    ``__init__`` checks the verdict, then stores through the slots. The
+    stock builders ``forward``, ``modified`` and ``edit_chain`` store
+    through the slots without entering ``__init__``, each keeping only
+    the checks its own arguments can fail; ``drop`` returns one shared
+    verdict."""
 
     __slots__ = ("kind", "packet", "edit")
 
@@ -147,7 +168,7 @@ class VnfAction:
         if kind is not DROP and packet is None:
             raise errors.InvariantViolation(f"{kind.value} requires a packet")
         if kind is EDIT_CHAIN and edit is None:
-            raise errors.InvariantViolation("EditChain requires an edit")
+            raise errors.InvariantViolation(_NO_EDIT)
         _set_kind(self, kind)
         _set_packet(self, packet)
         _set_edit(self, edit)
@@ -157,22 +178,43 @@ class VnfAction:
 
     @classmethod
     def forward(cls, packet: Packet) -> "VnfAction":
-        return cls(FORWARD, packet)
+        if packet is None:
+            raise errors.InvariantViolation(f"{FORWARD.value} requires a packet")
+        action = object.__new__(cls)
+        _set_kind(action, FORWARD)
+        _set_packet(action, packet)
+        _set_edit(action, None)
+        return action
 
     @classmethod
     def modified(cls, packet: Packet) -> "VnfAction":
-        return cls(MODIFIED, packet)
+        if packet is None:
+            raise errors.InvariantViolation(f"{MODIFIED.value} requires a packet")
+        action = object.__new__(cls)
+        _set_kind(action, MODIFIED)
+        _set_packet(action, packet)
+        _set_edit(action, None)
+        return action
 
     @classmethod
     def drop(cls) -> "VnfAction":
-        return cls(DROP)
+        return _DROP_VERDICT
 
     @classmethod
     def edit_chain(cls, packet: Packet, edit: SegmentListEdit) -> "VnfAction":
-        return cls(EDIT_CHAIN, packet, edit)
+        if packet is None:
+            raise errors.InvariantViolation(f"{EDIT_CHAIN.value} requires a packet")
+        if edit is None:
+            raise errors.InvariantViolation(_NO_EDIT)
+        action = object.__new__(cls)
+        _set_kind(action, EDIT_CHAIN)
+        _set_packet(action, packet)
+        _set_edit(action, edit)
+        return action
 
 
 _set_kind, _set_packet, _set_edit = (VnfAction.__dict__[name].__set__ for name in VnfAction.__slots__)
+_DROP_VERDICT = VnfAction(DROP)  # a value, so every drop can share one
 
 
 class VnfPermission(Enum):
@@ -211,13 +253,24 @@ class PassThroughRouter:
 
 
 class PrefixFilter:
-    """Drops packets whose destination falls inside a prefix."""
+    """Drops packets whose destination falls inside a prefix. Decides on
+    the integers of the prefix and its mask, compiled at construction, as
+    ``IPv6Network.__contains__`` is a Python call; so ``network`` is
+    read-only."""
+
+    __slots__ = ("_network", "_prefix", "_mask")
 
     def __init__(self, network: IPv6Network):
-        self.network = network
+        self._network = network
+        self._prefix = network.network_address._ip
+        self._mask = network.netmask._ip
+
+    @property
+    def network(self) -> IPv6Network:
+        return self._network
 
     def __call__(self, packet: Packet) -> VnfAction:
-        if packet.header.dst in self.network:
+        if packet.header.dst._ip & self._mask == self._prefix:
             return VnfAction.drop()
         return VnfAction.forward(packet)
 
@@ -265,20 +318,14 @@ class UnitCosts:
 
 
 class CostLedger:
-    """A node's aggregate f/d/e counts. Per-packet counts are not kept:
-    each connector pass and each walk returns its own."""
+    """A node's aggregate f/d/e counts, added to by the connector and the
+    walk as each charge is made. Per-packet counts are not kept: each
+    connector pass and each walk returns its own."""
 
     def __init__(self):
         self.f_count = 0
         self.d_count = 0
         self.e_count = 0
-
-    def add(self, f: int = 0, d: int = 0, e: int = 0) -> None:
-        if f < 0 or d < 0 or e < 0:
-            raise errors.InvariantViolation("cost counters are non-negative")
-        self.f_count += f
-        self.d_count += d
-        self.e_count += e
 
     def counts(self) -> tuple[int, int, int]:
         return (self.f_count, self.d_count, self.e_count)
@@ -326,7 +373,8 @@ def predicted_cost(n: int, kind: SidKind, units: UnitCosts = UnitCosts()) -> flo
 
 def _payload_length(srh: SegmentRoutingHeader, payload: bytes, what: str) -> int:
     """Outer payload length; :class:`errors.OversizedPacket` past 16 bits."""
-    payload_length = srh.byte_length + len(payload)
+    # The SRH length rule of ``wire.Packet``, on the segment list.
+    payload_length = SRH_FIXED_LEN + SEGMENT_LEN * len(srh.segment_list) + len(payload)
     if payload_length > wire.MAX_PAYLOAD_LEN:
         raise errors.OversizedPacket(
             f"{what} payload of {payload_length} B exceeds {wire.MAX_PAYLOAD_LEN} B"
@@ -359,10 +407,10 @@ def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
 
 def decapsulate(outer: Packet) -> Packet:
     """Remove one encapsulation layer, returning the parsed inner packet."""
-    if outer.effective_next_header != wire.NEXT_HEADER_IPV6:
-        raise errors.NotEncapsulated(
-            f"payload protocol is {outer.effective_next_header}, not IPv6-in-IPv6"
-        )
+    srh = outer.srh  # the effective next header of ``wire.Packet``, on the fields
+    next_header = outer.header.next_header if srh is None else srh.next_header
+    if next_header != wire.NEXT_HEADER_IPV6:
+        raise errors.NotEncapsulated(f"payload protocol is {next_header}, not IPv6-in-IPv6")
     return wire.parse_packet(outer.payload)
 
 
@@ -371,12 +419,18 @@ def advance_segment(packet: Packet) -> Packet:
     srh = packet.srh
     if srh is None:
         raise errors.NoSrh("cannot advance a packet without an SRH")
-    _, _, _, segments_left, _, _, _, segments = srh
+    next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments = srh
     if segments_left == 0:
         raise errors.AlreadyAtLastSegment("segments_left is already 0")
     segments_left -= 1
-    header = tuple.__new__(Ipv6Header, (*packet.header[:7], segments[segments_left]))
-    srh = tuple.__new__(SegmentRoutingHeader, (*srh[:3], segments_left, *srh[4:]))
+    version, traffic_class, flow_label, payload_length, outer_next, hop_limit, src, _ = packet.header
+    header = tuple.__new__(Ipv6Header, (
+        version, traffic_class, flow_label, payload_length, outer_next, hop_limit, src,
+        segments[segments_left],
+    ))
+    srh = tuple.__new__(SegmentRoutingHeader, (
+        next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments,
+    ))
     return Packet(header, srh, packet.payload)
 
 
@@ -432,9 +486,10 @@ def apply_edit(
     srh = tuple.__new__(SegmentRoutingHeader, (
         next_header, 2 * n, routing_type, len(new_remaining) - 1, n - 1, flags, tag, segment_list,
     ))
-    h = packet.header
+    version, traffic_class, flow_label, _, outer_next, hop_limit, src, _ = packet.header
     header = tuple.__new__(Ipv6Header, (
-        *h[:3], _payload_length(srh, packet.payload, "edited"), *h[4:7], new_remaining[0],
+        version, traffic_class, flow_label, _payload_length(srh, packet.payload, "edited"),
+        outer_next, hop_limit, src, new_remaining[0],
     ))
     return Packet(header, srh, packet.payload)
 
@@ -596,7 +651,10 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                 f += 1  # forward to next hop
             return ConnectorResult(current, cost=(f, d, e))
     finally:
-        state.ledger.add(f, d, e)
+        ledger = state.ledger
+        ledger.f_count += f
+        ledger.d_count += d
+        ledger.e_count += e
 
 
 def _dropped(emit: EmitFn, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:

@@ -13,6 +13,17 @@ Each walk returns the (f, d, e) it cost every node that charged it, in
 first-charge order (``InjectResult.costs``); the per-node ledgers keep
 aggregates only, so memory does not grow with the number of packets
 walked.
+
+A walk makes no Python call that does no work. It builds one outcome
+(``Delivered`` or ``Dropped``) and one ``InjectResult``, frozen
+dataclasses built like ``wire.Packet``: their slots are declared by
+hand, ``__init__`` stores through the slot descriptors, since the
+generated one's ``object.__setattr__`` per field costs about half of a
+construction, and ``__reduce__`` rebuilds through it, since copy and
+pickle would assign. ``inject`` reads the ingress's ``NodeState`` and
+the walk counter itself, the walk adds each connector pass's cost to
+``costs`` in place, and it tests a packet's encapsulation on the header
+fields it has already read, not through ``Packet.is_encapsulated``.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from srv6sfc.trace import (
     FORWARDED,
     Trace,
 )
-from srv6sfc.wire import Ipv6Header, Packet, udp_packet
+from srv6sfc.wire import NEXT_HEADER_IPV6, Ipv6Header, Packet, udp_packet
 
 # Visits to individual nodes before a walk is declared stuck; the outer
 # hop limit normally fires first, this is a guard for local loops.
@@ -78,7 +89,8 @@ class Node:
 
 class Network:
     """Validated topology plus per-node ledgers. Immutable during a run
-    apart from the ledgers and the walk counter (``next_uid``).
+    apart from the ledgers and the walk counter (``_next_uid``, which
+    ``inject`` advances).
 
     Each node is compiled once, at construction, into the ``NodeState``
     the walk carries (``states``): its routes and classifier rules as
@@ -136,11 +148,6 @@ class Network:
             return self.nodes[node_id]
         except KeyError:
             raise errors.UnknownNodeRef(f"no node {node_id!r}") from None
-
-    def next_uid(self) -> int:
-        uid = self._next_uid
-        self._next_uid = uid + 1
-        return uid
 
     def nfv_node_ids(self) -> tuple[str, ...]:
         return tuple(
@@ -215,38 +222,77 @@ def build_network(
 
 # Walk outcomes ----------------------------------------------------------
 
-@dataclass(frozen=True)
+# Built like ``wire.Packet`` (see the module docstring).
+
+@dataclass(frozen=True, init=False)
 class Delivered:
+    __slots__ = ("packet", "node_id")
+
     packet: Packet
     node_id: str
 
+    def __init__(self, packet: Packet, node_id: str):
+        _set_delivered_packet(self, packet)
+        _set_delivered_node(self, node_id)
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return Delivered, (self.packet, self.node_id)
+
+
+@dataclass(frozen=True, init=False)
 class Dropped:
+    __slots__ = ("node_id", "reason")
+
     node_id: str
     reason: str
 
+    def __init__(self, node_id: str, reason: str):
+        _set_dropped_node(self, node_id)
+        _set_dropped_reason(self, reason)
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return Dropped, (self.node_id, self.reason)
+
+
+@dataclass(frozen=True, init=False)
 class InjectResult:
     """A walk's outcome, its trace, and the (f, d, e) it cost each node
     that charged it."""
 
+    __slots__ = ("outcome", "trace", "costs")
+
     outcome: Delivered | Dropped
     trace: Trace
     costs: dict[str, tuple[int, int, int]]
+
+    def __init__(
+        self, outcome: Delivered | Dropped, trace: Trace, costs: dict[str, tuple[int, int, int]]
+    ):
+        _set_outcome(self, outcome)
+        _set_trace(self, trace)
+        _set_costs(self, costs)
+
+    def __reduce__(self):
+        return InjectResult, (self.outcome, self.trace, self.costs)
 
     @property
     def delivered(self) -> bool:
         return isinstance(self.outcome, Delivered)
 
 
+_set_delivered_packet, _set_delivered_node = (Delivered.__dict__[n].__set__ for n in Delivered.__slots__)
+_set_dropped_node, _set_dropped_reason = (Dropped.__dict__[n].__set__ for n in Dropped.__slots__)
+_set_outcome, _set_trace, _set_costs = (InjectResult.__dict__[n].__set__ for n in InjectResult.__slots__)
+
+
 def _with_hop_limit(packet: Packet, hop_limit: int) -> Packet:
     """``packet`` carrying ``hop_limit``; the same object if it already does."""
-    h = packet.header
-    if h.hop_limit == hop_limit:
+    version, traffic_class, flow_label, payload_length, next_header, carried, src, dst = packet.header
+    if carried == hop_limit:
         return packet
-    header = tuple.__new__(Ipv6Header, (*h[:5], hop_limit, *h[6:]))
+    header = tuple.__new__(Ipv6Header, (
+        version, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst,
+    ))
     return Packet(header, packet.srh, packet.payload)
 
 
@@ -266,8 +312,14 @@ def inject(
     lands in its node's ledger as it is made, so the ledgers hold all of
     a walk's charges also when it raises.
     """
-    state = network.states[network.node(ingress).node_id]
-    trace = Trace(network.next_uid(), terminal_only, network.address_text, network.address_limit)
+    try:
+        state = network.states[ingress]
+    except KeyError:
+        network.node(ingress)  # raises UnknownNodeRef
+        raise
+    uid = network._next_uid
+    network._next_uid = uid + 1
+    trace = Trace(uid, terminal_only, network.address_text, network.address_limit)
     costs: dict[str, tuple[int, int, int]] = {}
     return InjectResult(_walk(network, state, inner, trace, costs), trace, costs)
 
@@ -329,14 +381,20 @@ def _walk(
             trace.add(node_id, DROPPED, "node visit budget exceeded")
             return Dropped(node_id, "node visit budget exceeded")
 
-        dst = packet.header.dst
+        header = packet.header
+        dst = header.dst
         key = dst._ip
-        vnf = None if packet.srh is None else state.vnfs.get(key)
+        srh = packet.srh
+        vnf = None if srh is None else state.vnfs.get(key)
         if vnf is not None:
             if vnf.sid.kind is SR_AWARE:  # an SR-unaware pass strips the outer header unread
                 packet = _with_hop_limit(packet, hop)
             result = connector_process(state, packet, emit=partial(trace.add, node_id))
-            _add_cost(costs, node_id, result.cost)
+            cost = result.cost
+            prior = costs.get(node_id)
+            costs[node_id] = cost if prior is None else (
+                prior[0] + cost[0], prior[1] + cost[1], prior[2] + cost[2]
+            )
             packet = result.packet
             if packet is None:
                 return Dropped(node_id, result.drop_reason)
@@ -345,7 +403,8 @@ def _walk(
                 continue
             next_hop = state.fib.lookup(packet.header.dst)
         elif key in state.local:
-            if packet.is_encapsulated:
+            # ``wire.Packet``'s encapsulation test, on fields already read.
+            if (header.next_header if srh is None else srh.next_header) == NEXT_HEADER_IPV6:
                 packet = egress_process(packet)
                 hop = packet.header.hop_limit
                 trace.add(node_id, DECAPSULATED, None)

@@ -148,6 +148,16 @@ class SegmentRoutingHeader(NamedTuple):
 class Packet:
     """One IPv6 packet: header, optional SRH, opaque payload bytes.
 
+    The effective next header, the payload's protocol, is the SRH's
+    ``next_header`` when there is an SRH, else the IPv6 header's; an SRH
+    is ``SRH_FIXED_LEN + SEGMENT_LEN * n`` bytes for ``n`` segments. The
+    packet path (``sim._walk``, ``dataplane.decapsulate`` and
+    ``dataplane._payload_length``) applies these two rules inline to
+    fields it has already read; ``effective_next_header``,
+    ``is_encapsulated`` and ``SegmentRoutingHeader.byte_length`` state
+    them for every other caller, and the Tier-1 tests hold the two
+    forms to the same answers.
+
     When the effective next header is IPv6-in-IPv6 the payload is a full
     serialized inner packet. A plain value: equality and hash compare
     the three fields, and assigning any attribute raises

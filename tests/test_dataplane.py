@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ER1, ER2, SINK, SRC, chain_testbed, router_line
-from srv6sfc import errors, wire
+from srv6sfc import dataplane, errors, wire
 from srv6sfc.chain import ChainRegistry, Sid, SidKind, VnfChain, VnfInterface
 from srv6sfc.dataplane import (
     ActionKind,
@@ -176,6 +176,28 @@ def test_direct_rewrites_match_replace_reference(packet):
         assert outcome.packet == reference
 
 
+@settings(derandomize=True, max_examples=100)
+@given(srh_packets(), st.sampled_from([0, 17, 41, 43, 59, 255]), st.booleans())
+def test_inline_wire_rules_answer_like_the_properties(packet, next_header, with_srh):
+    # ``decapsulate`` and ``_payload_length`` apply ``wire.Packet``'s
+    # effective-next-header and SRH-length rules to the fields.
+    srh = packet.srh._replace(next_header=next_header)
+    inner = inner_packet()
+    packet = replace(packet, srh=srh, payload=wire.serialize_packet(inner))
+    if not with_srh:
+        packet = replace(packet, header=packet.header._replace(next_header=next_header), srh=None)
+    expected = srh.byte_length + len(packet.payload)
+    assert dataplane._payload_length(srh, packet.payload, "outer") == expected
+    if packet.is_encapsulated:
+        assert decapsulate(packet) == inner
+    else:
+        with pytest.raises(errors.NotEncapsulated) as info:
+            decapsulate(packet)
+        assert str(info.value) == (
+            f"payload protocol is {packet.effective_next_header}, not IPv6-in-IPv6"
+        )
+
+
 # Connector cost accounting ------------------------------------------------------
 
 def run_connector(network, packet):
@@ -271,13 +293,7 @@ def test_connector_requires_srh():
 
 
 def test_ledger_aggregates_are_the_summed_packet_costs():
-    ledger = CostLedger()
-    ledger.add(f=3, d=1, e=1)
-    ledger.add(f=3)
-    assert ledger.counts() == (6, 1, 1)
-    with pytest.raises(errors.InvariantViolation):
-        ledger.add(f=-1)
-
+    assert CostLedger().counts() == (0, 0, 0)
     network, _ = chain_testbed(2, SidKind.SR_UNAWARE)
     results = [inject(network, "er1", inner_packet()) for _ in range(3)]
     for node_id, node_ledger in network.ledgers.items():
@@ -726,3 +742,52 @@ def test_predicted_cost_values():
 def test_predicted_cost_rejects_negative():
     with pytest.raises(errors.InvariantViolation):
         predicted_cost(-1, SidKind.SR_AWARE)
+
+
+# Verdict checks --------------------------------------------------------------
+
+def test_verdict_checks_keep_their_texts():
+    # The stock builders skip ``__init__`` but keep the checks their own
+    # arguments can fail, with the constructor's texts.
+    packet = inner_packet()
+    edit = SegmentListEdit.insert_after_current((ER2,))
+    for build, message in (
+        (lambda: VnfAction(ActionKind.DROP, packet), "Drop carries no packet"),
+        (lambda: VnfAction(ActionKind.FORWARD), "forward requires a packet"),
+        (lambda: VnfAction(ActionKind.EDIT_CHAIN, packet), "EditChain requires an edit"),
+        (lambda: VnfAction.forward(None), "forward requires a packet"),
+        (lambda: VnfAction.modified(None), "modified requires a packet"),
+        (lambda: VnfAction.edit_chain(None, edit), "edit-chain requires a packet"),
+        (lambda: VnfAction.edit_chain(packet, None), "EditChain requires an edit"),
+    ):
+        with pytest.raises(errors.InvariantViolation) as info:
+            build()
+        assert str(info.value) == message
+    for built, checked in (
+        (VnfAction.forward(packet), VnfAction(ActionKind.FORWARD, packet)),
+        (VnfAction.modified(packet), VnfAction(ActionKind.MODIFIED, packet)),
+        (VnfAction.drop(), VnfAction(ActionKind.DROP)),
+        (VnfAction.edit_chain(packet, edit), VnfAction(ActionKind.EDIT_CHAIN, packet, edit)),
+    ):
+        assert type(built) is VnfAction and built == checked and hash(built) == hash(checked)
+
+
+@pytest.mark.parametrize("prefix", [
+    "::/0", "DDDD::/64", "DDDD::2/128", "DDDD::8/125", "8000::/1", "FFFF:FFFF::/32",
+])
+def test_prefix_filter_decides_like_network_membership(prefix):
+    network = IPv6Network(prefix)
+    vnf = PrefixFilter(network)
+    assert vnf.network is network
+    # The filter decides on integers compiled from ``network``, so it is read-only.
+    with pytest.raises(AttributeError):
+        vnf.network = IPv6Network("::/0")
+    assert vnf.network is network
+    for dst in ("::", "DDDD::", "DDDD::2", "DDDD::9", "DDDD::10", "DDDD:0:0:1::2", "FFFF:FFFF::1",
+                "FFFF:FFFF:FFFF:FFFF:FFFF:FFFF:FFFF:FFFF", "7FFF::1", "8000::"):
+        packet = udp_packet(SRC, IPv6Address(dst), b"x")
+        action = vnf(packet)
+        if IPv6Address(dst) in network:
+            assert action == VnfAction.drop()
+        else:
+            assert action.kind is ActionKind.FORWARD and action.packet is packet

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import json
+import pickle
 import sys
 import tracemalloc
 from dataclasses import replace
 from enum import Enum, EnumType
 from ipaddress import IPv6Address, IPv6Network
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ER1, ER2, SINK, SRC, chain8_config, chain_testbed, editor_config, router_line
-from srv6sfc import dataplane, errors, wire
+from srv6sfc import dataplane, errors, sim, wire
 from srv6sfc.chain import (
     ChainRegistry,
     ClassifierRule,
@@ -41,6 +45,8 @@ from srv6sfc.sim import (
     Delivered,
     Dropped,
     FlowSpec,
+    InjectResult,
+    Network,
     Node,
     NodeRole,
     build_network,
@@ -393,8 +399,10 @@ def test_run_flow_rejects_zero_count():
 
 def test_inject_unknown_ingress():
     network, _ = chain_testbed()
-    with pytest.raises(errors.UnknownNodeRef):
+    with pytest.raises(errors.UnknownNodeRef, match="^no node 'ghost'$"):
         inject(network, "ghost", inner_packet())
+    # The refused walk takes no number.
+    assert inject(network, "er1", inner_packet()).trace.uid == 0
 
 
 def test_misrouted_egress_raises_not_last_segment():
@@ -601,17 +609,24 @@ def test_ip_slot_is_the_address_integer():
 
 def guard_walker(testbed_config_path):
     """Walks every packet of the packet-path guards through the testbed,
-    chain8 and the chain-editor config, full and terminal-only, exporting
-    each trace; returns each walk's events and costs."""
+    chain8, the chain-editor config and the testbed with a prefix filter
+    for ``DDDD::3/128`` in place of its pass-through VNF, full and
+    terminal-only, exporting each trace; returns each walk's events and
+    costs."""
+    testbed = Path(testbed_config_path).read_text(encoding="utf-8")
+    filtering = testbed.replace("behavior=passthrough", "behavior=prefix-filter:DDDD::3/128")
+    assert filtering != testbed
     networks = [
         load_config(testbed_config_path).build_network(),
         parse_config_text(chain8_config()).build_network(),
         parse_config_text(editor_config()).build_network(),
+        parse_config_text(filtering).build_network(),
     ]
-    # Chained, delivered at the ingress and unroutable; small and large.
+    # Chained (the filter passes DDDD::2 and drops DDDD::3), delivered at
+    # the ingress and unroutable; small and large.
     packets = [
         udp_packet(SRC, IPv6Address(dst), b"x" * size)
-        for dst in ("DDDD::2", "EEEE::2", "9999::1") for size in (64, 1024)
+        for dst in ("DDDD::2", "DDDD::3", "EEEE::2", "9999::1") for size in (64, 1024)
     ]
 
     def walk_all() -> list:
@@ -642,10 +657,15 @@ def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
         monkeypatch.setattr(IPv6Address, name, counting(calls, name, getattr(IPv6Address, name)))
     packed = counting(calls, "packed", IPv6Address.packed.fget)
     monkeypatch.setattr(IPv6Address, "packed", property(packed))
+    contains = counting(calls, "IPv6Network.__contains__", IPv6Network.__contains__)
+    monkeypatch.setattr(IPv6Network, "__contains__", contains)
     seen = walk_all()
     monkeypatch.undo()
     assert calls == {}
     assert seen == expected
+    # The filter variant, walked last, passes DDDD::2 and drops DDDD::3.
+    filtered = {event.detail for events, _ in seen[3 * len(seen) // 4:] for event in events}
+    assert "dddd::2" in filtered and "vnf bbbb::2" in filtered
 
 
 # ... and reads no Enum member through its class --------------------------------
@@ -705,6 +725,87 @@ def test_unaware_pass_builds_no_discarded_packet(testbed_config_path, monkeypatc
     walks = len(expected)
     assert {name: count / walks for name, count in calls.items()} == {"Packet": 4}
     assert seen == expected
+
+
+# ... and makes no Python call that does no work -------------------------------
+
+def test_walks_call_no_helper_that_does_no_work(testbed_config_path, monkeypatch):
+    # Properties that read one field, ``VnfAction``'s checks of a verdict a
+    # stock builder made valid, and per-walk helpers: the walk reads the
+    # fields and inlines the rest.
+    walk_all = guard_walker(testbed_config_path)
+    expected = walk_all()  # warm-up
+    calls: dict[str, int] = {}
+    for cls, name in (
+        (wire.Packet, "is_encapsulated"),
+        (wire.Packet, "effective_next_header"),
+        (wire.SegmentRoutingHeader, "byte_length"),
+    ):
+        getter = counting(calls, f"{cls.__name__}.{name}", cls.__dict__[name].fget)
+        monkeypatch.setattr(cls, name, property(getter))
+    for owner, name in (
+        (VnfAction, "__init__"),
+        (Network, "node"),
+        (sim, "_add_cost"),
+    ):
+        label = f"{getattr(owner, '__name__')}.{name}"
+        monkeypatch.setattr(owner, name, counting(calls, label, getattr(owner, name)))
+    seen = walk_all()
+    walked = dict(calls)
+    # The counters do see calls.
+    VnfAction(ActionKind.DROP)
+    assert not udp_packet(SRC, SINK).is_encapsulated
+    monkeypatch.undo()
+    assert walked == {}
+    assert calls == {
+        "VnfAction.__init__": 1, "Packet.is_encapsulated": 1, "Packet.effective_next_header": 1,
+    }
+    assert seen == expected
+
+
+# Walk results are values -------------------------------------------------------
+
+def test_walk_results_are_values():
+    packet = inner_packet()
+    delivered = Delivered(packet, "er2")
+    dropped = Dropped("nfv", "vnf bbbb::2")
+    values = [
+        delivered, dropped,
+        VnfAction.forward(packet), VnfAction.modified(packet), VnfAction.drop(),
+        VnfAction.edit_chain(packet, SegmentListEdit.insert_after_current((ER2,))),
+    ]
+    for value in values:
+        names = [f.name for f in dataclasses.fields(value)]
+        # A name that is not a field is refused too.
+        for name in (*names, "mark"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone == value
+            assert hash(clone) == hash(value) and repr(clone) == repr(value)
+        twin = type(value)(*(getattr(value, name) for name in names))
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    assert repr(dropped) == "Dropped(node_id='nfv', reason='vnf bbbb::2')"
+    assert Dropped("nfv", "other") != dropped and Delivered(packet, "er1") != delivered
+    assert VnfAction.forward(packet) != VnfAction.modified(packet)
+
+    network, _ = chain_testbed()
+    result = inject(network, "er1", packet)
+    for name in ("outcome", "trace", "costs", "mark"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, None)
+    twin = InjectResult(result.outcome, result.trace, result.costs)
+    clone = copy.copy(result)
+    for same in (twin, clone):
+        assert type(same) is InjectResult and same == result and repr(same) == repr(result)
+    # A ``Trace`` compares by identity, so a deep copy has equal fields but
+    # another trace; ``costs`` is a dict, so a result does not hash.
+    for deep in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert type(deep) is InjectResult and deep.delivered
+        assert deep.outcome == result.outcome and deep.costs == result.costs
+        assert deep.trace.events == result.trace.events and deep.trace.uid == result.trace.uid
+    with pytest.raises(TypeError):
+        hash(result)
 
 
 @pytest.mark.parametrize("enum", [EventKind, SidKind, ActionKind, SegmentListEdit.Kind])
