@@ -12,7 +12,9 @@ pass-through VNF after itself (as ``tests/conftest.py``'s
 flow. For each config the commands are ``run --trace
 full``, ``run --trace terminal`` and ``trace`` on a few flows taken from
 the workload's packets (the first ones, plus the first packet of every
-distinct expected outcome), ``bench`` with the config's own models
+distinct expected outcome), ``run --trace full --count 3`` on the flows
+of ``DROP_FLOWS`` (a destination no node routes on ``testbed.cfg``, and
+the flow its filter variant drops), ``bench`` with the config's own models
 and with ``--capacity``/``--k0``, ``validate``, and ``route add`` on the
 workload's ingress: a new prefix (printed, then written ``--in-place``
 twice to show it is idempotent) and five refusals, one digest each (a bad
@@ -47,6 +49,13 @@ from srv6sfc.config import load_config  # noqa: E402
 
 SEEDS = (1, 7)
 FIRST_FLOWS = 4
+# Dropped flows by config label and digest name, each walked three times
+# in one ``run``: the first packet renders its trace events, the others
+# reuse them.
+DROP_FLOWS = {
+    "testbed": {"run-full-unrouted": ["--src", "EEEE::2", "--dst", "9999::1"]},
+    "testbed-filter": {"run-full-filter-drop": ["--src", "EEEE::2", "--dst", "DDDD::2"]},
+}
 # Option values refused before any work: digest name -> command, options.
 USAGE_REFUSALS = {
     "usage-bench-rates-empty": ["bench", "--rates", ","],
@@ -169,6 +178,10 @@ def main() -> int:
                         _call(["run", config, *flow, "--count", "2", "--trace", mode])
                     )
                 digests["trace"].update(_call(["trace", config, *flow]))
+            for name, flow in DROP_FLOWS.get(label, {}).items():
+                digests[name] = hashlib.sha256(
+                    _call(["run", config, *flow, "--count", "3", "--trace", "full"])
+                )
             for index, extra in enumerate(([], ["--capacity", "50000", "--k0", "10"])):
                 out = f"{label}-bench{index}"
                 digests["bench"].update(_call(["bench", config, "--out", out, *extra]))

@@ -527,7 +527,8 @@ class NodeState:
     integer (``IPv6Address._ip``), ``returns``, the compiled return path
     (``ChainRegistry.unaware_return``) of each hosted SR-unaware VNF the
     registry maps, by the same key, the main routing table ``fib``, the
-    ingress ``classifier``, the shared registry and the node's ledger."""
+    ingress ``classifier``, the shared registry, the node's ledger and
+    each hosted VNF's drop reason (``vnf <sid>``), by the same key."""
 
     node_id: str
     vnfs: dict[int, Vnf]
@@ -537,6 +538,7 @@ class NodeState:
     local: frozenset[int]
     fib: PrefixTable
     classifier: PrefixTable
+    vnf_drops: dict[int, str]
 
 
 @dataclass
@@ -590,7 +592,7 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                 action = vnf.behavior(current)
                 emit(VNF_RETURNED, sid.address)
                 if action.kind is DROP:
-                    return _dropped(emit, f"vnf {sid.address}", (f, d, e))
+                    return _dropped(emit, state.vnf_drops[sid.address._ip], (f, d, e))
                 if action.kind is EDIT_CHAIN:
                     try:
                         current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
@@ -627,7 +629,7 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                     )
                 emit(VNF_RETURNED, sid.address)
                 if action.kind is DROP:
-                    return _dropped(emit, f"vnf {sid.address}", (f, d, e))
+                    return _dropped(emit, state.vnf_drops[sid.address._ip], (f, d, e))
                 plain = action.packet
                 f += 1  # return leg to the connector
                 back = state.returns.get(sid.address._ip)

@@ -101,10 +101,15 @@ class Network:
     packet's address integers from the ``_ip`` slot, so no per-packet
     probe calls into ``ipaddress``. A Node's ``routing_table``, ``rules``
     and ``addresses`` must not change afterwards, nor the registry's
-    chains. ``address_text`` is the traces' address-text memo (see
-    ``srv6sfc.trace``); it fills as events are kept, not at construction,
-    and holds at most ``address_limit`` entries: the number of addresses
-    the network declares (registered SIDs plus node addresses).
+    chains. Each hosted VNF's ``vnf <sid>`` drop reason is rendered here,
+    into ``NodeState.vnf_drops``. ``event_memo`` (see ``srv6sfc.trace``)
+    and ``unrouted`` (``no route to <dst>`` by destination key) fill as
+    packets are walked, to at most ``event_limit`` entries each: per node,
+    one per address, neighbour and fixed detail (Decapsulated and the
+    hop-limit and visit-budget drops), two per classifier rule, four per
+    hosted VNF and, where VNFs are hosted, two per SID. That holds every
+    event of packets with no SRH of their own; texts that come from
+    traffic take what room is left.
     """
 
     def __init__(
@@ -121,10 +126,9 @@ class Network:
         self.ledgers: dict[str, CostLedger] = {}
         self.states: dict[str, NodeState] = {}
         self._next_uid = 0
-        self.address_text: dict[int | tuple[int, str], str] = {}
-        self.address_limit = len(registry.sid_table) + sum(
-            len(node.addresses) for node in nodes.values()
-        )
+        self.event_memo: dict[tuple, tuple] = {}
+        self.unrouted: dict[int | tuple[int, str], str] = {}
+        self.event_limit = 2 * len(links)  # Forwarded, once per neighbour
         mapped = registry.returns
         for node in nodes.values():
             vnfs = {int(vnf.sid.address): vnf for vnf in node.hosted_vnfs}
@@ -141,6 +145,10 @@ class Network:
                 local=frozenset(map(int, node.addresses)).union(vnfs),
                 fib=PrefixTable(node.routing_table),
                 classifier=PrefixTable((rule.network, rule.chain_id) for rule in node.rules),
+                vnf_drops={key: f"vnf {vnf.sid.address}" for key, vnf in vnfs.items()},
+            )
+            self.event_limit += len(node.addresses) + 2 * len(node.rules) + 3 + (
+                4 * len(vnfs) + 2 * len(registry.sid_table) if vnfs else 0
             )
 
     def node(self, node_id: str) -> Node:
@@ -319,7 +327,7 @@ def inject(
         raise
     uid = network._next_uid
     network._next_uid = uid + 1
-    trace = Trace(uid, terminal_only, network.address_text, network.address_limit)
+    trace = Trace(uid, terminal_only, network.event_memo, network.event_limit)
     costs: dict[str, tuple[int, int, int]] = {}
     return InjectResult(_walk(network, state, inner, trace, costs), trace, costs)
 
@@ -419,7 +427,11 @@ def _walk(
                 costs[node_id] = (1, 0, 0) if prior is None else (prior[0] + 1, prior[1], prior[2])
 
         if next_hop is None:
-            reason = f"no route to {packet.header.dst}"
+            dst = packet.header.dst
+            key = dst._ip if dst._scope_id is None else (dst._ip, dst._scope_id)
+            reason = network.unrouted.get(key) or f"no route to {dst}"
+            if len(network.unrouted) < network.event_limit:
+                network.unrouted[key] = reason
             trace.add(node_id, DROPPED, reason)
             return Dropped(node_id, reason)
         if hop <= 1:

@@ -1,32 +1,24 @@
 """Per-packet event traces and their JSON-lines export.
 
-Rendering an address is the costly part of a trace: ``str(IPv6Address)``
-runs a pure-Python hextet compression. A trace therefore renders each
-address detail through an address-text memo, a dict from the address's
-integer to its text. The integer is read from the ``_ip`` slot, since
-``hash`` and ``int`` of an ``IPv6Address`` are Python-level calls; a
-scoped address is keyed by ``(integer, scope id)``, so ``fe80::1%eth0``
-and ``fe80::1`` keep their own texts. Every ``Network`` owns one memo,
-empty until the first kept event fills it, and ``sim.inject`` hands it
-to each trace it creates; a standalone ``Trace()`` gets a private one.
-Any other detail that is not a string is rendered by ``str`` each time,
-not stored. The memo is bounded by the config, not by traffic. For
-packets that enter without an SRH of their own, every address the
-simulator puts in an event is either a registered SID (the active
-segment, a VNF, a re-encapsulation target) or an address of the node
-that delivers the packet, because ``Delivered`` fires only when the
-destination is one of that node's local addresses. A packet that brings
-its own SRH can name any address as its next segment, so a trace stores
-a new text only while the memo holds fewer entries than the network
-declares addresses; past that it renders without storing.
-Drop reasons and other details that are already strings are kept as
-they are.
+The walks of a flow record the same events, uid apart, so a trace
+renders each distinct event once per network, through the event memo
+``sim.inject`` hands it (a standalone ``Trace()`` gets its own). The
+memo maps ``(node, kind._value_, detail key)`` to the shared
+``TraceEvent`` and its JSON line after the uid. An address is keyed by
+its integer, read from the ``_ip`` slot (``hash`` and ``int`` are
+Python-level calls), with its scope id when it has one; a string or
+``None`` by itself. Other details are rendered by ``str`` each time, not
+stored. A pair is stored only while the memo holds fewer than the
+network's ``event_limit`` entries, so texts that come from traffic
+(``no route to <dst>``, a packet's own segments) cannot outgrow a bound
+the config sets (see ``sim.Network``).
 
 Each exported line is one JSON object with the keys ``uid``, ``node``,
 ``event`` and ``detail`` in that order, compact separators and
 ASCII-only escaping; ``null`` stands for an absent uid or detail. This
 is exactly what ``json.dumps(..., separators=(",", ":"))`` prints for
-that dict; ``to_jsonl`` builds the line directly with the same C escaper.
+that dict; each line is the trace's uid head followed by an event's
+tail, built once with the same C escaper, and ``to_jsonl`` is one join.
 
 Each ``EventKind`` member is also bound as a module constant of the same
 name (``DROPPED is EventKind.DROPPED``), and the walk and ``Trace.add``
@@ -79,29 +71,29 @@ class Trace:
 
     Delivered and Dropped are terminal: recording anything after one of
     them is a simulator bug and raises. With ``terminal_only`` set, only
-    the terminal event is kept (cheap mode for large runs).
-    ``address_text`` is the memo that renders address details; traces
-    of one network share it. A text is stored in it only while it holds
-    fewer than ``address_limit`` entries.
+    the terminal event is kept (cheap mode for large runs). ``memo`` is
+    the event memo, shared by the traces of one network, which stores a
+    pair only while it holds fewer than ``limit`` entries.
     """
 
     def __init__(
         self,
         uid: int | None = None,
         terminal_only: bool = False,
-        address_text: dict[int | tuple[int, str], str] | None = None,
-        address_limit: int = sys.maxsize,
+        memo: dict[tuple, tuple[TraceEvent, str]] | None = None,
+        limit: int = sys.maxsize,
     ):
         self.uid = uid
         self.terminal_only = terminal_only
         self.events: list[TraceEvent] = []
+        self._tails: list[str] = []
         self._closed = False
-        self._address_text = {} if address_text is None else address_text
-        self._address_limit = address_limit
+        self._memo = {} if memo is None else memo
+        self._limit = limit
 
     def add(self, node: str, kind: EventKind, detail: object = None) -> None:
         """Record one event. ``detail`` (e.g. an address) is rendered
-        only when the event is kept."""
+        only when the event is kept, once per memo."""
         if self._closed:
             raise errors.InvariantViolation(f"trace for uid={self.uid} already terminated")
         # Identity tests against the module constants: hashing the Enum for
@@ -111,28 +103,31 @@ class Trace:
         elif self.terminal_only:
             return
         if type(detail) is IPv6Address:
-            key = detail._ip if detail._scope_id is None else (detail._ip, detail._scope_id)
-            memo = self._address_text
-            text = memo.get(key)
-            if text is None:
-                text = str(detail)
-                if len(memo) < self._address_limit:
-                    memo[key] = text
-            detail = text
-        elif detail is not None and not isinstance(detail, str):
-            detail = str(detail)
-        self.events.append(tuple.__new__(TraceEvent, (node, kind, detail)))
+            address = detail._ip if detail._scope_id is None else (detail._ip, detail._scope_id)
+            key = (node, kind._value_, address)
+        elif detail is None or type(detail) is str:
+            key = (node, kind._value_, detail)
+        else:
+            key = None
+        pair = self._memo.get(key)
+        if pair is None:
+            text = detail if detail is None or isinstance(detail, str) else str(detail)
+            pair = (
+                tuple.__new__(TraceEvent, (node, kind, text)),
+                # ``_value_`` is a plain attribute, where ``.value`` goes
+                # through a descriptor; event names need no escaping.
+                f'{_json_string(node)},"event":"{kind._value_}",'
+                f'"detail":{"null" if text is None else _json_string(text)}}}',
+            )
+            if key is not None and len(self._memo) < self._limit:
+                self._memo[key] = pair
+        self.events.append(pair[0])
+        self._tails.append(pair[1])
 
     def to_jsonl(self) -> str:
         """One JSON object per event: uid, node, event, detail."""
         head = '{"uid":' + ("null" if self.uid is None else str(self.uid)) + ',"node":'
-        # Event names are plain ASCII words and need no escaping; ``_value_``
-        # is a plain attribute, where ``.value`` goes through a descriptor.
-        return "\n".join(
-            f'{head}{_json_string(node)},"event":"{kind._value_}",'
-            f'"detail":{"null" if detail is None else _json_string(detail)}}}'
-            for node, kind, detail in self.events
-        )
+        return head + ("\n" + head).join(self._tails) if self._tails else ""
 
     def __iter__(self):
         return iter(self.events)

@@ -56,7 +56,7 @@ from srv6sfc.sim import (
     run_flow,
     topology_problems,
 )
-from srv6sfc.trace import EventKind
+from srv6sfc.trace import FORWARDED, EventKind, Trace
 from srv6sfc.wire import serialize_packet, udp_packet
 
 EXPECTED_TESTBED_TRACE = [
@@ -650,10 +650,12 @@ def counting(calls: dict[str, int], name: str, method):
 
 
 def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
+    # ``__str__`` included: after the warm-up every trace event, VNF drop
+    # reason and ``no route to`` reason is a text rendered before.
     walk_all = guard_walker(testbed_config_path)
-    expected = walk_all()  # warm-up: fills the trace memo and the intern table
+    expected = walk_all()  # warm-up: fills the event memo and the intern table
     calls: dict[str, int] = {}
-    for name in ("__int__", "__hash__", "__eq__"):
+    for name in ("__int__", "__hash__", "__eq__", "__str__"):
         monkeypatch.setattr(IPv6Address, name, counting(calls, name, getattr(IPv6Address, name)))
     packed = counting(calls, "packed", IPv6Address.packed.fget)
     monkeypatch.setattr(IPv6Address, "packed", property(packed))
@@ -666,6 +668,41 @@ def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
     # The filter variant, walked last, passes DDDD::2 and drops DDDD::3.
     filtered = {event.detail for events, _ in seen[3 * len(seen) // 4:] for event in events}
     assert "dddd::2" in filtered and "vnf bbbb::2" in filtered
+    assert "no route to 9999::1" in filtered
+
+
+# ... and makes the trace calls the benchmark pins -------------------------------
+
+def test_walks_make_the_pinned_trace_calls(testbed_config_path, monkeypatch):
+    # Per packet, as perfbench's traced run counts them: ``Trace.add`` calls
+    # (``trace.Trace.add.calls_per_pkt``), the events kept
+    # (``trace.kept_ratio``) and the Forwarded adds (``sim.hops_per_pkt``).
+    cases = {
+        "testbed": (load_config(testbed_config_path).build_network(), 64, True),
+        "chain8": (parse_config_text(chain8_config()).build_network(), 1024, False),
+    }
+    add = Trace.add
+    counts: dict[str, int] = {}
+
+    def counted(self, node, kind, detail=None):
+        counts["add"] += 1
+        counts["forwarded"] += kind is FORWARDED
+        return add(self, node, kind, detail)
+
+    monkeypatch.setattr(Trace, "add", counted)
+    seen = {}
+    for name, (network, size, terminal_only) in cases.items():
+        counts.update(add=0, forwarded=0, kept=0)
+        for index in range(4):
+            packet = udp_packet(SRC, SINK, bytes([index]) * size, src_port=1024 + index)
+            result = inject(network, "er1", packet, terminal_only=terminal_only)
+            assert result.delivered
+            counts["kept"] += len(result.trace.events)
+        seen[name] = {key: count / 4 for key, count in counts.items()}
+    assert seen == {
+        "testbed": {"add": 11, "forwarded": 2, "kept": 1},
+        "chain8": {"add": 30, "forwarded": 2, "kept": 30},
+    }
 
 
 # ... and reads no Enum member through its class --------------------------------

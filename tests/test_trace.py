@@ -1,5 +1,5 @@
 """Trace export: the hand-built JSON lines against ``json.dumps``, golden
-``srv6sfc run`` output, and the bound on the address-text memo."""
+``srv6sfc run`` output, and the bound on the event memo."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import random
 import sys
 from importlib.resources import files
 from ipaddress import IPv6Address
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import chain8_config
 from srv6sfc import cli
-from srv6sfc.chain import VnfChain
+from srv6sfc.chain import SidKind, VnfChain
 from srv6sfc.config import load_config, parse_config_text
 from srv6sfc.dataplane import encapsulate
-from srv6sfc.sim import inject
-from srv6sfc.trace import EventKind, Trace
+from srv6sfc.sim import flow_packet, inject
+from srv6sfc.trace import EventKind, Trace, TraceEvent
 from srv6sfc.wire import udp_packet
 
 TERMINAL = (EventKind.DROPPED, EventKind.DELIVERED)
@@ -48,10 +49,25 @@ def reference_jsonl(uid, terminal_only: bool, calls) -> str:
     return "\n".join(lines)
 
 
-def memo_key(address: IPv6Address):
-    """The address-text memo's key for ``address``: its integer, paired
-    with its scope id when it has one."""
-    return int(address) if address.scope_id is None else (int(address), address.scope_id)
+def memo_key(node: str, kind: EventKind, detail):
+    """The event memo's key for a kept event, or None when the memo does
+    not store its detail: an address by its integer, paired with its
+    scope id when it has one; a string or None as itself."""
+    if isinstance(detail, IPv6Address):
+        detail = int(detail) if detail.scope_id is None else (int(detail), detail.scope_id)
+    elif detail is not None and type(detail) is not str:
+        return None
+    return (node, kind.value, detail)
+
+
+def assert_memo_renders_like_json_dumps(memo) -> None:
+    """Every stored pair is its key's event and that event's line after
+    the uid, as ``json.dumps`` prints it."""
+    head = '{"uid":null,"node":'
+    for (node, value, _), (event, tail) in memo.items():
+        assert type(event) is TraceEvent
+        assert (event.node, event.kind.value) == (node, value)
+        assert head + tail == reference_jsonl(None, False, [event])
 
 
 # Characters the escaper treats specially, mixed with any code point,
@@ -83,29 +99,41 @@ _CALLS = st.tuples(
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(st.lists(st.tuples(_UIDS, st.booleans(), _CALLS), min_size=1, max_size=4))
 def test_to_jsonl_matches_json_dumps(walks):
-    address_text: dict[object, str] = {}
+    memo: dict[object, tuple] = {}
     keys = set()
     for uid, terminal_only, (calls, terminal) in walks:
         calls = calls + [terminal] if terminal is not None else calls
-        trace = Trace(uid, terminal_only, address_text)
+        trace = Trace(uid, terminal_only, memo)
         for node, kind, detail in calls:
             trace.add(node, kind, detail)
-            if isinstance(detail, IPv6Address):
-                keys.add(memo_key(detail))
+            if not terminal_only or kind in TERMINAL:
+                keys.add(memo_key(node, kind, detail))
         assert trace.to_jsonl() == reference_jsonl(uid, terminal_only, calls)
-    # Only addresses are stored, each under its integer (and scope id).
-    assert set(address_text) <= keys
+    # Every kept event with an address, string or None detail is stored,
+    # under its key, and nothing else.
+    keys.discard(None)
+    assert set(memo) == keys
+    assert_memo_renders_like_json_dumps(memo)
 
 
 def test_address_memo_keeps_scoped_and_unscoped_texts_apart():
     scoped, plain = IPv6Address("fe80::1%eth0"), IPv6Address("fe80::1")
     for order in ((scoped, plain), (plain, scoped)):
-        memo: dict[object, str] = {}
+        memo: dict[object, tuple] = {}
         for address in order * 2:
             trace = Trace(None, False, memo)
             trace.add("nfv", EventKind.DELIVERED, address)
             assert trace.events[0].detail == str(address)
-        assert memo == {plain._ip: "fe80::1", (scoped._ip, "eth0"): "fe80::1%eth0"}
+        assert memo == {
+            ("nfv", "Delivered", plain._ip): (
+                ("nfv", EventKind.DELIVERED, "fe80::1"),
+                '"nfv","event":"Delivered","detail":"fe80::1"}',
+            ),
+            ("nfv", "Delivered", (scoped._ip, "eth0")): (
+                ("nfv", EventKind.DELIVERED, "fe80::1%eth0"),
+                '"nfv","event":"Delivered","detail":"fe80::1%eth0"}',
+            ),
+        }
 
 
 def test_standalone_trace_renders_addresses():
@@ -195,17 +223,21 @@ er2 EEEE::/64 via nfv
 """
 
 
+def is_unrouted_drop(event) -> bool:
+    return event.kind is EventKind.DROPPED and event.detail.startswith("no route to ")
+
+
 def test_address_memo_is_bounded_by_the_config():
     network = parse_config_text(MIXED_CONFIG).build_network()
-    known = {memo_key(address) for address in network.registry.sid_table}
-    for node in network.nodes.values():
-        known.update(map(memo_key, node.addresses))
+    # Two per link; per node its addresses, three fixed details and two
+    # per classifier rule; on nfv four per hosted VNF and two per SID.
+    assert network.event_limit == 2 * 2 + (2 + 3 + 2 * 2) + (3 + 3 + 4 * 5 + 2 * 6) + (2 + 3)
     destinations = [
         IPv6Address(f"{prefix}::{host:x}")
         for prefix in ("DDDD", "FFFF", "CCCC", "BBBB", "AAAA", "EEEE", "9999")
         for host in range(1, 40)
     ]
-    delivered, reasons = 0, set()
+    delivered, reasons, recorded, unrouted = 0, set(), set(), set()
     for terminal_only in (False, True):
         for ingress in network.nodes:
             for dst in destinations:
@@ -215,11 +247,28 @@ def test_address_memo_is_bounded_by_the_config():
                     delivered += 1
                 else:
                     reasons.add(result.outcome.reason)
-                assert set(network.address_text) <= known
-                assert len(network.address_text) <= len(known)
+                for event in result.trace.events:
+                    (unrouted if is_unrouted_drop(event) else recorded).add(event)
+                assert len(network.event_memo) <= network.event_limit
+                assert len(network.unrouted) <= network.event_limit
     assert delivered
-    assert any(reason.startswith("no route to ") for reason in reasons)
     assert any(reason.startswith("vnf ") for reason in reasons)
+    # The bound holds every event this traffic records but its drops for
+    # lack of a route, whose texts come from the traffic; those fill what
+    # room is left, in the memo and in ``unrouted``.
+    assert len(recorded) <= network.event_limit
+    assert len(unrouted) > network.event_limit
+    assert {event for event, _ in network.event_memo.values()} <= recorded | unrouted
+    assert_memo_renders_like_json_dumps(network.event_memo)
+    for key, reason in network.unrouted.items():
+        assert reason == f"no route to {IPv6Address(key)}"
+
+
+def own_srh_packet(segment: IPv6Address):
+    """A packet that arrives at nfv encapsulated, with ``segment`` as the
+    segment after the testbed's VNF."""
+    own = VnfChain("own", (IPv6Address("BBBB::2"), segment), IPv6Address("AAAA::2"))
+    return encapsulate(udp_packet(IPv6Address("EEEE::2"), IPv6Address("DDDD::2"), b"memo"), own)
 
 
 def test_address_memo_is_bounded_when_packets_bring_their_own_srh():
@@ -227,17 +276,67 @@ def test_address_memo_is_bounded_when_packets_bring_their_own_srh():
     # segment, and SegmentAdvanced renders it.
     config = load_config(str(files("srv6sfc") / "configs" / "testbed.cfg"))
     network, unbounded = config.build_network(), config.build_network()
-    unbounded.address_limit = sys.maxsize  # the memo without its bound
-    assert network.address_limit == 2 + 7  # SIDs plus node addresses
+    unbounded.event_limit = sys.maxsize  # the memo without its bound
+    assert network.event_limit == 2 * 2 + (2 + 3 + 2) + (3 + 3 + 4 + 2 * 2) + (2 + 3)
     rng = random.Random(13)
     for _ in range(500):
         segment = IPv6Address(rng.getrandbits(128))
-        own = VnfChain("own", (IPv6Address("BBBB::2"), segment), IPv6Address("AAAA::2"))
-        inner = udp_packet(IPv6Address("EEEE::2"), IPv6Address("DDDD::2"), b"memo")
-        packet = encapsulate(inner, own)
+        packet = own_srh_packet(segment)
         result = inject(network, "nfv", packet)
         assert result.delivered
         assert ("nfv", EventKind.SEGMENT_ADVANCED, str(segment)) in result.trace.events
         assert result.trace.to_jsonl() == inject(unbounded, "nfv", packet).trace.to_jsonl()
-        assert len(network.address_text) <= network.address_limit
-    assert len(unbounded.address_text) > 500
+        assert len(network.event_memo) <= network.event_limit
+    assert len(unbounded.event_memo) > 500
+
+
+def test_memo_at_its_bound_exports_like_an_unbounded_one():
+    config = load_config(str(files("srv6sfc") / "configs" / "testbed.cfg"))
+    full, unbounded = config.build_network(), config.build_network()
+    full.event_limit, unbounded.event_limit = 0, sys.maxsize
+    rng = random.Random(29)
+    walks = [("nfv", own_srh_packet(IPv6Address(rng.getrandbits(128)))) for _ in range(20)]
+    walks += [
+        ("er1", udp_packet(IPv6Address("EEEE::2"), IPv6Address(0x9999 << 112 | rng.getrandbits(64)), b"memo"))
+        for _ in range(20)
+    ]
+    for terminal_only in (False, True):
+        for ingress, packet in walks * 2:
+            bounded = inject(full, ingress, packet, terminal_only=terminal_only)
+            free = inject(unbounded, ingress, packet, terminal_only=terminal_only)
+            assert bounded.outcome == free.outcome
+            assert bounded.trace.events == free.trace.events
+            assert bounded.trace.to_jsonl() == free.trace.to_jsonl()
+    assert full.event_memo == {} and full.unrouted == {}
+    assert len(unbounded.unrouted) == 20
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_memo_holds_every_event_of_the_bundled_and_benchmark_configs(monkeypatch):
+    # After a warm-up pass, no event of these walks is rendered again:
+    # each is the memo's own, shared object.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads  # the benchmark's generators, read only
+
+    cases = []
+    for path in sorted((files("srv6sfc") / "configs").iterdir()):
+        config = load_config(str(path))
+        flow = config.flow()
+        packets = [flow_packet(flow, index) for index in range(4)]
+        for kind in (SidKind.SR_AWARE, SidKind.SR_UNAWARE):
+            cases.append((config.build_network(kind), flow.ingress, packets))
+    for name in sorted(workloads.BUILDERS):
+        workload = workloads.build(name, 1)
+        network = parse_config_text(workload.config_text).build_network()
+        cases.append((network, workload.ingress, workload.packets))
+    for network, ingress, packets in cases:
+        for rerun in (False, True):
+            for terminal_only in (False, True):
+                for packet in packets:
+                    events = inject(network, ingress, packet, terminal_only=terminal_only).trace.events
+                    if rerun:
+                        stored = {id(event) for event, _ in network.event_memo.values()}
+                        assert all(id(event) in stored for event in events)
+        assert len(network.event_memo) <= network.event_limit
