@@ -52,8 +52,9 @@ from srv6sfc.trace import (
     ENCAPSULATED,
     FORWARDED,
     Trace,
+    TrafficText,
 )
-from srv6sfc.wire import NEXT_HEADER_IPV6, Ipv6Header, Packet, udp_packet
+from srv6sfc.wire import NEXT_HEADER_IPV6, Ipv6Header, Packet, clear_slot, udp_packet
 
 # Visits to individual nodes before a walk is declared stuck; the outer
 # hop limit normally fires first, this is a guard for local loops.
@@ -103,13 +104,13 @@ class Network:
     and ``addresses`` must not change afterwards, nor the registry's
     chains. Each hosted VNF's ``vnf <sid>`` drop reason is rendered here,
     into ``NodeState.vnf_drops``. ``event_memo`` (see ``srv6sfc.trace``)
-    and ``unrouted`` (``no route to <dst>`` by destination key) fill as
-    packets are walked, to at most ``event_limit`` entries each: per node,
-    one per address, neighbour and fixed detail (Decapsulated and the
-    hop-limit and visit-budget drops), two per classifier rule, four per
-    hosted VNF and, where VNFs are hosted, two per SID. That holds every
-    event of packets with no SRH of their own; texts that come from
-    traffic take what room is left.
+    and ``unrouted`` (``no route to <dst>`` by destination key, texts the
+    memo never stores) fill as packets are walked, to at most
+    ``event_limit`` entries each: per node, one per address, neighbour and
+    fixed detail (Decapsulated and the hop-limit and visit-budget drops),
+    two per classifier rule, four per hosted VNF and, where VNFs are
+    hosted, two per SID. That holds every event of packets with no SRH of
+    their own; the segments such an SRH brings take what room is left.
     """
 
     def __init__(
@@ -329,7 +330,9 @@ def inject(
     network._next_uid = uid + 1
     trace = Trace(uid, terminal_only, network.event_memo, network.event_limit)
     costs: dict[str, tuple[int, int, int]] = {}
-    return InjectResult(_walk(network, state, inner, trace, costs), trace, costs)
+    outcome = _walk(network, state, inner, trace, costs)
+    clear_slot()
+    return InjectResult(outcome, trace, costs)
 
 
 def _add_cost(costs: dict[str, tuple[int, int, int]], node_id: str, cost: tuple[int, int, int]) -> None:
@@ -429,7 +432,7 @@ def _walk(
         if next_hop is None:
             dst = packet.header.dst
             key = dst._ip if dst._scope_id is None else (dst._ip, dst._scope_id)
-            reason = network.unrouted.get(key) or f"no route to {dst}"
+            reason = network.unrouted.get(key) or TrafficText(f"no route to {dst}")
             if len(network.unrouted) < network.event_limit:
                 network.unrouted[key] = reason
             trace.add(node_id, DROPPED, reason)

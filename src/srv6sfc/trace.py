@@ -7,11 +7,11 @@ memo maps ``(node, kind._value_, detail key)`` to the shared
 ``TraceEvent`` and its JSON line after the uid. An address is keyed by
 its integer, read from the ``_ip`` slot (``hash`` and ``int`` are
 Python-level calls), with its scope id when it has one; a string or
-``None`` by itself. Other details are rendered by ``str`` each time, not
-stored. A pair is stored only while the memo holds fewer than the
-network's ``event_limit`` entries, so texts that come from traffic
-(``no route to <dst>``, a packet's own segments) cannot outgrow a bound
-the config sets (see ``sim.Network``).
+``None`` by itself. Other details, a ``TrafficText`` among them, are
+rendered by ``str`` each time, not stored. A pair is stored only while
+the memo holds fewer than the network's ``event_limit`` entries, so the
+addresses a packet's own SRH brings cannot outgrow a bound the config
+sets (see ``sim.Network``).
 
 Each exported line is one JSON object with the keys ``uid``, ``node``,
 ``event`` and ``detail`` in that order, compact separators and
@@ -66,6 +66,11 @@ class TraceEvent(NamedTuple):
     detail: str | None = None
 
 
+class TrafficText(str):
+    """A detail text that comes from traffic (``no route to <dst>``):
+    ``Trace.add`` renders it as a plain ``str`` and never stores it."""
+
+
 class Trace:
     """Ordered event log for one packet walk.
 
@@ -111,7 +116,7 @@ class Trace:
             key = None
         pair = self._memo.get(key)
         if pair is None:
-            text = detail if detail is None or isinstance(detail, str) else str(detail)
+            text = detail if detail is None or type(detail) is str else str(detail)
             pair = (
                 tuple.__new__(TraceEvent, (node, kind, text)),
                 # ``_value_`` is a plain attribute, where ``.value`` goes

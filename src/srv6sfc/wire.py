@@ -22,10 +22,16 @@ out-of-range field. Callers go through ``wire.parse_packet`` and
 
 Neither direction does work twice. Parsed addresses come from an intern
 table keyed by their 16 bytes, first come first stored up to
-``ADDRESS_INTERN_LIMIT`` entries, so equal ones are one object. A parsed
-packet keeps its bytes as ``image``, and ``serialize_packet`` returns
-them; that test sits inside it, so a tracer still counts every call. A
-rewrite, ``dataclasses.replace`` or a copy carries no image.
+``ADDRESS_INTERN_LIMIT`` entries, so equal parsed ones are one object. A
+parsed packet keeps its bytes as ``image``, which ``serialize_packet``
+returns (a rewrite, ``dataclasses.replace`` or a copy has none). One
+slot holds the last parse's packet, or the twin of the last serialize of
+a packet without an image: its validated header with the bytes it
+returns as image, equal to their parse but for the caller's addresses
+(an SRH, a scoped address or a non-``bytes`` payload gets no twin).
+``parse_packet`` of the slot's image, that very object, never an equal
+one, returns the slot's packet; ``clear_slot`` empties it. These tests
+sit inside the calls, so a tracer counts them all.
 """
 
 from __future__ import annotations
@@ -167,7 +173,7 @@ class Packet:
     ``__init__`` stores through the slot descriptors: the generated one's
     ``object.__setattr__`` per field costs about half of a construction.
     ``__reduce__`` rebuilds through it (copy and pickle would assign).
-    ``image``, not a field, holds the bytes a parsed packet came from.
+    ``image``, not a field, holds the bytes of a parsed packet or a twin.
     """
 
     # Declared by hand: ``slots=True`` rebuilds the class, and the frozen
@@ -209,6 +215,15 @@ class _Interned(dict):
 
 
 _addresses = _Interned()
+# The slot (see the module docstring): one object, read and replaced in one
+# step each, so no thread pairs one call's bytes with another call's packet.
+_last = _EMPTY = Packet(None, None, b"")  # its image, None, is no bytes object
+
+
+def clear_slot() -> None:
+    """Empty the slot; ``sim.inject`` does so as each walk ends."""
+    global _last
+    _last = _EMPTY
 
 
 def active_segment(srh: SegmentRoutingHeader) -> IPv6Address:
@@ -285,7 +300,10 @@ def validate_packet(packet: Packet) -> None:
 
 def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
     """Parse one packet, bit-exactly; re-serializing returns the input."""
+    global _last
     b = bytes(data)
+    if b is (last := _last).image:
+        return last
     n = len(b)
     if n < IPV6_HEADER_LEN:
         raise errors.TruncatedPacket(f"need 40 bytes for the fixed header, got {n}")
@@ -310,6 +328,7 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
 
     if next_header != NEXT_HEADER_ROUTING:
         _set_image(packet := Packet(header, None, b[IPV6_HEADER_LEN:]), b)
+        _last = packet
         return packet
     if payload_length < SRH_FIXED_LEN:
         raise errors.TruncatedPacket("routing header overruns the declared payload")
@@ -336,27 +355,34 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
         tuple(_addresses[b[i : i + SEGMENT_LEN]] for i in range(start, end, SEGMENT_LEN)),
     ))
     _set_image(packet := Packet(header, srh, b[end:]), b)
+    _last = packet
     return packet
 
 
 def serialize_packet(packet: Packet) -> bytes:
     """Emit network byte order; the exact inverse of :func:`parse_packet`."""
+    global _last
     if packet.image is not None:
         return packet.image
     validate_packet(packet)
-    _, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst = packet.header
+    _, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst = header = packet.header
     word = 0x60000000 | traffic_class << 20 | flow_label
     fixed = _FIXED.pack(word, payload_length, next_header, hop_limit)
     # ``_ip.to_bytes`` is what ``IPv6Address.packed`` returns, without its
     # two Python-level calls.
-    src, dst = src._ip.to_bytes(16, "big"), dst._ip.to_bytes(16, "big")
-    srh = packet.srh
-    if srh is None:
-        return b"".join((fixed, src, dst, packet.payload))
-    return b"".join((
-        fixed, src, dst, _SRH_FIXED.pack(*srh[:7]),
-        *[segment._ip.to_bytes(16, "big") for segment in srh[7]], packet.payload,
-    ))
+    src_bytes, dst_bytes = src._ip.to_bytes(16, "big"), dst._ip.to_bytes(16, "big")
+    srh, payload = packet.srh, packet.payload
+    if srh is not None:
+        return b"".join((
+            fixed, src_bytes, dst_bytes, _SRH_FIXED.pack(*srh[:7]),
+            *[segment._ip.to_bytes(16, "big") for segment in srh[7]], payload,
+        ))
+    image = b"".join((fixed, src_bytes, dst_bytes, payload))
+    if (type(header) is Ipv6Header and type(payload) is bytes and type(src) is IPv6Address
+            and type(dst) is IPv6Address and src._scope_id is None and dst._scope_id is None):
+        _set_image(twin := Packet(header, None, payload), image)
+        _last = twin
+    return image
 
 
 def hexdump(data: bytes) -> str:

@@ -82,6 +82,27 @@ def random_valid_packet(rng: random.Random) -> Packet:
     return Packet(header=header, srh=srh, payload=payload)
 
 
+def count_codec_work(monkeypatch) -> dict[str, int]:
+    """Counts the codec's real work from now on: a parse that reads a
+    fixed header (``wire._FIXED.unpack_from``) and a serialize that packs
+    one (``wire._FIXED.pack``). A parse the codec's slot answers, and a
+    serialize that returns a packet's image, count nothing."""
+    fixed = wire._FIXED
+    counts = {"parse": 0, "serialize": 0}
+
+    class Counted:
+        def unpack_from(self, *args):
+            counts["parse"] += 1
+            return fixed.unpack_from(*args)
+
+        def pack(self, *args):
+            counts["serialize"] += 1
+            return fixed.pack(*args)
+
+    monkeypatch.setattr(wire, "_FIXED", Counted())
+    return counts
+
+
 def random_junk(rng: random.Random, serialize) -> bytes:
     """Arbitrary bytes: raw noise or a mutated/truncated valid packet."""
     roll = rng.random()

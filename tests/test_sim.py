@@ -18,7 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ER1, ER2, SINK, SRC, chain8_config, chain_testbed, editor_config, router_line
+from conftest import (
+    ER1,
+    ER2,
+    SINK,
+    SRC,
+    chain8_config,
+    chain_testbed,
+    count_codec_work,
+    editor_config,
+    router_line,
+)
 from srv6sfc import dataplane, errors, sim, wire
 from srv6sfc.chain import (
     ChainRegistry,
@@ -582,8 +592,11 @@ def test_address_intern_table_stops_at_its_bound(monkeypatch):
         tracemalloc.stop()
     assert len(table) == limit
     # A miss past the bound builds an equal address and stores nothing.
-    late = wire.parse_packet(packets[-1]).header.dst
-    assert late == IPv6Address(2 * limit) and late is not wire.parse_packet(packets[-1]).header.dst
+    # Fresh copies: a parse of the very bytes object last parsed is the
+    # codec's slot, not a parse.
+    late = wire.parse_packet(bytes(bytearray(packets[-1]))).header.dst
+    again = wire.parse_packet(bytes(bytearray(packets[-1]))).header.dst
+    assert late == IPv6Address(2 * limit) and late is not again
     assert retained < 4 * 1024, retained
 
 
@@ -737,10 +750,11 @@ def test_walks_read_no_enum_member_through_its_class(testbed_config_path, monkey
 # ... and the SR-unaware proxy builds no packet it throws away ------------------
 
 def test_unaware_pass_builds_no_discarded_packet(testbed_config_path, monkeypatch):
-    # Per testbed packet: encapsulation, the inner packet the proxy parses,
-    # its re-encapsulation and the one egress decapsulation parses. Neither
-    # the hop limit before the SR-unaware pass nor the advanced outer packet
-    # is built: the proxy strips that header unread.
+    # Per testbed packet: encapsulation, the twin of the inner packet that
+    # encapsulation serializes, and the re-encapsulation. The proxy and
+    # egress decapsulation each parse the twin's bytes, so both get the
+    # twin back. Neither the hop limit before the SR-unaware pass nor the
+    # advanced outer packet is built: the proxy strips that header unread.
     network = load_config(testbed_config_path).build_network()
     packets = [udp_packet(SRC, SINK, b"x" * size) for size in (64, 1024)]
 
@@ -760,8 +774,65 @@ def test_unaware_pass_builds_no_discarded_packet(testbed_config_path, monkeypatc
     seen = walk_all()
     monkeypatch.undo()
     walks = len(expected)
-    assert {name: count / walks for name, count in calls.items()} == {"Packet": 4}
+    assert {name: count / walks for name, count in calls.items()} == {"Packet": 3}
     assert seen == expected
+
+
+# ... and parses no bytes it has just made or parsed ----------------------------
+
+def test_walks_parse_no_bytes_they_have_just_made(testbed_config_path, monkeypatch):
+    # Decapsulation parses the payload that encapsulation (or the
+    # proxy's re-encapsulation) made in the same walk: the codec's slot
+    # answers it.
+    walk_all = guard_walker(testbed_config_path)
+    expected = walk_all()  # warm-up
+    work = count_codec_work(monkeypatch)
+    seen = walk_all()
+    assert seen == expected
+    # Of its 64 walks, 8 per config are classified and encapsulate once.
+    assert work == {"parse": 0, "serialize": 4 * 8}
+    # The testbed alone, per walk: one real serialize, no real parse.
+    network = load_config(testbed_config_path).build_network()
+    walks = 0
+    work.update(parse=0, serialize=0)
+    for size in (64, 1024):
+        for terminal_only in (False, True):
+            result = inject(network, "er1", udp_packet(SRC, SINK, b"x" * size), terminal_only=terminal_only)
+            assert result.delivered
+            walks += 1
+    assert {name: count / walks for name, count in work.items()} == {"parse": 0, "serialize": 1}
+
+
+def test_a_walk_leaves_the_callers_packet_as_it_was(testbed_config_path, monkeypatch):
+    # No memo across walks: the caller's packet gains no image, so the
+    # same packet injected again is serialized again, and the codec's
+    # slot is empty once a walk has returned.
+    network = load_config(testbed_config_path).build_network()
+    packet = udp_packet(SRC, SINK, b"x" * 1024)
+    first = inject(network, "er1", packet)
+    assert packet.image is None and first.delivered
+    validations: dict[str, int] = {}
+    monkeypatch.setattr(wire, "validate_packet", counting(validations, "validate", wire.validate_packet))
+    second = inject(network, "er1", packet)
+    assert validations == {"validate": 1}
+    assert packet.image is None
+    assert second.outcome == first.outcome and second.outcome.packet is not first.outcome.packet
+    delivered = second.outcome.packet
+    work = count_codec_work(monkeypatch)
+    assert wire.parse_packet(delivered.image) == delivered and work["parse"] == 1
+    assert serialize_packet(delivered) == serialize_packet(packet)
+    # A walk whose result is dropped leaves nothing behind; the slot's
+    # twin alone would be over 1 KiB.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inject(network, "er1", packet)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 512, retained
 
 
 # ... and makes no Python call that does no work -------------------------------

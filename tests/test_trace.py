@@ -21,7 +21,7 @@ from srv6sfc.chain import SidKind, VnfChain
 from srv6sfc.config import load_config, parse_config_text
 from srv6sfc.dataplane import encapsulate
 from srv6sfc.sim import flow_packet, inject
-from srv6sfc.trace import EventKind, Trace, TraceEvent
+from srv6sfc.trace import EventKind, Trace, TraceEvent, TrafficText
 from srv6sfc.wire import udp_packet
 
 TERMINAL = (EventKind.DROPPED, EventKind.DELIVERED)
@@ -88,7 +88,10 @@ _ADDRESSES = st.one_of(
     st.integers(0, 2**128 - 1).map(IPv6Address),
 )
 # An integer detail equal to an address's integer must keep its own text.
-_DETAILS = st.one_of(st.none(), _TEXT, _ADDRESSES, st.sampled_from([0, 0xFE80 << 112 | 1]))
+# A ``TrafficText`` is rendered like its text and never stored.
+_DETAILS = st.one_of(
+    st.none(), _TEXT, _ADDRESSES, st.sampled_from([0, 0xFE80 << 112 | 1]), _TEXT.map(TrafficText),
+)
 _UIDS = st.one_of(st.none(), st.just(0), st.integers(0, 2**64), st.integers(10**30, 10**40))
 _CALLS = st.tuples(
     st.lists(st.tuples(_TEXT, st.sampled_from(NON_TERMINAL), _DETAILS), max_size=6),
@@ -109,6 +112,7 @@ def test_to_jsonl_matches_json_dumps(walks):
             if not terminal_only or kind in TERMINAL:
                 keys.add(memo_key(node, kind, detail))
         assert trace.to_jsonl() == reference_jsonl(uid, terminal_only, calls)
+        assert all(event.detail is None or type(event.detail) is str for event in trace.events)
     # Every kept event with an address, string or None detail is stored,
     # under its key, and nothing else.
     keys.discard(None)
@@ -255,13 +259,37 @@ def test_address_memo_is_bounded_by_the_config():
     assert any(reason.startswith("vnf ") for reason in reasons)
     # The bound holds every event this traffic records but its drops for
     # lack of a route, whose texts come from the traffic; those fill what
-    # room is left, in the memo and in ``unrouted``.
+    # room is left in ``unrouted``, and none of the memo.
     assert len(recorded) <= network.event_limit
     assert len(unrouted) > network.event_limit
-    assert {event for event, _ in network.event_memo.values()} <= recorded | unrouted
+    assert {event for event, _ in network.event_memo.values()} <= recorded
     assert_memo_renders_like_json_dumps(network.event_memo)
     for key, reason in network.unrouted.items():
         assert reason == f"no route to {IPv6Address(key)}"
+
+
+def test_unrouted_traffic_leaves_the_memo_to_the_config():
+    # Drops for lack of a route name the traffic's destination; were they
+    # stored, twice the bound of them first would leave the routed flow's
+    # events to be rendered again on every packet.
+    network = load_config(str(files("srv6sfc") / "configs" / "testbed.cfg")).build_network()
+    source = IPv6Address("EEEE::2")
+    for index in range(2 * network.event_limit):
+        dst = IPv6Address(0x9999 << 112 | index)
+        for terminal_only in (False, True):
+            result = inject(network, "er1", udp_packet(source, dst, b"memo"), terminal_only=terminal_only)
+            assert result.outcome.reason == f"no route to {dst}"
+            assert result.trace.events[-1] == ("er1", EventKind.DROPPED, f"no route to {dst}")
+            assert type(result.trace.events[-1].detail) is str
+    # Each of these walks records only its drop.
+    assert network.event_memo == {} and len(network.unrouted) == network.event_limit
+    routed = udp_packet(source, IPv6Address("DDDD::2"), b"memo")
+    for rerun in (False, True):
+        for terminal_only in (False, True):
+            events = inject(network, "er1", routed, terminal_only=terminal_only).trace.events
+            if rerun:
+                stored = {id(event) for event, _ in network.event_memo.values()}
+                assert events and all(id(event) in stored for event in events)
 
 
 def own_srh_packet(segment: IPv6Address):

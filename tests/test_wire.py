@@ -18,6 +18,7 @@ from conftest import (
     SRC,
     TESTBED_GOLDEN,
     chain_testbed,
+    count_codec_work,
     random_junk,
     random_valid_packet,
 )
@@ -453,6 +454,8 @@ def test_codec_matches_reference_on_damaged_bytes(packet, data):
     else:
         raw += data.draw(st.binary(min_size=1, max_size=16))
     damaged = bytes(raw)
+    # Right after a valid parse, whose packet the codec's slot then holds.
+    assert wire.parse_packet(wire.serialize_packet(packet)) == packet
     assert _outcome(wire.parse_packet, damaged) == _outcome(reference_parse, damaged)
 
 
@@ -527,7 +530,9 @@ def test_a_vnf_that_modifies_the_packet_is_reencoded():
 
 def test_equal_parses_share_their_address_objects(monkeypatch):
     monkeypatch.setattr(wire, "_addresses", wire._Interned())
-    first = wire.parse_packet(TESTBED_GOLDEN)
+    # A fresh copy each: the bytes object last parsed would be the codec's
+    # slot, whose packet may predate the new table.
+    first = wire.parse_packet(bytes(bytearray(TESTBED_GOLDEN)))
     second = wire.parse_packet(bytes(bytearray(TESTBED_GOLDEN)))
     assert first.image is not second.image
     assert first.header.src is second.header.src and first.header.dst is second.header.dst
@@ -536,6 +541,66 @@ def test_equal_parses_share_their_address_objects(monkeypatch):
     assert first.header.dst is first.srh.segment_list[first.srh.segments_left]
     inner = wire.parse_packet(first.payload)
     assert inner.header.src is wire.parse_packet(second.payload).header.src
+
+
+# The codec's slot: the bytes object of its last call, and that call's packet ---
+
+scoped = addresses.map(lambda address: IPv6Address(f"{address}%eth0"))
+
+
+@st.composite
+def slot_packet(draw):
+    """A valid packet of any shape the twin rule tells apart: with or
+    without an SRH, scoped or plain addresses, an empty or non-empty
+    payload, as ``bytes`` or not."""
+    srh = draw(st.none() | srh_strategy())
+    payload = draw(st.sampled_from((bytes, bytearray)))(draw(st.binary(max_size=32)))
+    header = Ipv6Header(
+        6, draw(st.integers(0, 255)), draw(st.integers(0, 0xFFFFF)),
+        (srh.byte_length if srh else 0) + len(payload),
+        43 if srh else draw(st.sampled_from((17, 41, 59))), draw(st.integers(0, 255)),
+        draw(addresses | scoped), draw(addresses | scoped),
+    )
+    return Packet(header, srh, payload)
+
+
+@given(slot_packet())
+@settings(max_examples=300, deadline=None)
+def test_bytes_a_serialize_made_parse_like_a_copy_of_them(packet):
+    data = wire.serialize_packet(packet)
+    got = wire.parse_packet(data)
+    fresh = wire.parse_packet(bytes(bytearray(data)))
+    assert got.image is data and fresh.image == data
+    assert got == fresh and hash(got) == hash(fresh) and got.srh == fresh.srh
+    for mine, theirs in ((got.header, fresh.header), (got.srh or (), fresh.srh or ())):
+        assert type(mine) is type(theirs)
+        assert [(type(a), a) for a in mine] == [(type(b), b) for b in theirs]
+    assert type(got.payload) is bytes and got.payload == fresh.payload
+    # Only a packet without an SRH, with plain addresses and a ``bytes``
+    # payload has a twin, and it carries the caller's address objects.
+    header = packet.header
+    twin = (
+        packet.srh is None and type(packet.payload) is bytes
+        and header.src.scope_id is None and header.dst.scope_id is None
+    )
+    assert (got.header.src is header.src and got.header.dst is header.dst) is twin
+    assert packet.image is None and wire.serialize_packet(got) is data
+
+
+def test_only_the_very_bytes_object_is_answered_from_the_slot(monkeypatch):
+    data = wire.serialize_packet(udp_packet(SRC, SINK, b"slot"))
+    work = count_codec_work(monkeypatch)
+    twin = wire.parse_packet(data)
+    assert work == {"parse": 0, "serialize": 0} and twin.image is data
+    assert wire.parse_packet(data) is twin
+    # Equal bytes in another object, or in another type, are parsed.
+    copies = (bytes(bytearray(data)), bytearray(data), memoryview(data), type("B", (bytes,), {})(data))
+    for count, equal in enumerate(copies, 1):
+        parsed = wire.parse_packet(equal)
+        assert work["parse"] == count
+        assert parsed == twin and parsed is not twin and parsed.image == data
+    # The slot moved to the last parse: the twin's bytes are parsed again.
+    assert wire.parse_packet(data) is not twin and work["parse"] == len(copies) + 1
 
 
 # UDP carrier ------------------------------------------------------------------
