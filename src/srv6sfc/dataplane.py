@@ -47,14 +47,15 @@ value string, and an edit's SIDs in ``ChainRegistry.sid_keys``;
 ``PrefixFilter`` tests a destination's integer against the prefix and
 mask integers it compiled at construction.
 
-Nor does the packet path make a Python call that does no work. A
-``VnfAction`` is built like ``wire.Packet``: a frozen dataclass whose
-hand-declared slots are stored through their descriptors. The stock
-builders (``forward``, ``modified``, ``edit_chain``) do not re-enter
-``__init__``, whose checks a builder's verdict kind passes by
-construction; each keeps only the check its own arguments can fail
-(``forward(None)`` still raises), ``drop`` returns one shared verdict,
-and a direct ``VnfAction(kind, ...)`` keeps every check. The rewrites
+Nor does the packet path make a Python call that does no work.
+``VnfAction`` and ``ConnectorResult`` are value types (see ``wire``).
+The stock builders (``forward``, ``modified``, ``edit_chain``) do not
+enter ``VnfAction.__init__``, whose checks a builder's verdict kind
+passes by construction; each keeps only the check its own arguments can
+fail (``forward(None)`` still raises), ``drop`` returns one shared
+verdict, and a direct ``VnfAction(kind, ...)`` keeps every check. The
+connector records into the walk's ``Trace`` through one bound ``add``
+per pass. The rewrites
 unpack the header and SRH tuples into named fields and rebuild from
 them, and read the SRH's length and the payload protocol from the
 fields by the rules ``wire.Packet`` states, not through its properties.
@@ -86,19 +87,16 @@ from srv6sfc.trace import (
     SEGMENT_ADVANCED,
     VNF_DELIVERED,
     VNF_RETURNED,
-    EventKind,
+    Trace,
+    TrafficText,
 )
-from srv6sfc.wire import SEGMENT_LEN, SRH_FIXED_LEN, Ipv6Header, Packet, SegmentRoutingHeader
+from srv6sfc.wire import SEGMENT_LEN, SRH_FIXED_LEN, Ipv6Header, Packet, SegmentRoutingHeader, value_type
 
-EmitFn = Callable[[EventKind, object], None]
+_packet = Packet._build
 
 # VNF invocations per connector pass before declaring a steering loop
 # (a chain-editing VNF re-inserting itself would otherwise spin forever).
 MAX_PIPELINE_STEPS = 1024
-
-
-def _no_emit(kind: EventKind, detail: object = None) -> None:
-    return None
 
 
 # Actions and edits -----------------------------------------------------
@@ -146,21 +144,17 @@ INSERT_AFTER_CURRENT, INSERT_AT, REPLACE = SegmentListEdit.Kind
 _NO_EDIT = "EditChain requires an edit"
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class VnfAction:
     """A VNF's verdict on one packet. Drop carries no packet; EditChain is
-    only legal from SR-aware VNFs. Built like ``wire.Packet``, for speed:
-    ``__init__`` checks the verdict, then stores through the slots. The
-    stock builders ``forward``, ``modified`` and ``edit_chain`` store
-    through the slots without entering ``__init__``, each keeping only
-    the checks its own arguments can fail; ``drop`` returns one shared
-    verdict."""
-
-    __slots__ = ("kind", "packet", "edit")
+    only legal from SR-aware VNFs. ``__init__`` checks a verdict built by
+    ``VnfAction(...)``; the stock builders ``forward``, ``modified`` and
+    ``edit_chain`` call ``_build``, each keeping only the checks its own
+    arguments can fail, and ``drop`` returns one shared verdict."""
 
     kind: ActionKind
-    packet: Packet | None
-    edit: SegmentListEdit | None
+    packet: Packet | None = None
+    edit: SegmentListEdit | None = None
 
     def __init__(self, kind, packet=None, edit=None):
         if kind is DROP and packet is not None:
@@ -169,32 +163,18 @@ class VnfAction:
             raise errors.InvariantViolation(f"{kind.value} requires a packet")
         if kind is EDIT_CHAIN and edit is None:
             raise errors.InvariantViolation(_NO_EDIT)
-        _set_kind(self, kind)
-        _set_packet(self, packet)
-        _set_edit(self, edit)
-
-    def __reduce__(self):
-        return VnfAction, (self.kind, self.packet, self.edit)
 
     @classmethod
     def forward(cls, packet: Packet) -> "VnfAction":
         if packet is None:
             raise errors.InvariantViolation(f"{FORWARD.value} requires a packet")
-        action = object.__new__(cls)
-        _set_kind(action, FORWARD)
-        _set_packet(action, packet)
-        _set_edit(action, None)
-        return action
+        return _action(FORWARD, packet, None)
 
     @classmethod
     def modified(cls, packet: Packet) -> "VnfAction":
         if packet is None:
             raise errors.InvariantViolation(f"{MODIFIED.value} requires a packet")
-        action = object.__new__(cls)
-        _set_kind(action, MODIFIED)
-        _set_packet(action, packet)
-        _set_edit(action, None)
-        return action
+        return _action(MODIFIED, packet, None)
 
     @classmethod
     def drop(cls) -> "VnfAction":
@@ -206,14 +186,10 @@ class VnfAction:
             raise errors.InvariantViolation(f"{EDIT_CHAIN.value} requires a packet")
         if edit is None:
             raise errors.InvariantViolation(_NO_EDIT)
-        action = object.__new__(cls)
-        _set_kind(action, EDIT_CHAIN)
-        _set_packet(action, packet)
-        _set_edit(action, edit)
-        return action
+        return _action(EDIT_CHAIN, packet, edit)
 
 
-_set_kind, _set_packet, _set_edit = (VnfAction.__dict__[name].__set__ for name in VnfAction.__slots__)
+_action = VnfAction._build
 _DROP_VERDICT = VnfAction(DROP)  # a value, so every drop can share one
 
 
@@ -391,7 +367,7 @@ def _outer_packet(
         6, 0, 0, _payload_length(srh, payload, what), wire.NEXT_HEADER_ROUTING,
         wire.DEFAULT_HOP_LIMIT, src, dst,
     ))
-    return Packet(header, srh, payload)
+    return _packet(header, srh, payload)
 
 
 def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
@@ -431,7 +407,7 @@ def advance_segment(packet: Packet) -> Packet:
     srh = tuple.__new__(SegmentRoutingHeader, (
         next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments,
     ))
-    return Packet(header, srh, packet.payload)
+    return _packet(header, srh, packet.payload)
 
 
 def apply_edit(
@@ -491,7 +467,7 @@ def apply_edit(
         version, traffic_class, flow_label, _payload_length(srh, packet.payload, "edited"),
         outer_next, hop_limit, src, new_remaining[0],
     ))
-    return Packet(header, srh, packet.payload)
+    return _packet(header, srh, packet.payload)
 
 
 def reencap_unaware(back: UnawareReturn, returned: Packet) -> Packet:
@@ -541,7 +517,7 @@ class NodeState:
     vnf_drops: dict[int, str]
 
 
-@dataclass
+@value_type
 class ConnectorResult:
     """Connector outcome: the packet that leaves the connector, or
     ``None`` and the reason it was dropped, and the pass's (f, d, e).
@@ -553,9 +529,17 @@ class ConnectorResult:
     cost: tuple[int, int, int] = (0, 0, 0)
 
 
-def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit) -> ConnectorResult:
+_result = ConnectorResult._build
+
+
+def connector_process(
+    state: NodeState, packet: Packet, trace: Trace | None = None, vnf: Vnf | None = None,
+) -> ConnectorResult:
     """Run the per-SID pipeline for a packet addressed to a local VNF SID,
-    looping while the next active segment is also hosted here.
+    looping while the next active segment is also hosted here, and record
+    each step in ``trace`` (by default a new one). ``vnf`` is the VNF the
+    packet's destination names, as the walk has found it; without it the
+    connector looks it up and checks the packet for an SRH.
 
     The pass counts its f/d/e operations, returns them on the result and
     charges ``state.ledger`` once on the way out, also when a step raises.
@@ -564,11 +548,14 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
     the packet as it arrived, so the outer header's hop limit is never
     read there; only an SR-aware VNF sees it.
     """
-    if packet.srh is None:
-        raise errors.NoSrh("connector requires an SR-encapsulated packet")
-    vnf = state.vnfs.get(packet.header.dst._ip)
     if vnf is None:
-        raise errors.UnknownSid(f"{packet.header.dst} is not hosted on {state.node_id!r}")
+        if packet.srh is None:
+            raise errors.NoSrh("connector requires an SR-encapsulated packet")
+        vnf = state.vnfs.get(packet.header.dst._ip)
+        if vnf is None:
+            raise errors.UnknownSid(f"{packet.header.dst} is not hosted on {state.node_id!r}")
+    add = (Trace() if trace is None else trace).add
+    node_id = state.node_id
 
     current = packet           # encapsulated form
     plain: Packet | None = None  # decapsulated inner while among unaware VNFs
@@ -586,18 +573,18 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
             if sid.kind is SR_AWARE:
                 # Only an unaware VNF is handed the plain packet, so here it is None.
                 current = advance_segment(current)
-                emit(SEGMENT_ADVANCED, current.header.dst)
+                add(node_id, SEGMENT_ADVANCED, current.header.dst)
                 f += 1
-                emit(VNF_DELIVERED, sid.address)
+                add(node_id, VNF_DELIVERED, sid.address)
                 action = vnf.behavior(current)
-                emit(VNF_RETURNED, sid.address)
+                add(node_id, VNF_RETURNED, sid.address)
                 if action.kind is DROP:
-                    return _dropped(emit, state.vnf_drops[sid.address._ip], (f, d, e))
+                    return _dropped(add, node_id, state.vnf_drops[sid.address._ip], (f, d, e))
                 if action.kind is EDIT_CHAIN:
                     try:
                         current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
                     except errors.OversizedPacket as exc:
-                        return _dropped(emit, str(exc), (f, d, e))
+                        return _dropped(add, node_id, TrafficText(exc), (f, d, e))
                 else:
                     current = action.packet
                 if current.srh is None:
@@ -616,20 +603,20 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                     _, _, _, segments_left, _, _, _, segments = current.srh
                     if segments_left == 0:
                         raise errors.AlreadyAtLastSegment("segments_left is already 0")
-                    emit(SEGMENT_ADVANCED, segments[segments_left - 1])
+                    add(node_id, SEGMENT_ADVANCED, segments[segments_left - 1])
                     plain = decapsulate(current)
                     d += 1
-                    emit(DECAPSULATED, None)
+                    add(node_id, DECAPSULATED, None)
                 f += 1
-                emit(VNF_DELIVERED, sid.address)
+                add(node_id, VNF_DELIVERED, sid.address)
                 action = vnf.behavior(plain)
                 if action.kind is EDIT_CHAIN:
                     raise errors.InvalidEdit(
                         f"SR-unaware VNF {sid.address} sees no SRH and cannot edit it"
                     )
-                emit(VNF_RETURNED, sid.address)
+                add(node_id, VNF_RETURNED, sid.address)
                 if action.kind is DROP:
-                    return _dropped(emit, state.vnf_drops[sid.address._ip], (f, d, e))
+                    return _dropped(add, node_id, state.vnf_drops[sid.address._ip], (f, d, e))
                 plain = action.packet
                 f += 1  # return leg to the connector
                 back = state.returns.get(sid.address._ip)
@@ -642,16 +629,16 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
                 try:
                     current = reencap_unaware(back, plain)
                 except errors.OversizedPacket as exc:
-                    return _dropped(emit, str(exc), (f, d, e))
+                    return _dropped(add, node_id, TrafficText(exc), (f, d, e))
                 e += 1
-                emit(RE_ENCAPSULATED, current.header.dst)
+                add(node_id, RE_ENCAPSULATED, current.header.dst)
                 plain = None
                 next_vnf = state.vnfs.get(current.header.dst._ip)
                 if next_vnf is not None:
                     vnf = next_vnf  # mixed chain: aware VNF next door
                     continue
                 f += 1  # forward to next hop
-            return ConnectorResult(current, cost=(f, d, e))
+            return _result(current, None, (f, d, e))
     finally:
         ledger = state.ledger
         ledger.f_count += f
@@ -659,6 +646,6 @@ def connector_process(state: NodeState, packet: Packet, emit: EmitFn = _no_emit)
         ledger.e_count += e
 
 
-def _dropped(emit: EmitFn, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:
-    emit(DROPPED, reason)
-    return ConnectorResult(None, reason, cost)
+def _dropped(add, node_id: str, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:
+    add(node_id, DROPPED, reason)
+    return _result(None, reason, cost)

@@ -15,22 +15,18 @@ aggregates only, so memory does not grow with the number of packets
 walked.
 
 A walk makes no Python call that does no work. It builds one outcome
-(``Delivered`` or ``Dropped``) and one ``InjectResult``, frozen
-dataclasses built like ``wire.Packet``: their slots are declared by
-hand, ``__init__`` stores through the slot descriptors, since the
-generated one's ``object.__setattr__`` per field costs about half of a
-construction, and ``__reduce__`` rebuilds through it, since copy and
-pickle would assign. ``inject`` reads the ingress's ``NodeState`` and
-the walk counter itself, the walk adds each connector pass's cost to
-``costs`` in place, and it tests a packet's encapsulation on the header
-fields it has already read, not through ``Packet.is_encapsulated``.
+(``Delivered`` or ``Dropped``) and one ``InjectResult``, value types
+(see ``wire``). ``inject`` reads the ingress's ``NodeState`` and the
+walk counter itself, the walk hands the connector its trace and the VNF
+it found, adds each connector pass's cost to ``costs`` in place, and
+tests a packet's encapsulation on the header fields it has already
+read, not through ``Packet.is_encapsulated``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from ipaddress import IPv6Address, IPv6Network
 
 from srv6sfc import errors
@@ -54,7 +50,7 @@ from srv6sfc.trace import (
     Trace,
     TrafficText,
 )
-from srv6sfc.wire import NEXT_HEADER_IPV6, Ipv6Header, Packet, clear_slot, udp_packet
+from srv6sfc.wire import NEXT_HEADER_IPV6, Ipv6Header, Packet, clear_slot, udp_packet, value_type
 
 # Visits to individual nodes before a walk is declared stuck; the outer
 # hop limit normally fires first, this is a guard for local loops.
@@ -231,67 +227,34 @@ def build_network(
 
 # Walk outcomes ----------------------------------------------------------
 
-# Built like ``wire.Packet`` (see the module docstring).
-
-@dataclass(frozen=True, init=False)
+@value_type
 class Delivered:
-    __slots__ = ("packet", "node_id")
-
     packet: Packet
     node_id: str
 
-    def __init__(self, packet: Packet, node_id: str):
-        _set_delivered_packet(self, packet)
-        _set_delivered_node(self, node_id)
 
-    def __reduce__(self):
-        return Delivered, (self.packet, self.node_id)
-
-
-@dataclass(frozen=True, init=False)
+@value_type
 class Dropped:
-    __slots__ = ("node_id", "reason")
-
     node_id: str
     reason: str
 
-    def __init__(self, node_id: str, reason: str):
-        _set_dropped_node(self, node_id)
-        _set_dropped_reason(self, reason)
 
-    def __reduce__(self):
-        return Dropped, (self.node_id, self.reason)
-
-
-@dataclass(frozen=True, init=False)
+@value_type
 class InjectResult:
     """A walk's outcome, its trace, and the (f, d, e) it cost each node
     that charged it."""
 
-    __slots__ = ("outcome", "trace", "costs")
-
     outcome: Delivered | Dropped
     trace: Trace
     costs: dict[str, tuple[int, int, int]]
-
-    def __init__(
-        self, outcome: Delivered | Dropped, trace: Trace, costs: dict[str, tuple[int, int, int]]
-    ):
-        _set_outcome(self, outcome)
-        _set_trace(self, trace)
-        _set_costs(self, costs)
-
-    def __reduce__(self):
-        return InjectResult, (self.outcome, self.trace, self.costs)
 
     @property
     def delivered(self) -> bool:
         return isinstance(self.outcome, Delivered)
 
 
-_set_delivered_packet, _set_delivered_node = (Delivered.__dict__[n].__set__ for n in Delivered.__slots__)
-_set_dropped_node, _set_dropped_reason = (Dropped.__dict__[n].__set__ for n in Dropped.__slots__)
-_set_outcome, _set_trace, _set_costs = (InjectResult.__dict__[n].__set__ for n in InjectResult.__slots__)
+_packet, _delivered, _dropped = Packet._build, Delivered._build, Dropped._build
+_inject_result = InjectResult._build
 
 
 def _with_hop_limit(packet: Packet, hop_limit: int) -> Packet:
@@ -302,7 +265,7 @@ def _with_hop_limit(packet: Packet, hop_limit: int) -> Packet:
     header = tuple.__new__(Ipv6Header, (
         version, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst,
     ))
-    return Packet(header, packet.srh, packet.payload)
+    return _packet(header, packet.srh, packet.payload)
 
 
 def inject(
@@ -332,7 +295,7 @@ def inject(
     costs: dict[str, tuple[int, int, int]] = {}
     outcome = _walk(network, state, inner, trace, costs)
     clear_slot()
-    return InjectResult(outcome, trace, costs)
+    return _inject_result(outcome, trace, costs)
 
 
 def _add_cost(costs: dict[str, tuple[int, int, int]], node_id: str, cost: tuple[int, int, int]) -> None:
@@ -353,8 +316,9 @@ def classify_at_ingress(state: NodeState, packet: Packet, trace: Trace) -> Packe
     try:
         packet = encapsulate(packet, state.registry.chain(chain_id))
     except errors.OversizedPacket as exc:
-        trace.add(state.node_id, DROPPED, str(exc))
-        return Dropped(state.node_id, str(exc))
+        reason = TrafficText(exc)
+        trace.add(state.node_id, DROPPED, reason)
+        return _dropped(state.node_id, reason)
     trace.add(state.node_id, ENCAPSULATED, packet.header.dst)
     return packet
 
@@ -390,7 +354,7 @@ def _walk(
         visits += 1
         if visits > MAX_NODE_VISITS:
             trace.add(node_id, DROPPED, "node visit budget exceeded")
-            return Dropped(node_id, "node visit budget exceeded")
+            return _dropped(node_id, "node visit budget exceeded")
 
         header = packet.header
         dst = header.dst
@@ -400,7 +364,7 @@ def _walk(
         if vnf is not None:
             if vnf.sid.kind is SR_AWARE:  # an SR-unaware pass strips the outer header unread
                 packet = _with_hop_limit(packet, hop)
-            result = connector_process(state, packet, emit=partial(trace.add, node_id))
+            result = connector_process(state, packet, trace, vnf)
             cost = result.cost
             prior = costs.get(node_id)
             costs[node_id] = cost if prior is None else (
@@ -408,7 +372,7 @@ def _walk(
             )
             packet = result.packet
             if packet is None:
-                return Dropped(node_id, result.drop_reason)
+                return _dropped(node_id, result.drop_reason)
             hop = packet.header.hop_limit
             if packet.header.dst._ip in state.local:
                 continue
@@ -421,7 +385,7 @@ def _walk(
                 trace.add(node_id, DECAPSULATED, None)
                 continue
             trace.add(node_id, DELIVERED, dst)
-            return Delivered(_with_hop_limit(packet, hop), node_id)
+            return _delivered(_with_hop_limit(packet, hop), node_id)
         else:
             next_hop = state.fib.lookup(dst)
             if next_hop is not None:  # plain router cost, charged as it is made
@@ -436,10 +400,10 @@ def _walk(
             if len(network.unrouted) < network.event_limit:
                 network.unrouted[key] = reason
             trace.add(node_id, DROPPED, reason)
-            return Dropped(node_id, reason)
+            return _dropped(node_id, reason)
         if hop <= 1:
             trace.add(node_id, DROPPED, "hop limit exceeded")
-            return Dropped(node_id, "hop limit exceeded")
+            return _dropped(node_id, "hop limit exceeded")
         hop -= 1
         trace.add(node_id, FORWARDED, next_hop)
         state = states[next_hop]

@@ -32,12 +32,26 @@ returns as image, equal to their parse but for the caller's addresses
 ``parse_packet`` of the slot's image, that very object, never an equal
 one, returns the slot's packet; ``clear_slot`` empties it. These tests
 sit inside the calls, so a tracer counts them all.
+
+The values the packet path builds (``Packet``, ``dataplane.VnfAction``
+and ``ConnectorResult``, ``sim.Delivered``, ``Dropped`` and
+``InjectResult``) are frozen dataclasses made by :func:`value_type`, and
+built by plain slot stores. Their fields are slots of a private base
+class. Each type's ``_build(*fields)`` makes a draft, an instance of a
+private sibling class of the same layout that is not frozen, stores each
+field into it, and sets its ``__class__`` to the type. A store through
+the slot descriptor's ``__set__``, or the frozen class's
+``object.__setattr__``, costs about six times a plain one. ``__new__``
+calls ``_build``, so ``replace``, ``copy``, ``pickle`` (through
+``__reduce__``) and ``type(v)(*fields)`` build the same way, and the
+packet path calls ``_build`` directly. A class may define ``__init__``
+for checks only, which ``_build`` never enters.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import Field, dataclass
 from ipaddress import IPv6Address
 from typing import NamedTuple
 
@@ -68,6 +82,45 @@ def active_backend() -> str:
 
 
 # Model ------------------------------------------------------------------
+
+def value_type(cls=None, /, *, extra: tuple[str, ...] = ()):
+    """Make ``cls``, a class of annotated fields, a frozen dataclass built
+    by plain slot stores (see the module docstring). ``extra`` names slots
+    that are not fields; ``_build`` takes each as a keyword, default
+    ``None``. A field default goes into the signatures, not the class,
+    where it would hide the slot. A value type cannot be subclassed."""
+    if cls is None:
+        return lambda cls: value_type(cls, extra=extra)
+    names = tuple(cls.__annotations__)
+    namespace = {key: value for key, value in cls.__dict__.items() if key not in ("__dict__", "__weakref__")}
+    defaults = {name: namespace[name] for name in names if name in namespace}
+    if any(isinstance(default, Field) for default in defaults.values()):
+        raise TypeError(f"{cls.__qualname__}: a value type takes plain defaults only")
+    params = ", ".join(f"{name}=_d_{name}" if name in defaults else name for name in names)
+    stores = "".join(f"    _draft.{name} = {name}\n" for name in (*names, *extra))
+    source = (
+        f"def _build({params}{''.join(f', {name}=None' for name in extra)}):\n"
+        f"    _draft = _Draft()\n{stores}    _draft.__class__ = _Public\n    return _draft\n"
+        f"def __new__(cls, {params}):\n    return _build({', '.join(names)})\n"
+        f"def __reduce__(self):\n    return _Public, ({''.join(f'self.{name}, ' for name in names)})\n"
+        f"def __init_subclass__(cls, **kwargs):\n"
+        f"    raise TypeError('value type {cls.__qualname__} cannot be subclassed')\n"
+    )
+    scope = {"__name__": cls.__module__, **{f"_d_{name}": value for name, value in defaults.items()}}
+    exec(source, scope)
+    for name in ("_build", "__new__", "__reduce__", "__init_subclass__"):
+        function = namespace[name] = scope[name]
+        function.__qualname__ = f"{cls.__qualname__}.{name}"
+        if hasattr(function.__code__, "co_qualname"):  # Python 3.11+
+            function.__code__ = function.__code__.replace(co_qualname=function.__qualname__)
+    namespace.update(__slots__=(), __qualname__=cls.__qualname__, _build=staticmethod(scope["_build"]))
+    slots = type(f"_{cls.__name__}Slots", (), {"__slots__": names + extra, "__module__": cls.__module__})
+    scope["_Draft"] = type(f"_{cls.__name__}Draft", (slots,), {"__slots__": (), "__module__": cls.__module__})
+    public = scope["_Public"] = dataclass(frozen=True, init=False)(type(cls.__name__, (slots,), namespace))
+    for name in defaults:
+        delattr(public, name)
+    return public
+
 
 class Ipv6Header(NamedTuple):
     """Fixed 40-byte IPv6 header.
@@ -150,7 +203,7 @@ class SegmentRoutingHeader(NamedTuple):
         return SRH_FIXED_LEN + SEGMENT_LEN * len(self.segment_list)
 
 
-@dataclass(frozen=True, init=False)
+@value_type(extra=("image",))
 class Packet:
     """One IPv6 packet: header, optional SRH, opaque payload bytes.
 
@@ -165,33 +218,16 @@ class Packet:
     forms to the same answers.
 
     When the effective next header is IPv6-in-IPv6 the payload is a full
-    serialized inner packet. A plain value: equality and hash compare
-    the three fields, and assigning any attribute raises
-    ``dataclasses.FrozenInstanceError``. Edit with ``dataclasses.replace``.
-
-    A frozen dataclass for ``replace``, equality and hash, whose
-    ``__init__`` stores through the slot descriptors: the generated one's
-    ``object.__setattr__`` per field costs about half of a construction.
-    ``__reduce__`` rebuilds through it (copy and pickle would assign).
-    ``image``, not a field, holds the bytes of a parsed packet or a twin.
+    serialized inner packet. A plain value (see the module docstring):
+    equality and hash compare the three fields, and assigning any
+    attribute raises ``dataclasses.FrozenInstanceError``. Edit with
+    ``dataclasses.replace``. ``image``, a slot but not a field, holds the
+    bytes of a parsed packet or a twin; ``_build`` takes it as a keyword.
     """
-
-    # Declared by hand: ``slots=True`` rebuilds the class, and the frozen
-    # ``__setattr__`` then raises TypeError for a name that is not a field.
-    __slots__ = ("header", "srh", "payload", "image")
 
     header: Ipv6Header
     srh: SegmentRoutingHeader | None
     payload: bytes
-
-    def __init__(self, header: Ipv6Header, srh: SegmentRoutingHeader | None, payload: bytes):
-        _set_header(self, header)
-        _set_srh(self, srh)
-        _set_payload(self, payload)
-        _set_image(self, None)
-
-    def __reduce__(self):
-        return Packet, (self.header, self.srh, self.payload)
 
     @property
     def effective_next_header(self) -> int:
@@ -203,7 +239,7 @@ class Packet:
         return self.effective_next_header == NEXT_HEADER_IPV6
 
 
-_set_header, _set_srh, _set_payload, _set_image = (Packet.__dict__[n].__set__ for n in Packet.__slots__)
+_packet = Packet._build
 
 
 class _Interned(dict):
@@ -217,7 +253,7 @@ class _Interned(dict):
 _addresses = _Interned()
 # The slot (see the module docstring): one object, read and replaced in one
 # step each, so no thread pairs one call's bytes with another call's packet.
-_last = _EMPTY = Packet(None, None, b"")  # its image, None, is no bytes object
+_last = _EMPTY = _packet(None, None, b"")  # its image, None, is no bytes object
 
 
 def clear_slot() -> None:
@@ -327,8 +363,7 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
     ))
 
     if next_header != NEXT_HEADER_ROUTING:
-        _set_image(packet := Packet(header, None, b[IPV6_HEADER_LEN:]), b)
-        _last = packet
+        _last = packet = _packet(header, None, b[IPV6_HEADER_LEN:], b)
         return packet
     if payload_length < SRH_FIXED_LEN:
         raise errors.TruncatedPacket("routing header overruns the declared payload")
@@ -354,8 +389,7 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
         srh_next, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag,
         tuple(_addresses[b[i : i + SEGMENT_LEN]] for i in range(start, end, SEGMENT_LEN)),
     ))
-    _set_image(packet := Packet(header, srh, b[end:]), b)
-    _last = packet
+    _last = packet = _packet(header, srh, b[end:], b)
     return packet
 
 
@@ -380,8 +414,7 @@ def serialize_packet(packet: Packet) -> bytes:
     image = b"".join((fixed, src_bytes, dst_bytes, payload))
     if (type(header) is Ipv6Header and type(payload) is bytes and type(src) is IPv6Address
             and type(dst) is IPv6Address and src._scope_id is None and dst._scope_id is None):
-        _set_image(twin := Packet(header, None, payload), image)
-        _last = twin
+        _last = _packet(header, None, payload, image)
     return image
 
 
@@ -442,4 +475,4 @@ def udp_packet(
     """Convenience builder for a plain IPv6+UDP packet with correct lengths."""
     datagram = encode_udp(src_port, dst_port, payload)
     header = Ipv6Header(6, 0, 0, len(datagram), NEXT_HEADER_UDP, hop_limit, src, dst)
-    return Packet(header, None, datagram)
+    return _packet(header, None, datagram)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from ipaddress import IPv6Address, IPv6Network
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from srv6sfc.chain import ChainRegistry, ClassifierRule, Sid, SidKind, VnfChain
+from srv6sfc.config import load_config, parse_config_text
 from srv6sfc.dataplane import PassThroughRouter, UnitCosts, Vnf, VnfPermission
 from srv6sfc.sim import Network, Node, NodeRole, build_network
 from srv6sfc import wire
@@ -261,6 +263,28 @@ def aware_testbed_config(chain_id: str, behaviors: dict[str, str], chain: list[s
             "er2 EEEE::/64 via nfv",
         ]
     ) + "\n"
+
+
+def guard_networks(testbed_config_path) -> tuple[dict[str, Network], list[Packet]]:
+    """The networks and packets of the packet-path guards and the call
+    census: the testbed, chain8, the chain-editor config and the testbed
+    with a prefix filter for ``DDDD::3/128`` in place of its pass-through
+    VNF; packets that are chained (the filter passes DDDD::2 and drops
+    DDDD::3), delivered at the ingress and unroutable, small and large."""
+    testbed = Path(testbed_config_path).read_text(encoding="utf-8")
+    filtering = testbed.replace("behavior=passthrough", "behavior=prefix-filter:DDDD::3/128")
+    assert filtering != testbed
+    networks = {
+        "testbed": load_config(testbed_config_path).build_network(),
+        "chain8": parse_config_text(chain8_config()).build_network(),
+        "editor": parse_config_text(editor_config()).build_network(),
+        "filter": parse_config_text(filtering).build_network(),
+    }
+    packets = [
+        wire.udp_packet(SRC, IPv6Address(dst), b"x" * size)
+        for dst in ("DDDD::2", "DDDD::3", "EEEE::2", "9999::1") for size in (64, 1024)
+    ]
+    return networks, packets
 
 
 @pytest.fixture

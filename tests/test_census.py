@@ -1,0 +1,124 @@
+"""The call census of the packet path: every call a walk makes, pinned.
+
+Each guard config's packets (``conftest.guard_networks``) are walked
+once as a warm-up, then once more under ``sys.setprofile``, full and
+terminal-only, exporting each trace. Every Python-level call is counted
+by ``(module, qualified name)``, and every call into C (``[C]``) by the
+module and name of the builtin; a call of a type, such as ``bytes(x)``,
+is no event. ``TABLE`` holds the counts over the eight packets of each
+walk set. A change to the walk changes the table, and the diff states
+the change's per-packet effect exactly.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+from collections import Counter
+
+from conftest import guard_networks
+from srv6sfc.sim import inject
+
+# Calls over the eight packets, per network and trace mode.
+TABLE = """
+   testbed      chain8      editor      filter
+ full term   full term   full term   full term
+    8    8      8    8      8    8      4    4  _json encode_basestring_ascii [C]
+    4    4      4    4      4    4      4    4  _struct Struct.pack [C]
+    4    4      4    4      4    4      4    4  builtins bytes.join [C]
+  104   64    200   84    104   60     84   50  builtins dict.get [C]
+    8    8      8    8      8    8      8    8  builtins int.to_bytes [C]
+   24   24     16   16     32   32     18   18  builtins len [C]
+   96   16    248   16    104   16     84   16  builtins list.append [C]
+    8    8      8    8      8    8      8    8  builtins str.join [C]
+   12   12     76   76     36   36      8    8  builtins tuple.__new__ [C]
+    4    4      4    4      4    4      4    4  srv6sfc.chain ChainRegistry.chain
+   20   20     20   20     20   20     16   16  srv6sfc.chain PrefixTable.lookup
+    0    0      0    0      4    4      0    0  srv6sfc.chain address_key
+    0    0      0    0      4    4      0    0  srv6sfc.dataplane ChainEditor.__call__
+    4    4      4    4      4    4      4    4  srv6sfc.dataplane ConnectorResult._build
+    4    4     32   32      4    4      0    0  srv6sfc.dataplane PassThroughRouter.__call__
+    0    0      0    0      0    0      4    4  srv6sfc.dataplane PrefixFilter.__call__
+    4    4     32   32      8    8      2    2  srv6sfc.dataplane VnfAction._build
+    0    0      0    0      0    0      2    2  srv6sfc.dataplane VnfAction.drop
+    0    0      0    0      4    4      0    0  srv6sfc.dataplane VnfAction.edit_chain
+    4    4     32   32      4    4      2    2  srv6sfc.dataplane VnfAction.forward
+    0    0      0    0      0    0      2    2  srv6sfc.dataplane _dropped
+    8    8      4    4      4    4      6    6  srv6sfc.dataplane _outer_packet
+    8    8      4    4      8    8      6    6  srv6sfc.dataplane _payload_length
+    0    0     32   32      8    8      0    0  srv6sfc.dataplane advance_segment
+    0    0      0    0      4    4      0    0  srv6sfc.dataplane apply_edit
+    4    4      4    4      4    4      4    4  srv6sfc.dataplane connector_process
+    8    8      4    4      4    4      6    6  srv6sfc.dataplane decapsulate
+    4    4      4    4      4    4      2    2  srv6sfc.dataplane egress_process
+    4    4      4    4      4    4      4    4  srv6sfc.dataplane encapsulate
+    4    4      0    0      0    0      2    2  srv6sfc.dataplane reencap_unaware
+    4    4      4    4      4    4      4    4  srv6sfc.sim Delivered._build
+    4    4      4    4      4    4      4    4  srv6sfc.sim Dropped._build
+    8    8      8    8      8    8      8    8  srv6sfc.sim InjectResult._build
+    8    8      8    8      8    8      8    8  srv6sfc.sim _walk
+    4    4      8    8      8    8      4    4  srv6sfc.sim _with_hop_limit
+    8    8      8    8      8    8      8    8  srv6sfc.sim classify_at_ingress
+    8    8      8    8      8    8      8    8  srv6sfc.sim inject
+    8    8      8    8      8    8      8    8  srv6sfc.trace Trace.__init__
+   48   48    124  124     52   52     42   42  srv6sfc.trace Trace.add
+    8    8      8    8      8    8      8    8  srv6sfc.trace Trace.to_jsonl
+   12   12     44   44     24   24     10   10  srv6sfc.wire Packet._build
+    8    8      8    8      8    8      8    8  srv6sfc.wire clear_slot
+    8    8      4    4      4    4      6    6  srv6sfc.wire parse_packet
+    8    8      4    4      4    4      6    6  srv6sfc.wire serialize_packet
+    4    4      4    4      4    4      4    4  srv6sfc.wire validate_packet
+"""
+
+
+def census(network, packets, terminal_only: bool) -> Counter:
+    def walk():
+        for packet in packets:
+            inject(network, "er1", packet, terminal_only=terminal_only).trace.to_jsonl()
+
+    walk()  # warm-up: fills the event memo
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_globals.get("__name__"), frame.f_code.co_qualname] += 1
+        elif event == "c_call":
+            module = arg.__module__ or type(arg.__self__).__module__
+            calls[module, f"{arg.__qualname__} [C]"] += 1
+
+    # No collection runs inside the census: a collector callback (the
+    # test runner's) would be counted with the walk.
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        walk()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    # The profiler's own switch and the loop above are not the walk.
+    del calls["sys", "setprofile [C]"], calls[__name__, "census.<locals>.walk"]
+    return calls
+
+
+def census_table(testbed_config_path) -> str:
+    """One row per function, two columns (full, terminal-only) per network."""
+    networks, packets = guard_networks(testbed_config_path)
+    columns = [
+        census(network, packets, terminal_only)
+        for network in networks.values() for terminal_only in (False, True)
+    ]
+    lines = [
+        "  ".join(f"{name:>10}" for name in networks),
+        "  ".join([f"{'full':>5}{'term':>5}"] * len(networks)),
+    ]
+    for module, name in sorted(set().union(*columns)):
+        counts = [f"{calls[module, name]:5d}" for calls in columns]
+        pairs = ("".join(counts[i : i + 2]) for i in range(0, len(counts), 2))
+        lines.append("  ".join(pairs) + f"  {module} {name}")
+    return "\n" + "\n".join(lines) + "\n"
+
+
+def test_walks_make_exactly_the_census_calls(testbed_config_path):
+    assert census_table(testbed_config_path) == TABLE

@@ -37,7 +37,7 @@ from srv6sfc.dataplane import (
     reencap_unaware,
 )
 from srv6sfc.sim import Dropped, Network, inject
-from srv6sfc.trace import EventKind
+from srv6sfc.trace import EventKind, Trace
 from srv6sfc.wire import Ipv6Header, SegmentRoutingHeader, udp_packet
 
 BBBB2 = IPv6Address("BBBB::2")
@@ -350,10 +350,10 @@ def test_connector_refuses_a_hosted_unaware_vnf_without_a_mapping():
 
 def connector_pass(network, packet):
     """One connector pass at nfv: the bytes it hands back, its cost, its events."""
-    events = []
-    result = connector_process(
-        network.states["nfv"], packet, emit=lambda kind, detail=None: events.append((kind, detail))
-    )
+    trace = Trace()
+    result = connector_process(network.states["nfv"], packet, trace)
+    assert all(event.node == "nfv" for event in trace.events)
+    events = [(event.kind, event.detail) for event in trace.events]
     return wire.serialize_packet(result.packet), result.cost, events
 
 
@@ -372,11 +372,11 @@ def test_unaware_pass_does_not_depend_on_the_arriving_hop_limit():
         wire.serialize_packet(advance_segment(outer)),
         (3, 1, 1),
         [
-            (EventKind.SEGMENT_ADVANCED, CCCC2),
+            (EventKind.SEGMENT_ADVANCED, "cccc::2"),
             (EventKind.DECAPSULATED, None),
-            (EventKind.VNF_DELIVERED, BBBB2),
-            (EventKind.VNF_RETURNED, BBBB2),
-            (EventKind.RE_ENCAPSULATED, CCCC2),
+            (EventKind.VNF_DELIVERED, "bbbb::2"),
+            (EventKind.VNF_RETURNED, "bbbb::2"),
+            (EventKind.RE_ENCAPSULATED, "cccc::2"),
         ],
     )
 
@@ -384,7 +384,6 @@ def test_unaware_pass_does_not_depend_on_the_arriving_hop_limit():
 def test_aware_then_unaware_pass_on_one_node():
     # The SR-aware VNF sees the hop limit the packet arrived with; the
     # SR-unaware one after it gets the plain inner packet.
-    bbbb3 = IPv6Address("BBBB::3")
     seen = []
 
     def recording(packet):
@@ -399,14 +398,14 @@ def test_aware_then_unaware_pass_on_one_node():
     assert seen == [(True, 7), (False, inner_packet().header.hop_limit)]
     assert cost == node_cost([SidKind.SR_AWARE, SidKind.SR_UNAWARE]) == (4, 1, 1)
     assert events == [
-        (EventKind.SEGMENT_ADVANCED, bbbb3),
-        (EventKind.VNF_DELIVERED, BBBB2),
-        (EventKind.VNF_RETURNED, BBBB2),
-        (EventKind.SEGMENT_ADVANCED, CCCC2),
+        (EventKind.SEGMENT_ADVANCED, "bbbb::3"),
+        (EventKind.VNF_DELIVERED, "bbbb::2"),
+        (EventKind.VNF_RETURNED, "bbbb::2"),
+        (EventKind.SEGMENT_ADVANCED, "cccc::2"),
         (EventKind.DECAPSULATED, None),
-        (EventKind.VNF_DELIVERED, bbbb3),
-        (EventKind.VNF_RETURNED, bbbb3),
-        (EventKind.RE_ENCAPSULATED, CCCC2),
+        (EventKind.VNF_DELIVERED, "bbbb::3"),
+        (EventKind.VNF_RETURNED, "bbbb::3"),
+        (EventKind.RE_ENCAPSULATED, "cccc::2"),
     ]
     assert packet == wire.serialize_packet(advance_segment(advance_segment(
         encapsulate(inner_packet(), chain)
@@ -416,13 +415,13 @@ def test_aware_then_unaware_pass_on_one_node():
 def test_unaware_sid_at_the_last_segment_is_refused():
     network, _ = chain_testbed(1, SidKind.SR_UNAWARE)
     state = network.states["nfv"]
-    events = []
+    trace = Trace()
     packet = encapsulate(inner_packet(), VnfChain("last", (BBBB2,), ER1))
     assert packet.srh.segments_left == 0
     with pytest.raises(errors.AlreadyAtLastSegment) as caught:
-        connector_process(state, packet, emit=lambda kind, detail=None: events.append(kind))
+        connector_process(state, packet, trace)
     assert str(caught.value) == "segments_left is already 0"
-    assert events == []
+    assert trace.events == []
     assert state.ledger.counts() == (0, 0, 0)
 
 
@@ -671,6 +670,9 @@ def test_growth_past_16_bits_drops_at_node(kind, behavior, reason, ledger):
     last = result.trace.events[-1]
     assert (last.node, last.kind.value, last.detail) == ("nfv", "Dropped", reason)
     assert network.ledgers["nfv"].counts() == ledger
+    # The text names the packet's size, so the event memo never stores it.
+    assert type(last.detail) is str
+    assert all(event.detail != reason for event, _ in network.event_memo.values())
 
 
 def test_self_inserting_editor_drops_past_127_segments():

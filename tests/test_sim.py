@@ -12,7 +12,6 @@ import tracemalloc
 from dataclasses import replace
 from enum import Enum, EnumType
 from ipaddress import IPv6Address, IPv6Network
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,7 @@ from conftest import (
     chain8_config,
     chain_testbed,
     count_codec_work,
-    editor_config,
+    guard_networks,
     router_line,
 )
 from srv6sfc import dataplane, errors, sim, wire
@@ -621,30 +620,14 @@ def test_ip_slot_is_the_address_integer():
 
 
 def guard_walker(testbed_config_path):
-    """Walks every packet of the packet-path guards through the testbed,
-    chain8, the chain-editor config and the testbed with a prefix filter
-    for ``DDDD::3/128`` in place of its pass-through VNF, full and
-    terminal-only, exporting each trace; returns each walk's events and
-    costs."""
-    testbed = Path(testbed_config_path).read_text(encoding="utf-8")
-    filtering = testbed.replace("behavior=passthrough", "behavior=prefix-filter:DDDD::3/128")
-    assert filtering != testbed
-    networks = [
-        load_config(testbed_config_path).build_network(),
-        parse_config_text(chain8_config()).build_network(),
-        parse_config_text(editor_config()).build_network(),
-        parse_config_text(filtering).build_network(),
-    ]
-    # Chained (the filter passes DDDD::2 and drops DDDD::3), delivered at
-    # the ingress and unroutable; small and large.
-    packets = [
-        udp_packet(SRC, IPv6Address(dst), b"x" * size)
-        for dst in ("DDDD::2", "DDDD::3", "EEEE::2", "9999::1") for size in (64, 1024)
-    ]
+    """Walks every packet of ``guard_networks`` through each of its
+    networks, full and terminal-only, exporting each trace; returns each
+    walk's events and costs."""
+    networks, packets = guard_networks(testbed_config_path)
 
     def walk_all() -> list:
         seen = []
-        for network in networks:
+        for network in networks.values():
             for packet in packets:
                 for terminal_only in (False, True):
                     result = inject(network, "er1", packet, terminal_only=terminal_only)
@@ -769,9 +752,19 @@ def test_unaware_pass_builds_no_discarded_packet(testbed_config_path, monkeypatc
 
     expected = walk_all()  # warm-up
     calls: dict[str, int] = {}
-    monkeypatch.setattr(wire.Packet, "__init__", counting(calls, "Packet", wire.Packet.__init__))
     monkeypatch.setattr(dataplane, "advance_segment", counting(calls, "advance_segment", dataplane.advance_segment))
-    seen = walk_all()
+    # Every import site of the builder runs its one code object.
+    build = wire.Packet._build.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is build:
+            calls["Packet"] = calls.get("Packet", 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        seen = walk_all()
+    finally:
+        sys.setprofile(None)
     monkeypatch.undo()
     walks = len(expected)
     assert {name: count / walks for name, count in calls.items()} == {"Packet": 3}

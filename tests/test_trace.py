@@ -292,6 +292,31 @@ def test_unrouted_traffic_leaves_the_memo_to_the_config():
                 assert events and all(id(event) in stored for event in events)
 
 
+def test_oversized_traffic_leaves_the_memo_to_the_config():
+    # An oversized drop names the packet's size; were those texts stored,
+    # twice the bound of distinct sizes first would leave the routed
+    # flow's events to be rendered again on every packet.
+    network = load_config(str(files("srv6sfc") / "configs" / "testbed.cfg")).build_network()
+    source, sink = IPv6Address("EEEE::2"), IPv6Address("DDDD::2")
+    for index in range(2 * network.event_limit):
+        # The 40 B SRH, 40 B inner header and 8 B UDP header come on top.
+        packet = udp_packet(source, sink, b"x" * (65448 + index))
+        reason = f"encapsulated payload of {65536 + index} B exceeds 65535 B"
+        for terminal_only in (False, True):
+            result = inject(network, "er1", packet, terminal_only=terminal_only)
+            assert result.outcome.reason == reason
+            assert result.trace.events[-1] == ("er1", EventKind.DROPPED, reason)
+            assert type(result.trace.events[-1].detail) is str
+    assert [event for event, _ in network.event_memo.values()] == [("er1", EventKind.CLASSIFIED, "c1")]
+    routed = udp_packet(source, sink, b"memo")
+    for rerun in (False, True):
+        for terminal_only in (False, True):
+            events = inject(network, "er1", routed, terminal_only=terminal_only).trace.events
+            if rerun:
+                stored = {id(event) for event, _ in network.event_memo.values()}
+                assert events and all(id(event) in stored for event in events)
+
+
 def own_srh_packet(segment: IPv6Address):
     """A packet that arrives at nfv encapsulated, with ``segment`` as the
     segment after the testbed's VNF."""

@@ -25,13 +25,15 @@ from conftest import (
 from srv6sfc import errors, wire
 from srv6sfc.dataplane import (
     ActionKind,
+    ConnectorResult,
     PassThroughRouter,
     PayloadStamper,
     SegmentListEdit,
     VnfAction,
     advance_segment,
 )
-from srv6sfc.sim import Delivered, inject
+from srv6sfc.sim import Delivered, Dropped, InjectResult, inject
+from srv6sfc.trace import EventKind, Trace
 from srv6sfc.wire import (
     Ipv6Header,
     Packet,
@@ -601,6 +603,131 @@ def test_only_the_very_bytes_object_is_answered_from_the_slot(monkeypatch):
         assert parsed == twin and parsed is not twin and parsed.image == data
     # The slot moved to the last parse: the twin's bytes are parsed again.
     assert wire.parse_packet(data) is not twin and work["parse"] == len(copies) + 1
+
+
+# Value types: one builder, one construction path ----------------------------------
+
+@st.composite
+def value_fields(draw, cls):
+    """Fields for a value of ``cls``, each drawn or built from drawn parts."""
+    packet = draw(packet_strategy())
+    text, other = draw(st.text(max_size=12)), draw(st.text(max_size=12))
+    cost = draw(st.tuples(*[st.integers(0, 99)] * 3))
+    if cls is Packet:
+        return packet.header, packet.srh, packet.payload
+    if cls is VnfAction:
+        kind = draw(st.sampled_from(ActionKind))
+        edit = SegmentListEdit.insert_after_current((BBBB2,)) if kind is ActionKind.EDIT_CHAIN else None
+        return kind, None if kind is ActionKind.DROP else packet, edit
+    if cls is ConnectorResult:
+        return draw(st.sampled_from([(packet, None, cost), (None, text, cost)]))
+    if cls is Delivered:
+        return packet, text
+    if cls is Dropped:
+        return text, other
+    outcome = draw(st.sampled_from([Delivered(packet, text), Dropped(text, other)]))
+    trace = Trace(cost[0])
+    trace.add(text, EventKind.DROPPED, other)
+    return outcome, trace, {text: cost}
+
+
+def comparable(value):
+    """Type and fields of a value, a ``Trace`` (which compares by identity)
+    as its uid and events."""
+    return type(value), tuple(
+        (field.uid, field.events) if isinstance(field, Trace) else field
+        for field in (getattr(value, f.name) for f in dataclasses.fields(value))
+    )
+
+
+def hash_or_refusal(value):
+    try:
+        return hash(value)
+    except TypeError as refusal:
+        return str(refusal)
+
+
+def assert_same_value(one, other, *, traces_shared=True):
+    assert comparable(one) == comparable(other)
+    if traces_shared:
+        assert one == other and repr(one) == repr(other)
+        assert hash_or_refusal(one) == hash_or_refusal(other)
+
+
+VALUE_TYPES = [Packet, VnfAction, ConnectorResult, Delivered, Dropped, InjectResult]
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_builder_and_constructor_make_the_same_value(cls, data):
+    fields = data.draw(value_fields(cls))
+    built, constructed = cls._build(*fields), cls(*fields)
+    assert dataclasses.is_dataclass(cls) and type(built) is cls
+    names = [f.name for f in dataclasses.fields(built)]
+    assert names == [f.name for f in dataclasses.fields(constructed)]
+    for value in (built, constructed):
+        # Each field reads back the very object stored, not a class default.
+        assert all(getattr(value, name) is field for name, field in zip(names, fields))
+        for name in (*names, "mark"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+    assert_same_value(built, constructed)
+    assert_same_value(dataclasses.replace(built), constructed)
+    changed = cls(*fields[:-1], fields[0])
+    assert_same_value(dataclasses.replace(built, **{names[-1]: fields[0]}), changed)
+    assert_same_value(type(built)(*fields), constructed)
+    for copy_of, deep in (
+        (copy.copy, False),
+        (copy.deepcopy, True),
+        (lambda value: pickle.loads(pickle.dumps(value)), True),
+    ):
+        for value in (built, constructed):
+            assert_same_value(copy_of(value), constructed, traces_shared=not (deep and cls is InjectResult))
+
+
+def test_a_packet_image_is_no_field():
+    packet = udp_packet(SRC, SINK, b"image")
+    data = wire.serialize_packet(packet)
+    imaged = Packet._build(*(getattr(packet, f.name) for f in dataclasses.fields(Packet)), image=data)
+    assert imaged.image is data and packet.image is None
+    assert_same_value(imaged, packet)
+    assert wire.serialize_packet(imaged) is data
+    for clone in (
+        dataclasses.replace(imaged), copy.copy(imaged), copy.deepcopy(imaged),
+        pickle.loads(pickle.dumps(imaged)), Packet(imaged.header, imaged.srh, imaged.payload),
+    ):
+        assert clone.image is None
+        assert_same_value(clone, imaged)
+
+
+def test_value_defaults_live_in_the_signatures():
+    # A default left on the class would hide the slot: every read of
+    # ``cost`` would return (0, 0, 0).
+    packet = udp_packet(SRC, SINK)
+    for result in (ConnectorResult(packet), ConnectorResult._build(packet)):
+        assert (result.packet, result.drop_reason, result.cost) == (packet, None, (0, 0, 0))
+    for result in (ConnectorResult(None, "gone", (1, 2, 3)), ConnectorResult._build(None, "gone", (1, 2, 3))):
+        assert (result.drop_reason, result.cost) == ("gone", (1, 2, 3))
+    assert [f.default for f in dataclasses.fields(ConnectorResult)][1:] == [None, (0, 0, 0)]
+    assert VnfAction(ActionKind.DROP) == VnfAction.drop() and VnfAction._build(ActionKind.DROP).packet is None
+    with pytest.raises(TypeError, match="cannot be subclassed"):
+        type("Marked", (Packet,), {})
+    with pytest.raises(TypeError, match="plain defaults only"):
+        @wire.value_type
+        class Listed:
+            items: list = dataclasses.field(default_factory=list)
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_generated_functions_carry_the_type_name(cls):
+    # Profiles and tracebacks name them ``<Type>._build``; the function
+    # name does not depend on the interpreter's code-object fields.
+    for name in ("_build", "__new__", "__reduce__", "__init_subclass__"):
+        function = cls.__dict__[name]
+        function = getattr(function, "__func__", function)
+        assert function.__qualname__ == f"{cls.__qualname__}.{name}"
+        assert getattr(function.__code__, "co_qualname", function.__qualname__) == function.__qualname__
 
 
 # UDP carrier ------------------------------------------------------------------
