@@ -73,8 +73,12 @@ class VnfChain:
     """Ordered SID addresses a packet must traverse; last one is the egress.
 
     ``ingress_source`` becomes the outer source address at encapsulation.
-    ``srh`` is the encapsulation SRH (whole path, first segment active),
-    built once here and shared by every packet the chain encapsulates.
+    ``ladder`` is the chain's SRH at every step, built once here:
+    ``ladder[k]`` is the SRH with ``segments_left`` = k, and the rungs
+    differ in nothing else. ``srh``, the top rung (whole path, first
+    segment active), is the encapsulation SRH, shared by every packet the
+    chain encapsulates; the registry steers SR-unaware return traffic
+    with lower rungs and steps an SR-aware advance down the ladder.
     """
 
     chain_id: str
@@ -82,6 +86,7 @@ class VnfChain:
     ingress_source: IPv6Address
     direction: ChainDirection = ChainDirection.UNIDIRECTIONAL
     srh: SegmentRoutingHeader = field(init=False, repr=False, compare=False)
+    ladder: tuple[SegmentRoutingHeader, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -96,7 +101,10 @@ class VnfChain:
                     f"chain {self.chain_id!r} lists {address} twice"
                 )
             seen.add(address)
-        object.__setattr__(self, "srh", SegmentRoutingHeader.from_path(self.segments))
+        top = SegmentRoutingHeader.from_path(self.segments)
+        ladder = tuple(top._replace(segments_left=k) for k in range(len(self.segments) - 1))
+        object.__setattr__(self, "srh", top)
+        object.__setattr__(self, "ladder", (*ladder, top))
 
     @property
     def egress(self) -> IPv6Address:
@@ -183,10 +191,16 @@ def address_key(address: IPv6Address) -> int | tuple[int, str]:
     return address._ip if address._scope_id is None else (address._ip, address._scope_id)
 
 
+# A registered rung's entry in ``ChainRegistry.rungs``: the rung, the
+# rung below it and the segment that one makes active.
+Step = tuple[SegmentRoutingHeader, SegmentRoutingHeader, IPv6Address]
+
+
 class UnawareReturn(NamedTuple):
     """Where traffic leaving an SR-unaware interface goes next: its
     mapped chain, the successor segment, and the SRH that steers there
-    (``segments_left`` = n-2-index for the SID at ``index``)."""
+    (``segments_left`` = n-2-index for the SID at ``index``), a rung of
+    the chain's ladder."""
 
     chain: VnfChain
     successor: IPv6Address
@@ -205,6 +219,13 @@ class ChainRegistry:
     re-encapsulates with one dict probe. It is the one table of the
     univocal mapping: an entry's chain is the chain its key feeds.
 
+    ``rungs`` maps the ``id`` of each registered chain's rungs above
+    ``segments_left`` 0 to a :data:`Step`: the rung itself, the rung
+    below and that rung's active segment, so ``dataplane.advance_segment``
+    steps a rung's packet down the ladder with one dict probe. The entry
+    holds the rung, which keeps its ``id`` from being reused, and a lookup
+    compares the rung by ``is``.
+
     ``sid_keys`` holds the ``address_key`` of every registered SID, so a
     per-packet check hashes an integer, not an ``IPv6Address``. Add SIDs
     through ``add_sid``, which keeps both tables.
@@ -215,16 +236,18 @@ class ChainRegistry:
         self.sid_table: dict[IPv6Address, Sid] = {}
         self.sid_keys: set[int | tuple[int, str]] = set()
         self.returns: dict[tuple[IPv6Address, VnfInterface], UnawareReturn] = {}
+        self.rungs: dict[int, Step] = {}
 
     def copy(self) -> ChainRegistry:
         """An independent registry with the same contents. The entries
-        (SIDs, chains, return paths) are immutable, so copying the
+        (SIDs, chains, return paths, rungs) are immutable, so copying the
         tables is enough."""
         clone = ChainRegistry()
         clone.chains = dict(self.chains)
         clone.sid_table = dict(self.sid_table)
         clone.sid_keys = set(self.sid_keys)
         clone.returns = dict(self.returns)
+        clone.rungs = dict(self.rungs)
         return clone
 
     def add_sid(self, sid: Sid) -> None:
@@ -311,21 +334,22 @@ class ChainRegistry:
 
     def _commit(self, chain: VnfChain, keys: list[tuple[IPv6Address, VnfInterface]]) -> None:
         self.chains[chain.chain_id] = chain
-        n = len(chain.segments)
+        segments, ladder = chain.segments, chain.ladder
+        n = len(segments)
         for key in keys:
-            index = chain.segments.index(key[0])
-            self.returns[key] = UnawareReturn(
-                chain,
-                chain.segments[index + 1],
-                SegmentRoutingHeader.from_path(chain.segments, segments_left=n - 2 - index),
-            )
+            index = segments.index(key[0])
+            self.returns[key] = UnawareReturn(chain, segments[index + 1], ladder[n - 2 - index])
+        for k in range(1, n):
+            self.rungs[id(ladder[k])] = (ladder[k], ladder[k - 1], segments[n - k])
 
     def unregister_chain(self, chain_id: str) -> None:
-        self.chain(chain_id)  # UnknownChain when absent
+        chain = self.chain(chain_id)  # UnknownChain when absent
         del self.chains[chain_id]
         for key, entry in list(self.returns.items()):
             if entry.chain.chain_id == chain_id:
                 del self.returns[key]
+        for rung in chain.ladder[1:]:
+            del self.rungs[id(rung)]
 
     def register_bidirectional(self, east: VnfChain, west: VnfChain) -> None:
         """Register an eastbound/westbound pair atomically.
@@ -344,10 +368,10 @@ class ChainRegistry:
         # register_chain releases a re-registered chain's old mappings; west
         # is validated against the state east produces. A failure restores
         # the registry as it was, including any earlier version of east.
-        saved = (dict(self.chains), dict(self.returns))
+        saved = (dict(self.chains), dict(self.returns), dict(self.rungs))
         try:
             self.register_chain(east)
             self.register_chain(west)
         except errors.ChainError:
-            self.chains, self.returns = saved
+            self.chains, self.returns, self.rungs = saved
             raise

@@ -106,14 +106,14 @@ def _refuse_unaware_editors(scenario: str, network: Network, flow: FlowSpec) -> 
     the flow's classified chain SR-unaware: such a VNF sees no SRH, so the
     sweep's first packet would fail the connector. Validation cannot see
     this, as it checks the kinds the file declares."""
-    chain_id = network.states[flow.ingress].classifier.lookup(flow.dst)
-    if chain_id is None:
+    chain = network.states[flow.ingress].classifier.lookup(flow.dst)
+    if chain is None:
         return
     hosted = {vnf.sid.address: vnf for node in network.nodes.values() for vnf in node.hosted_vnfs}
     problems = [
         f"scenario {scenario!r} makes chain editor {address} SR-unaware, and the bench flow's "
-        f"chain {chain_id!r} crosses it: an SR-unaware VNF sees no SRH and cannot edit it"
-        for address in network.registry.chain(chain_id).segments
+        f"chain {chain.chain_id!r} crosses it: an SR-unaware VNF sees no SRH and cannot edit it"
+        for address in chain.segments
         if (vnf := hosted.get(address)) is not None
         and vnf.sid.kind is SidKind.SR_UNAWARE
         and isinstance(vnf.behavior, ChainEditor)

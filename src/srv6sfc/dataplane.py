@@ -13,11 +13,17 @@ and runs the per-SID pipeline:
   the advanced outer packet is never built: the strip would discard it.
 
 What depends only on (chain, SID position) is compiled when a chain is
-registered, not per packet: each ``VnfChain`` carries its encapsulation
+registered, not per packet: each ``VnfChain`` carries its SRH ladder,
+one SRH per ``segments_left`` value, whose top rung is the encapsulation
 SRH, and ``ChainRegistry.returns`` holds, per mapped SR-unaware
-interface, the chain, the successor segment and the SRH to re-encapsulate
-with. Each node's ``NodeState.returns`` holds those of its hosted VNFs,
-keyed like its VNF table by the SID's integer. The per-packet rewrites
+interface, the chain, the successor segment and the rung to
+re-encapsulate with. ``ChainRegistry.rungs`` finds the rung below a
+registered rung by its ``id``, so an SR-aware advance of a packet whose
+SRH is a rung builds only the new IPv6 header; any other SRH (parsed,
+edited or built by hand) is rebuilt. Each node's ``NodeState.returns``
+holds the return paths of its hosted VNFs, keyed like its VNF table by
+the SID's integer, and its ``classifier`` maps a rule's prefix to the
+registered ``VnfChain`` itself. The per-packet rewrites
 (advance, decapsulate, edit, re-encapsulate) build the ``Packet`` and the
 header tuples directly (``tuple.__new__``, every field in order); they
 are pure packet rewrites, and the walk that calls them keeps its own
@@ -53,9 +59,9 @@ The stock builders (``forward``, ``modified``, ``edit_chain``) do not
 enter ``VnfAction.__init__``, whose checks a builder's verdict kind
 passes by construction; each keeps only the check its own arguments can
 fail (``forward(None)`` still raises), ``drop`` returns one shared
-verdict, and a direct ``VnfAction(kind, ...)`` keeps every check. The
-connector records into the walk's ``Trace`` through one bound ``add``
-per pass. The rewrites
+verdict, and a direct ``VnfAction(kind, ...)`` keeps every check;
+``PassThroughRouter`` calls the builder itself. The connector records
+into the walk's ``Trace`` through one bound ``add`` per pass. The rewrites
 unpack the header and SRH tuples into named fields and rebuild from
 them, and read the SRH's length and the payload protocol from the
 fields by the rules ``wire.Packet`` states, not through its properties.
@@ -76,6 +82,7 @@ from srv6sfc.chain import (
     PrefixTable,
     Sid,
     SidKind,
+    Step,
     UnawareReturn,
     VnfChain,
     address_key,
@@ -225,7 +232,7 @@ class PassThroughRouter:
     """Receives and resends unchanged; the minimal routing function."""
 
     def __call__(self, packet: Packet) -> VnfAction:
-        return VnfAction.forward(packet)
+        return _action(FORWARD, packet, None)
 
 
 class PrefixFilter:
@@ -390,22 +397,30 @@ def decapsulate(outer: Packet) -> Packet:
     return wire.parse_packet(outer.payload)
 
 
-def advance_segment(packet: Packet) -> Packet:
-    """Step to the next segment: decrement segments_left, retarget dst."""
+def advance_segment(packet: Packet, rungs: dict[int, Step] | None = None) -> Packet:
+    """Step to the next segment: decrement segments_left, retarget dst.
+
+    When the SRH is a registered rung (``rungs`` is ``ChainRegistry.rungs``)
+    the packet takes the rung below, and only its IPv6 header is new; any
+    other SRH is rebuilt with the decremented field."""
     srh = packet.srh
-    if srh is None:
-        raise errors.NoSrh("cannot advance a packet without an SRH")
-    next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments = srh
-    if segments_left == 0:
-        raise errors.AlreadyAtLastSegment("segments_left is already 0")
-    segments_left -= 1
+    step = None if rungs is None else rungs.get(id(srh))
+    if step is not None and step[0] is srh:
+        _, srh, dst = step
+    else:
+        if srh is None:
+            raise errors.NoSrh("cannot advance a packet without an SRH")
+        next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments = srh
+        if segments_left == 0:
+            raise errors.AlreadyAtLastSegment("segments_left is already 0")
+        segments_left -= 1
+        dst = segments[segments_left]
+        srh = tuple.__new__(SegmentRoutingHeader, (
+            next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments,
+        ))
     version, traffic_class, flow_label, payload_length, outer_next, hop_limit, src, _ = packet.header
     header = tuple.__new__(Ipv6Header, (
-        version, traffic_class, flow_label, payload_length, outer_next, hop_limit, src,
-        segments[segments_left],
-    ))
-    srh = tuple.__new__(SegmentRoutingHeader, (
-        next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments,
+        version, traffic_class, flow_label, payload_length, outer_next, hop_limit, src, dst,
     ))
     return _packet(header, srh, packet.payload)
 
@@ -503,8 +518,9 @@ class NodeState:
     integer (``IPv6Address._ip``), ``returns``, the compiled return path
     (``ChainRegistry.unaware_return``) of each hosted SR-unaware VNF the
     registry maps, by the same key, the main routing table ``fib``, the
-    ingress ``classifier``, the shared registry, the node's ledger and
-    each hosted VNF's drop reason (``vnf <sid>``), by the same key."""
+    ingress ``classifier`` (prefix to ``VnfChain``), the shared registry,
+    the node's ledger and each hosted VNF's drop reason (``vnf <sid>``),
+    by the same key."""
 
     node_id: str
     vnfs: dict[int, Vnf]
@@ -532,14 +548,12 @@ class ConnectorResult:
 _result = ConnectorResult._build
 
 
-def connector_process(
-    state: NodeState, packet: Packet, trace: Trace | None = None, vnf: Vnf | None = None,
-) -> ConnectorResult:
+def connector_process(state: NodeState, packet: Packet, trace: Trace, vnf: Vnf) -> ConnectorResult:
     """Run the per-SID pipeline for a packet addressed to a local VNF SID,
     looping while the next active segment is also hosted here, and record
-    each step in ``trace`` (by default a new one). ``vnf`` is the VNF the
-    packet's destination names, as the walk has found it; without it the
-    connector looks it up and checks the packet for an SRH.
+    each step in ``trace``. ``vnf`` is the hosted VNF the packet's
+    destination names, found by the walk, which has checked that the
+    packet carries an SRH.
 
     The pass counts its f/d/e operations, returns them on the result and
     charges ``state.ledger`` once on the way out, also when a step raises.
@@ -548,14 +562,10 @@ def connector_process(
     the packet as it arrived, so the outer header's hop limit is never
     read there; only an SR-aware VNF sees it.
     """
-    if vnf is None:
-        if packet.srh is None:
-            raise errors.NoSrh("connector requires an SR-encapsulated packet")
-        vnf = state.vnfs.get(packet.header.dst._ip)
-        if vnf is None:
-            raise errors.UnknownSid(f"{packet.header.dst} is not hosted on {state.node_id!r}")
-    add = (Trace() if trace is None else trace).add
+    add = trace.add
     node_id = state.node_id
+    rungs = state.registry.rungs
+    vnfs = state.vnfs
 
     current = packet           # encapsulated form
     plain: Packet | None = None  # decapsulated inner while among unaware VNFs
@@ -572,15 +582,16 @@ def connector_process(
             sid = vnf.sid
             if sid.kind is SR_AWARE:
                 # Only an unaware VNF is handed the plain packet, so here it is None.
-                current = advance_segment(current)
+                current = advance_segment(current, rungs)
                 add(node_id, SEGMENT_ADVANCED, current.header.dst)
                 f += 1
                 add(node_id, VNF_DELIVERED, sid.address)
                 action = vnf.behavior(current)
                 add(node_id, VNF_RETURNED, sid.address)
-                if action.kind is DROP:
+                kind = action.kind
+                if kind is DROP:
                     return _dropped(add, node_id, state.vnf_drops[sid.address._ip], (f, d, e))
-                if action.kind is EDIT_CHAIN:
+                if kind is EDIT_CHAIN:
                     try:
                         current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
                     except errors.OversizedPacket as exc:
@@ -589,7 +600,7 @@ def connector_process(
                     current = action.packet
                 if current.srh is None:
                     raise errors.NoSrh(f"SR-aware VNF {sid.address} must preserve the SRH")
-                next_vnf = state.vnfs.get(current.header.dst._ip)
+                next_vnf = vnfs.get(current.header.dst._ip)
                 if next_vnf is not None:
                     vnf = next_vnf  # direct resend toward the next local VNF
                     continue
@@ -622,7 +633,7 @@ def connector_process(
                 back = state.returns.get(sid.address._ip)
                 if back is None:  # unmapped: the registry raises UnivocalMappingMissing
                     back = state.registry.unaware_return(sid)
-                next_vnf = state.vnfs.get(back.successor._ip)
+                next_vnf = vnfs.get(back.successor._ip)
                 if next_vnf is not None and next_vnf.sid.kind is SR_UNAWARE:
                     vnf = next_vnf  # plain hand-off, no strip/rebuild in between
                     continue
@@ -633,7 +644,7 @@ def connector_process(
                 e += 1
                 add(node_id, RE_ENCAPSULATED, current.header.dst)
                 plain = None
-                next_vnf = state.vnfs.get(current.header.dst._ip)
+                next_vnf = vnfs.get(current.header.dst._ip)
                 if next_vnf is not None:
                     vnf = next_vnf  # mixed chain: aware VNF next door
                     continue

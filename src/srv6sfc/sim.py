@@ -91,8 +91,10 @@ class Network:
 
     Each node is compiled once, at construction, into the ``NodeState``
     the walk carries (``states``): its routes and classifier rules as
-    prefix tables, its local addresses and hosted VNFs keyed by the
-    address's integer, the return path (``UnawareReturn``) of each hosted
+    prefix tables (the classifier maps a rule's prefix to the registered
+    ``VnfChain``, so a rule naming no registered chain raises
+    ``UnknownChain`` here), its local addresses and hosted VNFs keyed by
+    the address's integer, the return path (``UnawareReturn``) of each hosted
     SR-unaware VNF that the registry maps, under the same key, and its
     ledger (also in ``ledgers``). The walk and the connector read a
     packet's address integers from the ``_ip`` slot, so no per-packet
@@ -141,7 +143,9 @@ class Network:
                 node.node_id, vnfs, returns, registry, ledger,
                 local=frozenset(map(int, node.addresses)).union(vnfs),
                 fib=PrefixTable(node.routing_table),
-                classifier=PrefixTable((rule.network, rule.chain_id) for rule in node.rules),
+                classifier=PrefixTable(
+                    (rule.network, registry.chain(rule.chain_id)) for rule in node.rules
+                ),
                 vnf_drops={key: f"vnf {vnf.sid.address}" for key, vnf in vnfs.items()},
             )
             self.event_limit += len(node.addresses) + 2 * len(node.rules) + 3 + (
@@ -309,12 +313,12 @@ def classify_at_ingress(state: NodeState, packet: Packet, trace: Trace) -> Packe
     """A walk's first step: a packet one of the node's classifier rules
     matches is encapsulated for that rule's chain, or dropped at the node
     when the result would not fit; any other packet is returned as is."""
-    chain_id = state.classifier.lookup(packet.header.dst)
-    if chain_id is None:
+    chain = state.classifier.lookup(packet.header.dst)
+    if chain is None:
         return packet
-    trace.add(state.node_id, CLASSIFIED, chain_id)
+    trace.add(state.node_id, CLASSIFIED, chain.chain_id)
     try:
-        packet = encapsulate(packet, state.registry.chain(chain_id))
+        packet = encapsulate(packet, chain)
     except errors.OversizedPacket as exc:
         reason = TrafficText(exc)
         trace.add(state.node_id, DROPPED, reason)

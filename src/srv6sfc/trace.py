@@ -18,7 +18,12 @@ Each exported line is one JSON object with the keys ``uid``, ``node``,
 ASCII-only escaping; ``null`` stands for an absent uid or detail. This
 is exactly what ``json.dumps(..., separators=(",", ":"))`` prints for
 that dict; each line is the trace's uid head followed by an event's
-tail, built once with the same C escaper, and ``to_jsonl`` is one join.
+tail, built once with the same C escaper. A trace keeps one list, the
+flattened ``(event, tail)`` pairs it recorded: recording an event is one
+``extend`` by its pair, ``events`` is the slice of the events, built
+when it is read, and ``to_jsonl`` is one join of the slice of the tails.
+Appending the pair itself would make the export pick each tail out of
+its pair, which costs more than the append saves.
 
 Each ``EventKind`` member is also bound as a module constant of the same
 name (``DROPPED is EventKind.DROPPED``), and the walk and ``Trace.add``
@@ -90,8 +95,7 @@ class Trace:
     ):
         self.uid = uid
         self.terminal_only = terminal_only
-        self.events: list[TraceEvent] = []
-        self._tails: list[str] = []
+        self._log: list[TraceEvent | str] = []  # each event, then its tail
         self._closed = False
         self._memo = {} if memo is None else memo
         self._limit = limit
@@ -126,16 +130,20 @@ class Trace:
             )
             if key is not None and len(self._memo) < self._limit:
                 self._memo[key] = pair
-        self.events.append(pair[0])
-        self._tails.append(pair[1])
+        self._log.extend(pair)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The recorded events, in order (a new list on each read)."""
+        return self._log[0::2]
 
     def to_jsonl(self) -> str:
         """One JSON object per event: uid, node, event, detail."""
         head = '{"uid":' + ("null" if self.uid is None else str(self.uid)) + ',"node":'
-        return head + ("\n" + head).join(self._tails) if self._tails else ""
+        return head + ("\n" + head).join(self._log[1::2]) if self._log else ""
 
     def __iter__(self):
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._log) // 2

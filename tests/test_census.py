@@ -26,13 +26,13 @@ TABLE = """
     8    8      8    8      8    8      4    4  _json encode_basestring_ascii [C]
     4    4      4    4      4    4      4    4  _struct Struct.pack [C]
     4    4      4    4      4    4      4    4  builtins bytes.join [C]
-  104   64    200   84    104   60     84   50  builtins dict.get [C]
+  104   64    232  116    112   68     84   50  builtins dict.get [C]
+    0    0     32   32      8    8      0    0  builtins id [C]
     8    8      8    8      8    8      8    8  builtins int.to_bytes [C]
    24   24     16   16     32   32     18   18  builtins len [C]
-   96   16    248   16    104   16     84   16  builtins list.append [C]
+   48    8    124    8     52    8     42    8  builtins list.extend [C]
     8    8      8    8      8    8      8    8  builtins str.join [C]
-   12   12     76   76     36   36      8    8  builtins tuple.__new__ [C]
-    4    4      4    4      4    4      4    4  srv6sfc.chain ChainRegistry.chain
+   12   12     44   44     32   32      8    8  builtins tuple.__new__ [C]
    20   20     20   20     20   20     16   16  srv6sfc.chain PrefixTable.lookup
     0    0      0    0      4    4      0    0  srv6sfc.chain address_key
     0    0      0    0      4    4      0    0  srv6sfc.dataplane ChainEditor.__call__
@@ -42,7 +42,7 @@ TABLE = """
     4    4     32   32      8    8      2    2  srv6sfc.dataplane VnfAction._build
     0    0      0    0      0    0      2    2  srv6sfc.dataplane VnfAction.drop
     0    0      0    0      4    4      0    0  srv6sfc.dataplane VnfAction.edit_chain
-    4    4     32   32      4    4      2    2  srv6sfc.dataplane VnfAction.forward
+    0    0      0    0      0    0      2    2  srv6sfc.dataplane VnfAction.forward
     0    0      0    0      0    0      2    2  srv6sfc.dataplane _dropped
     8    8      4    4      4    4      6    6  srv6sfc.dataplane _outer_packet
     8    8      4    4      8    8      6    6  srv6sfc.dataplane _payload_length

@@ -126,6 +126,66 @@ def test_advance_requires_srh():
         advance_segment(inner_packet())
 
 
+# The SRH ladder ------------------------------------------------------------------
+
+VNF_KINDS = st.lists(st.sampled_from([SidKind.SR_AWARE, SidKind.SR_UNAWARE]), min_size=1, max_size=6)
+
+
+def same_packet(one, other):
+    """Equal field for field, header and SRH tuples included, and byte for byte."""
+    assert (one.header, one.srh, one.payload) == (other.header, other.srh, other.payload)
+    assert tuple(one.header) == tuple(other.header) and tuple(one.srh) == tuple(other.srh)
+    assert wire.serialize_packet(one) == wire.serialize_packet(other)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(VNF_KINDS, st.binary(max_size=24))
+def test_a_rung_advances_like_a_rebuild(kinds, payload):
+    # A chain of aware, unaware or mixed VNFs; its last segment is er2.
+    network, chain = chain_testbed(len(kinds), tuple(kinds))
+    registry = network.registry
+    ladder, n = chain.ladder, len(chain.segments)
+    assert [rung.segments_left for rung in ladder] == list(range(n))
+    assert all(rung._replace(segments_left=n - 1) == chain.srh for rung in ladder)
+
+    packet = encapsulate(inner_packet(payload), chain)
+    assert packet.srh is chain.srh is ladder[-1]
+    for left in range(n - 1, 0, -1):
+        stepped = advance_segment(packet, registry.rungs)
+        assert stepped.srh is ladder[left - 1]
+        rebuilt = advance_segment(packet)
+        assert rebuilt.srh is not ladder[left - 1]
+        same_packet(stepped, rebuilt)
+        # An equal SRH that is not the rung takes the rebuild: one built by
+        # hand, a parsed one, and an equal chain's that is not registered.
+        twins = [
+            replace(packet, srh=SegmentRoutingHeader(*packet.srh)),
+            wire.parse_packet(wire.serialize_packet(packet)),
+        ]
+        if left == n - 1:
+            twins.append(encapsulate(inner_packet(payload), replace(chain)))
+        for twin in twins:
+            assert twin.srh == packet.srh and twin.srh is not packet.srh
+            twin_stepped = advance_segment(twin, registry.rungs)
+            assert twin_stepped.srh is not ladder[left - 1]
+            same_packet(twin_stepped, stepped)
+        packet = stepped
+
+    assert packet.srh is ladder[0]
+    with pytest.raises(errors.AlreadyAtLastSegment, match="segments_left is already 0"):
+        advance_segment(packet, registry.rungs)
+
+    # Each SR-unaware SID's return path steers with the chain's own rung.
+    for index, kind in enumerate(kinds):
+        if kind is SidKind.SR_UNAWARE:
+            back = registry.unaware_return(registry.sid(chain.segments[index]))
+            assert back.srh is ladder[n - 2 - index]
+
+    clone = registry.copy()
+    registry.unregister_chain(chain.chain_id)
+    assert registry.rungs == {} and len(clone.rungs) == n - 1
+
+
 # Direct construction keeps every field -----------------------------------------
 
 ADDRESSES = st.integers(0, 2**128 - 1).map(IPv6Address)
@@ -200,9 +260,16 @@ def test_inline_wire_rules_answer_like_the_properties(packet, next_header, with_
 
 # Connector cost accounting ------------------------------------------------------
 
+def connect(state, packet, trace=None):
+    """``connector_process`` as the walk calls it: with a trace and the
+    hosted VNF the packet's destination names."""
+    vnf = state.vnfs[int(packet.header.dst)]
+    return connector_process(state, packet, Trace() if trace is None else trace, vnf)
+
+
 def run_connector(network, packet):
     state = network.states["nfv"]
-    return state, connector_process(state, packet)
+    return state, connect(state, packet)
 
 
 @pytest.mark.parametrize(
@@ -277,21 +344,6 @@ def test_unaware_vnf_cannot_edit_chain():
     assert network.ledgers["nfv"].counts() == (2, 2, 0)
 
 
-def test_connector_requires_local_sid():
-    network, chain = chain_testbed(1, SidKind.SR_UNAWARE)
-    outer = encapsulate(inner_packet(), VnfChain("x", (CCCC2,), ER1))
-    state = network.states["nfv"]
-    with pytest.raises(errors.UnknownSid):
-        connector_process(state, outer)
-
-
-def test_connector_requires_srh():
-    network, _ = chain_testbed(1, SidKind.SR_UNAWARE)
-    state = network.states["nfv"]
-    with pytest.raises(errors.NoSrh):
-        connector_process(state, inner_packet())
-
-
 def test_ledger_aggregates_are_the_summed_packet_costs():
     assert CostLedger().counts() == (0, 0, 0)
     network, _ = chain_testbed(2, SidKind.SR_UNAWARE)
@@ -342,7 +394,7 @@ def test_connector_refuses_a_hosted_unaware_vnf_without_a_mapping():
     assert int(stray.address) in state.vnfs and int(stray.address) not in state.returns
     packet = encapsulate(inner_packet(), VnfChain("own", (stray.address, CCCC2), ER1))
     with pytest.raises(errors.UnivocalMappingMissing) as caught:
-        connector_process(state, packet)
+        connect(state, packet)
     assert str(caught.value) == "no chain mapped for SR-unaware interface (bbbb::9, single)"
 
 
@@ -351,7 +403,7 @@ def test_connector_refuses_a_hosted_unaware_vnf_without_a_mapping():
 def connector_pass(network, packet):
     """One connector pass at nfv: the bytes it hands back, its cost, its events."""
     trace = Trace()
-    result = connector_process(network.states["nfv"], packet, trace)
+    result = connect(network.states["nfv"], packet, trace)
     assert all(event.node == "nfv" for event in trace.events)
     events = [(event.kind, event.detail) for event in trace.events]
     return wire.serialize_packet(result.packet), result.cost, events
@@ -419,7 +471,7 @@ def test_unaware_sid_at_the_last_segment_is_refused():
     packet = encapsulate(inner_packet(), VnfChain("last", (BBBB2,), ER1))
     assert packet.srh.segments_left == 0
     with pytest.raises(errors.AlreadyAtLastSegment) as caught:
-        connector_process(state, packet, trace)
+        connect(state, packet, trace)
     assert str(caught.value) == "segments_left is already 0"
     assert trace.events == []
     assert state.ledger.counts() == (0, 0, 0)

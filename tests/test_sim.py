@@ -127,6 +127,15 @@ def test_build_rejects_misplaced_vnf():
         build_network(nodes, [], network.registry)
 
 
+def test_build_rejects_a_rule_for_an_unregistered_chain():
+    # The classifier is compiled to chains, so the rule fails the build,
+    # not the first packet it matches.
+    network, _ = chain_testbed()
+    er1 = replace(network.nodes["er1"], rules=(ClassifierRule(IPv6Network("DDDD::/64"), "gone"),))
+    with pytest.raises(errors.UnknownChain, match="^no chain 'gone'$"):
+        Network({**network.nodes, "er1": er1}, network.links, network.registry)
+
+
 def test_topology_problems_reports_every_fault():
     network, _ = chain_testbed()
     vnf = network.nodes["nfv"].hosted_vnfs[0]
@@ -169,7 +178,9 @@ def test_built_tables_agree_with_reference_lookups(testbed_config_path):
         state = network.states[node_id]
         for address in probes:
             assert state.fib.lookup(address) == longest_prefix_match(node.routing_table, address)
-            assert state.classifier.lookup(address) == classify(node.rules, address)
+            chain = state.classifier.lookup(address)
+            assert (chain and chain.chain_id) == classify(node.rules, address)
+            assert chain is None or chain is network.registry.chain(chain.chain_id)
 
 
 # Walks --------------------------------------------------------------------------
