@@ -13,11 +13,14 @@ their bounds come from the change's ``BENCHMARK.json``.
 
 The output keeps every run, in seed order, and per metric the median and
 quartiles of each side (``statistics.quantiles(n=4, method="inclusive")``),
-the ratio of the medians, the pairs the change won and whether the
-change's median stays within the metric's bound. A claim is met when the
-change is better than the parent median by the given ratio, wins at least
-nine pairs in ten, and its median gain exceeds the parent's interquartile
-range. Standard library only; progress goes to stderr.
+the ratio of the medians, the median of the per-pair change/parent
+ratios, the pairs the change won and whether the change's median stays
+within the metric's bound. Whole processes run at different speeds, so
+the per-pair median can show a gain that the ratio of medians hides. A
+claim is met when the change is better than the parent median by the
+given ratio, wins at least nine pairs in ten, and its median gain
+exceeds the parent's interquartile range. Standard library only;
+progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -97,9 +100,11 @@ def summarise_metric(metric: dict, runs: dict[str, list[float]]) -> dict:
         within = change >= parent * (1 - bound)
     else:
         within = change <= parent * (1 + bound)
+    ratios = [c / p for p, c in zip(runs["parent"], runs["change"])] if all(runs["parent"]) else []
     return {
         **stats,
         "change_over_parent": round(change / parent, 4) if parent else None,
+        "median_of_pair_ratios": round(statistics.median(ratios), 4) if ratios else None,
         "pairs_won_by_change": sum(
             better(metric, c, p) for p, c in zip(runs["parent"], runs["change"])
         ),
@@ -148,6 +153,7 @@ def claim_verdict(spec: str, metrics: list[dict], workloads: dict) -> dict:
         "parent_median": parent,
         "change_median": change,
         "change_over_parent": summary["change_over_parent"],
+        "median_of_pair_ratios": summary["median_of_pair_ratios"],
         "pairs_won": won,
         "pairs": pairs,
         "median_gain": round(gain, 6),

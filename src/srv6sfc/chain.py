@@ -28,9 +28,7 @@ class SidKind(Enum):
     EGRESS_ENDPOINT = "egress"
 
 
-# The members as module constants for the packet path: on CPython 3.11 a
-# read through the Enum class (``SidKind.SR_AWARE``) is a slow lookup,
-# as ``EnumType`` defines ``__getattr__``; a module global is not.
+# The members as module constants, for the packet path (see ``wire``'s module docstring).
 SR_AWARE, SR_UNAWARE, EGRESS_ENDPOINT = SidKind
 
 
@@ -143,8 +141,6 @@ class PrefixTable(Generic[T]):
     per distinct length instead of a scan of every entry. The earliest
     entry wins a tie, as in ``longest_prefix_match``, which stays the
     reference. Later changes to the source entries are not seen.
-    ``lookup`` reads the address's integer from its ``_ip`` slot, the
-    value ``IPv6Address.__int__`` returns, without the Python-level call.
     """
 
     __slots__ = ("_buckets",)
@@ -185,9 +181,8 @@ def next_after(chain: VnfChain, sid: IPv6Address) -> IPv6Address:
 
 
 def address_key(address: IPv6Address) -> int | tuple[int, str]:
-    """An address as a key that hashes in C: its integer (the ``_ip``
-    slot, what ``int`` returns), paired with its scope id when it has
-    one. ``IPv6Address.__hash__`` is a Python-level call."""
+    """An address as a key that hashes in C: its ``_ip`` integer, paired
+    with its scope id when it has one."""
     return address._ip if address._scope_id is None else (address._ip, address._scope_id)
 
 

@@ -1,19 +1,18 @@
 """Scenario configuration: a line-oriented, sectioned text format.
 
-Sections hold one declaration per line; ``key=value`` tokens carry the
-details. The format is diff-friendly on purpose so scenario files can
-serve as golden fixtures. Loading validates everything up front and
-reports all problems at once, not just the first. This module checks the
-declarations: references between sections, duplicates, ambiguous rules
-and routes, behavior specs and the bench flow. ``sim.topology_problems``
-checks the topology the nodes form, the same check ``sim.build_network``
-makes, and the ``ChainRegistry`` checks the chains; so a config that
-loads always builds.
+Loading reports every problem, not just the first: this module checks
+references between sections, duplicates, ambiguous rules and routes,
+behavior specs and the bench flow, ``sim.topology_problems`` the
+topology and the ``ChainRegistry`` the chains, so a config that loads
+always builds. ``CHANGES.md`` records how loading and building work.
 
     [nodes]    <id> <role> addrs=<addr,...>
     [links]    <id> <id>
     [sids]     <addr> kind=<sr-aware|sr-unaware|egress> node=<id> [iface=<single|west|east>]
     [vnfs]     <addr> behavior=<spec> [permission=<level>]
+               <spec>: passthrough | prefix-filter:<prefix> | payload-stamp:<byte>
+                       | chain-editor:<edit>
+               <edit>: insert-after:<sid+sid> | insert-at:<pos>:<sid+sid> | replace:<sid+sid>
     [chains]   <id> segs=<addr,...> src=<addr> [direction=<uni|east|west>]
     [rules]    <node> <prefix> chain=<id>
     [routes]   <node> <prefix> via <node>
@@ -22,43 +21,17 @@ loads always builds.
                rates <rate,...> | runs <int> | noise <num> | seed <int> | payload <bytes>
                units [f=<num>] [d=<num>] [e=<num>]
 
-Every line is read by one rule: the tokens its usage names come first,
-then only ``key=value`` tokens whose keys the usage names, each at most
-once; a bracketed key is optional. Anything else is the problem ``line
-N: expected: <usage>``, or ``unknown field '<key>'``, ``duplicate field
-'<key>'`` or ``missing '<key>' field``. A ``[bench]`` value is checked
-where it is read: at least one rate, each positive and finite, ``runs``
-at least 1, ``payload`` in 0..65527 (the most a UDP datagram carries),
-``noise`` and each unit cost finite and >= 0. Like a ``[rules]`` or
-``[routes]`` line, a ``[bench]`` keyword (a ``model`` per scenario) may
-repeat with an equal value; another value is a problem.
-
-Behavior specs: ``passthrough``, ``prefix-filter:<prefix>``,
-``payload-stamp:<byte>``, ``chain-editor:insert-after:<sid+sid>``,
-``chain-editor:insert-at:<pos>:<sid+sid>``, ``chain-editor:replace:<sid+sid>``.
-A chain editor must sit on an SR-aware SID, make an edit its
-``permission`` allows, name only declared SIDs, insert no egress SID and
-at a position >= 0, and replace with a list that ends at its one egress
-SID; the connector or the egress would refuse anything else at run time.
-
-Loading is one pass. Each distinct address text in a file becomes one
-``IPv6Address`` object, shared by every section that spells it, and each
-distinct ``[rules]``/``[routes]`` prefix text one ``IPv6Network``. A new
-address text is read by ``read_address``, which the command line shares:
-by the C ``socket.inet_pton``, or, for anything it refuses, by
-``IPv6Address(text)``, so scoped addresses (``fe80::1%eth0``) keep their
-scope id and every malformed token keeps the message ``ipaddress`` gives it.
-A prefix is read the same way by ``read_network``: ``inet_pton`` and a
-plain length, or ``IPv6Network(text, strict=False)`` for anything else.
-
-Validation is the one place a config becomes nodes: it parses each VNF
-behavior once and keeps the registry and the checked nodes on the
-config. A build copies the registry (or builds one, as validation does,
-under ``kind_override``) and binds new ``Vnf`` objects to its SIDs.
-``route_add`` edits the config text it is given: each of its rule, chain
-and route that the config lacks becomes one line at the end of its
-section, and the edited text is loaded again, so every refusal is the
-loader's own ``ValidationError``.
+A line holds the tokens its usage names, then only ``key=value`` tokens
+of keys it names, each at most once; a bracketed key is optional.
+Anything else is ``line N: expected: <usage>``, ``unknown field
+'<key>'``, ``duplicate field '<key>'`` or ``missing '<key>' field``.
+``[bench]`` needs one or more rates, each positive and finite, at least
+one run, a ``payload`` in 0..65527, and ``noise`` and unit costs finite
+and not negative. A ``[rules]``, ``[routes]`` or ``[bench]`` line (a
+``model`` per scenario) may repeat only with an equal value. A chain
+editor sits on an SR-aware SID, makes an edit its ``permission`` allows,
+names only declared SIDs, inserts no egress SID and at no position below
+0, and replaces with a list that ends at its one egress SID.
 """
 
 from __future__ import annotations

@@ -23,13 +23,11 @@ SRH is a rung builds only the new IPv6 header; any other SRH (parsed,
 edited or built by hand) is rebuilt. Each node's ``NodeState.returns``
 holds the return paths of its hosted VNFs, keyed like its VNF table by
 the SID's integer, and its ``classifier`` maps a rule's prefix to the
-registered ``VnfChain`` itself. The per-packet rewrites
-(advance, decapsulate, edit, re-encapsulate) build the ``Packet`` and the
-header tuples directly (``tuple.__new__``, every field in order); they
-are pure packet rewrites, and the walk that calls them keeps its own
-state. Any rewrite whose outer payload would pass 65,535 B raises
-:class:`errors.OversizedPacket`; the connector turns that into a drop at
-the node.
+registered ``VnfChain`` itself. The per-packet rewrites (advance,
+decapsulate, edit, re-encapsulate) are pure packet rewrites, and the
+walk that calls them keeps its own state. Any rewrite whose outer
+payload would pass 65,535 B raises :class:`errors.OversizedPacket`; the
+connector turns that into a drop at the node.
 
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
 per decapsulation and ``e`` per re-encapsulation (``node_cost``). In one
@@ -41,30 +39,11 @@ cost (n+2)f (aware) or d+(2n+1)f+e (unaware), and a node that only
 forwards costs f. Each pass returns its counts on ``ConnectorResult``;
 ``CostLedger`` keeps per-node aggregates only.
 
-The connector, ``apply_edit`` and ``VnfAction`` read Enum members from
-module constants bound once beside their Enums (``DROP`` is
-``ActionKind.DROP``, ``REPLACE`` is ``SegmentListEdit.Kind.REPLACE``,
-likewise ``chain.SR_AWARE`` and ``trace.DROPPED``), never through the
-class: on CPython 3.11 ``EnumType`` defines ``__getattr__``, which makes
-each such read a slow lookup, and the walk would make dozens per packet.
-No per-packet check hashes an Enum member or an ``IPv6Address`` either,
-as both hash in Python: ``apply_edit`` finds a permission's edits by its
-value string, and an edit's SIDs in ``ChainRegistry.sid_keys``;
-``PrefixFilter`` tests a destination's integer against the prefix and
-mask integers it compiled at construction.
+The connector records into the walk's ``Trace`` through one bound
+``add`` per pass, and the stock verdict builders skip
+``VnfAction.__init__`` (see ``VnfAction``).
 
-Nor does the packet path make a Python call that does no work.
-``VnfAction`` and ``ConnectorResult`` are value types (see ``wire``).
-The stock builders (``forward``, ``modified``, ``edit_chain``) do not
-enter ``VnfAction.__init__``, whose checks a builder's verdict kind
-passes by construction; each keeps only the check its own arguments can
-fail (``forward(None)`` still raises), ``drop`` returns one shared
-verdict, and a direct ``VnfAction(kind, ...)`` keeps every check;
-``PassThroughRouter`` calls the builder itself. The connector records
-into the walk's ``Trace`` through one bound ``add`` per pass. The rewrites
-unpack the header and SRH tuples into named fields and rebuild from
-them, and read the SRH's length and the payload protocol from the
-fields by the rules ``wire.Packet`` states, not through its properties.
+The packet path keeps the four idioms of ``wire``'s module docstring.
 """
 
 from __future__ import annotations
@@ -115,7 +94,7 @@ class ActionKind(Enum):
     EDIT_CHAIN = "edit-chain"
 
 
-# The members as module constants, for the packet path (see the module docstring).
+# The members as module constants, for the packet path (see ``wire``'s module docstring).
 FORWARD, MODIFIED, DROP, EDIT_CHAIN = ActionKind
 
 
@@ -237,9 +216,8 @@ class PassThroughRouter:
 
 class PrefixFilter:
     """Drops packets whose destination falls inside a prefix. Decides on
-    the integers of the prefix and its mask, compiled at construction, as
-    ``IPv6Network.__contains__`` is a Python call; so ``network`` is
-    read-only."""
+    the integers of the prefix and its mask, compiled at construction, so
+    ``network`` is read-only."""
 
     __slots__ = ("_network", "_prefix", "_mask")
 
@@ -356,7 +334,7 @@ def predicted_cost(n: int, kind: SidKind, units: UnitCosts = UnitCosts()) -> flo
 
 def _payload_length(srh: SegmentRoutingHeader, payload: bytes, what: str) -> int:
     """Outer payload length; :class:`errors.OversizedPacket` past 16 bits."""
-    # The SRH length rule of ``wire.Packet``, on the segment list.
+    # ``wire``'s SRH length rule, on the segment list.
     payload_length = SRH_FIXED_LEN + SEGMENT_LEN * len(srh.segment_list) + len(payload)
     if payload_length > wire.MAX_PAYLOAD_LEN:
         raise errors.OversizedPacket(
@@ -390,7 +368,7 @@ def encapsulate(inner: Packet, chain: VnfChain) -> Packet:
 
 def decapsulate(outer: Packet) -> Packet:
     """Remove one encapsulation layer, returning the parsed inner packet."""
-    srh = outer.srh  # the effective next header of ``wire.Packet``, on the fields
+    srh = outer.srh  # the payload protocol, by ``wire``'s field rule
     next_header = outer.header.next_header if srh is None else srh.next_header
     if next_header != wire.NEXT_HEADER_IPV6:
         raise errors.NotEncapsulated(f"payload protocol is {next_header}, not IPv6-in-IPv6")

@@ -15,12 +15,12 @@ aggregates only, so memory does not grow with the number of packets
 walked.
 
 A walk makes no Python call that does no work. It builds one outcome
-(``Delivered`` or ``Dropped``) and one ``InjectResult``, value types
-(see ``wire``). ``inject`` reads the ingress's ``NodeState`` and the
-walk counter itself, the walk hands the connector its trace and the VNF
-it found, adds each connector pass's cost to ``costs`` in place, and
-tests a packet's encapsulation on the header fields it has already
-read, not through ``Packet.is_encapsulated``.
+(``Delivered`` or ``Dropped``) and one ``InjectResult``. ``inject``
+reads the ingress's ``NodeState`` and the walk counter itself, and the
+walk hands the connector its trace and the VNF it found and adds each
+connector pass's cost to ``costs`` in place.
+
+The packet path keeps the four idioms of ``wire``'s module docstring.
 """
 
 from __future__ import annotations
@@ -96,9 +96,7 @@ class Network:
     ``UnknownChain`` here), its local addresses and hosted VNFs keyed by
     the address's integer, the return path (``UnawareReturn``) of each hosted
     SR-unaware VNF that the registry maps, under the same key, and its
-    ledger (also in ``ledgers``). The walk and the connector read a
-    packet's address integers from the ``_ip`` slot, so no per-packet
-    probe calls into ``ipaddress``. A Node's ``routing_table``, ``rules``
+    ledger (also in ``ledgers``). A Node's ``routing_table``, ``rules``
     and ``addresses`` must not change afterwards, nor the registry's
     chains. Each hosted VNF's ``vnf <sid>`` drop reason is rendered here,
     into ``NodeState.vnf_drops``. ``event_memo`` (see ``srv6sfc.trace``)
@@ -382,7 +380,7 @@ def _walk(
                 continue
             next_hop = state.fib.lookup(packet.header.dst)
         elif key in state.local:
-            # ``wire.Packet``'s encapsulation test, on fields already read.
+            # The payload protocol (``wire``'s field rule) is IPv6-in-IPv6.
             if (header.next_header if srh is None else srh.next_header) == NEXT_HEADER_IPV6:
                 packet = egress_process(packet)
                 hop = packet.header.hop_limit

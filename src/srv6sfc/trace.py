@@ -5,8 +5,7 @@ renders each distinct event once per network, through the event memo
 ``sim.inject`` hands it (a standalone ``Trace()`` gets its own). The
 memo maps ``(node, kind._value_, detail key)`` to the shared
 ``TraceEvent`` and its JSON line after the uid. An address is keyed by
-its integer, read from the ``_ip`` slot (``hash`` and ``int`` are
-Python-level calls), with its scope id when it has one; a string or
+its ``_ip`` integer, with its scope id when it has one; a string or
 ``None`` by itself. Other details, a ``TrafficText`` among them, are
 rendered by ``str`` each time, not stored. A pair is stored only while
 the memo holds fewer than the network's ``event_limit`` entries, so the
@@ -25,13 +24,7 @@ when it is read, and ``to_jsonl`` is one join of the slice of the tails.
 Appending the pair itself would make the export pick each tail out of
 its pair, which costs more than the append saves.
 
-Each ``EventKind`` member is also bound as a module constant of the same
-name (``DROPPED is EventKind.DROPPED``), and the walk and ``Trace.add``
-read those. On CPython 3.11 ``EnumType`` defines ``__getattr__``, so a
-read of ``EventKind.DROPPED`` through the class is a slow attribute
-lookup (about 100 ns), where a module global costs a few; the walk
-makes dozens of such reads per packet. Set-up and CLI code still write
-``EventKind.X``.
+The packet path keeps the four idioms of ``wire``'s module docstring.
 """
 
 from __future__ import annotations
@@ -58,7 +51,7 @@ class EventKind(Enum):
     DELIVERED = "Delivered"
 
 
-# The members as module constants, for the packet path (see the module docstring).
+# The members as module constants, for the packet path (see ``wire``'s module docstring).
 (
     CLASSIFIED, ENCAPSULATED, SEGMENT_ADVANCED, VNF_DELIVERED, VNF_RETURNED,
     DECAPSULATED, RE_ENCAPSULATED, FORWARDED, DROPPED, DELIVERED,
@@ -105,8 +98,7 @@ class Trace:
         only when the event is kept, once per memo."""
         if self._closed:
             raise errors.InvariantViolation(f"trace for uid={self.uid} already terminated")
-        # Identity tests against the module constants: hashing the Enum for
-        # a set probe, or reading the members through the class, costs more.
+        # Identity tests against the module constants (``wire``'s Enum idiom).
         if kind is DROPPED or kind is DELIVERED:
             self._closed = True
         elif self.terminal_only:

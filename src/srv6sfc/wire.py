@@ -33,19 +33,47 @@ returns as image, equal to their parse but for the caller's addresses
 one, returns the slot's packet; ``clear_slot`` empties it. These tests
 sit inside the calls, so a tracer counts them all.
 
-The values the packet path builds (``Packet``, ``dataplane.VnfAction``
-and ``ConnectorResult``, ``sim.Delivered``, ``Dropped`` and
-``InjectResult``) are frozen dataclasses made by :func:`value_type`, and
-built by plain slot stores. Their fields are slots of a private base
-class. Each type's ``_build(*fields)`` makes a draft, an instance of a
-private sibling class of the same layout that is not frozen, stores each
-field into it, and sets its ``__class__`` to the type. A store through
-the slot descriptor's ``__set__``, or the frozen class's
-``object.__setattr__``, costs about six times a plain one. ``__new__``
-calls ``_build``, so ``replace``, ``copy``, ``pickle`` (through
-``__reduce__``) and ``type(v)(*fields)`` build the same way, and the
-packet path calls ``_build`` directly. A class may define ``__init__``
-for checks only, which ``_build`` never enters.
+Packet-path idioms. The walk (``sim``), the connector and rewrites
+(``dataplane``), the prefix tables (``chain``), the trace and this codec
+keep four rules, stated here once:
+
+* Enum members are read from module constants. Each Enum's module binds
+  its members beside it under their own names (``trace.DROPPED`` is
+  ``EventKind.DROPPED``; likewise ``chain.SR_AWARE``, ``dataplane.DROP``
+  and ``dataplane.REPLACE``), and the packet path reads those: on CPython
+  3.11 ``EnumType`` defines ``__getattr__``, so a read through the class
+  is a slow lookup, about 100 ns against a few for a module global, and
+  a walk would make dozens. Set-up and CLI code still write
+  ``EventKind.X``. Nor is a member hashed per packet (``Enum.__hash__``
+  is a Python function): members are compared by identity, and a table
+  keyed by kind uses its value string.
+* Addresses are keyed by their ``_ip`` integer. ``int()``, ``hash()``
+  and ``packed`` of an ``IPv6Address``, and ``IPv6Network.__contains__``,
+  are Python-level calls; the ``_ip`` slot holds what ``int()`` returns.
+  So every per-packet probe reads the slot: the node's VNF, local-address
+  and return tables, the prefix tables, ``PrefixFilter``, the trace's
+  event memo and ``chain.address_key``. This codec packs an address as
+  ``_ip.to_bytes(16, "big")``.
+* Values are built by plain slot stores. The values the packet path
+  builds (``Packet``, ``dataplane.VnfAction`` and ``ConnectorResult``,
+  ``sim.Delivered``, ``Dropped`` and ``InjectResult``) are frozen
+  dataclasses made by :func:`value_type`, whose fields are slots of a
+  private base class. Each type's ``_build(*fields)`` makes a draft, an
+  instance of a private sibling class of the same layout that is not
+  frozen, stores each field into it, and sets its ``__class__`` to the
+  type. A store through the slot descriptor's ``__set__``, or the frozen
+  class's ``object.__setattr__``, costs about six times a plain one.
+  ``__new__`` calls ``_build``, so ``replace``, ``copy``, ``pickle``
+  (through ``__reduce__``) and ``type(v)(*fields)`` build the same way,
+  and the packet path calls ``_build`` directly. A class may define
+  ``__init__`` for checks only, which ``_build`` never enters.
+* Fields are read, not derived through properties. An SRH is
+  ``SRH_FIXED_LEN + SEGMENT_LEN * n`` bytes for ``n`` segments, and a
+  packet's payload protocol is its SRH's ``next_header``, or the IPv6
+  header's when it has no SRH; the packet path applies both rules to
+  fields it has already read. The rewrites unpack the header and SRH
+  tuples into named fields and build new ones with ``tuple.__new__``,
+  every field in order.
 """
 
 from __future__ import annotations
@@ -198,27 +226,13 @@ class SegmentRoutingHeader(NamedTuple):
             segments_left = n - 1
         return cls(NEXT_HEADER_IPV6, 2 * n, SRH_ROUTING_TYPE, segments_left, n - 1, 0, 0, segs)
 
-    @property
-    def byte_length(self) -> int:
-        return SRH_FIXED_LEN + SEGMENT_LEN * len(self.segment_list)
-
 
 @value_type(extra=("image",))
 class Packet:
     """One IPv6 packet: header, optional SRH, opaque payload bytes.
 
-    The effective next header, the payload's protocol, is the SRH's
-    ``next_header`` when there is an SRH, else the IPv6 header's; an SRH
-    is ``SRH_FIXED_LEN + SEGMENT_LEN * n`` bytes for ``n`` segments. The
-    packet path (``sim._walk``, ``dataplane.decapsulate`` and
-    ``dataplane._payload_length``) applies these two rules inline to
-    fields it has already read; ``effective_next_header``,
-    ``is_encapsulated`` and ``SegmentRoutingHeader.byte_length`` state
-    them for every other caller, and the Tier-1 tests hold the two
-    forms to the same answers.
-
-    When the effective next header is IPv6-in-IPv6 the payload is a full
-    serialized inner packet. A plain value (see the module docstring):
+    When the payload protocol (see the module docstring) is IPv6-in-IPv6
+    the payload is a full serialized inner packet. A plain value:
     equality and hash compare the three fields, and assigning any
     attribute raises ``dataclasses.FrozenInstanceError``. Edit with
     ``dataclasses.replace``. ``image``, a slot but not a field, holds the
@@ -228,15 +242,6 @@ class Packet:
     header: Ipv6Header
     srh: SegmentRoutingHeader | None
     payload: bytes
-
-    @property
-    def effective_next_header(self) -> int:
-        """Protocol of the payload, looking through the SRH if present."""
-        return self.srh.next_header if self.srh is not None else self.header.next_header
-
-    @property
-    def is_encapsulated(self) -> bool:
-        return self.effective_next_header == NEXT_HEADER_IPV6
 
 
 _packet = Packet._build
@@ -402,8 +407,6 @@ def serialize_packet(packet: Packet) -> bytes:
     _, traffic_class, flow_label, payload_length, next_header, hop_limit, src, dst = header = packet.header
     word = 0x60000000 | traffic_class << 20 | flow_label
     fixed = _FIXED.pack(word, payload_length, next_header, hop_limit)
-    # ``_ip.to_bytes`` is what ``IPv6Address.packed`` returns, without its
-    # two Python-level calls.
     src_bytes, dst_bytes = src._ip.to_bytes(16, "big"), dst._ip.to_bytes(16, "big")
     srh, payload = packet.srh, packet.payload
     if srh is not None:

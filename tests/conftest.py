@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from ipaddress import IPv6Address, IPv6Network
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import settings
@@ -12,7 +13,7 @@ from hypothesis import settings
 from srv6sfc.chain import ChainRegistry, ClassifierRule, Sid, SidKind, VnfChain
 from srv6sfc.config import load_config, parse_config_text
 from srv6sfc.dataplane import PassThroughRouter, UnitCosts, Vnf, VnfPermission
-from srv6sfc.sim import Network, Node, NodeRole, build_network
+from srv6sfc.sim import Network, Node, NodeRole, build_network, inject
 from srv6sfc import wire
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 
@@ -66,7 +67,7 @@ def random_valid_packet(rng: random.Random) -> Packet:
             segment_list=tuple(IPv6Address(rng.randbytes(16)) for _ in range(count)),
         )
         next_header = 43
-        srh_len = srh.byte_length
+        srh_len = wire.SRH_FIXED_LEN + wire.SEGMENT_LEN * count
     else:
         srh = None
         next_header = rng.choice((17, 41, 59))
@@ -265,12 +266,14 @@ def aware_testbed_config(chain_id: str, behaviors: dict[str, str], chain: list[s
     ) + "\n"
 
 
-def guard_networks(testbed_config_path) -> tuple[dict[str, Network], list[Packet]]:
-    """The networks and packets of the packet-path guards and the call
-    census: the testbed, chain8, the chain-editor config and the testbed
-    with a prefix filter for ``DDDD::3/128`` in place of its pass-through
-    VNF; packets that are chained (the filter passes DDDD::2 and drops
-    DDDD::3), delivered at the ingress and unroutable, small and large."""
+def guard_walks(testbed_config_path) -> dict[tuple[str, bool], Callable[[], None]]:
+    """The walks of the call census and the Enum guard, by network and
+    terminal-only flag: each injects every packet at ``er1`` and exports
+    its trace. The networks are the testbed, chain8, the chain-editor
+    config and the testbed with a prefix filter for ``DDDD::3/128`` in
+    place of its pass-through VNF; the packets are chained (the filter
+    passes DDDD::2 and drops DDDD::3), delivered at the ingress and
+    unroutable, small and large."""
     testbed = Path(testbed_config_path).read_text(encoding="utf-8")
     filtering = testbed.replace("behavior=passthrough", "behavior=prefix-filter:DDDD::3/128")
     assert filtering != testbed
@@ -284,7 +287,17 @@ def guard_networks(testbed_config_path) -> tuple[dict[str, Network], list[Packet
         wire.udp_packet(SRC, IPv6Address(dst), b"x" * size)
         for dst in ("DDDD::2", "DDDD::3", "EEEE::2", "9999::1") for size in (64, 1024)
     ]
-    return networks, packets
+
+    def walker(network: Network, terminal_only: bool) -> Callable[[], None]:
+        def walk() -> None:
+            for packet in packets:
+                inject(network, "er1", packet, terminal_only=terminal_only).trace.to_jsonl()
+        return walk
+
+    return {
+        (name, terminal_only): walker(network, terminal_only)
+        for name, network in networks.items() for terminal_only in (False, True)
+    }
 
 
 @pytest.fixture

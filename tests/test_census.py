@@ -1,23 +1,26 @@
 """The call census of the packet path: every call a walk makes, pinned.
 
-Each guard config's packets (``conftest.guard_networks``) are walked
-once as a warm-up, then once more under ``sys.setprofile``, full and
-terminal-only, exporting each trace. Every Python-level call is counted
-by ``(module, qualified name)``, and every call into C (``[C]``) by the
-module and name of the builtin; a call of a type, such as ``bytes(x)``,
-is no event. ``TABLE`` holds the counts over the eight packets of each
-walk set. A change to the walk changes the table, and the diff states
-the change's per-packet effect exactly.
+Each of ``conftest.guard_walks`` runs once as a warm-up, then once more
+under ``scripts/call_census.py``'s ``count_calls``. Every Python-level
+call is counted by ``(module, qualified name)``, and every call into C
+(``[C]``) by the module and name of the builtin; a call of a type, such
+as ``bytes(x)``, is no event. ``TABLE`` holds the counts over the eight
+packets of each walk. A change to the walk changes the table, and the
+diff states the change's per-packet effect exactly. This table is the
+packet path's call guard: a new call of any name, Python or C, fails it.
 """
 
 from __future__ import annotations
 
-import gc
-import sys
-from collections import Counter
+import importlib.util
+from pathlib import Path
 
-from conftest import guard_networks
-from srv6sfc.sim import inject
+from conftest import guard_walks
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "call_census.py"
+_spec = importlib.util.spec_from_file_location("call_census", _SCRIPT)
+call_census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(call_census)
 
 # Calls over the eight packets, per network and trace mode.
 TABLE = """
@@ -71,44 +74,14 @@ TABLE = """
 """
 
 
-def census(network, packets, terminal_only: bool) -> Counter:
-    def walk():
-        for packet in packets:
-            inject(network, "er1", packet, terminal_only=terminal_only).trace.to_jsonl()
-
-    walk()  # warm-up: fills the event memo
-    calls: Counter = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_globals.get("__name__"), frame.f_code.co_qualname] += 1
-        elif event == "c_call":
-            module = arg.__module__ or type(arg.__self__).__module__
-            calls[module, f"{arg.__qualname__} [C]"] += 1
-
-    # No collection runs inside the census: a collector callback (the
-    # test runner's) would be counted with the walk.
-    enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        walk()
-    finally:
-        sys.setprofile(None)
-        if enabled:
-            gc.enable()
-    # The profiler's own switch and the loop above are not the walk.
-    del calls["sys", "setprofile [C]"], calls[__name__, "census.<locals>.walk"]
-    return calls
-
-
 def census_table(testbed_config_path) -> str:
     """One row per function, two columns (full, terminal-only) per network."""
-    networks, packets = guard_networks(testbed_config_path)
-    columns = [
-        census(network, packets, terminal_only)
-        for network in networks.values() for terminal_only in (False, True)
-    ]
+    walks = guard_walks(testbed_config_path)
+    columns = []
+    for walk in walks.values():
+        walk()  # warm-up: fills the event memo
+        columns.append(call_census.count_calls(walk))
+    networks = dict.fromkeys(name for name, _ in walks)
     lines = [
         "  ".join(f"{name:>10}" for name in networks),
         "  ".join([f"{'full':>5}{'term':>5}"] * len(networks)),

@@ -204,7 +204,7 @@ def srh_packets(draw):
     payload = draw(st.binary(max_size=32))
     header = Ipv6Header(
         6, draw(st.integers(0, 255)), draw(st.integers(0, 0xFFFFF)),
-        srh.byte_length + len(payload), 43, draw(st.integers(0, 255)),
+        wire.SRH_FIXED_LEN + wire.SEGMENT_LEN * n + len(payload), 43, draw(st.integers(0, 255)),
         draw(ADDRESSES), draw(ADDRESSES),
     )
     return wire.Packet(header, srh, payload)
@@ -225,7 +225,7 @@ def test_direct_rewrites_match_replace_reference(packet):
 
     # One plain hop through ``inject``; an IPv6-in-IPv6 payload would be
     # decapsulated at r1, so such packets cross as UDP.
-    if packet.is_encapsulated:
+    if srh.next_header == wire.NEXT_HEADER_IPV6:
         packet = replace(packet, srh=srh._replace(next_header=wire.NEXT_HEADER_UDP))
     outcome = inject(router_line(2, packet.header.dst), "r0", packet).outcome
     if packet.header.hop_limit <= 1:
@@ -240,22 +240,21 @@ def test_direct_rewrites_match_replace_reference(packet):
 @given(srh_packets(), st.sampled_from([0, 17, 41, 43, 59, 255]), st.booleans())
 def test_inline_wire_rules_answer_like_the_properties(packet, next_header, with_srh):
     # ``decapsulate`` and ``_payload_length`` apply ``wire.Packet``'s
-    # effective-next-header and SRH-length rules to the fields.
+    # payload-protocol and SRH-length rules: the protocol is the SRH's
+    # next header, or the IPv6 header's when there is no SRH.
     srh = packet.srh._replace(next_header=next_header)
     inner = inner_packet()
     packet = replace(packet, srh=srh, payload=wire.serialize_packet(inner))
     if not with_srh:
         packet = replace(packet, header=packet.header._replace(next_header=next_header), srh=None)
-    expected = srh.byte_length + len(packet.payload)
+    expected = wire.SRH_FIXED_LEN + wire.SEGMENT_LEN * len(srh.segment_list) + len(packet.payload)
     assert dataplane._payload_length(srh, packet.payload, "outer") == expected
-    if packet.is_encapsulated:
+    if next_header == wire.NEXT_HEADER_IPV6:
         assert decapsulate(packet) == inner
     else:
         with pytest.raises(errors.NotEncapsulated) as info:
             decapsulate(packet)
-        assert str(info.value) == (
-            f"payload protocol is {packet.effective_next_header}, not IPv6-in-IPv6"
-        )
+        assert str(info.value) == f"payload protocol is {next_header}, not IPv6-in-IPv6"
 
 
 # Connector cost accounting ------------------------------------------------------

@@ -76,6 +76,22 @@ def test_claim_on_a_lower_is_better_metric():
     assert (slower["pairs_won"], slower["met"]) == (0, False)
 
 
+def test_median_of_pair_ratios_is_reported_beside_the_ratio_of_medians():
+    # Processes run at one of two speeds. The change gains 10% in each
+    # pair but the third, where a fast parent met a slow change, yet its
+    # median lands on the slow speed and the parent's on the fast one.
+    parent = [100.0, 100.0, 200.0, 200.0, 200.0]
+    change = [110.0, 110.0, 110.0, 220.0, 220.0]
+    summary = paired_bench.summarise_metric(RATE, {"parent": parent, "change": change})
+    assert summary["change_over_parent"] == pytest.approx(0.55)
+    assert summary["median_of_pair_ratios"] == pytest.approx(1.1)
+    # The claim's rules still read the medians, and only report the pairs.
+    met = verdict(RATE, parent, change, 1.05)
+    assert not met["met"] and met["median_of_pair_ratios"] == pytest.approx(1.1)
+    zero = paired_bench.summarise_metric(LATENCY, {"parent": [0.0, 1.0], "change": [1.0, 1.0]})
+    assert zero["median_of_pair_ratios"] is None
+
+
 def test_main_alternates_the_side_that_goes_first(tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()

@@ -10,7 +10,7 @@ import pickle
 import sys
 import tracemalloc
 from dataclasses import replace
-from enum import Enum, EnumType
+from enum import EnumType
 from ipaddress import IPv6Address, IPv6Network
 
 import pytest
@@ -25,10 +25,10 @@ from conftest import (
     chain8_config,
     chain_testbed,
     count_codec_work,
-    guard_networks,
+    guard_walks,
     router_line,
 )
-from srv6sfc import dataplane, errors, sim, wire
+from srv6sfc import errors, wire
 from srv6sfc.chain import (
     ChainRegistry,
     ClassifierRule,
@@ -610,12 +610,12 @@ def test_address_intern_table_stops_at_its_bound(monkeypatch):
     assert retained < 4 * 1024, retained
 
 
-# The packet path reads address integers from the ``_ip`` slot ------------------
+# The packet path's call guard is ``tests/test_census.py``. Each test below
+# checks what its table does not, as the test's first line says. -------------
 
 def test_ip_slot_is_the_address_integer():
-    # The walk, the connector, the prefix tables, the codec and the trace
-    # memo read ``_ip`` where ``int()`` would make a Python-level call. An
-    # ``ipaddress`` that renamed the slot fails here, for addresses from
+    # Beside the census: it checks a value, ``a._ip == int(a)``, not a call.
+    # An ``ipaddress`` that renamed the slot fails here, for addresses from
     # every source the walk sees.
     parsed = wire.parse_packet(serialize_packet(udp_packet(SRC, SINK, b"slot")))
     chain = VnfChain("c", (IPv6Address("BBBB::2"), ER2), ER1)
@@ -630,58 +630,9 @@ def test_ip_slot_is_the_address_integer():
         assert address._ip.to_bytes(16, "big") == address.packed
 
 
-def guard_walker(testbed_config_path):
-    """Walks every packet of ``guard_networks`` through each of its
-    networks, full and terminal-only, exporting each trace; returns each
-    walk's events and costs."""
-    networks, packets = guard_networks(testbed_config_path)
-
-    def walk_all() -> list:
-        seen = []
-        for network in networks.values():
-            for packet in packets:
-                for terminal_only in (False, True):
-                    result = inject(network, "er1", packet, terminal_only=terminal_only)
-                    result.trace.to_jsonl()
-                    seen.append((result.trace.events, result.costs))
-        return seen
-
-    return walk_all
-
-
-def counting(calls: dict[str, int], name: str, method):
-    def counted(*args):
-        calls[name] = calls.get(name, 0) + 1
-        return method(*args)
-    return counted
-
-
-def test_walks_make_no_ipaddress_calls(testbed_config_path, monkeypatch):
-    # ``__str__`` included: after the warm-up every trace event, VNF drop
-    # reason and ``no route to`` reason is a text rendered before.
-    walk_all = guard_walker(testbed_config_path)
-    expected = walk_all()  # warm-up: fills the event memo and the intern table
-    calls: dict[str, int] = {}
-    for name in ("__int__", "__hash__", "__eq__", "__str__"):
-        monkeypatch.setattr(IPv6Address, name, counting(calls, name, getattr(IPv6Address, name)))
-    packed = counting(calls, "packed", IPv6Address.packed.fget)
-    monkeypatch.setattr(IPv6Address, "packed", property(packed))
-    contains = counting(calls, "IPv6Network.__contains__", IPv6Network.__contains__)
-    monkeypatch.setattr(IPv6Network, "__contains__", contains)
-    seen = walk_all()
-    monkeypatch.undo()
-    assert calls == {}
-    assert seen == expected
-    # The filter variant, walked last, passes DDDD::2 and drops DDDD::3.
-    filtered = {event.detail for events, _ in seen[3 * len(seen) // 4:] for event in events}
-    assert "dddd::2" in filtered and "vnf bbbb::2" in filtered
-    assert "no route to 9999::1" in filtered
-
-
-# ... and makes the trace calls the benchmark pins -------------------------------
-
 def test_walks_make_the_pinned_trace_calls(testbed_config_path, monkeypatch):
-    # Per packet, as perfbench's traced run counts them: ``Trace.add`` calls
+    # Beside the census: it mirrors perfbench's trace pins. Per packet, as
+    # perfbench's traced run counts them: ``Trace.add`` calls
     # (``trace.Trace.add.calls_per_pkt``), the events kept
     # (``trace.kept_ratio``) and the Forwarded adds (``sim.hops_per_pkt``).
     cases = {
@@ -712,102 +663,33 @@ def test_walks_make_the_pinned_trace_calls(testbed_config_path, monkeypatch):
     }
 
 
-# ... and reads no Enum member through its class --------------------------------
-
 def test_walks_read_no_enum_member_through_its_class(testbed_config_path, monkeypatch):
-    # On CPython 3.11 ``EnumType`` defines ``__getattr__``, so
-    # ``EventKind.DROPPED`` is a slow lookup; the walk reads the module
-    # constants instead, and hashes no Enum member (``Enum.__hash__`` is a
-    # Python function).
-    walk_all = guard_walker(testbed_config_path)
-    expected = walk_all()
-    calls: dict[str, int] = {}
+    # Beside the census: reading ``EventKind.DROPPED`` through its class
+    # makes no profile event. The walk reads the module constants instead.
+    walks = guard_walks(testbed_config_path).values()
+    for walk in walks:
+        walk()  # warm-up
+    reads: dict[str, int] = {}
     class_attribute = type.__getattribute__
 
     def counted_read(cls, name):
         if name in class_attribute(cls, "_member_map_"):
             key = f"{class_attribute(cls, '__qualname__')}.{name}"
-            calls[key] = calls.get(key, 0) + 1
+            reads[key] = reads.get(key, 0) + 1
         return class_attribute(cls, name)
 
     monkeypatch.setattr(EnumType, "__getattribute__", counted_read)
-    monkeypatch.setattr(Enum, "__hash__", counting(calls, "Enum.__hash__", Enum.__hash__))
-    seen = walk_all()
-    walked = dict(calls)
-    {SidKind.SR_AWARE: 0}.get(SidKind.SR_AWARE)  # the counters do see reads and hashes
+    for walk in walks:
+        walk()
+    walked = dict(reads)
+    SidKind.SR_AWARE  # the counter does see a read
     monkeypatch.undo()
     assert walked == {}
-    assert calls == {"SidKind.SR_AWARE": 2, "Enum.__hash__": 2}
-    assert seen == expected
-
-
-# ... and the SR-unaware proxy builds no packet it throws away ------------------
-
-def test_unaware_pass_builds_no_discarded_packet(testbed_config_path, monkeypatch):
-    # Per testbed packet: encapsulation, the twin of the inner packet that
-    # encapsulation serializes, and the re-encapsulation. The proxy and
-    # egress decapsulation each parse the twin's bytes, so both get the
-    # twin back. Neither the hop limit before the SR-unaware pass nor the
-    # advanced outer packet is built: the proxy strips that header unread.
-    network = load_config(testbed_config_path).build_network()
-    packets = [udp_packet(SRC, SINK, b"x" * size) for size in (64, 1024)]
-
-    def walk_all() -> list:
-        seen = []
-        for packet in packets:
-            for terminal_only in (False, True):
-                result = inject(network, "er1", packet, terminal_only=terminal_only)
-                assert result.delivered
-                seen.append((result.trace.events, result.costs, serialize_packet(result.outcome.packet)))
-        return seen
-
-    expected = walk_all()  # warm-up
-    calls: dict[str, int] = {}
-    monkeypatch.setattr(dataplane, "advance_segment", counting(calls, "advance_segment", dataplane.advance_segment))
-    # Every import site of the builder runs its one code object.
-    build = wire.Packet._build.__code__
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is build:
-            calls["Packet"] = calls.get("Packet", 0) + 1
-
-    sys.setprofile(profile)
-    try:
-        seen = walk_all()
-    finally:
-        sys.setprofile(None)
-    monkeypatch.undo()
-    walks = len(expected)
-    assert {name: count / walks for name, count in calls.items()} == {"Packet": 3}
-    assert seen == expected
-
-
-# ... and parses no bytes it has just made or parsed ----------------------------
-
-def test_walks_parse_no_bytes_they_have_just_made(testbed_config_path, monkeypatch):
-    # Decapsulation parses the payload that encapsulation (or the
-    # proxy's re-encapsulation) made in the same walk: the codec's slot
-    # answers it.
-    walk_all = guard_walker(testbed_config_path)
-    expected = walk_all()  # warm-up
-    work = count_codec_work(monkeypatch)
-    seen = walk_all()
-    assert seen == expected
-    # Of its 64 walks, 8 per config are classified and encapsulate once.
-    assert work == {"parse": 0, "serialize": 4 * 8}
-    # The testbed alone, per walk: one real serialize, no real parse.
-    network = load_config(testbed_config_path).build_network()
-    walks = 0
-    work.update(parse=0, serialize=0)
-    for size in (64, 1024):
-        for terminal_only in (False, True):
-            result = inject(network, "er1", udp_packet(SRC, SINK, b"x" * size), terminal_only=terminal_only)
-            assert result.delivered
-            walks += 1
-    assert {name: count / walks for name, count in work.items()} == {"parse": 0, "serialize": 1}
+    assert reads == {"SidKind.SR_AWARE": 1}
 
 
 def test_a_walk_leaves_the_callers_packet_as_it_was(testbed_config_path, monkeypatch):
+    # Beside the census: it checks values and retained memory, not calls.
     # No memo across walks: the caller's packet gains no image, so the
     # same packet injected again is serialized again, and the codec's
     # slot is empty once a walk has returned.
@@ -815,10 +697,11 @@ def test_a_walk_leaves_the_callers_packet_as_it_was(testbed_config_path, monkeyp
     packet = udp_packet(SRC, SINK, b"x" * 1024)
     first = inject(network, "er1", packet)
     assert packet.image is None and first.delivered
-    validations: dict[str, int] = {}
-    monkeypatch.setattr(wire, "validate_packet", counting(validations, "validate", wire.validate_packet))
+    validated = []
+    validate = wire.validate_packet
+    monkeypatch.setattr(wire, "validate_packet", lambda p: validated.append(p) or validate(p))
     second = inject(network, "er1", packet)
-    assert validations == {"validate": 1}
+    assert len(validated) == 1
     assert packet.image is None
     assert second.outcome == first.outcome and second.outcome.packet is not first.outcome.packet
     delivered = second.outcome.packet
@@ -837,42 +720,6 @@ def test_a_walk_leaves_the_callers_packet_as_it_was(testbed_config_path, monkeyp
     finally:
         tracemalloc.stop()
     assert retained < 512, retained
-
-
-# ... and makes no Python call that does no work -------------------------------
-
-def test_walks_call_no_helper_that_does_no_work(testbed_config_path, monkeypatch):
-    # Properties that read one field, ``VnfAction``'s checks of a verdict a
-    # stock builder made valid, and per-walk helpers: the walk reads the
-    # fields and inlines the rest.
-    walk_all = guard_walker(testbed_config_path)
-    expected = walk_all()  # warm-up
-    calls: dict[str, int] = {}
-    for cls, name in (
-        (wire.Packet, "is_encapsulated"),
-        (wire.Packet, "effective_next_header"),
-        (wire.SegmentRoutingHeader, "byte_length"),
-    ):
-        getter = counting(calls, f"{cls.__name__}.{name}", cls.__dict__[name].fget)
-        monkeypatch.setattr(cls, name, property(getter))
-    for owner, name in (
-        (VnfAction, "__init__"),
-        (Network, "node"),
-        (sim, "_add_cost"),
-    ):
-        label = f"{getattr(owner, '__name__')}.{name}"
-        monkeypatch.setattr(owner, name, counting(calls, label, getattr(owner, name)))
-    seen = walk_all()
-    walked = dict(calls)
-    # The counters do see calls.
-    VnfAction(ActionKind.DROP)
-    assert not udp_packet(SRC, SINK).is_encapsulated
-    monkeypatch.undo()
-    assert walked == {}
-    assert calls == {
-        "VnfAction.__init__": 1, "Packet.is_encapsulated": 1, "Packet.effective_next_header": 1,
-    }
-    assert seen == expected
 
 
 # Walk results are values -------------------------------------------------------

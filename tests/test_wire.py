@@ -37,6 +37,8 @@ from srv6sfc.trace import EventKind, Trace
 from srv6sfc.wire import (
     Ipv6Header,
     Packet,
+    SEGMENT_LEN,
+    SRH_FIXED_LEN,
     SegmentRoutingHeader,
     active_segment,
     decode_udp,
@@ -158,8 +160,8 @@ def test_serialize_no_srh_length(codec):
 
 def test_serialize_two_segment_srh_region_is_40_bytes(codec):
     srh = SegmentRoutingHeader.from_path((BBBB2, CCCC2))
-    assert srh.byte_length == 40 == 8 * (1 + srh.hdr_ext_len)
-    header = Ipv6Header(6, 0, 0, srh.byte_length, 43, 64, IPv6Address("::1"), IPv6Address("::2"))
+    assert SRH_FIXED_LEN + SEGMENT_LEN * len(srh.segment_list) == 40 == 8 * (1 + srh.hdr_ext_len)
+    header = Ipv6Header(6, 0, 0, 40, 43, 64, IPv6Address("::1"), IPv6Address("::2"))
     data = codec.serialize_packet(Packet(header, srh, b""))
     assert len(data) == 40 + 40
 
@@ -173,7 +175,7 @@ def test_serialize_golden_testbed_bytes(codec):
     srh = SegmentRoutingHeader.from_path((BBBB2, CCCC2))
     outer = Packet(
         header=Ipv6Header(
-            6, 0, 0, srh.byte_length + len(inner_bytes), 43, 64,
+            6, 0, 0, 40 + len(inner_bytes), 43, 64,
             IPv6Address("AAAA::2"), BBBB2,
         ),
         srh=srh,
@@ -258,7 +260,7 @@ def test_roundtrip_seeded_random_packets(codec):
 
 def test_headers_and_packets_are_immutable():
     srh = SegmentRoutingHeader.from_path((BBBB2, CCCC2))
-    header = Ipv6Header(6, 0, 0, srh.byte_length, 43, 64, CCCC2, BBBB2)
+    header = Ipv6Header(6, 0, 0, 40, 43, 64, CCCC2, BBBB2)
     packet = Packet(header, srh, b"")
     packet_fields = [f.name for f in dataclasses.fields(Packet)]
     action = VnfAction.edit_chain(packet, SegmentListEdit.insert_after_current((CCCC2,)))
@@ -344,7 +346,7 @@ def packet_strategy(draw):
         version=6,
         traffic_class=draw(st.integers(0, 255)),
         flow_label=draw(st.integers(0, 0xFFFFF)),
-        payload_length=(srh.byte_length if srh else 0) + len(payload),
+        payload_length=(8 + 16 * len(srh.segment_list) if srh else 0) + len(payload),
         next_header=43 if srh else draw(st.integers(0, 255).filter(lambda v: v != 43)),
         hop_limit=draw(st.integers(0, 255)),
         src=draw(addresses),
@@ -365,8 +367,9 @@ def test_srh_length_law(packet):
     data = wire.serialize_packet(packet)
     if packet.srh is not None:
         n = len(packet.srh.segment_list)
-        assert packet.srh.byte_length == 8 + 16 * n == 8 * (1 + packet.srh.hdr_ext_len)
-        assert len(data) == 40 + packet.srh.byte_length + len(packet.payload)
+        srh_length = SRH_FIXED_LEN + SEGMENT_LEN * n
+        assert srh_length == 8 + 16 * n == 8 * (1 + packet.srh.hdr_ext_len)
+        assert len(data) == 40 + srh_length + len(packet.payload)
 
 
 @given(st.binary(max_size=200))
@@ -416,7 +419,7 @@ def oracle_packet(draw):
         version=6,
         traffic_class=draw(_edge(0, 0xFF)),
         flow_label=draw(_edge(0, 0xFFFFF)),
-        payload_length=(srh.byte_length if srh else 0) + len(payload),
+        payload_length=(8 + 16 * len(srh.segment_list) if srh else 0) + len(payload),
         next_header=43 if srh else draw(_edge(0, 255).filter(lambda v: v != 43)),
         hop_limit=draw(_edge(0, 255)),
         src=draw(addresses),
@@ -559,7 +562,7 @@ def slot_packet(draw):
     payload = draw(st.sampled_from((bytes, bytearray)))(draw(st.binary(max_size=32)))
     header = Ipv6Header(
         6, draw(st.integers(0, 255)), draw(st.integers(0, 0xFFFFF)),
-        (srh.byte_length if srh else 0) + len(payload),
+        (8 + 16 * len(srh.segment_list) if srh else 0) + len(payload),
         43 if srh else draw(st.sampled_from((17, 41, 59))), draw(st.integers(0, 255)),
         draw(addresses | scoped), draw(addresses | scoped),
     )
