@@ -6,6 +6,8 @@ and runs the per-SID pipeline:
 * SR-aware SID: advance the segment header, hand the still-encapsulated
   packet to the VNF, apply its verdict (optionally a permission-checked
   segment-list edit), and either loop to the next local VNF or forward.
+  The pass's first advance writes the walk's hop limit into the header it
+  builds, so the walk rebuilds no packet before the pass.
 * SR-unaware SID: advance, strip the outer header + SRH once, shuttle
   the plain inner packet through consecutive local unaware VNFs (two
   connector legs per VNF), then rebuild the encapsulation statelessly
@@ -39,9 +41,11 @@ cost (n+2)f (aware) or d+(2n+1)f+e (unaware), and a node that only
 forwards costs f. Each pass returns its counts on ``ConnectorResult``;
 ``CostLedger`` keeps per-node aggregates only.
 
-The connector records into the walk's ``Trace`` through one bound
-``add`` per pass, and the stock verdict builders skip
-``VnfAction.__init__`` (see ``VnfAction``).
+The connector records into the walk's ``Trace``: each SR-aware step
+with one ``Trace.step`` (its three events as one memoized group, see
+``srv6sfc.trace``), everything else through one bound ``add`` per pass.
+The stock verdict builders skip ``VnfAction.__init__`` (see
+``VnfAction``).
 
 The packet path keeps the four idioms of ``wire``'s module docstring.
 """
@@ -375,12 +379,15 @@ def decapsulate(outer: Packet) -> Packet:
     return wire.parse_packet(outer.payload)
 
 
-def advance_segment(packet: Packet, rungs: dict[int, Step] | None = None) -> Packet:
+def advance_segment(
+    packet: Packet, rungs: dict[int, Step] | None = None, hop_limit: int | None = None,
+) -> Packet:
     """Step to the next segment: decrement segments_left, retarget dst.
 
     When the SRH is a registered rung (``rungs`` is ``ChainRegistry.rungs``)
     the packet takes the rung below, and only its IPv6 header is new; any
-    other SRH is rebuilt with the decremented field."""
+    other SRH is rebuilt with the decremented field. The new header
+    carries ``hop_limit`` when one is given, else the packet's own."""
     srh = packet.srh
     step = None if rungs is None else rungs.get(id(srh))
     if step is not None and step[0] is srh:
@@ -396,9 +403,10 @@ def advance_segment(packet: Packet, rungs: dict[int, Step] | None = None) -> Pac
         srh = tuple.__new__(SegmentRoutingHeader, (
             next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag, segments,
         ))
-    version, traffic_class, flow_label, payload_length, outer_next, hop_limit, src, _ = packet.header
+    version, traffic_class, flow_label, payload_length, outer_next, carried, src, _ = packet.header
     header = tuple.__new__(Ipv6Header, (
-        version, traffic_class, flow_label, payload_length, outer_next, hop_limit, src, dst,
+        version, traffic_class, flow_label, payload_length, outer_next,
+        carried if hop_limit is None else hop_limit, src, dst,
     ))
     return _packet(header, srh, packet.payload)
 
@@ -526,19 +534,26 @@ class ConnectorResult:
 _result = ConnectorResult._build
 
 
-def connector_process(state: NodeState, packet: Packet, trace: Trace, vnf: Vnf) -> ConnectorResult:
+def connector_process(
+    state: NodeState, packet: Packet, trace: Trace, vnf: Vnf, hop: int,
+) -> ConnectorResult:
     """Run the per-SID pipeline for a packet addressed to a local VNF SID,
     looping while the next active segment is also hosted here, and record
     each step in ``trace``. ``vnf`` is the hosted VNF the packet's
     destination names, found by the walk, which has checked that the
-    packet carries an SRH.
+    packet carries an SRH. ``hop`` is the walk's hop limit for the packet.
 
     The pass counts its f/d/e operations, returns them on the result and
     charges ``state.ledger`` once on the way out, also when a step raises.
-    An SR-unaware VNF reached from the encapsulated packet reports the
-    advance (``SEGMENT_ADVANCED`` with the next segment) and decapsulates
-    the packet as it arrived, so the outer header's hop limit is never
-    read there; only an SR-aware VNF sees it.
+    An SR-aware step is recorded by one ``trace.step`` after the VNF's
+    behaviour returns, so a behaviour that raises leaves its step
+    unrecorded. The pass's first SR-aware advance writes ``hop`` into the
+    header it builds; later advances keep the hop limit of the packet
+    they are handed. An SR-unaware VNF reached from the encapsulated
+    packet reports the advance (``SEGMENT_ADVANCED`` with the next
+    segment) and decapsulates the packet as it arrived, so ``hop`` is
+    never used there: an SR-aware VNF after the re-encapsulation sees the
+    new outer header's default hop limit.
     """
     add = trace.add
     node_id = state.node_id
@@ -560,12 +575,11 @@ def connector_process(state: NodeState, packet: Packet, trace: Trace, vnf: Vnf) 
             sid = vnf.sid
             if sid.kind is SR_AWARE:
                 # Only an unaware VNF is handed the plain packet, so here it is None.
-                current = advance_segment(current, rungs)
-                add(node_id, SEGMENT_ADVANCED, current.header.dst)
+                current = advance_segment(current, rungs, hop)
+                hop = None  # later advances keep the hop limit they are handed
                 f += 1
-                add(node_id, VNF_DELIVERED, sid.address)
                 action = vnf.behavior(current)
-                add(node_id, VNF_RETURNED, sid.address)
+                trace.step(node_id, current.header.dst, sid.address)
                 kind = action.kind
                 if kind is DROP:
                     return _dropped(add, node_id, state.vnf_drops[sid.address._ip], (f, d, e))
@@ -594,6 +608,7 @@ def connector_process(state: NodeState, packet: Packet, trace: Trace, vnf: Vnf) 
                         raise errors.AlreadyAtLastSegment("segments_left is already 0")
                     add(node_id, SEGMENT_ADVANCED, segments[segments_left - 1])
                     plain = decapsulate(current)
+                    hop = None  # a re-encapsulated packet starts at the default
                     d += 1
                     add(node_id, DECAPSULATED, None)
                 f += 1

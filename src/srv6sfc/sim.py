@@ -30,7 +30,7 @@ from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
 
 from srv6sfc import errors
-from srv6sfc.chain import SR_AWARE, ChainRegistry, ClassifierRule, PrefixTable, Sid, SidKind
+from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable, Sid, SidKind
 from srv6sfc.dataplane import (
     CostLedger,
     NodeState,
@@ -52,8 +52,10 @@ from srv6sfc.trace import (
 )
 from srv6sfc.wire import NEXT_HEADER_IPV6, Ipv6Header, Packet, clear_slot, udp_packet, value_type
 
-# Visits to individual nodes before a walk is declared stuck; the outer
-# hop limit normally fires first, this is a guard for local loops.
+# Visits to individual nodes before a walk is declared stuck. The hop
+# limit normally fires first; each decapsulation restarts it from the
+# inner header, so a packet nested in enough IPv6-in-IPv6 layers spends
+# this budget instead.
 MAX_NODE_VISITS = 4096
 
 
@@ -99,14 +101,17 @@ class Network:
     ledger (also in ``ledgers``). A Node's ``routing_table``, ``rules``
     and ``addresses`` must not change afterwards, nor the registry's
     chains. Each hosted VNF's ``vnf <sid>`` drop reason is rendered here,
-    into ``NodeState.vnf_drops``. ``event_memo`` (see ``srv6sfc.trace``)
-    and ``unrouted`` (``no route to <dst>`` by destination key, texts the
-    memo never stores) fill as packets are walked, to at most
-    ``event_limit`` entries each: per node, one per address, neighbour and
-    fixed detail (Decapsulated and the hop-limit and visit-budget drops),
-    two per classifier rule, four per hosted VNF and, where VNFs are
-    hosted, two per SID. That holds every event of packets with no SRH of
-    their own; the segments such an SRH brings take what room is left.
+    into ``NodeState.vnf_drops``. ``event_memo`` and ``group_memo`` (see
+    ``srv6sfc.trace``) and ``unrouted`` (``no route to <dst>`` by
+    destination key, texts the memo never stores) fill as packets are
+    walked, to at most ``event_limit`` entries each: per node, one per
+    address, neighbour and fixed detail (Decapsulated and the hop-limit
+    and visit-budget drops), two per classifier rule, four per hosted VNF
+    and, where VNFs are hosted, two per SID. That holds every event of
+    packets with no SRH of their own; the segments such an SRH brings
+    take what room is left. The group memo holds one SR-aware step per
+    (node, segment, SID) whose three events the event memo holds, and it
+    stops at the same bound.
     """
 
     def __init__(
@@ -124,6 +129,7 @@ class Network:
         self.states: dict[str, NodeState] = {}
         self._next_uid = 0
         self.event_memo: dict[tuple, tuple] = {}
+        self.group_memo: dict[tuple, tuple] = {}
         self.unrouted: dict[int | tuple[int, str], str] = {}
         self.event_limit = 2 * len(links)  # Forwarded, once per neighbour
         mapped = registry.returns
@@ -293,7 +299,7 @@ def inject(
         raise
     uid = network._next_uid
     network._next_uid = uid + 1
-    trace = Trace(uid, terminal_only, network.event_memo, network.event_limit)
+    trace = Trace(uid, terminal_only, network.event_memo, network.event_limit, network.group_memo)
     costs: dict[str, tuple[int, int, int]] = {}
     outcome = _walk(network, state, inner, trace, costs)
     clear_slot()
@@ -334,11 +340,12 @@ def _walk(
 ) -> Delivered | Dropped:
     """``inject``'s walk, carrying the current node's ``NodeState``: fills
     ``costs`` with the connector passes and plain forwards of each node.
-    A plain hop decrements ``hop`` only; the packet gets it back before
-    a connector pass whose first VNF is SR-aware, or before delivery. An
-    SR-unaware pass and egress decapsulation drop the outer header, hop
-    limit and all, unread, so the packet goes to them as it arrived; and
-    ``hop`` restarts from each packet they hand back.
+    A plain hop decrements ``hop`` only. The connector gets ``hop`` with
+    the packet, and its first SR-aware advance writes it into the header
+    it builds; a packet gets it back before delivery. An SR-unaware pass
+    and egress decapsulation drop the outer header, hop limit and all,
+    unread, so the packet goes to them as it arrived; and ``hop``
+    restarts from each packet they hand back.
 
     Every routing decision is the walk's, by one rule: a local
     destination is handled at the node, anything else goes where the
@@ -364,9 +371,7 @@ def _walk(
         srh = packet.srh
         vnf = None if srh is None else state.vnfs.get(key)
         if vnf is not None:
-            if vnf.sid.kind is SR_AWARE:  # an SR-unaware pass strips the outer header unread
-                packet = _with_hop_limit(packet, hop)
-            result = connector_process(state, packet, trace, vnf)
+            result = connector_process(state, packet, trace, vnf, hop)
             cost = result.cost
             prior = costs.get(node_id)
             costs[node_id] = cost if prior is None else (

@@ -12,6 +12,16 @@ the memo holds fewer than the network's ``event_limit`` entries, so the
 addresses a packet's own SRH brings cannot outgrow a bound the config
 sets (see ``sim.Network``).
 
+An SR-aware step records three events that depend only on its node, the
+segment it advances to and its SID: SegmentAdvanced, VnfDelivered and
+VnfReturned. ``Trace.step`` records them as one group, the three pairs
+flattened, from the network's group memo (``sim.Network.group_memo``),
+keyed by ``(node, segment key, SID key)`` with each address keyed as
+above. A group holds the event memo's own pairs and is stored only when
+the event memo holds all three, and only while the group memo holds
+fewer than ``event_limit`` groups. ``add`` and ``step`` render through
+one renderer, and ``step`` never calls ``add``.
+
 Each exported line is one JSON object with the keys ``uid``, ``node``,
 ``event`` and ``detail`` in that order, compact separators and
 ASCII-only escaping; ``null`` stands for an absent uid or detail. This
@@ -19,8 +29,9 @@ is exactly what ``json.dumps(..., separators=(",", ":"))`` prints for
 that dict; each line is the trace's uid head followed by an event's
 tail, built once with the same C escaper. A trace keeps one list, the
 flattened ``(event, tail)`` pairs it recorded: recording an event is one
-``extend`` by its pair, ``events`` is the slice of the events, built
-when it is read, and ``to_jsonl`` is one join of the slice of the tails.
+``extend`` by its pair (a step's group, one ``extend`` by its six
+items), ``events`` is the slice of the events, built when it is read,
+and ``to_jsonl`` is one join of the slice of the tails.
 Appending the pair itself would make the export pick each tail out of
 its pair, which costs more than the append saves.
 
@@ -75,8 +86,9 @@ class Trace:
     Delivered and Dropped are terminal: recording anything after one of
     them is a simulator bug and raises. With ``terminal_only`` set, only
     the terminal event is kept (cheap mode for large runs). ``memo`` is
-    the event memo, shared by the traces of one network, which stores a
-    pair only while it holds fewer than ``limit`` entries.
+    the event memo and ``groups`` the group memo, each shared by the
+    traces of one network, and each stores only while it holds fewer
+    than ``limit`` entries.
     """
 
     def __init__(
@@ -85,6 +97,7 @@ class Trace:
         terminal_only: bool = False,
         memo: dict[tuple, tuple[TraceEvent, str]] | None = None,
         limit: int = sys.maxsize,
+        groups: dict[tuple, tuple] | None = None,
     ):
         self.uid = uid
         self.terminal_only = terminal_only
@@ -92,6 +105,7 @@ class Trace:
         self._closed = False
         self._memo = {} if memo is None else memo
         self._limit = limit
+        self._groups = {} if groups is None else groups
 
     def add(self, node: str, kind: EventKind, detail: object = None) -> None:
         """Record one event. ``detail`` (e.g. an address) is rendered
@@ -112,17 +126,61 @@ class Trace:
             key = None
         pair = self._memo.get(key)
         if pair is None:
-            text = detail if detail is None or type(detail) is str else str(detail)
-            pair = (
-                tuple.__new__(TraceEvent, (node, kind, text)),
-                # ``_value_`` is a plain attribute, where ``.value`` goes
-                # through a descriptor; event names need no escaping.
-                f'{_json_string(node)},"event":"{kind._value_}",'
-                f'"detail":{"null" if text is None else _json_string(text)}}}',
-            )
-            if key is not None and len(self._memo) < self._limit:
-                self._memo[key] = pair
+            pair = self._pair(key, node, kind, detail)
         self._log.extend(pair)
+
+    def step(self, node: str, dst: IPv6Address, sid: IPv6Address) -> None:
+        """Record an SR-aware step at ``node``: SegmentAdvanced to ``dst``,
+        then VnfDelivered and VnfReturned of ``sid``, as one group."""
+        if self._closed:
+            raise errors.InvariantViolation(f"trace for uid={self.uid} already terminated")
+        if self.terminal_only:
+            return
+        key = (
+            node,
+            dst._ip if dst._scope_id is None else (dst._ip, dst._scope_id),
+            sid._ip if sid._scope_id is None else (sid._ip, sid._scope_id),
+        )
+        group = self._groups.get(key)
+        if group is None:
+            group = self._group(key, node, dst, sid)
+        self._log.extend(group)
+
+    def _pair(self, key: tuple | None, node: str, kind: EventKind, detail: object) -> tuple:
+        """The event and its tail, rendered; stored under ``key`` while the
+        memo has room. The one renderer of ``add`` and ``step``."""
+        text = detail if detail is None or type(detail) is str else str(detail)
+        pair = (
+            tuple.__new__(TraceEvent, (node, kind, text)),
+            # ``_value_`` is a plain attribute, where ``.value`` goes
+            # through a descriptor; event names need no escaping.
+            f'{_json_string(node)},"event":"{kind._value_}",'
+            f'"detail":{"null" if text is None else _json_string(text)}}}',
+        )
+        if key is not None and len(self._memo) < self._limit:
+            self._memo[key] = pair
+        return pair
+
+    def _group(self, key: tuple, node: str, dst: IPv6Address, sid: IPv6Address) -> tuple:
+        """A step's three pairs, flattened, from the event memo or the
+        renderer; stored under ``key`` only when the memo holds all three,
+        and while the group memo has room."""
+        memo = self._memo
+        _, dst_key, sid_key = key
+        group: tuple = ()
+        stored = True
+        for kind, detail, detail_key in (
+            (SEGMENT_ADVANCED, dst, dst_key), (VNF_DELIVERED, sid, sid_key), (VNF_RETURNED, sid, sid_key),
+        ):
+            event_key = (node, kind._value_, detail_key)
+            pair = memo.get(event_key)
+            if pair is None:
+                pair = self._pair(event_key, node, kind, detail)
+                stored = stored and event_key in memo
+            group += pair
+        if stored and len(self._groups) < self._limit:
+            self._groups[key] = group
+        return group
 
     @property
     def events(self) -> list[TraceEvent]:

@@ -13,7 +13,7 @@ from hypothesis import settings
 from srv6sfc.chain import ChainRegistry, ClassifierRule, Sid, SidKind, VnfChain
 from srv6sfc.config import load_config, parse_config_text
 from srv6sfc.dataplane import PassThroughRouter, UnitCosts, Vnf, VnfPermission
-from srv6sfc.sim import Network, Node, NodeRole, build_network, inject
+from srv6sfc.sim import MAX_NODE_VISITS, Network, Node, NodeRole, build_network, inject
 from srv6sfc import wire
 from srv6sfc.wire import Ipv6Header, Packet, SegmentRoutingHeader
 
@@ -266,6 +266,22 @@ def aware_testbed_config(chain_id: str, behaviors: dict[str, str], chain: list[s
     ) + "\n"
 
 
+def nested_packet(layers: int) -> Packet:
+    """A UDP packet inside ``layers`` plain IPv6-in-IPv6 headers whose
+    destinations alternate, from the outside in, between the testbed's
+    egress ``CCCC::2`` and its source ``EEEE::2``: injected at ``er1``,
+    each layer is two forwards and a decapsulation, three node visits."""
+    packet = wire.udp_packet(SRC, SINK, b"x")
+    for index in reversed(range(layers)):
+        payload = wire.serialize_packet(packet)
+        header = Ipv6Header(
+            6, 0, 0, len(payload), wire.NEXT_HEADER_IPV6, wire.DEFAULT_HOP_LIMIT,
+            SRC, ER2 if index % 2 == 0 else SRC,
+        )
+        packet = Packet(header=header, srh=None, payload=payload)
+    return packet
+
+
 def guard_walks(testbed_config_path) -> dict[tuple[str, bool], Callable[[], None]]:
     """The walks of the call census and the Enum guard, by network and
     terminal-only flag: each injects every packet at ``er1`` and exports
@@ -273,7 +289,10 @@ def guard_walks(testbed_config_path) -> dict[tuple[str, bool], Callable[[], None
     config and the testbed with a prefix filter for ``DDDD::3/128`` in
     place of its pass-through VNF; the packets are chained (the filter
     passes DDDD::2 and drops DDDD::3), delivered at the ingress and
-    unroutable, small and large."""
+    unroutable, small and large. Three more reach the walk's other drops:
+    a hop limit of 1 toward the routed ``CCCC::2`` (dropped at ``er1``),
+    a chained payload of 65,500 B (too large to encapsulate at ``er1``)
+    and a packet nested deep enough to spend ``sim.MAX_NODE_VISITS``."""
     testbed = Path(testbed_config_path).read_text(encoding="utf-8")
     filtering = testbed.replace("behavior=passthrough", "behavior=prefix-filter:DDDD::3/128")
     assert filtering != testbed
@@ -286,6 +305,11 @@ def guard_walks(testbed_config_path) -> dict[tuple[str, bool], Callable[[], None
     packets = [
         wire.udp_packet(SRC, IPv6Address(dst), b"x" * size)
         for dst in ("DDDD::2", "DDDD::3", "EEEE::2", "9999::1") for size in (64, 1024)
+    ]
+    packets += [
+        wire.udp_packet(SRC, ER2, b"x" * 64, hop_limit=1),
+        wire.udp_packet(SRC, SINK, b"x" * 65500),
+        nested_packet(MAX_NODE_VISITS // 3 + 1),
     ]
 
     def walker(network: Network, terminal_only: bool) -> Callable[[], None]:

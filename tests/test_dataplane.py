@@ -260,10 +260,11 @@ def test_inline_wire_rules_answer_like_the_properties(packet, next_header, with_
 # Connector cost accounting ------------------------------------------------------
 
 def connect(state, packet, trace=None):
-    """``connector_process`` as the walk calls it: with a trace and the
-    hosted VNF the packet's destination names."""
+    """``connector_process`` as the walk calls it: with a trace, the
+    hosted VNF the packet's destination names and the packet's hop limit."""
     vnf = state.vnfs[int(packet.header.dst)]
-    return connector_process(state, packet, Trace() if trace is None else trace, vnf)
+    trace = Trace() if trace is None else trace
+    return connector_process(state, packet, trace, vnf, packet.header.hop_limit)
 
 
 def run_connector(network, packet):

@@ -506,6 +506,34 @@ def test_reencapsulated_outer_header_restarts_at_default_hop_limit():
     assert result.outcome == Delivered(inner, "er2")
 
 
+@pytest.mark.parametrize(
+    "kinds,expected",
+    [
+        # The strip drops the walk's hop limit with the outer header, and
+        # the re-encapsulated packet the aware VNF gets starts again at 64.
+        ((SidKind.SR_UNAWARE, SidKind.SR_AWARE), [64]),
+        # The walk's hop limit goes to the pass's first aware advance only;
+        # the next one keeps what the first VNF handed back.
+        ((SidKind.SR_AWARE, SidKind.SR_AWARE), [63, 7]),
+    ],
+)
+def test_an_aware_vnf_sees_the_hop_limit_of_the_packet_it_is_handed(kinds, expected):
+    """er1 -> nfv -> er2, both VNFs on nfv: the walk reaches nfv with one
+    hop spent. Each aware VNF records the hop limit it sees and hands
+    the packet back with a hop limit of 7."""
+    seen = []
+
+    def record(packet):
+        seen.append(packet.header.hop_limit)
+        return VnfAction.forward(replace(packet, header=packet.header._replace(hop_limit=7)))
+
+    behaviors = [record if kind is SidKind.SR_AWARE else PassThroughRouter() for kind in kinds]
+    network, _ = chain_testbed(len(kinds), kinds, behaviors=behaviors)
+    result = inject(network, "er1", udp_packet(SRC, SINK, b"payload!"))
+    assert result.delivered
+    assert seen == expected
+
+
 # Walk costs: the cost law on random mixed chains, bounded memory ---------------
 
 TERMINAL = (EventKind.DELIVERED, EventKind.DROPPED)
@@ -634,12 +662,13 @@ def test_walks_make_the_pinned_trace_calls(testbed_config_path, monkeypatch):
     # Beside the census: it mirrors perfbench's trace pins. Per packet, as
     # perfbench's traced run counts them: ``Trace.add`` calls
     # (``trace.Trace.add.calls_per_pkt``), the events kept
-    # (``trace.kept_ratio``) and the Forwarded adds (``sim.hops_per_pkt``).
+    # (``trace.kept_ratio``) and the Forwarded adds (``sim.hops_per_pkt``);
+    # and the SR-aware steps, each recorded by one ``Trace.step``.
     cases = {
         "testbed": (load_config(testbed_config_path).build_network(), 64, True),
         "chain8": (parse_config_text(chain8_config()).build_network(), 1024, False),
     }
-    add = Trace.add
+    add, step = Trace.add, Trace.step
     counts: dict[str, int] = {}
 
     def counted(self, node, kind, detail=None):
@@ -647,10 +676,15 @@ def test_walks_make_the_pinned_trace_calls(testbed_config_path, monkeypatch):
         counts["forwarded"] += kind is FORWARDED
         return add(self, node, kind, detail)
 
+    def counted_step(self, node, dst, sid):
+        counts["step"] += 1
+        return step(self, node, dst, sid)
+
     monkeypatch.setattr(Trace, "add", counted)
+    monkeypatch.setattr(Trace, "step", counted_step)
     seen = {}
     for name, (network, size, terminal_only) in cases.items():
-        counts.update(add=0, forwarded=0, kept=0)
+        counts.update(add=0, step=0, forwarded=0, kept=0)
         for index in range(4):
             packet = udp_packet(SRC, SINK, bytes([index]) * size, src_port=1024 + index)
             result = inject(network, "er1", packet, terminal_only=terminal_only)
@@ -658,8 +692,8 @@ def test_walks_make_the_pinned_trace_calls(testbed_config_path, monkeypatch):
             counts["kept"] += len(result.trace.events)
         seen[name] = {key: count / 4 for key, count in counts.items()}
     assert seen == {
-        "testbed": {"add": 11, "forwarded": 2, "kept": 1},
-        "chain8": {"add": 30, "forwarded": 2, "kept": 30},
+        "testbed": {"add": 11, "step": 0, "forwarded": 2, "kept": 1},
+        "chain8": {"add": 6, "step": 8, "forwarded": 2, "kept": 30},
     }
 
 

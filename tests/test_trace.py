@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain8_config
-from srv6sfc import cli
+from srv6sfc import cli, errors
 from srv6sfc.chain import SidKind, VnfChain
 from srv6sfc.config import load_config, parse_config_text
 from srv6sfc.dataplane import encapsulate
@@ -149,6 +149,23 @@ def test_standalone_trace_renders_addresses():
         '{"uid":null,"node":"er2","event":"Delivered","detail":"dddd::2"}'
     )
     assert [event.detail for event in trace] == ["bbbb::2", "dddd::2"]
+
+
+def test_step_records_what_its_three_adds_record():
+    node, dst, sid = "nfv", IPv6Address("fe80::1%eth0"), IPv6Address("BBBB::2")
+    added, stepped, terminal = Trace(7), Trace(7), Trace(7, terminal_only=True)
+    for kind, detail in (
+        (EventKind.SEGMENT_ADVANCED, dst), (EventKind.VNF_DELIVERED, sid), (EventKind.VNF_RETURNED, sid),
+    ):
+        added.add(node, kind, detail)
+    stepped.step(node, dst, sid)
+    terminal.step(node, dst, sid)
+    assert stepped.events == added.events and stepped.to_jsonl() == added.to_jsonl()
+    assert len(terminal) == 0
+    for trace in (stepped, terminal):
+        trace.add("er2", EventKind.DELIVERED, None)
+        with pytest.raises(errors.InvariantViolation):
+            trace.step(node, dst, sid)
 
 
 # Golden `run` output ---------------------------------------------------------
@@ -326,42 +343,122 @@ def own_srh_packet(segment: IPv6Address):
 
 def test_address_memo_is_bounded_when_packets_bring_their_own_srh():
     # A packet that arrives encapsulated names any address as its next
-    # segment, and SegmentAdvanced renders it.
+    # segment, and SegmentAdvanced renders it. With the testbed's VNF made
+    # SR-aware, the step's group is keyed by that segment too.
     config = load_config(str(files("srv6sfc") / "configs" / "testbed.cfg"))
-    network, unbounded = config.build_network(), config.build_network()
-    unbounded.event_limit = sys.maxsize  # the memo without its bound
-    assert network.event_limit == 2 * 2 + (2 + 3 + 2) + (3 + 3 + 4 + 2 * 2) + (2 + 3)
-    rng = random.Random(13)
-    for _ in range(500):
-        segment = IPv6Address(rng.getrandbits(128))
-        packet = own_srh_packet(segment)
-        result = inject(network, "nfv", packet)
-        assert result.delivered
-        assert ("nfv", EventKind.SEGMENT_ADVANCED, str(segment)) in result.trace.events
-        assert result.trace.to_jsonl() == inject(unbounded, "nfv", packet).trace.to_jsonl()
-        assert len(network.event_memo) <= network.event_limit
-    assert len(unbounded.event_memo) > 500
+    for kind in (None, SidKind.SR_AWARE):
+        network, unbounded = config.build_network(kind), config.build_network(kind)
+        unbounded.event_limit = sys.maxsize  # the memos without their bound
+        assert network.event_limit == 2 * 2 + (2 + 3 + 2) + (3 + 3 + 4 + 2 * 2) + (2 + 3)
+        rng = random.Random(13)
+        for _ in range(500):
+            segment = IPv6Address(rng.getrandbits(128))
+            packet = own_srh_packet(segment)
+            result = inject(network, "nfv", packet)
+            free = inject(unbounded, "nfv", packet)
+            # The SR-aware VNF sends the packet on to its own segment, which
+            # nfv does not route; the unaware proxy re-encapsulates for c1.
+            assert result.delivered is (kind is None)
+            assert result.outcome == free.outcome
+            assert ("nfv", EventKind.SEGMENT_ADVANCED, str(segment)) in result.trace.events
+            assert result.trace.to_jsonl() == free.trace.to_jsonl()
+            assert len(network.event_memo) <= network.event_limit
+            assert len(network.group_memo) <= network.event_limit
+        assert len(unbounded.event_memo) > 500
+        assert len(unbounded.group_memo) == (500 if kind is SidKind.SR_AWARE else 0)
 
 
 def test_memo_at_its_bound_exports_like_an_unbounded_one():
     config = load_config(str(files("srv6sfc") / "configs" / "testbed.cfg"))
-    full, unbounded = config.build_network(), config.build_network()
-    full.event_limit, unbounded.event_limit = 0, sys.maxsize
-    rng = random.Random(29)
-    walks = [("nfv", own_srh_packet(IPv6Address(rng.getrandbits(128)))) for _ in range(20)]
-    walks += [
-        ("er1", udp_packet(IPv6Address("EEEE::2"), IPv6Address(0x9999 << 112 | rng.getrandbits(64)), b"memo"))
-        for _ in range(20)
-    ]
-    for terminal_only in (False, True):
-        for ingress, packet in walks * 2:
-            bounded = inject(full, ingress, packet, terminal_only=terminal_only)
-            free = inject(unbounded, ingress, packet, terminal_only=terminal_only)
-            assert bounded.outcome == free.outcome
-            assert bounded.trace.events == free.trace.events
-            assert bounded.trace.to_jsonl() == free.trace.to_jsonl()
-    assert full.event_memo == {} and full.unrouted == {}
-    assert len(unbounded.unrouted) == 20
+    for kind in (None, SidKind.SR_AWARE):
+        full, unbounded = config.build_network(kind), config.build_network(kind)
+        full.event_limit, unbounded.event_limit = 0, sys.maxsize
+        rng = random.Random(29)
+        walks = [("nfv", own_srh_packet(IPv6Address(rng.getrandbits(128)))) for _ in range(20)]
+        walks += [
+            ("er1", udp_packet(IPv6Address("EEEE::2"), IPv6Address(0x9999 << 112 | rng.getrandbits(64)), b"memo"))
+            for _ in range(20)
+        ]
+        walks.append(("er1", udp_packet(IPv6Address("EEEE::2"), IPv6Address("DDDD::2"), b"memo")))
+        for terminal_only in (False, True):
+            for ingress, packet in walks * 2:
+                bounded = inject(full, ingress, packet, terminal_only=terminal_only)
+                free = inject(unbounded, ingress, packet, terminal_only=terminal_only)
+                assert bounded.outcome == free.outcome
+                assert bounded.trace.events == free.trace.events
+                assert bounded.trace.to_jsonl() == free.trace.to_jsonl()
+        assert full.event_memo == {} and full.group_memo == {} and full.unrouted == {}
+        # An SR-aware VNF sends each own-SRH packet to its unrouted segment.
+        assert len(unbounded.unrouted) == (40 if kind is SidKind.SR_AWARE else 20)
+        # The delivered flow and the own-SRH packets make one step each.
+        assert len(unbounded.group_memo) == (21 if kind is SidKind.SR_AWARE else 0)
+
+
+# Each chain VNF as (kind, behavior spec); an editor inserts the SR-aware
+# pass-through BBBB::ff after itself, and a filter drops DDDD::8/125.
+_CHAIN_VNFS = st.sampled_from([
+    ("sr-aware", "passthrough"),
+    ("sr-unaware", "passthrough"),
+    ("sr-aware", "prefix-filter:DDDD::8/125"),
+    ("sr-unaware", "prefix-filter:DDDD::8/125"),
+    ("sr-aware", "chain-editor:insert-after:BBBB::ff"),
+])
+
+
+def mixed_chain_config(vnfs: list[tuple[str, str]]) -> str:
+    """The testbed's nodes, links and routes with chain c1 through the
+    given VNFs (BBBB::2 on) on nfv, plus the editors' target BBBB::ff."""
+    sids = [f"BBBB::{index + 2:x}" for index in range(len(vnfs))]
+    declared = [*zip(sids, vnfs), ("BBBB::ff", ("sr-aware", "passthrough"))]
+    return "\n".join([
+        "[nodes]",
+        "er1 ingress-edge addrs=AAAA::2,EEEE::2",
+        "nfv nfv-node addrs=AAAA::1,BBBB::1,CCCC::1",
+        "er2 egress-edge addrs=CCCC::2,DDDD::2",
+        "[links]", "er1 nfv", "nfv er2",
+        "[sids]",
+        *(f"{sid} kind={kind} node=nfv" for sid, (kind, _) in declared),
+        "CCCC::2 kind=egress node=er2",
+        "[vnfs]",
+        *(f"{sid} behavior={spec} permission=insert-next-only" for sid, (_, spec) in declared),
+        "[chains]",
+        f"c1 segs={','.join(sids)},CCCC::2 src=AAAA::2 direction=uni",
+        "[rules]", "er1 DDDD::/64 chain=c1",
+        "[routes]",
+        "er1 BBBB::/64 via nfv", "er1 CCCC::/64 via nfv", "er1 DDDD::/64 via nfv",
+        "nfv AAAA::/64 via er1", "nfv EEEE::/64 via er1",
+        "nfv CCCC::/64 via er2", "nfv DDDD::/64 via er2",
+        "er2 AAAA::/64 via nfv", "er2 EEEE::/64 via nfv",
+    ]) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(_CHAIN_VNFS, min_size=1, max_size=5), st.none() | st.integers(0, 16))
+def test_grouped_steps_export_like_json_dumps_within_the_bound(vnfs, limit):
+    # Every full trace of walks over mixed chains exports what json.dumps
+    # prints for its events, and those events are the ones a network that
+    # stores nothing renders. Both memos stay within the bound, also when
+    # it is set low enough that only some groups fit.
+    config = parse_config_text(mixed_chain_config(vnfs))
+    network, bare = config.build_network(), config.build_network()
+    if limit is not None:
+        network.event_limit = limit
+    bare.event_limit = 0
+    source = IPv6Address("EEEE::2")
+    destinations = ("DDDD::2", "DDDD::9", "EEEE::2", "9999::1")
+    for _ in range(2):
+        for dst in destinations:
+            packet = udp_packet(source, IPv6Address(dst), b"group")
+            trace = inject(network, "er1", packet).trace
+            expected = inject(bare, "er1", packet).trace
+            assert trace.events == expected.events
+            assert trace.to_jsonl() == expected.to_jsonl() == reference_jsonl(trace.uid, False, trace.events)
+            assert len(network.event_memo) <= network.event_limit
+            assert len(network.group_memo) <= network.event_limit
+    assert bare.event_memo == {} and bare.group_memo == {}
+    for group in network.group_memo.values():
+        stored = {id(pair[0]) for pair in network.event_memo.values()}
+        assert len(group) == 6 and all(id(event) in stored for event in group[0::2])
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
