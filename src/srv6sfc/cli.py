@@ -33,12 +33,10 @@ from srv6sfc.bench import (
     regression_csv,
     run_sweep,
 )
-from srv6sfc.chain import SidKind
 from srv6sfc.config import BENCH_READERS, ScenarioConfig, load_config, read_config_text, route_add
 from srv6sfc.config import read_address, read_finite, read_integer
-from srv6sfc.dataplane import ChainEditor
 from srv6sfc.sim import (
-    Dropped, FlowSpec, FlowSummary, Network, NodeRole, classify_at_ingress, flow_packet, inject,
+    Dropped, FlowSpec, FlowSummary, NodeRole, classify_at_ingress, flow_packet, inject,
 )
 from srv6sfc.trace import Trace
 from srv6sfc.wire import hexdump, serialize_packet
@@ -99,27 +97,6 @@ def _flow(args, ingress: str, count: int) -> FlowSpec:
     return FlowSpec(
         ingress, args.src, args.dst, count, args.payload_bytes, args.sport, args.dport
     )
-
-
-def _refuse_unaware_editors(scenario: str, network: Network, flow: FlowSpec) -> None:
-    """A ``ValidationError`` when the scenario's kind makes a chain editor on
-    the flow's classified chain SR-unaware: such a VNF sees no SRH, so the
-    sweep's first packet would fail the connector. Validation cannot see
-    this, as it checks the kinds the file declares."""
-    chain = network.states[flow.ingress].classifier.lookup(flow.dst)
-    if chain is None:
-        return
-    hosted = {vnf.sid.address: vnf for node in network.nodes.values() for vnf in node.hosted_vnfs}
-    problems = [
-        f"scenario {scenario!r} makes chain editor {address} SR-unaware, and the bench flow's "
-        f"chain {chain.chain_id!r} crosses it: an SR-unaware VNF sees no SRH and cannot edit it"
-        for address in chain.segments
-        if (vnf := hosted.get(address)) is not None
-        and vnf.sid.kind is SidKind.SR_UNAWARE
-        and isinstance(vnf.behavior, ChainEditor)
-    ]
-    if problems:
-        raise errors.ValidationError(problems)
 
 
 def cmd_validate(args) -> int:
@@ -201,7 +178,6 @@ def cmd_bench(args) -> int:
             raise errors.ValidationError([f"no capacity model for scenario {name!r}"])
         network = config.build_network(kind_override=kind)
         flow = config.flow()
-        _refuse_unaware_editors(name, network, flow)
         sweeps.append((label, network, flow, model))
     reports = [
         run_sweep(

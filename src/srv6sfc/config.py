@@ -3,8 +3,8 @@
 Loading reports every problem, not just the first: this module checks
 references between sections, duplicates, ambiguous rules and routes,
 behavior specs and the bench flow, ``sim.topology_problems`` the
-topology and the ``ChainRegistry`` the chains, so a config that loads
-always builds. ``CHANGES.md`` records how loading and building work.
+topology, the ``ChainRegistry`` the chains and ``dataplane.chain_problems``
+a walk of each chain, so a config that loads always builds.
 
     [nodes]    <id> <role> addrs=<addr,...>
     [links]    <id> <id>
@@ -30,8 +30,8 @@ one run, a ``payload`` in 0..65527, and ``noise`` and unit costs finite
 and not negative. A ``[rules]``, ``[routes]`` or ``[bench]`` line (a
 ``model`` per scenario) may repeat only with an equal value. A chain
 editor sits on an SR-aware SID, makes an edit its ``permission`` allows,
-names only declared SIDs, inserts no egress SID and at no position below
-0, and replaces with a list that ends at its one egress SID.
+names only declared SIDs, inserts at no position below 0 and replaces
+with a non-empty list.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from srv6sfc.dataplane import (
     UnitCosts,
     Vnf,
     VnfPermission,
+    chain_problems,
 )
 from srv6sfc.sim import FlowSpec, Network, Node, NodeRole, topology_problems
 from srv6sfc.wire import MAX_PAYLOAD_LEN, UDP_HEADER_LEN
@@ -148,11 +149,11 @@ class ScenarioConfig:
         else:
             sids = [sid if sid.kind is SidKind.EGRESS_ENDPOINT else dc_replace(sid, kind=kind_override)
                     for sid in self.sids]
-            try:
-                registry = _new_registry(sids, self.chains)
-            except errors.ChainError as exc:
-                problem = f"VNF SIDs as {kind_override.value}: {type(exc).__name__}: {exc}"
-                raise errors.ValidationError([problem]) from exc
+            registry, problems = _new_registry(sids, self.chains, self._checked_nodes)
+            if problems:
+                raise errors.ValidationError(
+                    [f"VNF SIDs as {kind_override.value}: {problem}" for problem in problems]
+                )
         nodes = {}
         for node in self._checked_nodes:
             vnfs = [Vnf(registry.sid(v.sid.address), v.behavior, v.permission) for v in node.hosted_vnfs]
@@ -173,14 +174,18 @@ class ScenarioConfig:
         )
 
 
-def _new_registry(sids, chains) -> ChainRegistry:
-    """The one way a registry is built: ``sids``, then ``chains``."""
+def _new_registry(sids, chains, nodes) -> tuple[ChainRegistry | None, list[str]]:
+    """The one way a registry is built, ``sids`` then ``chains``, with the
+    problems of walking each past the VNFs ``nodes`` host, or None and its refusal."""
     registry = ChainRegistry()
-    for sid in sids:
-        registry.add_sid(sid)
-    for chain in chains:
-        registry.register_chain(chain)
-    return registry
+    try:
+        for sid in sids:
+            registry.add_sid(sid)
+        for chain in chains:
+            registry.register_chain(chain)
+    except errors.SfcError as exc:
+        return None, [f"{type(exc).__name__}: {exc}"]
+    return registry, chain_problems(registry, (vnf for node in nodes for vnf in node.hosted_vnfs))
 
 
 # Behavior factory ---------------------------------------------------------
@@ -216,8 +221,8 @@ def behavior_from_spec(spec: str, sid_table: dict[IPv6Address, Sid] | None = Non
 
 
 def _edit_problems(vnf: VnfDecl, sid: Sid, edit: SegmentListEdit, sid_table) -> list[str]:
-    """The faults of a chain editor that its declaration already shows: each
-    would fail the connector, ``apply_edit`` or the egress on the first packet."""
+    """The faults a chain editor's declaration shows on its own, also where
+    no chain reaches it: each would fail the connector on the first packet."""
     problems = []
     if sid.kind is SidKind.SR_UNAWARE:
         problems.append("an SR-unaware VNF sees no SRH and cannot edit it")
@@ -228,13 +233,6 @@ def _edit_problems(vnf: VnfDecl, sid: Sid, edit: SegmentListEdit, sid_table) -> 
         problems.append("replacement segment list must not be empty")
     if edit.position is not None and edit.position < 0:
         problems.append(f"insert position must be >= 0, got {edit.position}")
-    if not problems:
-        # An applicable edit must keep the egress SID last.
-        egress = [a for a in edit.sids if sid_table[a].kind is SidKind.EGRESS_ENDPOINT]
-        if edit.kind is not SegmentListEdit.Kind.REPLACE and egress:
-            problems.append(f"an insert must not name the egress SID {egress[0]}")
-        elif edit.kind is SegmentListEdit.Kind.REPLACE and egress != [edit.sids[-1]]:
-            problems.append("a replacement list must end at an egress SID and name no other")
     return [f"VNF {vnf.address}: {problem}" for problem in problems]
 
 
@@ -559,12 +557,9 @@ def _semantic_problems(config: ScenarioConfig) -> list[str]:
 
     if not problems:
         # Registry-level rules (egress-last, interface match, univocal
-        # mapping) only make sense once the references resolve.
-        try:
-            registry = _new_registry(config.sids, config.chains)
-        except errors.SfcError as exc:
-            problems.append(f"{type(exc).__name__}: {exc}")
-        else:
+        # mapping) and the chain walk only make sense once the references resolve.
+        registry, problems = _new_registry(config.sids, config.chains, nodes)
+        if not problems:
             object.__setattr__(config, "_registry", registry)
             object.__setattr__(config, "_checked_nodes", tuple(nodes))
     return problems

@@ -6,30 +6,20 @@ and runs the per-SID pipeline:
 * SR-aware SID: advance the segment header, hand the still-encapsulated
   packet to the VNF, apply its verdict (optionally a permission-checked
   segment-list edit), and either loop to the next local VNF or forward.
-  The pass's first advance writes the walk's hop limit into the header it
-  builds, so the walk rebuilds no packet before the pass.
 * SR-unaware SID: advance, strip the outer header + SRH once, shuttle
   the plain inner packet through consecutive local unaware VNFs (two
   connector legs per VNF), then rebuild the encapsulation statelessly
-  from the univocal mapping and forward. The advance is reported, but
-  the advanced outer packet is never built: the strip would discard it.
+  from the univocal mapping and forward.
 
 What depends only on (chain, SID position) is compiled when a chain is
-registered, not per packet: each ``VnfChain`` carries its SRH ladder,
-one SRH per ``segments_left`` value, whose top rung is the encapsulation
-SRH, and ``ChainRegistry.returns`` holds, per mapped SR-unaware
-interface, the chain, the successor segment and the rung to
-re-encapsulate with. ``ChainRegistry.rungs`` finds the rung below a
-registered rung by its ``id``, so an SR-aware advance of a packet whose
-SRH is a rung builds only the new IPv6 header; any other SRH (parsed,
-edited or built by hand) is rebuilt. Each node's ``NodeState.returns``
-holds the return paths of its hosted VNFs, keyed like its VNF table by
-the SID's integer, and its ``classifier`` maps a rule's prefix to the
-registered ``VnfChain`` itself. The per-packet rewrites (advance,
+registered, not per packet (``VnfChain.ladder``, ``ChainRegistry.returns``
+and ``ChainRegistry.rungs``), and what depends only on the node when the
+network is built (``NodeState``). The per-packet rewrites (advance,
 decapsulate, edit, re-encapsulate) are pure packet rewrites, and the
-walk that calls them keeps its own state. Any rewrite whose outer
-payload would pass 65,535 B raises :class:`errors.OversizedPacket`; the
-connector turns that into a drop at the node.
+walk that calls them keeps its own state; ``chain_problems`` replays
+them on each chain once, at load. Any rewrite whose outer payload would
+pass 65,535 B raises :class:`errors.OversizedPacket`; the connector
+turns that into a drop at the node.
 
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
 per decapsulation and ``e`` per re-encapsulation (``node_cost``). In one
@@ -55,10 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from ipaddress import IPv6Address, IPv6Network
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from srv6sfc import errors, wire
 from srv6sfc.chain import (
+    EGRESS_ENDPOINT,
     SR_AWARE,
     SR_UNAWARE,
     ChainRegistry,
@@ -653,3 +644,39 @@ def connector_process(
 def _dropped(add, node_id: str, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:
     add(node_id, DROPPED, reason)
     return _result(None, reason, cost)
+
+
+_PROBE = Packet(Ipv6Header(  # a bare IPv6 header, with no next header
+    6, 0, 0, 0, wire.NEXT_HEADER_NONE, wire.DEFAULT_HOP_LIMIT, IPv6Address(0), IPv6Address(0),
+), None, b"")
+
+
+def chain_problems(registry: ChainRegistry, vnfs: Iterable[Vnf]) -> list[str]:
+    """The chains of ``registry`` whose header-only probe fails the
+    connector's rewrites, each by its first ``SfcError`` and the SID that
+    raised it. Only chain editors among ``vnfs`` touch the probe, any other
+    VNF passes it on; the SIDs' kinds are the registry's."""
+    editors = {vnf.sid.address: vnf for vnf in vnfs if isinstance(vnf.behavior, ChainEditor)}
+    problems = []
+    for chain in registry.chains.values():
+        packet = encapsulate(_PROBE, chain)  # a bare header and 127 segments fit
+        try:
+            for _ in range(MAX_PIPELINE_STEPS):
+                at = packet.header.dst
+                sid = registry.sid(at)
+                if sid.kind is EGRESS_ENDPOINT:
+                    egress_process(packet)
+                    break
+                packet = advance_segment(packet, registry.rungs)
+                editor = editors.get(at)
+                if sid.kind is SR_UNAWARE:
+                    if editor is not None:
+                        raise errors.InvalidEdit(f"SR-unaware VNF {at} sees no SRH and cannot edit it")
+                    packet = reencap_unaware(registry.unaware_return(sid), _PROBE)
+                elif editor is not None:
+                    packet = apply_edit(packet, editor.behavior.edit, editor.permission, registry)
+            else:
+                raise errors.PipelineLoop(f"{MAX_PIPELINE_STEPS} SID visits without reaching the egress")
+        except errors.SfcError as exc:
+            problems.append(f"chain {chain.chain_id!r} at {at}: {type(exc).__name__}: {exc}")
+    return problems

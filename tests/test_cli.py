@@ -411,8 +411,8 @@ def test_scenario_kind_that_unmakes_a_chain_editor_is_a_validation_error(
     aware = ["bench", str(cfg), "--scenario", "aware", "--out", str(tmp_path / "aware")]
     assert run_cli(aware, capsys)[0] == cli.EXIT_OK
     detail = [
-        "scenario 'unaware' makes chain editor bbbb::2 SR-unaware, and the bench flow's chain "
-        "'c1' crosses it: an SR-unaware VNF sees no SRH and cannot edit it"
+        "VNF SIDs as sr-unaware: chain 'c1' at bbbb::2: InvalidEdit: "
+        "SR-unaware VNF bbbb::2 sees no SRH and cannot edit it"
     ]
     for scenario in ("unaware", "both"):
         out_dir = tmp_path / scenario
@@ -423,8 +423,21 @@ def test_scenario_kind_that_unmakes_a_chain_editor_is_a_validation_error(
         assert not out_dir.exists()
     # A chain that avoids the editor still sweeps both scenarios.
     avoiding = tmp_path / "avoiding.cfg"
-    avoiding.write_text(text.replace("c1 segs=BBBB::2,", "c1 segs=BBBB::3,"), encoding="utf-8")
+    text = text.replace("c1 segs=BBBB::2,", "c1 segs=BBBB::3,")
+    avoiding.write_text(text, encoding="utf-8")
     assert run_cli(["bench", str(avoiding), "--out", str(tmp_path / "avoiding")], capsys)[0] == cli.EXIT_OK
+    # Every chain is walked, not only the bench flow's: a second chain
+    # through the editor unmakes the unaware scenario.
+    crossing = tmp_path / "crossing.cfg"
+    crossing.write_text(text.replace("[rules]", "c2 segs=BBBB::2,CCCC::2 src=AAAA::2\n\n[rules]"),
+                        encoding="utf-8")
+    aware = ["bench", str(crossing), "--scenario", "aware", "--out", str(tmp_path / "crossing-aware")]
+    assert run_cli(aware, capsys)[0] == cli.EXIT_OK
+    argv = ["bench", str(crossing), "--scenario", "unaware", "--out", str(tmp_path / "crossing")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    detail = [detail[0].replace("chain 'c1'", "chain 'c2'")]
+    assert err == json.dumps({"error": "ValidationError", "detail": detail}) + "\n"
 
 
 def test_route_add_malformed_tokens(testbed_config_path, capsys):

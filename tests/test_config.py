@@ -26,7 +26,7 @@ from srv6sfc.config import (
     parse_config_text,
     route_add,
 )
-from srv6sfc.dataplane import ChainEditor, PassThroughRouter, PayloadStamper, PrefixFilter
+from srv6sfc.dataplane import ChainEditor, PassThroughRouter, PayloadStamper, PrefixFilter, VnfPermission
 
 RUN_ARGS = ["--src", "EEEE::2", "--dst", "DDDD::2"]
 
@@ -127,6 +127,28 @@ def _aware_editor(spec: str, permission: str = "insert-next-only") -> str:
     return _VNF_BLOCK.replace("sr-unaware", "sr-aware").replace(
         "behavior=passthrough permission=insert-next-only", f"behavior={spec} permission={permission}"
     )
+
+
+_MISROUTED = "chain 'c1' at cccc::2: NotLastSegment: segments_left is 1, packet is misrouted"
+_OVERSIZED = "chain 'c1' at bbbb::2: OversizedPacket: edited SRH of 128 segments exceeds 127"
+
+
+_EDITORS = ("BBBB::3", "BBBB::4")
+_EGRESS_SID = "CCCC::2 kind=egress node=er2\n"
+# The testbed's lines from its SIDs to its chain.
+_EDITOR_BLOCK = _VNF_BLOCK + "\n[chains]\n" + _CHAIN_LINE
+
+
+def _with_editors(text: str, editors: list[tuple[str, str]], segments: list[str]) -> str:
+    """``text`` with SR-aware chain editors (spec, permission) on the NFV
+    node at ``_EDITORS``, and chain c1 through ``segments`` to the egress."""
+    addresses = _EDITORS[:len(editors)]
+    return text.replace(
+        _EGRESS_SID, _EGRESS_SID + "".join(f"{a} kind=sr-aware node=nfv\n" for a in addresses)
+    ).replace(_VNF_LINE, _VNF_LINE + "".join(
+        f"{a} behavior=chain-editor:{spec} permission={permission}\n"
+        for a, (spec, permission) in zip(addresses, editors)
+    )).replace("segs=BBBB::2,CCCC::2", f"segs={','.join(segments)},CCCC::2")
 
 
 def _with_bbbb3(text: str) -> str:
@@ -237,22 +259,44 @@ _UNLINKED = [
                      id="editor-empty-replace"),
         pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:insert-at:-1:CCCC::2", "insert-anywhere"),
                      "VNF bbbb::2: insert position must be >= 0, got -1", id="editor-negative-position"),
-        # Edits that misplace the egress SID: each loaded, and then every
-        # steered ``run`` exited 5 at the egress or at the next SID.
+        # Faults the walk of chain c1 finds at load (``dataplane.chain_problems``):
+        # edits that misplace the egress SID, which each used to load, and then
+        # every steered ``run`` exited 5 at the egress or at the next SID; an
+        # ``insert-at`` past the remaining segments, which did the same; and
+        # editors that re-insert their own SID, so every packet dropped at 128
+        # segments. Then two that exited 5 in the connector: an editor that
+        # sends the packet back through an SR-unaware SID, whose return path
+        # brings it back to the editor, and one that inserts an SR-unaware SID
+        # that no chain maps.
         pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:insert-after:CCCC::2")),
-                     "VNF bbbb::2: an insert must not name the egress SID cccc::2",
-                     id="editor-inserts-egress-after"),
+                     _MISROUTED, id="editor-inserts-egress-after"),
         pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:insert-at:0:CCCC::2",
                                                            "insert-anywhere")),
-                     "VNF bbbb::2: an insert must not name the egress SID cccc::2",
-                     id="editor-inserts-egress-at"),
+                     _MISROUTED, id="editor-inserts-egress-at"),
         pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:replace:CCCC::2+BBBB::3",
                                                            "full-rewrite")),
-                     "VNF bbbb::2: a replacement list must end at an egress SID and name no other",
-                     id="editor-replace-egress-not-last"),
+                     _MISROUTED, id="editor-replace-egress-not-last"),
         pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:replace:BBBB::3", "full-rewrite")),
-                     "VNF bbbb::2: a replacement list must end at an egress SID and name no other",
+                     "chain 'c1' at bbbb::3: AlreadyAtLastSegment: segments_left is already 0",
                      id="editor-replace-without-egress"),
+        pytest.param(_VNF_BLOCK, _with_bbbb3(_aware_editor("chain-editor:insert-at:1:BBBB::3",
+                                                           "full-rewrite")),
+                     "chain 'c1' at bbbb::2: PositionOutOfRange: "
+                     "position 1 outside remaining segments [0, 0]",
+                     id="editor-insert-at-past-the-remaining-segments"),
+        pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:insert-after:BBBB::2"),
+                     _OVERSIZED, id="editor-inserts-itself"),
+        pytest.param(_VNF_BLOCK, _aware_editor("chain-editor:replace:BBBB::2+CCCC::2", "full-rewrite"),
+                     _OVERSIZED, id="editor-replaces-with-itself"),
+        pytest.param(_EDITOR_BLOCK, _with_editors(_EDITOR_BLOCK, [("insert-after:BBBB::2", "insert-next-only")],
+                                                  ["BBBB::2", "BBBB::3"]),
+                     "chain 'c1' at bbbb::3: PipelineLoop: 1024 SID visits without reaching the egress",
+                     id="editor-loops-through-an-unaware-sid"),
+        pytest.param(_EDITOR_BLOCK, _with_editors(_EDITOR_BLOCK, [("insert-after:BBBB::2", "insert-next-only")],
+                                                  ["BBBB::3"]),
+                     "chain 'c1' at bbbb::2: UnivocalMappingMissing: "
+                     "no chain mapped for SR-unaware interface (bbbb::2, single)",
+                     id="editor-inserts-an-unmapped-unaware-sid"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(
@@ -443,6 +487,54 @@ def test_mutated_testbed_ends_in_a_documented_exit_in_every_command(tmp_path_fac
     else:
         for code, out, err in outcomes.values():
             assert (code, out, err) == (validate[0], "", validate[2])
+
+
+# Random chain editors on the testbed: an accepted config never exits 5 ------
+
+# What an edit may name: the SR-unaware SID, the editors, the egress and an
+# undeclared address (also BBBB::4 when only one editor is declared).
+_EDIT_SID = st.sampled_from(("BBBB::2", *_EDITORS, "CCCC::2", "BBBB::9"))
+
+
+@st.composite
+def editor_testbeds(draw) -> str:
+    """The testbed with one or two SR-aware chain editors of any edit kind
+    and permission, an ``insert-at`` position on either side of the
+    remaining count, and chain c1 through some of them and BBBB::2."""
+    editors = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("insert-after", "insert-at", "replace")))
+        if kind == "insert-at":
+            kind += f":{draw(st.integers(-1, 4))}"
+        sids = "+".join(draw(st.lists(_EDIT_SID, max_size=2)))
+        editors.append((f"{kind}:{sids}", draw(st.sampled_from([p.value for p in VnfPermission]))))
+    path = draw(st.permutations(("BBBB::2", *_EDITORS[:len(editors)])))
+    return _with_editors(_TESTBED, editors, path[:draw(st.integers(1, len(path)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=editor_testbeds())
+# An ``insert-at`` past the segments left after the editor: it loaded, and
+# then every steered ``run`` exited 5 (``PositionOutOfRange``).
+@example(text=_with_editors(_TESTBED, [("insert-at:1:BBBB::2", "full-rewrite")], ["BBBB::3"]))
+def test_accepted_editor_testbed_never_exits_5(tmp_path_factory, text):
+    try:
+        parse_config_text(text)
+    except errors.ValidationError:
+        return
+    scratch = tmp_path_factory.mktemp("editors")
+    cfg = scratch / "editors.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    flow = ["--src", "EEEE::2", "--dst", "DDDD::2"]
+    bench = ["--runs", "1", "--rates", "1000,3000", "--out", str(scratch / "bench-out")]
+    for argv in (
+        ["run", str(cfg), *flow, "--count", "2"],
+        ["trace", str(cfg), *flow],
+        ["bench", str(cfg), "--scenario", "aware", *bench],
+        ["bench", str(cfg), "--scenario", "unaware", *bench],
+    ):
+        outcome = _outcome(argv)
+        assert outcome[0] != cli.EXIT_CONTRACT, (argv[0], outcome)
 
 
 def test_build_network_from_config(testbed_config_path):
