@@ -15,14 +15,25 @@ packets are. Each tree builds its network from the workload's config
 text.
 
 A pass walks every packet once, the way the benchmark does: ``inject``
-in the workload's trace mode, plus ``Trace.to_jsonl`` where it exports.
-After a warm-up pass per tree, each round runs three passes per tree,
-alternating between the trees, and keeps each tree's fastest. A round's
-ratio is the parent's best time over the change's, so a ratio above 1
-means the change is faster. The whole is run in both load orders (parent
-imported first, then change first), each with fresh imports, because the
-order of imports moves the timings a little. For each workload and order
-the script prints the median ratio and the rounds the change won.
+in the workload's trace mode, plus ``Trace.to_jsonl`` where it exports,
+each packet timed by ``thread_time_ns``. After a warm-up pass per tree,
+each round runs three passes per tree, alternating between the trees,
+and keeps each tree's fastest. A round's ratio is the parent's best time
+over the change's, so a ratio above 1 means the change is faster. The
+whole is run in both load orders (parent imported first, then change
+first), each with fresh imports, because the order of imports moves the
+timings a little. For each workload and order the script prints the
+median ratio and the rounds the change won.
+
+A best pass is a mean over its packets. The benchmark's packet metrics
+are not: for each kind of packet (``Workload.expects``) it takes the 1%
+quantile of that kind's times over the whole run, then the median and
+99th percentile of those per-packet figures (``pkt_us_p50``,
+``pkt_us_p99``) and the packets per second of their sum. A second line
+per workload and order gives the same three figures, computed the same
+way from every timed pass of each tree, as change/parent speed ratios:
+above 1 means the change is faster (for p50 and p99, the parent's time
+over the change's).
 
 Standard library only; it writes no file (no bytecode either).
 """
@@ -33,12 +44,15 @@ import argparse
 import importlib
 import statistics
 import sys
+from array import array
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, thread_time_ns
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("srv6sfc.sim", "srv6sfc.config", "srv6sfc.wire")
 SIDES = ("parent", "change")
+# The benchmark's quantile of one kind of packet's times (``QUIET_QUANTILE``).
+QUIET_QUANTILE = 0.01
 
 
 def purge() -> None:
@@ -87,7 +101,8 @@ def load_workloads(names: list[str] | None, seed: int, packets: int | None) -> l
 
 
 def walker(modules: dict, workload, images: list[bytes]):
-    """One timed pass over the packets, as this tree walks them."""
+    """One timed pass over the packets, as this tree walks them: its time
+    and each packet's CPU nanoseconds."""
     wire = modules["wire"]
     network = modules["config"].parse_config_text(workload.config_text).build_network()
     packets = []
@@ -98,31 +113,57 @@ def walker(modules: dict, workload, images: list[bytes]):
     inject = modules["sim"].inject
     ingress, terminal_only, export = workload.ingress, workload.terminal_only, workload.export
 
-    def walk() -> float:
+    def walk() -> tuple[float, array]:
+        samples = array("q")
         start = perf_counter()
         for packet in packets:
+            began = thread_time_ns()
             result = inject(network, ingress, packet, terminal_only=terminal_only)
             if export:
                 result.trace.to_jsonl()
-        return perf_counter() - start
+            samples.append(thread_time_ns() - began)
+        return perf_counter() - start, samples
 
     return walk
 
 
-def compare(trees: dict[str, Path], order: tuple[str, str], workload, images, rounds: int) -> list[float]:
-    """Per round, the parent's best time over the change's."""
+def nearest_rank(ordered, q: float):
+    """Nearest-rank quantile of an ascending sequence, as the benchmark's."""
+    return ordered[max(1, int(-(-len(ordered) * q // 1))) - 1]
+
+
+def quantile_metrics(kinds: list, passes: list[array]) -> tuple[float, int, int]:
+    """Packets/s, p50 and p99 (ns) as the benchmark computes them: each
+    packet stands for the ``QUIET_QUANTILE`` of its kind's times."""
+    by_kind: dict = {}
+    for samples in passes:
+        for kind, ns in zip(kinds, samples):
+            by_kind.setdefault(kind, []).append(ns)
+    quiet = {kind: nearest_rank(sorted(times), QUIET_QUANTILE) for kind, times in by_kind.items()}
+    ordered = sorted(quiet[kind] for kind in kinds)
+    return len(ordered) / (sum(ordered) / 1e9), nearest_rank(ordered, 0.50), nearest_rank(ordered, 0.99)
+
+
+def compare(
+    trees: dict[str, Path], order: tuple[str, str], workload, images, rounds: int
+) -> tuple[list[float], dict[str, list[array]]]:
+    """Per round, the parent's best time over the change's; and per tree,
+    the packet times of every timed pass."""
     loaded = {side: load(trees[side]) for side in order}
     walks = {side: walker(loaded[side], workload, images) for side in order}
     for side in order:
         walks[side]()  # warm-up: fills the memos
     ratios = []
+    passes: dict[str, list[array]] = {side: [] for side in order}
     for _ in range(rounds):
         best = dict.fromkeys(order, float("inf"))
         for _ in range(3):
             for side in order:
-                best[side] = min(best[side], walks[side]())
+                seconds, samples = walks[side]()
+                best[side] = min(best[side], seconds)
+                passes[side].append(samples)
         ratios.append(best["parent"] / best["change"])
-    return ratios
+    return ratios, passes
 
 
 def main(argv=None) -> int:
@@ -143,11 +184,19 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {tree} holds no src/srv6sfc")
     for workload, images in load_workloads(args.workload, args.seed, args.packets):
         for order in (SIDES, SIDES[::-1]):
-            ratios = compare(trees, order, workload, images, args.rounds)
+            ratios, passes = compare(trees, order, workload, images, args.rounds)
             wins = sum(ratio > 1 for ratio in ratios)
             print(
                 f"{workload.name} {order[0]} first: median change/parent "
                 f"{statistics.median(ratios):.3f}x, change won {wins} of {len(ratios)} rounds"
+            )
+            kinds = workload.expects[:len(images)]
+            parent, change = (quantile_metrics(kinds, passes[side]) for side in SIDES)
+            print(
+                f"{workload.name} {order[0]} first: per-kind quantiles over "
+                f"{len(passes['change'])} passes, change/parent pkts_per_s "
+                f"{change[0] / parent[0]:.3f}x, p50 {parent[1] / change[1]:.3f}x, "
+                f"p99 {parent[2] / change[2]:.3f}x"
             )
     return 0
 

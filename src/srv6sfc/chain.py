@@ -131,16 +131,18 @@ def longest_prefix_match(entries: Iterable[tuple[IPv6Network, T]], address: IPv6
 
 _ALL_ONES = (1 << 128) - 1
 _MISSING = object()
+ROUTE_CACHE_LIMIT = 4096  # destinations a PrefixTable holds before it is cleared
 
 
-class PrefixTable(Generic[T]):
-    """Longest-prefix match compiled once from (prefix, value) pairs.
-
-    One dict per prefix length, keyed by the integer network address and
-    probed longest length first, so a lookup costs one masked dict probe
-    per distinct length instead of a scan of every entry. The earliest
-    entry wins a tie, as in ``longest_prefix_match``, which stays the
-    reference. Later changes to the source entries are not seen.
+class PrefixTable(dict, Generic[T]):
+    """Longest-prefix match over (prefix, value) pairs, cached per
+    destination: ``table[address._ip]`` is the match, or None.
+    ``__missing__`` makes it once per new destination and stores it,
+    probing one dict per prefix length (keyed by the integer network
+    address) longest first; the earliest entry wins a tie, as in the
+    reference ``longest_prefix_match``. The cache is exact because the
+    entries are static: later changes to them are not seen. A table that
+    holds ``ROUTE_CACHE_LIMIT`` destinations is cleared before the next.
     """
 
     __slots__ = ("_buckets",)
@@ -155,13 +157,20 @@ class PrefixTable(Generic[T]):
             for length in sorted(by_length, reverse=True)
         )
 
-    def lookup(self, address: IPv6Address) -> T | None:
-        key = address._ip
+    def __missing__(self, key: int) -> T | None:
         for mask, bucket in self._buckets:
             value = bucket.get(key & mask, _MISSING)
             if value is not _MISSING:
-                return value
-        return None
+                break
+        else:
+            value = None
+        if len(self) >= ROUTE_CACHE_LIMIT:
+            self.clear()
+        self[key] = value
+        return value
+
+    def lookup(self, address: IPv6Address) -> T | None:
+        return self[address._ip]
 
 
 def classify(rules: Iterable[ClassifierRule], dst: IPv6Address) -> str | None:

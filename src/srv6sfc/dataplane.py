@@ -654,9 +654,11 @@ _PROBE = Packet(Ipv6Header(  # a bare IPv6 header, with no next header
 def chain_problems(registry: ChainRegistry, vnfs: Iterable[Vnf]) -> list[str]:
     """The chains of ``registry`` whose header-only probe fails the
     connector's rewrites, each by its first ``SfcError`` and the SID that
-    raised it. Only chain editors among ``vnfs`` touch the probe, any other
-    VNF passes it on; the SIDs' kinds are the registry's."""
-    editors = {vnf.sid.address: vnf for vnf in vnfs if isinstance(vnf.behavior, ChainEditor)}
+    raised it. A VNF SID that none of ``vnfs`` hosts is one: the walk
+    would route the packet away from it. Only chain editors touch the
+    probe, any other VNF passes it on, but a payload stamper must see a
+    plain packet; the SIDs' kinds are the registry's."""
+    hosted = {vnf.sid.address: vnf for vnf in vnfs}
     problems = []
     for chain in registry.chains.values():
         packet = encapsulate(_PROBE, chain)  # a bare header and 127 segments fit
@@ -668,13 +670,20 @@ def chain_problems(registry: ChainRegistry, vnfs: Iterable[Vnf]) -> list[str]:
                     egress_process(packet)
                     break
                 packet = advance_segment(packet, registry.rungs)
-                editor = editors.get(at)
+                vnf = hosted.get(at)
+                if vnf is None:
+                    raise errors.UnknownSid(f"no VNF is hosted at {at}")
+                behavior = vnf.behavior
                 if sid.kind is SR_UNAWARE:
-                    if editor is not None:
+                    if isinstance(behavior, ChainEditor):
                         raise errors.InvalidEdit(f"SR-unaware VNF {at} sees no SRH and cannot edit it")
                     packet = reencap_unaware(registry.unaware_return(sid), _PROBE)
-                elif editor is not None:
-                    packet = apply_edit(packet, editor.behavior.edit, editor.permission, registry)
+                elif isinstance(behavior, ChainEditor):
+                    packet = apply_edit(packet, behavior.edit, vnf.permission, registry)
+                elif isinstance(behavior, PayloadStamper):
+                    raise errors.InvalidEdit(
+                        f"SR-aware VNF {at} would stamp the inner IPv6 header of the encapsulated packet"
+                    )
             else:
                 raise errors.PipelineLoop(f"{MAX_PIPELINE_STEPS} SID visits without reaching the egress")
         except errors.SfcError as exc:

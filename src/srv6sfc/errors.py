@@ -116,7 +116,8 @@ class UnknownSidInEdit(DataplaneError):
 
 
 class InvalidEdit(DataplaneError):
-    """Edit is structurally impossible (empty replacement, editor has no SRH view)."""
+    """Edit is structurally impossible (empty replacement, editor has no SRH view,
+    payload stamper handed the encapsulated packet)."""
 
 
 class UnivocalMappingMissing(DataplaneError):

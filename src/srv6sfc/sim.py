@@ -93,8 +93,11 @@ class Network:
 
     Each node is compiled once, at construction, into the ``NodeState``
     the walk carries (``states``): its routes and classifier rules as
-    prefix tables (the classifier maps a rule's prefix to the registered
-    ``VnfChain``, so a rule naming no registered chain raises
+    prefix tables, which are exact per-destination route caches because
+    they are static (two per node, each cleared when it holds
+    ``chain.ROUTE_CACHE_LIMIT`` destinations; the classifier maps a
+    rule's prefix to the registered ``VnfChain``, so a rule naming no
+    registered chain raises
     ``UnknownChain`` here), its local addresses and hosted VNFs keyed by
     the address's integer, the return path (``UnawareReturn``) of each hosted
     SR-unaware VNF that the registry maps, under the same key, and its
@@ -317,7 +320,7 @@ def classify_at_ingress(state: NodeState, packet: Packet, trace: Trace) -> Packe
     """A walk's first step: a packet one of the node's classifier rules
     matches is encapsulated for that rule's chain, or dropped at the node
     when the result would not fit; any other packet is returned as is."""
-    chain = state.classifier.lookup(packet.header.dst)
+    chain = state.classifier[packet.header.dst._ip]
     if chain is None:
         return packet
     trace.add(state.node_id, CLASSIFIED, chain.chain_id)
@@ -381,9 +384,10 @@ def _walk(
             if packet is None:
                 return _dropped(node_id, result.drop_reason)
             hop = packet.header.hop_limit
-            if packet.header.dst._ip in state.local:
+            key = packet.header.dst._ip
+            if key in state.local:
                 continue
-            next_hop = state.fib.lookup(packet.header.dst)
+            next_hop = state.fib[key]
         elif key in state.local:
             # The payload protocol (``wire``'s field rule) is IPv6-in-IPv6.
             if (header.next_header if srh is None else srh.next_header) == NEXT_HEADER_IPV6:
@@ -394,7 +398,7 @@ def _walk(
             trace.add(node_id, DELIVERED, dst)
             return _delivered(_with_hop_limit(packet, hop), node_id)
         else:
-            next_hop = state.fib.lookup(dst)
+            next_hop = state.fib[key]
             if next_hop is not None:  # plain router cost, charged as it is made
                 state.ledger.f_count += 1
                 prior = costs.get(node_id)

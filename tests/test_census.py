@@ -33,14 +33,13 @@ TABLE = """
     5    5      5    5      5    5      5    5  _struct Struct.pack [C]
  1365 1365   1365 1365   1365 1365   1365 1365  _struct Struct.unpack_from [C]
     5    5      5    5      5    5      5    5  builtins bytes.join [C]
- 9671 5534   9735 5586   9663 5538   9651 5520  builtins dict.get [C]
+ 6916 2779   6980 2831   6908 2783   6900 2769  builtins dict.get [C]
     0    0     32   32      8    8      0    0  builtins id [C]
    10   10     10   10     10   10     10   10  builtins int.to_bytes [C]
  1392 1392   1384 1384   1400 1400   1386 1386  builtins len [C]
  4148   11   4160   11   4136   11   4142   11  builtins list.extend [C]
    11   11     11   11     11   11     11   11  builtins str.join [C]
  1378 1378   1406 1406   1394 1394   1374 1374  builtins tuple.__new__ [C]
- 2755 2755   2755 2755   2755 2755   2751 2751  srv6sfc.chain PrefixTable.lookup
     0    0      0    0      4    4      0    0  srv6sfc.chain address_key
     0    0      0    0      4    4      0    0  srv6sfc.dataplane ChainEditor.__call__
     4    4      4    4      4    4      4    4  srv6sfc.dataplane ConnectorResult._build

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from srv6sfc import errors
 from srv6sfc.chain import (
+    ROUTE_CACHE_LIMIT,
     ChainDirection,
     ChainRegistry,
     ClassifierRule,
@@ -22,7 +23,9 @@ from srv6sfc.chain import (
     longest_prefix_match,
     next_after,
 )
-from srv6sfc.wire import SegmentRoutingHeader
+from srv6sfc.config import load_config
+from srv6sfc.sim import inject
+from srv6sfc.wire import SegmentRoutingHeader, udp_packet
 
 ER = IPv6Address("CCCC::2")
 SRC = IPv6Address("AAAA::2")
@@ -408,6 +411,81 @@ def test_prefix_table_fixed_cases():
     with_default = PrefixTable([(net, "net"), (default, "default")])
     assert with_default.lookup(IPv6Address("fe80::1")) == "default"
     assert with_default.lookup(IPv6Address("2001:db8::6")) == "net"
+
+
+@given(prefix_tables(), st.booleans(), st.lists(addresses, max_size=6))
+def test_prefix_table_caches_each_answer_exactly(entries, default, probes):
+    """Each answer, first made by ``__missing__`` and then read from the
+    cache, is the reference's, with a /0 default or without."""
+    if default:
+        entries = entries + [(IPv6Network("::/0"), "default")]
+    table = PrefixTable(entries)
+    for address in probes + [network.network_address for network, _ in entries]:
+        expected = longest_prefix_match(entries, address)
+        for _ in range(2):
+            assert table[address._ip] == expected
+            assert table.lookup(address) == expected
+    assert len(table) == len({address._ip for address in probes} | {
+        int(network.network_address) for network, _ in entries
+    })
+
+
+def bound_destinations(base: str) -> list[IPv6Address]:
+    """Twice as many distinct destinations as a route cache holds, cycling
+    through ``base``'s /64, the rest of its /32 and the next /32."""
+    base_ip = IPv6Address(base)._ip
+    return [
+        IPv6Address(base_ip + (i % 3 << 64 if i % 3 < 2 else 1 << 96) + i)
+        for i in range(2 * ROUTE_CACHE_LIMIT)
+    ]
+
+
+def test_prefix_table_cache_is_cleared_at_its_bound():
+    entries = [(IPv6Network("2001:db8::/32"), "net"), (IPv6Network("2001:db8::/64"), "subnet"),
+               (IPv6Network("::/0"), "default")]
+    table = PrefixTable(entries)
+    destinations = bound_destinations("2001:db8::")
+    sizes = []
+    for address in destinations + destinations[:ROUTE_CACHE_LIMIT]:
+        assert table.lookup(address) == longest_prefix_match(entries, address)
+        sizes.append(len(table))
+    assert {table.lookup(a) for a in destinations} == {"net", "subnet", "default"}
+    # Filled, then cleared before the next new destination, twice.
+    assert max(sizes) == ROUTE_CACHE_LIMIT and sizes.count(1) == 3
+
+
+class UncachedTable(dict):
+    """The reference lookup behind the walk's subscript, storing nothing."""
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+
+    def __missing__(self, key: int):
+        return longest_prefix_match(self.entries, IPv6Address(key))
+
+
+def test_walks_past_the_cache_bound_end_as_uncached_lookups(testbed_config_path):
+    """Walks to twice as many destinations as a route cache holds, steered
+    and plain, end exactly as walks that make every lookup afresh."""
+    cached, uncached = (load_config(testbed_config_path).build_network() for _ in range(2))
+    for node_id, node in uncached.nodes.items():
+        state = uncached.states[node_id]
+        state.fib = UncachedTable(node.routing_table)
+        state.classifier = UncachedTable(
+            (rule.network, uncached.registry.chain(rule.chain_id)) for rule in node.rules
+        )
+    tables = [t for state in cached.states.values() for t in (state.fib, state.classifier)]
+    delivered = [IPv6Address("DDDD::2"), IPv6Address("CCCC::2")]
+    kinds, sizes = set(), set()
+    for address in bound_destinations("DDDD::") + bound_destinations("CCCC::") + delivered:
+        packet = udp_packet(SRC, address, b"x" * 64)
+        ends = [inject(network, "er1", packet, terminal_only=True).outcome
+                for network in (cached, uncached)]
+        assert ends[0] == ends[1]
+        sizes.update(map(len, tables))
+        kinds.add((type(ends[0]).__name__, ends[0].node_id))
+    assert max(sizes) == ROUTE_CACHE_LIMIT
+    assert kinds == {("Dropped", "er1"), ("Dropped", "er2"), ("Delivered", "er2")}
 
 
 # next_after ------------------------------------------------------------------------

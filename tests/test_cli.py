@@ -440,6 +440,32 @@ def test_scenario_kind_that_unmakes_a_chain_editor_is_a_validation_error(
     assert err == json.dumps({"error": "ValidationError", "detail": detail}) + "\n"
 
 
+def test_scenario_kind_that_makes_a_payload_stamper_aware_is_a_validation_error(
+    testbed_config_path, tmp_path, capsys
+):
+    # The SR-unaware BBBB::2 stamps the plain packet; as SR-aware it would
+    # stamp the inner IPv6 header of the encapsulated one.
+    cfg = tmp_path / "stamper.cfg"
+    cfg.write_text(Path(testbed_config_path).read_text(encoding="utf-8").replace(
+        "behavior=passthrough", "behavior=payload-stamp:0xAB"
+    ), encoding="utf-8")
+    assert run_cli(["validate", str(cfg)], capsys)[0] == cli.EXIT_OK
+    assert run_cli(["run", str(cfg), *RUN_ARGS], capsys)[0] == cli.EXIT_OK
+    unaware = ["bench", str(cfg), "--scenario", "unaware", "--out", str(tmp_path / "unaware")]
+    assert run_cli(unaware, capsys)[0] == cli.EXIT_OK
+    detail = [
+        "VNF SIDs as sr-aware: chain 'c1' at bbbb::2: InvalidEdit: SR-aware VNF bbbb::2 "
+        "would stamp the inner IPv6 header of the encapsulated packet"
+    ]
+    for scenario in ("aware", "both"):
+        out_dir = tmp_path / scenario
+        argv = ["bench", str(cfg), "--scenario", scenario, "--out", str(out_dir)]
+        assert run_cli(argv, capsys) == (
+            cli.EXIT_VALIDATION, "", json.dumps({"error": "ValidationError", "detail": detail}) + "\n"
+        ), scenario
+        assert not out_dir.exists()
+
+
 def test_route_add_malformed_tokens(testbed_config_path, capsys):
     code, _, err = run_cli(
         ["route", "add", "FFFF::/64", "through", "AAAA::1", "encap", "seg", "CCCC::2",

@@ -226,7 +226,9 @@ _UNLINKED = [
                      id="bench-model-no-value"),
         pytest.param("seed 42", "seed 42 43", "line 53: expected: seed <int>", id="bench-seed-twice"),
         pytest.param("permission=insert-next-only", "permision=full-rewrite",
-                     "line 25: unknown field 'permision'", id="misspelt-vnf-key"),
+                     ["line 25: unknown field 'permision'",
+                      "chain 'c1' at bbbb::2: UnknownSid: no VNF is hosted at bbbb::2"],
+                     id="misspelt-vnf-key"),
         pytest.param("direction=uni", "direcion=east",
                      ["line 28: unknown field 'direcion'", "rule for unknown chain 'c1'"],
                      id="misspelt-chain-key"),
@@ -297,6 +299,17 @@ _UNLINKED = [
                      "chain 'c1' at bbbb::2: UnivocalMappingMissing: "
                      "no chain mapped for SR-unaware interface (bbbb::2, single)",
                      id="editor-inserts-an-unmapped-unaware-sid"),
+        # Two more the walk finds, whose every steered ``run`` exited 5 or
+        # dropped: a payload stamper on an SR-aware SID, which would
+        # overwrite the inner header, and a chain through a declared VNF
+        # SID that no [vnfs] line hosts, which the walk routes away from.
+        pytest.param(_VNF_BLOCK, _aware_editor("payload-stamp:0xAB"),
+                     "chain 'c1' at bbbb::2: InvalidEdit: SR-aware VNF bbbb::2 would stamp "
+                     "the inner IPv6 header of the encapsulated packet",
+                     id="payload-stamper-on-aware-sid"),
+        pytest.param(_EDITOR_BLOCK, _with_bbbb3(_EDITOR_BLOCK).replace("segs=", "segs=BBBB::3,"),
+                     "chain 'c1' at bbbb::3: UnknownSid: no VNF is hosted at bbbb::3",
+                     id="chain-through-a-sid-no-vnf-hosts"),
     ],
 )
 def test_faulty_testbed_edit_fails_every_command(

@@ -9,7 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LINE = re.compile(
-    r"(\S+) (parent|change) first: median change/parent \d+\.\d{3}x, change won [01] of 1 rounds"
+    r"(\S+) (parent|change) first: (median change/parent \d+\.\d{3}x, change won [01] of 1 rounds"
+    r"|per-kind quantiles over 3 passes, change/parent pkts_per_s \d+\.\d{3}x, "
+    r"p50 \d+\.\d{3}x, p99 \d+\.\d{3}x)"
 )
 
 
@@ -34,9 +36,11 @@ def test_inprocess_ab_runs_both_load_orders_and_writes_nothing():
     assert done.returncode == 0, done.stderr
     matches = [LINE.fullmatch(line) for line in done.stdout.splitlines()]
     assert all(matches), done.stdout
-    assert [(match[1], match[2]) for match in matches] == [
-        (workload, order)
+    # Per workload and load order, the best-pass line, then the quantile line.
+    assert [(match[1], match[2], match[3].startswith("median")) for match in matches] == [
+        (workload, order, best_pass)
         for workload in ("testbed-unaware-64B", "chain8-aware-fulltrace", "mesh-mixed-manyflows")
         for order in ("parent", "change")
+        for best_pass in (True, False)
     ]
     assert tree_files() == before
