@@ -13,8 +13,9 @@ flow. For each config the commands are ``run --trace
 full``, ``run --trace terminal`` and ``trace`` on a few flows taken from
 the workload's packets (the first ones, plus the first packet of every
 distinct expected outcome), ``run --trace full --count 3`` on the flows
-of ``DROP_FLOWS`` (a destination no node routes on ``testbed.cfg``, and
-the flow its filter variant drops), ``bench`` with the config's own models
+of ``DROP_FLOWS`` (a destination no node routes on ``testbed.cfg``, the
+flow its filter variant drops, and a packet too large for the editor
+variant's edited SRH, which the connector drops), ``bench`` with the config's own models
 and with ``--capacity``/``--k0``, ``validate``, and ``route add`` on the
 workload's ingress: a new prefix (printed, then written ``--in-place``
 twice to show it is idempotent) and five refusals, one digest each (a bad
@@ -55,6 +56,11 @@ FIRST_FLOWS = 4
 DROP_FLOWS = {
     "testbed": {"run-full-unrouted": ["--src", "EEEE::2", "--dst", "9999::1"]},
     "testbed-filter": {"run-full-filter-drop": ["--src", "EEEE::2", "--dst", "DDDD::2"]},
+    # Fits the ingress encapsulation, not the editor's longer SRH: the
+    # connector drops it at nfv.
+    "testbed-editor": {
+        "run-full-connector-drop": ["--src", "EEEE::2", "--dst", "DDDD::2", "--payload-bytes", "65440"],
+    },
 }
 # Option values refused before any work: digest name -> command, options.
 USAGE_REFUSALS = {

@@ -169,9 +169,6 @@ class PrefixTable(dict, Generic[T]):
         self[key] = value
         return value
 
-    def lookup(self, address: IPv6Address) -> T | None:
-        return self[address._ip]
-
 
 def classify(rules: Iterable[ClassifierRule], dst: IPv6Address) -> str | None:
     """Chain id for a destination, or None to proceed as plain IPv6."""

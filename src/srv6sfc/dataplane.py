@@ -19,7 +19,9 @@ decapsulate, edit, re-encapsulate) are pure packet rewrites, and the
 walk that calls them keeps its own state; ``chain_problems`` replays
 them on each chain once, at load. Any rewrite whose outer payload would
 pass 65,535 B raises :class:`errors.OversizedPacket`; the connector
-turns that into a drop at the node.
+turns that into a drop at the node. A connector pass returns the packet
+that leaves the node or its ``Dropped``, as ``sim.classify_at_ingress``
+does, and the walk records the drop.
 
 Cost accounting counts one ``f`` per networking-stack traversal, ``d``
 per decapsulation and ``e`` per re-encapsulation (``node_cost``). In one
@@ -28,7 +30,7 @@ VNFs costs d and e plus 2f per VNF; leaving the node costs 2f after an
 aware VNF and f after an unaware run; a VNF that drops the packet ends
 the count after its delivery leg. So n pass-through VNFs of one kind
 cost (n+2)f (aware) or d+(2n+1)f+e (unaware), and a node that only
-forwards costs f. Each pass returns its counts on ``ConnectorResult``;
+forwards costs f. Each pass adds its counts to the walk's ``costs``;
 ``CostLedger`` keeps per-node aggregates only.
 
 The connector records into the walk's ``Trace``: each SR-aware step
@@ -63,7 +65,6 @@ from srv6sfc.chain import (
 )
 from srv6sfc.trace import (
     DECAPSULATED,
-    DROPPED,
     RE_ENCAPSULATED,
     SEGMENT_ADVANCED,
     VNF_DELIVERED,
@@ -511,31 +512,34 @@ class NodeState:
 
 
 @value_type
-class ConnectorResult:
-    """Connector outcome: the packet that leaves the connector, or
-    ``None`` and the reason it was dropped, and the pass's (f, d, e).
-    Intra-node VNF-to-VNF hand-offs never show up here; where the packet
-    goes next is the walk's routing decision, not the connector's."""
-
-    packet: Packet | None
-    drop_reason: str | None = None
-    cost: tuple[int, int, int] = (0, 0, 0)
+class Delivered:
+    packet: Packet
+    node_id: str
 
 
-_result = ConnectorResult._build
+@value_type
+class Dropped:
+    node_id: str
+    reason: str
+
+
+_dropped = Dropped._build
 
 
 def connector_process(
     state: NodeState, packet: Packet, trace: Trace, vnf: Vnf, hop: int,
-) -> ConnectorResult:
+    costs: dict[str, tuple[int, int, int]],
+) -> Packet | Dropped:
     """Run the per-SID pipeline for a packet addressed to a local VNF SID,
     looping while the next active segment is also hosted here, and record
     each step in ``trace``. ``vnf`` is the hosted VNF the packet's
     destination names, found by the walk, which has checked that the
     packet carries an SRH. ``hop`` is the walk's hop limit for the packet.
+    Returns the packet that leaves the node, or a ``Dropped`` whose event
+    the walk records.
 
-    The pass counts its f/d/e operations, returns them on the result and
-    charges ``state.ledger`` once on the way out, also when a step raises.
+    The pass counts its f/d/e operations and, once on the way out, also
+    when a step raises, adds them to ``costs`` and charges ``state.ledger``.
     An SR-aware step is recorded by one ``trace.step`` after the VNF's
     behaviour returns, so a behaviour that raises leaves its step
     unrecorded. The pass's first SR-aware advance writes ``hop`` into the
@@ -573,12 +577,12 @@ def connector_process(
                 trace.step(node_id, current.header.dst, sid.address)
                 kind = action.kind
                 if kind is DROP:
-                    return _dropped(add, node_id, state.vnf_drops[sid.address._ip], (f, d, e))
+                    return _dropped(node_id, state.vnf_drops[sid.address._ip])
                 if kind is EDIT_CHAIN:
                     try:
                         current = apply_edit(action.packet, action.edit, vnf.permission, state.registry)
                     except errors.OversizedPacket as exc:
-                        return _dropped(add, node_id, TrafficText(exc), (f, d, e))
+                        return _dropped(node_id, TrafficText(exc))
                 else:
                     current = action.packet
                 if current.srh is None:
@@ -611,7 +615,7 @@ def connector_process(
                     )
                 add(node_id, VNF_RETURNED, sid.address)
                 if action.kind is DROP:
-                    return _dropped(add, node_id, state.vnf_drops[sid.address._ip], (f, d, e))
+                    return _dropped(node_id, state.vnf_drops[sid.address._ip])
                 plain = action.packet
                 f += 1  # return leg to the connector
                 back = state.returns.get(sid.address._ip)
@@ -624,7 +628,7 @@ def connector_process(
                 try:
                     current = reencap_unaware(back, plain)
                 except errors.OversizedPacket as exc:
-                    return _dropped(add, node_id, TrafficText(exc), (f, d, e))
+                    return _dropped(node_id, TrafficText(exc))
                 e += 1
                 add(node_id, RE_ENCAPSULATED, current.header.dst)
                 plain = None
@@ -633,17 +637,14 @@ def connector_process(
                     vnf = next_vnf  # mixed chain: aware VNF next door
                     continue
                 f += 1  # forward to next hop
-            return _result(current, None, (f, d, e))
+            return current
     finally:
         ledger = state.ledger
         ledger.f_count += f
         ledger.d_count += d
         ledger.e_count += e
-
-
-def _dropped(add, node_id: str, reason: str, cost: tuple[int, int, int]) -> ConnectorResult:
-    add(node_id, DROPPED, reason)
-    return _result(None, reason, cost)
+        prior = costs.get(node_id)
+        costs[node_id] = (f, d, e) if prior is None else (prior[0] + f, prior[1] + d, prior[2] + e)
 
 
 _PROBE = Packet(Ipv6Header(  # a bare IPv6 header, with no next header

@@ -15,10 +15,11 @@ aggregates only, so memory does not grow with the number of packets
 walked.
 
 A walk makes no Python call that does no work. It builds one outcome
-(``Delivered`` or ``Dropped``) and one ``InjectResult``. ``inject``
-reads the ingress's ``NodeState`` and the walk counter itself, and the
-walk hands the connector its trace and the VNF it found and adds each
-connector pass's cost to ``costs`` in place.
+(``Delivered`` or ``Dropped``, defined beside the connector in
+``dataplane`` and re-exported here) and one ``InjectResult``.
+``inject`` reads the ingress's ``NodeState`` and the walk counter
+itself, and the walk hands the connector its trace, the VNF it found and
+its ``costs``, to which each connector pass adds its cost in place.
 
 The packet path keeps the four idioms of ``wire``'s module docstring.
 """
@@ -33,6 +34,8 @@ from srv6sfc import errors
 from srv6sfc.chain import ChainRegistry, ClassifierRule, PrefixTable, Sid, SidKind
 from srv6sfc.dataplane import (
     CostLedger,
+    Delivered,
+    Dropped,
     NodeState,
     UnitCosts,
     Vnf,
@@ -105,16 +108,15 @@ class Network:
     and ``addresses`` must not change afterwards, nor the registry's
     chains. Each hosted VNF's ``vnf <sid>`` drop reason is rendered here,
     into ``NodeState.vnf_drops``. ``event_memo`` and ``group_memo`` (see
-    ``srv6sfc.trace``) and ``unrouted`` (``no route to <dst>`` by
-    destination key, texts the memo never stores) fill as packets are
-    walked, to at most ``event_limit`` entries each: per node, one per
-    address, neighbour and fixed detail (Decapsulated and the hop-limit
-    and visit-budget drops), two per classifier rule, four per hosted VNF
-    and, where VNFs are hosted, two per SID. That holds every event of
-    packets with no SRH of their own; the segments such an SRH brings
-    take what room is left. The group memo holds one SR-aware step per
-    (node, segment, SID) whose three events the event memo holds, and it
-    stops at the same bound.
+    ``srv6sfc.trace``) fill as packets are walked, to at most
+    ``event_limit`` entries each: per node, one per address, neighbour
+    and fixed detail (Decapsulated and the hop-limit and visit-budget
+    drops), two per classifier rule, four per hosted VNF and, where VNFs
+    are hosted, two per SID. That holds every event of packets with no
+    SRH of their own; the segments such an SRH brings take what room is
+    left. The group memo holds one SR-aware step per (node, segment, SID)
+    whose three events the event memo holds, and it stops at the same
+    bound.
     """
 
     def __init__(
@@ -133,7 +135,6 @@ class Network:
         self._next_uid = 0
         self.event_memo: dict[tuple, tuple] = {}
         self.group_memo: dict[tuple, tuple] = {}
-        self.unrouted: dict[int | tuple[int, str], str] = {}
         self.event_limit = 2 * len(links)  # Forwarded, once per neighbour
         mapped = registry.returns
         for node in nodes.values():
@@ -237,18 +238,6 @@ def build_network(
 
 
 # Walk outcomes ----------------------------------------------------------
-
-@value_type
-class Delivered:
-    packet: Packet
-    node_id: str
-
-
-@value_type
-class Dropped:
-    node_id: str
-    reason: str
-
 
 @value_type
 class InjectResult:
@@ -374,15 +363,10 @@ def _walk(
         srh = packet.srh
         vnf = None if srh is None else state.vnfs.get(key)
         if vnf is not None:
-            result = connector_process(state, packet, trace, vnf, hop)
-            cost = result.cost
-            prior = costs.get(node_id)
-            costs[node_id] = cost if prior is None else (
-                prior[0] + cost[0], prior[1] + cost[1], prior[2] + cost[2]
-            )
-            packet = result.packet
-            if packet is None:
-                return _dropped(node_id, result.drop_reason)
+            packet = connector_process(state, packet, trace, vnf, hop, costs)
+            if type(packet) is Dropped:
+                trace.add(node_id, DROPPED, packet.reason)
+                return packet
             hop = packet.header.hop_limit
             key = packet.header.dst._ip
             if key in state.local:
@@ -405,11 +389,7 @@ def _walk(
                 costs[node_id] = (1, 0, 0) if prior is None else (prior[0] + 1, prior[1], prior[2])
 
         if next_hop is None:
-            dst = packet.header.dst
-            key = dst._ip if dst._scope_id is None else (dst._ip, dst._scope_id)
-            reason = network.unrouted.get(key) or TrafficText(f"no route to {dst}")
-            if len(network.unrouted) < network.event_limit:
-                network.unrouted[key] = reason
+            reason = TrafficText(f"no route to {packet.header.dst}")
             trace.add(node_id, DROPPED, reason)
             return _dropped(node_id, reason)
         if hop <= 1:

@@ -20,18 +20,16 @@ nothing else. Serializing validates first, so ``struct`` never sees an
 out-of-range field. Callers go through ``wire.parse_packet`` and
 ``wire.serialize_packet``, so a tracer that rebinds them sees every call.
 
-Neither direction does work twice. Parsed addresses come from an intern
-table keyed by their 16 bytes, first come first stored up to
-``ADDRESS_INTERN_LIMIT`` entries, so equal parsed ones are one object. A
-parsed packet keeps its bytes as ``image``, which ``serialize_packet``
-returns (a rewrite, ``dataclasses.replace`` or a copy has none). One
-slot holds the last parse's packet, or the twin of the last serialize of
-a packet without an image: its validated header with the bytes it
-returns as image, equal to their parse but for the caller's addresses
-(an SRH, a scoped address or a non-``bytes`` payload gets no twin).
-``parse_packet`` of the slot's image, that very object, never an equal
-one, returns the slot's packet; ``clear_slot`` empties it. These tests
-sit inside the calls, so a tracer counts them all.
+Neither direction does work twice. A parsed packet keeps its bytes as
+``image``, which ``serialize_packet`` returns (a rewrite,
+``dataclasses.replace`` or a copy has none). One slot holds the last
+parse's packet, or the twin of the last serialize of a packet without an
+image: its validated header with the bytes it returns as image, equal to
+their parse but for the caller's addresses (an SRH, a scoped address or
+a non-``bytes`` payload gets no twin). ``parse_packet`` of the slot's
+image, that very object, never an equal one, returns the slot's packet;
+``clear_slot`` empties it. These tests sit inside the calls, so a
+tracer counts them all.
 
 Packet-path idioms. The walk (``sim``), the connector and rewrites
 (``dataplane``), the prefix tables (``chain``), the trace and this codec
@@ -55,14 +53,14 @@ keep four rules, stated here once:
   event memo and ``chain.address_key``. This codec packs an address as
   ``_ip.to_bytes(16, "big")``.
 * Values are built by plain slot stores. The values the packet path
-  builds (``Packet``, ``dataplane.VnfAction`` and ``ConnectorResult``,
-  ``sim.Delivered``, ``Dropped`` and ``InjectResult``) are frozen
-  dataclasses made by :func:`value_type`, whose fields are slots of a
-  private base class. Each type's ``_build(*fields)`` makes a draft, an
-  instance of a private sibling class of the same layout that is not
-  frozen, stores each field into it, and sets its ``__class__`` to the
-  type. A store through the slot descriptor's ``__set__``, or the frozen
-  class's ``object.__setattr__``, costs about six times a plain one.
+  builds (``Packet``, ``dataplane.VnfAction``, ``Delivered`` and
+  ``Dropped``, and ``sim.InjectResult``) are frozen dataclasses made by
+  :func:`value_type`, whose fields are slots of a private base class.
+  Each type's ``_build(*fields)`` makes a draft, an instance of a
+  private sibling class of the same layout that is not frozen, stores
+  each field into it, and sets its ``__class__`` to the type. A store
+  through the slot descriptor's ``__set__``, or the frozen class's
+  ``object.__setattr__``, costs about six times a plain one.
   ``__new__`` calls ``_build``, so ``replace``, ``copy``, ``pickle``
   (through ``__reduce__``) and ``type(v)(*fields)`` build the same way,
   and the packet path calls ``_build`` directly. A class may define
@@ -98,7 +96,6 @@ UDP_HEADER_LEN = 8
 DEFAULT_HOP_LIMIT = 64
 MAX_PAYLOAD_LEN = 0xFFFF
 MAX_SEGMENTS = 127         # hdr_ext_len = 2n must fit its 8 bits
-ADDRESS_INTERN_LIMIT = 4096
 _FIXED = struct.Struct("!IHBB")
 _SRH_FIXED = struct.Struct("!BBBBBBH")
 _UDP = struct.Struct("!HHHH")
@@ -247,15 +244,6 @@ class Packet:
 _packet = Packet._build
 
 
-class _Interned(dict):
-    def __missing__(self, packed: bytes) -> IPv6Address:
-        address = IPv6Address(packed)
-        if len(self) < ADDRESS_INTERN_LIMIT:
-            self[packed] = address
-        return address
-
-
-_addresses = _Interned()
 # The slot (see the module docstring): one object, read and replaced in one
 # step each, so no thread pairs one call's bytes with another call's packet.
 _last = _EMPTY = _packet(None, None, b"")  # its image, None, is no bytes object
@@ -364,7 +352,7 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
 
     header = tuple.__new__(Ipv6Header, (
         6, (word >> 20) & 0xFF, word & 0xFFFFF, payload_length, next_header, hop_limit,
-        _addresses[b[8:24]], _addresses[b[24:40]],
+        IPv6Address(b[8:24]), IPv6Address(b[24:40]),
     ))
 
     if next_header != NEXT_HEADER_ROUTING:
@@ -392,7 +380,7 @@ def parse_packet(data: bytes | bytearray | memoryview) -> Packet:
     end = IPV6_HEADER_LEN + srh_len
     srh = tuple.__new__(SegmentRoutingHeader, (
         srh_next, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag,
-        tuple(_addresses[b[i : i + SEGMENT_LEN]] for i in range(start, end, SEGMENT_LEN)),
+        tuple(IPv6Address(b[i : i + SEGMENT_LEN]) for i in range(start, end, SEGMENT_LEN)),
     ))
     _last = packet = _packet(header, srh, b[end:], b)
     return packet

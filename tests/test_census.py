@@ -18,7 +18,6 @@ import importlib.util
 from pathlib import Path
 
 from conftest import guard_walks
-from srv6sfc import wire
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "call_census.py"
 _spec = importlib.util.spec_from_file_location("call_census", _SCRIPT)
@@ -33,23 +32,34 @@ TABLE = """
     5    5      5    5      5    5      5    5  _struct Struct.pack [C]
  1365 1365   1365 1365   1365 1365   1365 1365  _struct Struct.unpack_from [C]
     5    5      5    5      5    5      5    5  builtins bytes.join [C]
- 6916 2779   6980 2831   6908 2783   6900 2769  builtins dict.get [C]
+ 6912 2775   6976 2827   6904 2779   6898 2767  builtins dict.get [C]
+    4    4      4    4      4    4      2    2  builtins format [C]
     0    0     32   32      8    8      0    0  builtins id [C]
+ 2730 2730   2730 2730   2730 2730   2730 2730  builtins int.from_bytes [C]
    10   10     10   10     10   10     10   10  builtins int.to_bytes [C]
- 1392 1392   1384 1384   1400 1400   1386 1386  builtins len [C]
+ 5460 5460   5460 5460   5460 5460   5460 5460  builtins isinstance [C]
+ 4122 4122   4114 4114   4130 4130   4116 4116  builtins len [C]
  4148   11   4160   11   4136   11   4142   11  builtins list.extend [C]
-   11   11     11   11     11   11     11   11  builtins str.join [C]
+   15   15     15   15     15   15     13   13  builtins str.join [C]
  1378 1378   1406 1406   1394 1394   1374 1374  builtins tuple.__new__ [C]
+ 2730 2730   2730 2730   2730 2730   2730 2730  ipaddress IPv6Address.__init__
+    4    4      4    4      4    4      2    2  ipaddress IPv6Address.__str__
+    4    4      4    4      4    4      2    2  ipaddress _BaseAddress.__format__
+    4    4      4    4      4    4      2    2  ipaddress _BaseAddress.__str__
+    4    4      4    4      4    4      2    2  ipaddress _BaseV6._compress_hextets
+    4    4      4    4      4    4      2    2  ipaddress _BaseV6._string_from_ip_int
+    4    4      4    4      4    4      2    2  ipaddress _BaseV6._string_from_ip_int.<locals>.<listcomp>
+ 2730 2730   2730 2730   2730 2730   2730 2730  ipaddress _IPAddressBase._check_packed_address
     0    0      0    0      4    4      0    0  srv6sfc.chain address_key
     0    0      0    0      4    4      0    0  srv6sfc.dataplane ChainEditor.__call__
-    4    4      4    4      4    4      4    4  srv6sfc.dataplane ConnectorResult._build
+    4    4      4    4      4    4      4    4  srv6sfc.dataplane Delivered._build
+    7    7      7    7      7    7      7    7  srv6sfc.dataplane Dropped._build
     4    4     32   32      4    4      0    0  srv6sfc.dataplane PassThroughRouter.__call__
     0    0      0    0      0    0      4    4  srv6sfc.dataplane PrefixFilter.__call__
     4    4     32   32      8    8      2    2  srv6sfc.dataplane VnfAction._build
     0    0      0    0      0    0      2    2  srv6sfc.dataplane VnfAction.drop
     0    0      0    0      4    4      0    0  srv6sfc.dataplane VnfAction.edit_chain
     0    0      0    0      0    0      2    2  srv6sfc.dataplane VnfAction.forward
-    0    0      0    0      0    0      2    2  srv6sfc.dataplane _dropped
     9    9      5    5      5    5      7    7  srv6sfc.dataplane _outer_packet
     9    9      5    5      9    9      7    7  srv6sfc.dataplane _payload_length
     0    0     32   32      8    8      0    0  srv6sfc.dataplane advance_segment
@@ -59,8 +69,6 @@ TABLE = """
  1369 1369   1369 1369   1369 1369   1367 1367  srv6sfc.dataplane egress_process
     5    5      5    5      5    5      5    5  srv6sfc.dataplane encapsulate
     4    4      0    0      0    0      2    2  srv6sfc.dataplane reencap_unaware
-    4    4      4    4      4    4      4    4  srv6sfc.sim Delivered._build
-    7    7      7    7      7    7      7    7  srv6sfc.sim Dropped._build
    11   11     11   11     11   11     11   11  srv6sfc.sim InjectResult._build
    11   11     11   11     11   11     11   11  srv6sfc.sim _walk
     4    4      4    4      4    4      4    4  srv6sfc.sim _with_hop_limit
@@ -98,10 +106,5 @@ def census_table(testbed_config_path) -> str:
     return "\n" + "\n".join(lines) + "\n"
 
 
-def test_walks_make_exactly_the_census_calls(testbed_config_path, monkeypatch):
-    # The nested packet's decapsulations really parse, and a parsed
-    # address is built only when the codec's bounded intern table lacks
-    # it; other tests may have filled that table, so the census starts
-    # from an empty one, as a fresh process does.
-    monkeypatch.setattr(wire, "_addresses", type(wire._addresses)())
+def test_walks_make_exactly_the_census_calls(testbed_config_path):
     assert census_table(testbed_config_path) == TABLE

@@ -397,20 +397,20 @@ def test_prefix_table_matches_reference(entries, data):
             IPv6Address(int(network.network_address) | host_bits),
         ]
     for address in probes:
-        assert table.lookup(address) == longest_prefix_match(entries, address)
+        assert table[address._ip] == longest_prefix_match(entries, address)
 
 
 def test_prefix_table_fixed_cases():
     default, host = IPv6Network("::/0"), IPv6Network("2001:db8::5/128")
     net = IPv6Network("2001:db8::/32")
-    assert PrefixTable([]).lookup(IPv6Address("::1")) is None
+    assert PrefixTable([])[IPv6Address("::1")._ip] is None
     table = PrefixTable([(net, "first"), (host, "host"), (net, "second")])
-    assert table.lookup(IPv6Address("2001:db8::5")) == "host"
-    assert table.lookup(IPv6Address("2001:db8::6")) == "first"
-    assert table.lookup(IPv6Address("fe80::1")) is None
+    assert table[IPv6Address("2001:db8::5")._ip] == "host"
+    assert table[IPv6Address("2001:db8::6")._ip] == "first"
+    assert table[IPv6Address("fe80::1")._ip] is None
     with_default = PrefixTable([(net, "net"), (default, "default")])
-    assert with_default.lookup(IPv6Address("fe80::1")) == "default"
-    assert with_default.lookup(IPv6Address("2001:db8::6")) == "net"
+    assert with_default[IPv6Address("fe80::1")._ip] == "default"
+    assert with_default[IPv6Address("2001:db8::6")._ip] == "net"
 
 
 @given(prefix_tables(), st.booleans(), st.lists(addresses, max_size=6))
@@ -424,7 +424,6 @@ def test_prefix_table_caches_each_answer_exactly(entries, default, probes):
         expected = longest_prefix_match(entries, address)
         for _ in range(2):
             assert table[address._ip] == expected
-            assert table.lookup(address) == expected
     assert len(table) == len({address._ip for address in probes} | {
         int(network.network_address) for network, _ in entries
     })
@@ -447,9 +446,9 @@ def test_prefix_table_cache_is_cleared_at_its_bound():
     destinations = bound_destinations("2001:db8::")
     sizes = []
     for address in destinations + destinations[:ROUTE_CACHE_LIMIT]:
-        assert table.lookup(address) == longest_prefix_match(entries, address)
+        assert table[address._ip] == longest_prefix_match(entries, address)
         sizes.append(len(table))
-    assert {table.lookup(a) for a in destinations} == {"net", "subnet", "default"}
+    assert {table[a._ip] for a in destinations} == {"net", "subnet", "default"}
     # Filled, then cleared before the next new destination, twice.
     assert max(sizes) == ROUTE_CACHE_LIMIT and sizes.count(1) == 3
 

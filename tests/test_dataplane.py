@@ -259,17 +259,20 @@ def test_inline_wire_rules_answer_like_the_properties(packet, next_header, with_
 
 # Connector cost accounting ------------------------------------------------------
 
-def connect(state, packet, trace=None):
+def connect(state, packet, trace=None, costs=None):
     """``connector_process`` as the walk calls it: with a trace, the
-    hosted VNF the packet's destination names and the packet's hop limit."""
+    hosted VNF the packet's destination names, the packet's hop limit and
+    a ``costs`` dict, which the pass adds its (f, d, e) to."""
     vnf = state.vnfs[int(packet.header.dst)]
     trace = Trace() if trace is None else trace
-    return connector_process(state, packet, trace, vnf, packet.header.hop_limit)
+    costs = {} if costs is None else costs
+    return connector_process(state, packet, trace, vnf, packet.header.hop_limit, costs)
 
 
 def run_connector(network, packet):
-    state = network.states["nfv"]
-    return state, connect(state, packet)
+    """One connector pass at nfv: its state, what it returns and its cost."""
+    state, costs = network.states["nfv"], {}
+    return state, connect(state, packet, costs=costs), costs["nfv"]
 
 
 @pytest.mark.parametrize(
@@ -281,9 +284,9 @@ def run_connector(network, packet):
 )
 def test_single_vnf_costs(kind, expected):
     network, chain = chain_testbed(1, kind)
-    state, result = run_connector(network, encapsulate(inner_packet(), chain))
-    assert result.packet.header.dst == CCCC2
-    assert result.cost == expected
+    state, packet, cost = run_connector(network, encapsulate(inner_packet(), chain))
+    assert packet.header.dst == CCCC2
+    assert cost == expected
     assert state.ledger.counts() == expected
     # Where the packet goes next is the walk's decision: on to er2.
     trace = inject(network, "er1", inner_packet()).trace
@@ -294,17 +297,17 @@ def test_single_vnf_costs(kind, expected):
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_counters_match_cost_formula(kind, n):
     network, chain = chain_testbed(n, kind)
-    state, result = run_connector(network, encapsulate(inner_packet(), chain))
-    assert result.packet is not None
-    f, d, e = result.cost
+    state, packet, cost = run_connector(network, encapsulate(inner_packet(), chain))
+    assert type(packet) is wire.Packet
+    f, d, e = cost
     if kind is SidKind.SR_AWARE:
         assert (f, d, e) == (n + 2, 0, 0)
     else:
         assert (f, d, e) == (2 * n + 1, 1, 1)
-    assert result.cost == node_cost([kind] * n)
-    assert state.ledger.counts() == result.cost
+    assert cost == node_cost([kind] * n)
+    assert state.ledger.counts() == cost
     units = UnitCosts()
-    assert units.cost(result.cost) == predicted_cost(n, kind, units)
+    assert units.cost(cost) == predicted_cost(n, kind, units)
 
 
 def test_aware_passthrough_is_noninterfering():
@@ -312,18 +315,22 @@ def test_aware_passthrough_is_noninterfering():
     # segment advance; the VNF hand-offs leave no other mark.
     network, chain = chain_testbed(1, SidKind.SR_AWARE)
     outer = encapsulate(inner_packet(), chain)
-    _, result = run_connector(network, outer)
-    assert wire.serialize_packet(result.packet) == wire.serialize_packet(advance_segment(outer))
+    _, packet, _ = run_connector(network, outer)
+    assert wire.serialize_packet(packet) == wire.serialize_packet(advance_segment(outer))
 
 
 def test_drop_short_circuits_reencapsulation():
     network, chain = chain_testbed(
         1, SidKind.SR_UNAWARE, behaviors=[PrefixFilter(IPv6Network("DDDD::/64"))]
     )
-    state, result = run_connector(network, encapsulate(inner_packet(), chain))
-    assert (result.packet, result.drop_reason) == (None, "vnf bbbb::2")
+    trace = Trace()
+    state, costs = network.states["nfv"], {}
+    outcome = connect(state, encapsulate(inner_packet(), chain), trace, costs)
+    assert outcome == Dropped("nfv", "vnf bbbb::2")
+    # The walk, not the connector, records the drop.
+    assert all(event.kind is not EventKind.DROPPED for event in trace.events)
     assert state.ledger.e_count == 0
-    assert result.cost == state.ledger.counts() == (1, 1, 0)
+    assert costs == {"nfv": state.ledger.counts()} == {"nfv": (1, 1, 0)}
 
 
 def test_unaware_vnf_cannot_edit_chain():
@@ -334,10 +341,12 @@ def test_unaware_vnf_cannot_edit_chain():
         behaviors=[lambda p: VnfAction.edit_chain(p, edit)],
     )
     outer = encapsulate(inner_packet(), chain)
+    costs = {}
     with pytest.raises(errors.InvalidEdit):
-        run_connector(network, outer)
+        connect(network.states["nfv"], outer, costs=costs)
     # The work done before the raise is charged: decapsulation and delivery.
     assert network.ledgers["nfv"].counts() == (1, 1, 0)
+    assert costs == {"nfv": (1, 1, 0)}
     with pytest.raises(errors.InvalidEdit):
         inject(network, "er1", inner_packet())
     assert network.ledgers["er1"].counts() == (1, 0, 0)
@@ -402,11 +411,11 @@ def test_connector_refuses_a_hosted_unaware_vnf_without_a_mapping():
 
 def connector_pass(network, packet):
     """One connector pass at nfv: the bytes it hands back, its cost, its events."""
-    trace = Trace()
-    result = connect(network.states["nfv"], packet, trace)
+    trace, costs = Trace(), {}
+    packet = connect(network.states["nfv"], packet, trace, costs)
     assert all(event.node == "nfv" for event in trace.events)
     events = [(event.kind, event.detail) for event in trace.events]
-    return wire.serialize_packet(result.packet), result.cost, events
+    return wire.serialize_packet(packet), costs["nfv"], events
 
 
 def with_outer_hop_limit(packet, hop_limit):
@@ -773,11 +782,10 @@ def test_chain_editor_inserts_detour_end_to_end():
     registry = network.registry
     short = VnfChain("short", (IPv6Address("BBBB::2"), CCCC2), ER1)
     registry.register_chain(short)
-    state, result = run_connector(network, encapsulate(inner_packet(), short))
-    out_packet = result.packet
+    state, out_packet, cost = run_connector(network, encapsulate(inner_packet(), short))
     # The detour VNF ran: delivered once by editor insert, so two aware
     # deliveries happened on this node.
-    assert result.cost == state.ledger.counts() == (4, 0, 0)  # (n=2)+2
+    assert cost == state.ledger.counts() == (4, 0, 0)  # (n=2)+2
     assert out_packet.header.dst == CCCC2
     assert BBBB2 in out_packet.srh.segment_list and detour in out_packet.srh.segment_list
 

@@ -177,8 +177,8 @@ def test_built_tables_agree_with_reference_lookups(testbed_config_path):
                        prefix.broadcast_address + 1]
         state = network.states[node_id]
         for address in probes:
-            assert state.fib.lookup(address) == longest_prefix_match(node.routing_table, address)
-            chain = state.classifier.lookup(address)
+            assert state.fib[address._ip] == longest_prefix_match(node.routing_table, address)
+            chain = state.classifier[address._ip]
             assert (chain and chain.chain_id) == classify(node.rules, address)
             assert chain is None or chain is network.registry.chain(chain.chain_id)
 
@@ -598,44 +598,6 @@ def test_long_runs_retain_no_memory_per_packet(testbed_config_path):
     # Flat: ten times the packets leave no more behind. Per-packet records
     # would keep hundreds of bytes each, megabytes over these 10k packets.
     assert after_11k - after_1k < 16 * 1024, (after_1k, after_11k)
-
-
-def test_address_intern_table_stops_at_its_bound(monkeypatch):
-    monkeypatch.setattr(wire, "_addresses", wire._Interned())
-    limit = wire.ADDRESS_INTERN_LIMIT
-    # Twice as many distinct addresses as the table may hold.
-    packets = [
-        serialize_packet(udp_packet(IPv6Address(2 * i + 1), IPv6Address(2 * i + 2), b"x"))
-        for i in range(limit)
-    ]
-
-    def parse_all() -> int:
-        """Bytes still allocated after parsing every packet once more."""
-        for data in packets:
-            wire.parse_packet(data)
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
-
-    parse_all()
-    table = wire._addresses
-    # First come, first stored: the first half of the addresses, no more.
-    assert len(table) == limit
-    assert set(table) == {IPv6Address(n).packed for n in range(1, limit + 1)}
-    tracemalloc.start()
-    try:
-        gc.collect()
-        start = tracemalloc.get_traced_memory()[0]
-        retained = parse_all() - start
-    finally:
-        tracemalloc.stop()
-    assert len(table) == limit
-    # A miss past the bound builds an equal address and stores nothing.
-    # Fresh copies: a parse of the very bytes object last parsed is the
-    # codec's slot, not a parse.
-    late = wire.parse_packet(bytes(bytearray(packets[-1]))).header.dst
-    again = wire.parse_packet(bytes(bytearray(packets[-1]))).header.dst
-    assert late == IPv6Address(2 * limit) and late is not again
-    assert retained < 4 * 1024, retained
 
 
 # The packet path's call guard is ``tests/test_census.py``. Each test below

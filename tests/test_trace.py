@@ -271,18 +271,15 @@ def test_address_memo_is_bounded_by_the_config():
                 for event in result.trace.events:
                     (unrouted if is_unrouted_drop(event) else recorded).add(event)
                 assert len(network.event_memo) <= network.event_limit
-                assert len(network.unrouted) <= network.event_limit
     assert delivered
     assert any(reason.startswith("vnf ") for reason in reasons)
     # The bound holds every event this traffic records but its drops for
-    # lack of a route, whose texts come from the traffic; those fill what
-    # room is left in ``unrouted``, and none of the memo.
+    # lack of a route, whose texts come from the traffic; the memo holds
+    # none of those.
     assert len(recorded) <= network.event_limit
     assert len(unrouted) > network.event_limit
     assert {event for event, _ in network.event_memo.values()} <= recorded
     assert_memo_renders_like_json_dumps(network.event_memo)
-    for key, reason in network.unrouted.items():
-        assert reason == f"no route to {IPv6Address(key)}"
 
 
 def test_unrouted_traffic_leaves_the_memo_to_the_config():
@@ -299,7 +296,7 @@ def test_unrouted_traffic_leaves_the_memo_to_the_config():
             assert result.trace.events[-1] == ("er1", EventKind.DROPPED, f"no route to {dst}")
             assert type(result.trace.events[-1].detail) is str
     # Each of these walks records only its drop.
-    assert network.event_memo == {} and len(network.unrouted) == network.event_limit
+    assert network.event_memo == {}
     routed = udp_packet(source, IPv6Address("DDDD::2"), b"memo")
     for rerun in (False, True):
         for terminal_only in (False, True):
@@ -387,9 +384,7 @@ def test_memo_at_its_bound_exports_like_an_unbounded_one():
                 assert bounded.outcome == free.outcome
                 assert bounded.trace.events == free.trace.events
                 assert bounded.trace.to_jsonl() == free.trace.to_jsonl()
-        assert full.event_memo == {} and full.group_memo == {} and full.unrouted == {}
-        # An SR-aware VNF sends each own-SRH packet to its unrouted segment.
-        assert len(unbounded.unrouted) == (40 if kind is SidKind.SR_AWARE else 20)
+        assert full.event_memo == {} and full.group_memo == {}
         # The delivered flow and the own-SRH packets make one step each.
         assert len(unbounded.group_memo) == (21 if kind is SidKind.SR_AWARE else 0)
 

@@ -25,7 +25,6 @@ from conftest import (
 from srv6sfc import errors, wire
 from srv6sfc.dataplane import (
     ActionKind,
-    ConnectorResult,
     PassThroughRouter,
     PayloadStamper,
     SegmentListEdit,
@@ -533,21 +532,6 @@ def test_a_vnf_that_modifies_the_packet_is_reencoded():
         assert (returned.image is None) is (first == 0xAB)
 
 
-def test_equal_parses_share_their_address_objects(monkeypatch):
-    monkeypatch.setattr(wire, "_addresses", wire._Interned())
-    # A fresh copy each: the bytes object last parsed would be the codec's
-    # slot, whose packet may predate the new table.
-    first = wire.parse_packet(bytes(bytearray(TESTBED_GOLDEN)))
-    second = wire.parse_packet(bytes(bytearray(TESTBED_GOLDEN)))
-    assert first.image is not second.image
-    assert first.header.src is second.header.src and first.header.dst is second.header.dst
-    assert all(a is b for a, b in zip(first.srh.segment_list, second.srh.segment_list))
-    # The active segment and the destination are one object within a parse, too.
-    assert first.header.dst is first.srh.segment_list[first.srh.segments_left]
-    inner = wire.parse_packet(first.payload)
-    assert inner.header.src is wire.parse_packet(second.payload).header.src
-
-
 # The codec's slot: the bytes object of its last call, and that call's packet ---
 
 scoped = addresses.map(lambda address: IPv6Address(f"{address}%eth0"))
@@ -622,8 +606,6 @@ def value_fields(draw, cls):
         kind = draw(st.sampled_from(ActionKind))
         edit = SegmentListEdit.insert_after_current((BBBB2,)) if kind is ActionKind.EDIT_CHAIN else None
         return kind, None if kind is ActionKind.DROP else packet, edit
-    if cls is ConnectorResult:
-        return draw(st.sampled_from([(packet, None, cost), (None, text, cost)]))
     if cls is Delivered:
         return packet, text
     if cls is Dropped:
@@ -657,7 +639,7 @@ def assert_same_value(one, other, *, traces_shared=True):
         assert hash_or_refusal(one) == hash_or_refusal(other)
 
 
-VALUE_TYPES = [Packet, VnfAction, ConnectorResult, Delivered, Dropped, InjectResult]
+VALUE_TYPES = [Packet, VnfAction, Delivered, Dropped, InjectResult]
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
@@ -706,13 +688,16 @@ def test_a_packet_image_is_no_field():
 
 def test_value_defaults_live_in_the_signatures():
     # A default left on the class would hide the slot: every read of
-    # ``cost`` would return (0, 0, 0).
+    # ``packet`` and ``edit`` would return None.
     packet = udp_packet(SRC, SINK)
-    for result in (ConnectorResult(packet), ConnectorResult._build(packet)):
-        assert (result.packet, result.drop_reason, result.cost) == (packet, None, (0, 0, 0))
-    for result in (ConnectorResult(None, "gone", (1, 2, 3)), ConnectorResult._build(None, "gone", (1, 2, 3))):
-        assert (result.drop_reason, result.cost) == ("gone", (1, 2, 3))
-    assert [f.default for f in dataclasses.fields(ConnectorResult)][1:] == [None, (0, 0, 0)]
+    for action in (VnfAction(ActionKind.FORWARD, packet), VnfAction._build(ActionKind.FORWARD, packet)):
+        assert (action.kind, action.packet, action.edit) == (ActionKind.FORWARD, packet, None)
+    edit = SegmentListEdit.insert_after_current((BBBB2,))
+    for action in (
+        VnfAction(ActionKind.EDIT_CHAIN, packet, edit), VnfAction._build(ActionKind.EDIT_CHAIN, packet, edit),
+    ):
+        assert action.packet is packet and action.edit is edit
+    assert [f.default for f in dataclasses.fields(VnfAction)][1:] == [None, None]
     assert VnfAction(ActionKind.DROP) == VnfAction.drop() and VnfAction._build(ActionKind.DROP).packet is None
     with pytest.raises(TypeError, match="cannot be subclassed"):
         type("Marked", (Packet,), {})
